@@ -10,6 +10,8 @@ cycles.  Liftings that find no cycles return the 1-complex unchanged.
 from __future__ import annotations
 
 import itertools
+import re
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
@@ -207,25 +209,55 @@ def _product_blocks(a: CellComplex, b: CellComplex, total: int) -> list[tuple[in
     return blocks
 
 
+def _factor_label(label: str) -> str:
+    """A factor's cell label as written inside a product label.
+
+    A label with balanced parentheses, no comma outside them and no
+    backslash is kept as it is.  Any other label gets a backslash before
+    each backslash, parenthesis and comma, so every product label splits
+    back into its two factor labels at its one unescaped top-level comma.
+    """
+    depth = 0
+    for ch in label:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if depth < 0 or ch == "\\" or (ch == "," and depth == 0):
+            break
+    else:
+        if depth == 0:
+            return label
+    return re.sub(r"([\\(),])", r"\\\1", label)
+
+
 def product(a: CellComplex, b: CellComplex) -> CellComplex:
     """Product complex: cells are pairs, dimensions add.
 
     Cells of dimension d are ordered by (first-factor dimension, index in
-    a, index in b).  The boundary of a pair applies each factor's
-    boundary in turn; the second-factor blocks carry the alternating
-    sign (-1)^(k+1), k the first-factor dimension, which keeps
-    consecutive boundary maps composing to zero.
+    a, index in b) and labelled ``(la,lb)``.  The boundary of a pair
+    applies each factor's boundary in turn; the second-factor blocks
+    carry the alternating sign (-1)^(k+1), k the first-factor dimension,
+    which keeps consecutive boundary maps composing to zero.
     """
     dim = a.dim + b.dim
+    names_a = [[_factor_label(label) for label in layer] for layer in a.cells]
+    names_b = [[_factor_label(label) for label in layer] for layer in b.cells]
     cells = []
     for total in range(dim + 1):
-        layer = []
-        for k, _ in _product_blocks(a, b, total):
-            kb = total - k
-            layer.extend(
-                f"({la},{lb})" for la in a.cells[k] for lb in b.cells[kb]
-            )
-        cells.append(layer)
+        labelled = [
+            (k, f"({la},{lb})")
+            for k, _ in _product_blocks(a, b, total)
+            for la in names_a[k]
+            for lb in names_b[total - k]
+        ]
+        # Factor labels are unique only per dimension, so one label pair
+        # can recur across blocks; such labels name the first-factor
+        # dimension.
+        counts = Counter(label for _, label in labelled)
+        cells.append(
+            [label if counts[label] == 1 else f"{label}[{k}]" for k, label in labelled]
+        )
     mats = []
     for total in range(1, dim + 1):
         row_offset = dict(_product_blocks(a, b, total - 1))
@@ -234,19 +266,17 @@ def product(a: CellComplex, b: CellComplex) -> CellComplex:
         for k, _ in _product_blocks(a, b, total):
             kb = total - k
             na, nb = a.n_cells(k), b.n_cells(kb)
+            cols_a = a.boundary(k).columns() if k >= 1 else [[]] * na
+            cols_b = b.boundary(kb).columns() if kb >= 1 else [[]] * nb
+            sign = (-1) ** (k + 1)
+            nb_down = b.n_cells(kb - 1)
             for i in range(na):
-                cols_a = a.boundary(k).column(i) if k >= 1 else []
                 for j in range(nb):
                     col = col_base + i * nb + j
-                    for r, s in cols_a:
-                        row = row_offset[k - 1] + r * nb + j
-                        entries.append((row, col, s))
-                    if kb >= 1:
-                        sign = (-1) ** (k + 1)
-                        nb_down = b.n_cells(kb - 1)
-                        for r, s in b.boundary(kb).column(j):
-                            row = row_offset[k] + i * nb_down + r
-                            entries.append((row, col, sign * s))
+                    for r, s in cols_a[i]:
+                        entries.append((row_offset[k - 1] + r * nb + j, col, s))
+                    for r, s in cols_b[j]:
+                        entries.append((row_offset[k] + i * nb_down + r, col, sign * s))
             col_base += na * nb
         mats.append(BoundaryMatrix(len(cells[total - 1]), len(cells[total]), tuple(entries)))
     return from_boundary_matrices(cells, mats)
@@ -483,6 +513,7 @@ def _cycle_cells(
         return cc
     b1 = cc.boundary(1)
     labels: list[str] = []
+    seen: set[str] = set()
     entries: list[tuple[int, int, int]] = []
     for col, signed_edges in enumerate(columns):
         cycle, reason = oriented_cycle(b1, signed_edges)
@@ -492,8 +523,9 @@ def _cycle_cells(
             signed_edges = [(j, -s) for j, s in signed_edges]
             cycle = [cycle[0]] + cycle[:0:-1]
         label = "-".join(cc.cells[0][i] for i in _rotate_min_first(cycle))
-        while label in labels:
+        while label in seen:
             label += "+"
+        seen.add(label)
         labels.append(label)
         entries.extend((j, col, s) for j, s in signed_edges)
     b2 = BoundaryMatrix(b1.cols, len(columns), tuple(entries))
@@ -523,10 +555,10 @@ def spanning_tree_lifting(cc: CellComplex, root: str | int | None = None) -> Cel
         adjacency[h].append((j, t))
     parent: dict[int, tuple[int, int]] = {}
     seen = {root_index}
-    queue = [root_index]
+    queue = deque([root_index])
     tree_edges: set[int] = set()
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for j, v in adjacency[u]:
             if v not in seen:
                 seen.add(v)

@@ -24,13 +24,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
 def _load_points(path: str) -> builders.PointCloud:
     return builders.PointCloud(np.loadtxt(path, delimiter=",", ndmin=2))
 
@@ -53,10 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--output", choices=("json", "csv"), default=None,
                         help="override the command's default output format")
-    parser.add_argument("--tolerance", type=_positive_float, default=1e-8,
-                        help="numeric tolerance for reports (default 1e-8)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized helpers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check regularity conditions")

@@ -4,11 +4,15 @@ A cell complex of dimension n is stored as ordered per-dimension label
 lists together with signed sparse boundary matrices B_1..B_n.  Entries
 of B_k live in {-1, +1}: column j lists the (k-1)-cells bounding the
 j-th k-cell, with the sign recording whether reference orientations
-agree.  Everything here is immutable; operations return new values.
+agree.  Every layer reads the one layout of BoundaryMatrix: entries
+sorted by (column, row) plus a column pointer, so reading one column
+costs the length of that column.  Everything here is immutable;
+operations return new values.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -41,29 +45,34 @@ INT_LIMIT = 2**62
 class BoundaryMatrix:
     """Sparse signed incidence matrix with entries in {-1, +1}.
 
-    Entries are stored as (row, col, sign) triplets sorted by (col, row);
-    at most one entry per position.
+    Entries are stored as (row, col, sign) triplets sorted by (col, row),
+    at most one per position: compressed sparse column order.  The
+    column pointer ``indptr`` holds cols + 1 offsets, so column j is
+    ``entries[indptr[j]:indptr[j + 1]]`` and reading it costs its length.
     """
 
     rows: int
     cols: int
     entries: tuple[tuple[int, int, int], ...]
+    indptr: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for i, j, s in self.entries:
+        entries = tuple(sorted(self.entries, key=lambda e: (e[1], e[0])))
+        counts = [0] * (self.cols + 1)
+        pi = pj = -1
+        for i, j, s in entries:
             if not (0 <= i < self.rows and 0 <= j < self.cols):
                 raise ShapeMismatch(
                     f"entry ({i}, {j}) outside {self.rows}x{self.cols} matrix"
                 )
             if s not in (-1, 1):
                 raise ValueError(f"boundary entry sign must be +-1, got {s}")
-            if (i, j) in seen:
+            if i == pi and j == pj:
                 raise DuplicateEntry(f"duplicate entry at ({i}, {j})")
-            seen.add((i, j))
-        object.__setattr__(
-            self, "entries", tuple(sorted(self.entries, key=lambda e: (e[1], e[0])))
-        )
+            pi, pj = i, j
+            counts[j + 1] += 1
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "indptr", tuple(itertools.accumulate(counts)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -79,7 +88,7 @@ class BoundaryMatrix:
     def column(self, j: int) -> list[tuple[int, int]]:
         if not 0 <= j < self.cols:
             raise ShapeMismatch(f"column {j} outside 0..{self.cols - 1}")
-        return [(i, s) for i, jj, s in self.entries if jj == j]
+        return [(i, s) for i, _, s in self.entries[self.indptr[j] : self.indptr[j + 1]]]
 
     def row(self, i: int) -> list[tuple[int, int]]:
         if not 0 <= i < self.rows:
@@ -111,11 +120,12 @@ class BoundaryMatrix:
     def restrict(self, rows: Sequence[int], cols: Sequence[int]) -> "BoundaryMatrix":
         """Submatrix on the given row/col index lists (order preserved)."""
         rmap = {r: k for k, r in enumerate(rows)}
-        cmap = {c: k for k, c in enumerate(cols)}
+        entries, indptr = self.entries, self.indptr
         kept = tuple(
-            (rmap[i], cmap[j], s)
-            for i, j, s in self.entries
-            if i in rmap and j in cmap
+            (rmap[i], c, s)
+            for c, j in enumerate(cols)
+            for i, _, s in entries[indptr[j] : indptr[j + 1]]
+            if i in rmap
         )
         return BoundaryMatrix(len(rows), len(cols), kept)
 
@@ -124,18 +134,17 @@ def integer_product(a: BoundaryMatrix, b: BoundaryMatrix) -> dict[tuple[int, int
     """Exact integer sparse product a @ b as a dict of nonzero entries."""
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    a_cols = a.columns()
+    a_cols = [a.entries[p:q] for p, q in zip(a.indptr, a.indptr[1:])]
     out: dict[tuple[int, int], int] = {}
-    for i, j, s in b.entries:
-        for r, s2 in a_cols[i]:
-            key = (r, j)
-            val = out.get(key, 0) + s * s2
-            if abs(val) > INT_LIMIT:
-                raise IntegerOverflow("entry exceeded 64-bit range in exact product")
-            if val == 0:
-                out.pop(key, None)
-            else:
-                out[key] = val
+    for j, (p, q) in enumerate(zip(b.indptr, b.indptr[1:])):
+        column: dict[int, int] = {}
+        for i, _, s in b.entries[p:q]:
+            for r, _, s2 in a_cols[i]:
+                val = column.get(r, 0) + s * s2
+                if abs(val) > INT_LIMIT:
+                    raise IntegerOverflow("entry exceeded 64-bit range in exact product")
+                column[r] = val
+        out.update(((r, j), val) for r, val in column.items() if val)
     return out
 
 
@@ -266,7 +275,9 @@ def from_tuples(
             raise UnknownVertex(f"unknown vertex {label!r}")
         return vindex[label]
 
-    edge_pairs: list[tuple[int, int]] = []
+    # A polygon pair may match an edge forwards or backwards; the first
+    # match in construction order wins (unambiguous on simple complexes).
+    edge_index: dict[tuple[int, int], tuple[int, int]] = {}
     edge_labels: list[str] = []
     b1_entries: list[tuple[int, int, int]] = []
     for j, pair in enumerate(edges):
@@ -274,20 +285,11 @@ def from_tuples(
         t, h = vertex_id(tail), vertex_id(head)
         if t == h:
             raise SelfLoopEdge(f"edge ({tail}, {head}) is a self-loop")
-        edge_pairs.append((t, h))
+        edge_index.setdefault((t, h), (j, 1))
+        edge_index.setdefault((h, t), (j, -1))
         edge_labels.append(f"{vlabels[t]}-{vlabels[h]}")
         b1_entries.append((t, j, -1))
         b1_entries.append((h, j, 1))
-
-    # A polygon pair may match an edge forwards or backwards; first match
-    # in construction order wins (unambiguous on simple complexes).
-    def find_edge(a: int, b: int) -> tuple[int, int]:
-        for j, (t, h) in enumerate(edge_pairs):
-            if (t, h) == (a, b):
-                return j, 1
-            if (t, h) == (b, a):
-                return j, -1
-        raise MissingEdge(polygon, (vlabels[a], vlabels[b]))
 
     poly_labels: list[str] = []
     b2_entries: list[tuple[int, int, int]] = []
@@ -298,7 +300,9 @@ def from_tuples(
         if len(set(ids)) != len(ids):
             raise RepeatedVertexInPolygon(f"polygon {tuple(polygon)} repeats a vertex")
         for a, b in zip(ids, ids[1:] + ids[:1]):
-            j, sign = find_edge(a, b)
+            if (a, b) not in edge_index:
+                raise MissingEdge(polygon, (vlabels[a], vlabels[b]))
+            j, sign = edge_index[(a, b)]
             b2_entries.append((j, col, sign))
         canonical = _rotate_min_first(ids)
         poly_labels.append("-".join(vlabels[i] for i in canonical))
@@ -372,11 +376,10 @@ def is_simple(cc: CellComplex) -> bool:
 def _edge_endpoints(b1: BoundaryMatrix, j: int) -> tuple[int, int]:
     """(tail, head) of edge j; requires a valid dimension-1 column."""
     column = b1.column(j)
-    if len(column) != 2 or {s for _, s in column} != {-1, 1}:
+    if len(column) != 2 or column[0][1] == column[1][1]:
         raise NotACycleColumn(f"edge column {j} is not a (tail, head) incidence")
-    tail = next(i for i, s in column if s == -1)
-    head = next(i for i, s in column if s == 1)
-    return tail, head
+    (a, sign), (b, _) = column
+    return (a, b) if sign == -1 else (b, a)
 
 
 def oriented_cycle(
@@ -440,9 +443,8 @@ def canonicalize_orientations(cc: CellComplex) -> CellComplex:
     if cc.dim == 0:
         return cc
     b1 = cc.boundary(1)
-    edge_flips = [
-        j for j in range(b1.cols) if _edge_endpoints(b1, j)[0] > _edge_endpoints(b1, j)[1]
-    ]
+    pairs = [_edge_endpoints(b1, j) for j in range(b1.cols)]
+    edge_flips = [j for j, (tail, head) in enumerate(pairs) if tail > head]
     new_b1 = b1.flip_columns(edge_flips)
     mats = [new_b1]
     if cc.dim == 2:

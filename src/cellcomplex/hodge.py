@@ -14,6 +14,7 @@ largest-magnitude entry is made positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,6 +26,7 @@ from .errors import (
     NonPositiveWeight,
     ShapeMismatch,
     SizeLimitExceeded,
+    SubspaceSplitFailed,
     UnknownFilter,
 )
 
@@ -178,16 +180,7 @@ def dirac_operator(cc: CellComplex, weights: WeightSet | None = None) -> np.ndar
     _guard_size(cc)
     offsets = chain_offsets(cc)
     total = offsets[-1]
-    if weights is None:
-        dirac = np.zeros((total, total), dtype=np.int64)
-        for k in range(1, cc.dim + 1):
-            block = cc.boundary(k).to_dense()
-            rows = slice(offsets[k - 1], offsets[k])
-            cols = slice(offsets[k], offsets[k + 1])
-            dirac[rows, cols] = block
-            dirac[cols, rows] = block.T
-        return dirac
-    dirac = np.zeros((total, total))
+    dirac = np.zeros((total, total), dtype=np.int64 if weights is None else float)
     for k in range(1, cc.dim + 1):
         block = dense_boundary(cc, k, weights)
         rows = slice(offsets[k - 1], offsets[k])
@@ -286,7 +279,7 @@ def spectral_basis(
         if abs(lam) <= cut:
             pairs.append((0.0, rank["harmonic"], _fix_sign(vec), "harmonic"))
     if len(pairs) != n:
-        raise RuntimeError(
+        raise SubspaceSplitFailed(
             f"subspace split produced {len(pairs)} vectors for {n} cells; "
             "eigenvalue zero-threshold is too tight or too loose"
         )
@@ -354,6 +347,8 @@ def parse_filter(descriptor: str) -> FilterFunction:
             t = float(params[2:])
         except ValueError:
             raise UnknownFilter(f"bad heat time in {descriptor!r}") from None
+        if not math.isfinite(t):
+            raise UnknownFilter(f"bad heat time in {descriptor!r}")
         return lambda lam: np.exp(-t * lam)
     if name == "poly":
         try:
@@ -362,6 +357,8 @@ def parse_filter(descriptor: str) -> FilterFunction:
             raise UnknownFilter(f"bad polynomial coefficients in {descriptor!r}") from None
         if not coeffs:
             raise UnknownFilter("poly filter needs comma-separated coefficients")
+        if not all(math.isfinite(c) for c in coeffs):
+            raise UnknownFilter(f"bad polynomial coefficients in {descriptor!r}")
         return _poly_filter(coeffs)
     raise UnknownFilter(f"unknown filter {descriptor!r}")
 

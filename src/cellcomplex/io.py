@@ -10,7 +10,9 @@ Complex documents look like::
 with signs s in {-1, 1} and entries sorted by (j, i).  Chains are
 ``{"dim": k, "values": [...]}`` and weight sets
 ``{"weights": [[...], ...]}`` with one positive vector per dimension.
-Documents are schema-checked before any computation touches them.
+Documents are schema-checked before any computation touches them:
+integers and numbers exclude JSON true/false, and chain and weight
+values must be finite.
 """
 
 from __future__ import annotations
@@ -50,6 +52,27 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+# JSON true/false load as bool, a subclass of int; exact type tests keep
+# them out of every integer and number field.
+def _is_int(value: Any) -> bool:
+    return type(value) is int
+
+
+def _is_number(value: Any) -> bool:
+    return type(value) is int or type(value) is float
+
+
+def _finite_vector(values: Any, message: str) -> np.ndarray:
+    """A JSON list of finite numbers as a float array."""
+    _require(isinstance(values, list) and all(map(_is_number, values)), message)
+    try:
+        array = np.asarray(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError(message) from None
+    _require(bool(np.isfinite(array).all()), message)
+    return array
+
+
 def complex_from_json(doc: Any) -> CellComplex:
     _require(isinstance(doc, dict), "complex document must be an object")
     _require(
@@ -57,7 +80,7 @@ def complex_from_json(doc: Any) -> CellComplex:
         "complex document needs exactly the keys dim, cells, boundaries",
     )
     dim, cells, boundaries = doc["dim"], doc["cells"], doc["boundaries"]
-    _require(isinstance(dim, int) and dim >= 0, "dim must be a non-negative integer")
+    _require(_is_int(dim) and dim >= 0, "dim must be a non-negative integer")
     _require(
         isinstance(cells, list) and len(cells) == dim + 1,
         "cells must list one label array per dimension 0..dim",
@@ -78,7 +101,10 @@ def complex_from_json(doc: Any) -> CellComplex:
             set(spec) == {"k", "rows", "cols", "entries"},
             f"boundary {k} needs exactly the keys k, rows, cols, entries",
         )
-        _require(spec["k"] == k, f"boundary {k} has mismatched k={spec['k']}")
+        _require(
+            _is_int(spec["k"]) and spec["k"] == k,
+            f"boundary {k} has mismatched k={spec['k']}",
+        )
         entries = spec["entries"]
         _require(isinstance(entries, list), f"boundary {k} entries must be a list")
         triplets = []
@@ -86,13 +112,13 @@ def complex_from_json(doc: Any) -> CellComplex:
             _require(
                 isinstance(entry, list)
                 and len(entry) == 3
-                and all(isinstance(v, int) for v in entry),
+                and all(map(_is_int, entry)),
                 f"boundary {k} entries must be [row, col, sign] integer triplets",
             )
             _require(entry[2] in (-1, 1), f"boundary {k} signs must be -1 or 1")
             triplets.append(tuple(entry))
         _require(
-            isinstance(spec["rows"], int) and isinstance(spec["cols"], int),
+            _is_int(spec["rows"]) and _is_int(spec["cols"]),
             f"boundary {k} rows/cols must be integers",
         )
         mats.append(BoundaryMatrix(spec["rows"], spec["cols"], tuple(triplets)))
@@ -106,17 +132,9 @@ def chain_to_json(chain: ChainVector) -> dict[str, Any]:
 def chain_from_json(doc: Any) -> ChainVector:
     _require(isinstance(doc, dict), "chain document must be an object")
     _require(set(doc) == {"dim", "values"}, "chain document needs keys dim, values")
-    _require(isinstance(doc["dim"], int) and doc["dim"] >= 0, "chain dim must be >= 0")
-    values = doc["values"]
-    _require(
-        isinstance(values, list) and all(isinstance(v, (int, float)) for v in values),
-        "chain values must be numbers",
-    )
-    return ChainVector(doc["dim"], np.asarray(values, dtype=float))
-
-
-def weights_to_json(vectors) -> dict[str, Any]:
-    return {"weights": [[round_sig(v) for v in w] for w in vectors]}
+    _require(_is_int(doc["dim"]) and doc["dim"] >= 0, "chain dim must be >= 0")
+    values = _finite_vector(doc["values"], "chain values must be finite numbers")
+    return ChainVector(doc["dim"], values)
 
 
 def weights_from_json(doc: Any) -> list[np.ndarray]:
@@ -124,14 +142,10 @@ def weights_from_json(doc: Any) -> list[np.ndarray]:
     _require(set(doc) == {"weights"}, "weights document needs the single key weights")
     vectors = doc["weights"]
     _require(isinstance(vectors, list), "weights must be a list of vectors")
-    out = []
-    for w in vectors:
-        _require(
-            isinstance(w, list) and all(isinstance(v, (int, float)) for v in w),
-            "each weight vector must be a list of numbers",
-        )
-        out.append(np.asarray(w, dtype=float))
-    return out
+    return [
+        _finite_vector(w, "each weight vector must be a list of finite numbers")
+        for w in vectors
+    ]
 
 
 def load_complex(path: str) -> CellComplex:

@@ -31,8 +31,6 @@ __all__ = [
     "Failure",
     "ValidationReport",
     "closure",
-    "smith_normal_form",
-    "SnfResult",
     "validate_dim1",
     "validate_dim2",
     "validate_nd",

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import errors
@@ -135,6 +137,34 @@ class TestProduct:
             assert cx.euler_characteristic(prod) == (
                 cx.euler_characteristic(a) * cx.euler_characteristic(b)
             )
+
+    def test_labels_with_top_level_commas_stay_unique(self):
+        a = cx.from_tuples(["1,2", "1"], [("1,2", "1")])
+        b = cx.from_tuples(["3", "2,3"], [("3", "2,3")])
+        prod = cx.product(a, b)
+        assert prod.cells[0] == ("(1\\,2,3)", "(1\\,2,2\\,3)", "(1,3)", "(1,2\\,3)")
+
+    def test_label_pair_recurring_across_dimensions(self):
+        # The edge shares its label with a vertex, so (v,v) occurs in both
+        # blocks of dimension 1.
+        edge = cx.from_tuples(["v", "w"], [("v", "w")])
+        edge = cx.from_boundary_matrices([edge.cells[0], ["v"]], [edge.boundary(1)])
+        prod = cx.product(edge, edge)
+        assert prod.cells[1] == ("(v,v)[0]", "(w,v)", "(v,v)[1]", "(v,w)")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_labels_unique_for_any_factor_labels(self, data):
+        text = st.text(alphabet="(),\\a", max_size=4)
+
+        def edge():
+            tail, head = data.draw(st.lists(text, min_size=2, max_size=2, unique=True))
+            b1 = cx.BoundaryMatrix(2, 1, ((0, 0, -1), (1, 0, 1)))
+            return cx.from_boundary_matrices([[tail, head], [data.draw(text)]], [b1])
+
+        prod = cx.product(edge(), edge())
+        for layer in prod.cells:
+            assert len(set(layer)) == len(layer)
 
 
 class TestCubical:

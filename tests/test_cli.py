@@ -237,3 +237,97 @@ class TestExitCodes:
         path.write_text('{"dim": 1}')
         code, _, err = run(capsys, "validate", str(path))
         assert code == 1 and "error" in err
+
+
+def _edge_doc() -> dict:
+    return io.complex_to_json(helpers.k2_paper())
+
+
+def _loop_doc() -> dict:
+    """One vertex and one edge with an empty boundary column."""
+    return {"dim": 1, "cells": [["v"], ["e"]],
+            "boundaries": [{"k": 1, "rows": 1, "cols": 1, "entries": []}]}
+
+
+def _with(doc: dict, path: tuple, value) -> dict:
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+class TestInputContract:
+    """Each bad input exits 1 with exactly one ``error:`` line."""
+
+    # Each case would pass the schema if JSON true counted as the integer 1.
+    @pytest.mark.parametrize("doc", [
+        _with(_edge_doc(), ("dim",), True),
+        _with(_edge_doc(), ("boundaries", 0, "k"), True),
+        _with(_loop_doc(), ("boundaries", 0, "rows"), True),
+        _with(_loop_doc(), ("boundaries", 0, "cols"), True),
+        _with(_edge_doc(), ("boundaries", 0, "entries", 0, 2), True),
+        _with(_edge_doc(), ("boundaries", 0, "entries", 1, 0), True),
+    ], ids=["dim", "k", "rows", "cols", "sign", "row"])
+    def test_bool_in_complex_rejected(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "betti", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("signal, weights", [
+        ('{"dim": true, "values": [1]}', None),
+        ('{"dim": 1, "values": [true]}', None),
+        ('{"dim": 1, "values": [NaN]}', None),
+        ('{"dim": 1, "values": [Infinity]}', None),
+        ('{"dim": 1, "values": [1%s]}' % ("0" * 400), None),
+        ('{"dim": 1, "values": [1]}', '{"weights": [[1, true], [1]]}'),
+        ('{"dim": 1, "values": [1]}', '{"weights": [[1, 1], [1%s]]}' % ("0" * 400)),
+    ], ids=["chain-dim", "chain-value", "chain-nan", "chain-inf", "chain-huge-int",
+            "weight-value", "weight-huge-int"])
+    def test_bad_signal_or_weights_rejected(self, capsys, tmp_path, signal, weights):
+        complex_path = tmp_path / "edge.json"
+        complex_path.write_text(json.dumps(_edge_doc()))
+        signal_path = tmp_path / "signal.json"
+        signal_path.write_text(signal)
+        argv = ["decompose", str(complex_path), "--dim", "1", "--signal", str(signal_path)]
+        if weights is not None:
+            weights_path = tmp_path / "weights.json"
+            weights_path.write_text(weights)
+            argv += ["--weights", str(weights_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("descriptor", [
+        "heat:t=nan", "heat:t=inf", "heat:t=-inf", "poly:1,nan", "poly:inf",
+    ])
+    def test_non_finite_filter_rejected(self, capsys, tmp_path, toy_file, descriptor):
+        signal = tmp_path / "signal.json"
+        signal.write_text(json.dumps({"dim": 1, "values": [1, 2, 3, 4, 5, 6]}))
+        code, out, err = run(
+            capsys, "filter", toy_file, "--dim", "1", "--signal", str(signal),
+            "--filter", descriptor,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_spectrum_with_extreme_weights_never_raises(capsys, tmp_path):
+    # Log-uniform weights over 10^-4..10^4 defeat the float zero threshold
+    # that sizes the subspaces; the command must still end in exit 0 or 1.
+    grid = cx.cubical([6, 6])
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(io.dumps(io.complex_to_json(grid)))
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        vectors = [(10.0 ** rng.uniform(-4, 4, grid.n_cells(k))).tolist() for k in range(3)]
+        weights = tmp_path / f"weights{seed}.json"
+        weights.write_text(json.dumps({"weights": vectors}))
+        code, _, err = run(
+            capsys, "spectrum", str(grid_path), "--dim", "1", "--weights", str(weights)
+        )
+        assert code in (0, 1)
+        assert code == 0 or err.startswith("error:")

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import errors, io
@@ -47,6 +49,68 @@ class TestBoundaryMatrix:
         assert product == {}
         dense = helpers.TOY_B1 @ helpers.TOY_B2
         assert not dense.any()
+
+
+@st.composite
+def sparse_sign_matrices(draw, rows=None):
+    """Dense {-1, 0, +1} matrices, possibly empty or all zero."""
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(0, 6))
+    values = draw(st.lists(st.sampled_from((-1, 0, 0, 1)), min_size=rows * cols,
+                           max_size=rows * cols))
+    return np.array(values, dtype=np.int64).reshape(rows, cols)
+
+
+class TestBoundaryMatrixAgainstDense:
+    """Every read of the column-indexed layout agrees with dense numpy."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense=sparse_sign_matrices(), data=st.data())
+    def test_reads_flips_and_restrict(self, dense, data):
+        triplets = [(int(i), int(j), int(dense[i, j])) for i, j in zip(*np.nonzero(dense))]
+        m = BoundaryMatrix(*dense.shape, tuple(data.draw(st.permutations(triplets))))
+        rows, cols = dense.shape
+        assert np.array_equal(m.to_dense(), dense)
+        assert len(m.entries) == len(triplets)
+        assert m.indptr == tuple(np.concatenate([[0], np.cumsum(np.abs(dense).sum(axis=0))]))
+        columns = m.columns()
+        assert len(columns) == cols
+        for j in range(cols):
+            expected = [(int(i), int(dense[i, j])) for i in np.nonzero(dense[:, j])[0]]
+            assert m.column(j) == expected == columns[j]
+            assert all(type(i) is int and type(s) is int for i, s in m.column(j))
+        for i in range(rows):
+            assert m.row(i) == [(int(j), int(dense[i, j])) for j in np.nonzero(dense[i])[0]]
+        flip_c = sorted(data.draw(st.sets(st.integers(0, cols - 1)))) if cols else []
+        flip_r = sorted(data.draw(st.sets(st.integers(0, rows - 1)))) if rows else []
+        col_signs = np.ones(cols, dtype=np.int64)
+        col_signs[flip_c] = -1
+        row_signs = np.ones(rows, dtype=np.int64)
+        row_signs[flip_r] = -1
+        assert np.array_equal(m.flip_columns(flip_c).to_dense(), dense * col_signs[None, :])
+        assert np.array_equal(m.flip_rows(flip_r).to_dense(), dense * row_signs[:, None])
+        keep_r = data.draw(st.permutations(range(rows)).flatmap(
+            lambda p: st.integers(0, len(p)).map(lambda n: p[:n])))
+        keep_c = data.draw(st.permutations(range(cols)).flatmap(
+            lambda p: st.integers(0, len(p)).map(lambda n: p[:n])))
+        sub = m.restrict(keep_r, keep_c)
+        assert sub.shape == (len(keep_r), len(keep_c))
+        assert np.array_equal(sub.to_dense(), dense[np.ix_(keep_r, keep_c)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=sparse_sign_matrices(), data=st.data())
+    def test_integer_product_and_apply_boundary(self, a, data):
+        b = data.draw(sparse_sign_matrices(rows=a.shape[1]))
+        ma = BoundaryMatrix(*a.shape, entries_from_dense(a))
+        mb = BoundaryMatrix(*b.shape, entries_from_dense(b))
+        dense = a @ b
+        assert integer_product(ma, mb) == {
+            (int(i), int(j)): int(dense[i, j]) for i, j in zip(*np.nonzero(dense))
+        }
+        x = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=b.shape[1],
+                                        max_size=b.shape[1])), dtype=float)
+        cc = cx.CellComplex(1, (("v",) * b.shape[0], ("e",) * b.shape[1]), (mb,))
+        assert np.array_equal(cx.apply_boundary(cc, cx.ChainVector(1, x)).values, b @ x)
 
 
 class TestFromBoundaryMatrices:
@@ -100,6 +164,15 @@ class TestFromTuples:
         with pytest.raises(errors.MissingEdge) as info:
             cx.from_tuples(range(5), helpers.TOY_EDGES, [(0, 1, 3)])
         assert info.value.pair == ("1", "3")
+
+    def test_first_matching_edge_keeps_its_sign(self):
+        # Edges 0 and 1 join the same vertices in opposite orientations; a
+        # polygon side uses the first of them in edge order, either way round.
+        edges = [(0, 1), (1, 0), (1, 2), (2, 0)]
+        forward = cx.from_tuples(range(3), edges, [(0, 1, 2)])
+        assert forward.boundary(2).column(0) == [(0, 1), (2, 1), (3, 1)]
+        backward = cx.from_tuples(range(3), edges, [(1, 0, 2)])
+        assert backward.boundary(2).column(0) == [(0, -1), (2, -1), (3, -1)]
 
     def test_input_validation(self):
         with pytest.raises(errors.UnknownVertex):
