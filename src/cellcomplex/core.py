@@ -119,7 +119,8 @@ class BoundaryMatrix:
 
     def restrict(self, rows: Sequence[int], cols: Sequence[int]) -> "BoundaryMatrix":
         """Submatrix on the given row/col index lists (order preserved)."""
-        rmap = {r: k for k, r in enumerate(rows)}
+        rmap = _positions(rows, self.rows, "row")
+        _positions(cols, self.cols, "column")
         entries, indptr = self.entries, self.indptr
         kept = tuple(
             (rmap[i], c, s)
@@ -128,6 +129,14 @@ class BoundaryMatrix:
             if i in rmap
         )
         return BoundaryMatrix(len(rows), len(cols), kept)
+
+
+def _positions(indices: Sequence[int], n: int, what: str) -> dict[int, int]:
+    """Position of each index in the list; all must be distinct and in 0..n-1."""
+    pos = {i: k for k, i in enumerate(indices)}
+    if len(pos) != len(indices) or (pos and (min(pos) < 0 or max(pos) >= n)):
+        raise ShapeMismatch(f"{what} indices must be distinct, non-negative and below {n}")
+    return pos
 
 
 def integer_product(a: BoundaryMatrix, b: BoundaryMatrix) -> dict[tuple[int, int], int]:
@@ -509,6 +518,8 @@ def subcomplex(cc: CellComplex, keep: Sequence[Sequence[int]]) -> CellComplex:
         layers.pop()
     if not layers or not layers[0]:
         raise ShapeMismatch("sub-complex needs at least one 0-cell")
+    for k, layer in enumerate(layers):
+        _positions(layer, cc.n_cells(k), f"{k}-cell")
     cells = tuple(
         tuple(cc.cells[k][i] for i in layer) for k, layer in enumerate(layers)
     )

@@ -101,10 +101,6 @@ class SizeLimitExceeded(CellComplexError):
     """Complex is too large for a dense eigensolve."""
 
 
-class SubspaceSplitFailed(CellComplexError):
-    """Thresholded eigenpairs did not split into exactly one vector per cell."""
-
-
 class NotDownwardClosed(CellComplexError):
     """Simplex set is missing a face of one of its members."""
 

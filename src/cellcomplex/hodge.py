@@ -6,10 +6,11 @@ into curl (im B_{k+1}), gradient (im B_k^T), and harmonic parts.  With
 diagonal positive weights W_k, the weighted boundary is
 W_{k-1}^{-1/2} B_k W_k^{1/2} and all operators are built from it.
 
-Everything here converts to dense arrays; complexes above
-MAX_DENSE_CELLS cells in a dimension are rejected.  Spectral output is
-deterministic: eigenvalues ascend and each eigenvector's
-largest-magnitude entry is made positive.
+Operators are dense arrays; complexes above MAX_DENSE_CELLS cells in a
+dimension are rejected.  Subspace sizes are exact Smith-form ranks,
+never eigenvalue thresholds.  Spectral output is deterministic:
+eigenvalues ascend and each eigenvector's largest-magnitude entry is
+made positive.
 """
 
 from __future__ import annotations
@@ -26,20 +27,11 @@ from .errors import (
     NonPositiveWeight,
     ShapeMismatch,
     SizeLimitExceeded,
-    SubspaceSplitFailed,
     UnknownFilter,
 )
+from .snf import smith_normal_form
 
 MAX_DENSE_CELLS = 3000
-
-# Relative zero threshold for ranks and harmonic eigenvalues; boundary
-# entries are +-1, so spectra are well separated at this scale.
-ZERO_RTOL = 1e-9
-
-
-def zero_threshold(values: np.ndarray) -> float:
-    top = float(np.max(np.abs(values))) if values.size else 0.0
-    return ZERO_RTOL * max(top, 1.0)
 
 
 @dataclass(frozen=True)
@@ -103,6 +95,11 @@ def dense_boundary(
     left = 1.0 / np.sqrt(weights.vector(k - 1))
     right = np.sqrt(weights.vector(k))
     return left[:, None] * dense * right[None, :]
+
+
+def boundary_rank(cc: CellComplex, k: int) -> int:
+    """Exact rank of B_k (and of any positively weighted B_k); 0 off 1..dim."""
+    return smith_normal_form(cc.boundary(k)).rank if 1 <= k <= cc.dim else 0
 
 
 def hodge_laplacian(
@@ -255,34 +252,24 @@ def spectral_basis(
 ) -> SpectralBasis:
     """Full eigendecomposition of L_k, assembled subspace by subspace.
 
-    Nonzero eigenpairs of the down part span the gradient space and
-    nonzero eigenpairs of the up part span the curl space; both are
-    eigenpairs of the full Laplacian because each part annihilates the
-    other's image.  The kernel of the full Laplacian supplies the
-    harmonic vectors.  Assembling per subspace keeps tags exact even
-    when gradient and curl eigenvalues collide.
+    The top rank B_k eigenpairs of the down part span the gradient space
+    and the top rank B_{k+1} eigenpairs of the up part span the curl
+    space; both are eigenpairs of the full Laplacian because each part
+    annihilates the other's image.  The remaining bottom eigenvectors of
+    the full Laplacian span its kernel, the harmonic space.  Exact ranks
+    size the subspaces and per-subspace assembly keeps tags exact.
     """
     n = cc.n_cells(k)
     pairs: list[tuple[float, int, np.ndarray, str]] = []
-    rank = {"gradient": 0, "curl": 1, "harmonic": 2}
-    for part, tag in (("down", "gradient"), ("up", "curl")):
-        lap = hodge_laplacian(cc, k, part, weights)
-        evals, vecs = np.linalg.eigh(lap)
-        cut = zero_threshold(evals)
-        for lam, vec in zip(evals, vecs.T):
-            if lam > cut:
-                pairs.append((float(lam), rank[tag], _fix_sign(vec), tag))
-    full = hodge_laplacian(cc, k, "full", weights)
-    evals, vecs = np.linalg.eigh(full)
-    cut = zero_threshold(evals)
-    for lam, vec in zip(evals, vecs.T):
-        if abs(lam) <= cut:
-            pairs.append((0.0, rank["harmonic"], _fix_sign(vec), "harmonic"))
-    if len(pairs) != n:
-        raise SubspaceSplitFailed(
-            f"subspace split produced {len(pairs)} vectors for {n} cells; "
-            "eigenvalue zero-threshold is too tight or too loose"
-        )
+    for order, (part, tag, j) in enumerate((("down", "gradient", k), ("up", "curl", k + 1))):
+        evals, vecs = np.linalg.eigh(hodge_laplacian(cc, k, part, weights))
+        top = n - boundary_rank(cc, j)
+        pairs += [
+            (float(lam), order, _fix_sign(vec), tag)
+            for lam, vec in zip(evals[top:], vecs.T[top:])
+        ]
+    _, vecs = np.linalg.eigh(hodge_laplacian(cc, k, "full", weights))
+    pairs += [(0.0, 2, _fix_sign(vec), "harmonic") for vec in vecs.T[: n - len(pairs)]]
     pairs.sort(key=lambda p: (p[0], p[1]))
     eigenvalues = np.array([p[0] for p in pairs])
     vectors = np.column_stack([p[2] for p in pairs]) if pairs else np.zeros((n, 0))

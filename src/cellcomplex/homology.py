@@ -1,10 +1,9 @@
 """Homology: Betti numbers, harmonic bases, and homologous-cycle tests.
 
-The k-th homology is ker B_k modulo im B_{k+1}.  Over the reals the
-Betti number reduces to a rank count, computed here from singular
-values; over the integers the free rank and torsion come from Smith
-normal forms.  Harmonic representatives are the kernel of the Hodge
-Laplacian, whose dimension matches the real Betti number.
+The k-th homology is ker B_k modulo im B_{k+1}.  Its Betti number is a
+count of exact Smith-form ranks, and the integer torsion is the Smith
+invariant factors above 1.  Harmonic representatives are the bottom
+beta_k eigenvectors of the Hodge Laplacian, whose kernel they span.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from .core import CellComplex, ChainVector
 from .errors import BadDimension, NotACycle, ShapeMismatch
-from .hodge import dense_boundary, hodge_laplacian, zero_threshold, _fix_sign
+from .hodge import boundary_rank, dense_boundary, hodge_laplacian, _fix_sign
 from .snf import smith_normal_form
 
 RESIDUAL_TOL = 1e-8
@@ -37,53 +36,29 @@ class HomologySummary:
         }
 
 
-def _real_rank(matrix: np.ndarray) -> int:
-    if matrix.size == 0:
-        return 0
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(singular > zero_threshold(singular)))
-
-
 def betti_numbers(cc: CellComplex, coefficients: str = "real") -> HomologySummary:
     """Betti numbers over the reals or the integers.
 
-    The real path uses numerical ranks: beta_k = |C_k| - rank B_k -
-    rank B_{k+1}.  The integer path uses exact Smith normal forms and
-    additionally reports the torsion invariant factors (> 1) of each
-    homology group.
+    Both come from exact Smith normal forms: beta_k = |C_k| - rank B_k -
+    rank B_{k+1}.  The integer path additionally reports the torsion
+    invariant factors (> 1) of each homology group.
     """
     if coefficients not in ("real", "integer"):
         raise ValueError(f"coefficients must be real or integer, got {coefficients!r}")
-    betti = []
-    torsion = []
-    if coefficients == "real":
-        ranks = [_real_rank(dense_boundary(cc, k)) for k in range(cc.dim + 2)]
-        for k in range(cc.dim + 1):
-            betti.append(cc.n_cells(k) - ranks[k] - ranks[k + 1])
-            torsion.append(())
-    else:
-        snfs = [None] + [smith_normal_form(cc.boundary(k)) for k in range(1, cc.dim + 1)]
-        for k in range(cc.dim + 1):
-            rank_down = snfs[k].rank if k >= 1 else 0
-            up = snfs[k + 1] if k + 1 <= cc.dim else None
-            rank_up = up.rank if up else 0
-            betti.append(cc.n_cells(k) - rank_down - rank_up)
-            torsion.append(
-                tuple(d for d in (up.diagonal[: up.rank] if up else ()) if d > 1)
-            )
-    return HomologySummary(tuple(betti), tuple(torsion), coefficients)
+    snfs = [smith_normal_form(cc.boundary(k)) for k in range(1, cc.dim + 1)]
+    ranks = [0, *(snf.rank for snf in snfs), 0]
+    betti = tuple(cc.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(cc.dim + 1))
+    torsion = [()] * (cc.dim + 1)
+    if coefficients == "integer":
+        torsion = [tuple(d for d in snf.diagonal[: snf.rank] if d > 1) for snf in snfs] + [()]
+    return HomologySummary(betti, tuple(torsion), coefficients)
 
 
 def harmonic_basis(cc: CellComplex, k: int) -> list[ChainVector]:
     """Orthonormal kernel basis of L_k; its size is the k-th Betti number."""
-    lap = hodge_laplacian(cc, k)
-    evals, vecs = np.linalg.eigh(lap)
-    cut = zero_threshold(evals)
-    return [
-        ChainVector(k, _fix_sign(vec))
-        for lam, vec in zip(evals, vecs.T)
-        if abs(lam) <= cut
-    ]
+    _, vecs = np.linalg.eigh(hodge_laplacian(cc, k))
+    betti = cc.n_cells(k) - boundary_rank(cc, k) - boundary_rank(cc, k + 1)
+    return [ChainVector(k, _fix_sign(vec)) for vec in vecs.T[:betti]]
 
 
 def _as_cycle(cc: CellComplex, chain: ChainVector, name: str) -> np.ndarray:

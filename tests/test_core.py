@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import errors, io
-from cellcomplex.core import BoundaryMatrix, integer_product
+from cellcomplex.core import BoundaryMatrix, integer_product, subcomplex
 
 import helpers
 
@@ -49,6 +49,29 @@ class TestBoundaryMatrix:
         assert product == {}
         dense = helpers.TOY_B1 @ helpers.TOY_B2
         assert not dense.any()
+
+    def test_restrict_rejects_repeated_rows(self):
+        with pytest.raises(errors.ShapeMismatch):
+            path3().boundary(1).restrict([0, 0], [0])
+
+
+def path3() -> cx.CellComplex:
+    return cx.from_tuples(range(3), [(0, 1), (1, 2)])
+
+
+class TestSubcomplexIndexRange:
+    def test_negative_index_is_rejected(self):
+        with pytest.raises(errors.ShapeMismatch):
+            subcomplex(path3(), [[0, 1], [-1]])
+
+    def test_index_past_the_end_is_rejected(self):
+        with pytest.raises(errors.ShapeMismatch):
+            subcomplex(path3(), [[0, 1], [5]])
+
+    def test_valid_lists_still_work(self):
+        sub = subcomplex(path3(), [[2, 1], [1]])
+        assert sub.cells == (("2", "1"), ("1-2",))
+        assert sub.boundary(1).column(0) == [(0, 1), (1, -1)]
 
 
 @st.composite

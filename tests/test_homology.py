@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import errors
@@ -44,6 +46,26 @@ class TestBettiNumbers:
             cc = helpers.random_builder_complex(rng)
             betti = cx.betti_numbers(cc).betti
             assert sum((-1) ** k * b for k, b in enumerate(betti)) == cx.euler_characteristic(cc)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans())
+    def test_real_and_integer_match_rational_oracle(self, seed, two_complex):
+        rng = random.Random(seed)
+        if two_complex:
+            cc = helpers.random_two_complex(rng)
+        else:
+            cc = helpers.random_builder_complex(rng)
+        expected = helpers.betti_oracle(cc)
+        assert cx.betti_numbers(cc).betti == expected
+        assert cx.betti_numbers(cc, "integer").betti == expected
+
+    def test_real_betti_has_no_dense_limit(self):
+        assert cx.betti_numbers(cx.cubical([60, 60])).betti == (1, 0, 0)
+
+    def test_integer_betti_of_a_four_dimensional_lattice(self):
+        summary = cx.betti_numbers(cx.cubical([4, 4, 4, 4]), "integer")
+        assert summary.betti == (1, 0, 0, 0, 0)
+        assert summary.torsion == ((),) * 5
 
     def test_rejects_unknown_coefficients(self, toy):
         with pytest.raises(ValueError):

@@ -4,8 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellcomplex import errors
+from cellcomplex.core import BoundaryMatrix
 from cellcomplex.snf import SnfResult, smith_normal_form
 
 import helpers
@@ -88,3 +91,33 @@ def test_result_invariants_enforced():
         SnfResult((2, 3), 2)
     with pytest.raises(ValueError):
         SnfResult((1, 0, 1), 2)
+
+
+@st.composite
+def int_matrices(draw, values=(0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3), min_size=1):
+    """Integer matrices up to 6 x 6, entries weighted toward 0 and +-1."""
+    rows = draw(st.integers(min_size, 6))
+    cols = draw(st.integers(min_size, 6))
+    flat = draw(st.lists(st.sampled_from(values), min_size=rows * cols, max_size=rows * cols))
+    return np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=int_matrices())
+def test_factors_are_quotients_of_minor_gcds(matrix):
+    # d_1 * ... * d_r is the gcd of the r x r minors, for every r up to
+    # the rank, and the rank is the rational rank.
+    result = smith_normal_form(matrix)
+    assert result.rank == helpers.rank_over_q(matrix)
+    product = 1
+    for r, d in enumerate(result.diagonal[: result.rank], start=1):
+        product *= d
+        assert product == helpers.minors_gcd(matrix, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=int_matrices(values=(0, 0, 1, -1), min_size=0))
+def test_boundary_matrix_and_dense_input_agree(matrix):
+    entries = tuple((int(i), int(j), int(matrix[i, j])) for i, j in zip(*np.nonzero(matrix)))
+    sparse = BoundaryMatrix(*matrix.shape, entries)
+    assert smith_normal_form(sparse) == smith_normal_form(matrix.tolist())
