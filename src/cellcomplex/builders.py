@@ -148,38 +148,47 @@ def rips_simplices(
     A subset of points is a simplex when its pairwise distances all stay
     within eps; its diameter (0 for vertices) is the largest pairwise
     distance.  Output is sorted by (dimension, vertex tuple).
+
+    Each simplex is extended by the vertices above its last one that lie
+    within eps of all its vertices (its candidates), in increasing
+    order, so every level comes out sorted.  A coface's diameter is the
+    larger of its parent's and the lengths from the new vertex.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be non-negative")
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
     dist = pc.distances()
     n = len(pc)
     out: list[tuple[tuple[int, ...], float]] = [((i,), 0.0) for i in range(n)]
-    level: list[tuple[int, ...]] = [(i,) for i in range(n)]
-    neighbours = [
-        sorted(j for j in range(n) if j != i and dist[i, j] <= eps) for i in range(n)
-    ]
-    for _ in range(max_dim):
-        nxt: list[tuple[int, ...]] = []
-        for simplex in level:
-            last = simplex[-1]
-            for j in neighbours[last]:
-                if j <= last:
-                    continue
-                if all(dist[i, j] <= eps for i in simplex[:-1]):
-                    bigger = simplex + (j,)
-                    nxt.append(bigger)
-                    diameter = max(dist[a, b] for a, b in itertools.combinations(bigger, 2))
-                    out.append((bigger, diameter))
-                    if len(out) > cap:
-                        raise TooManySimplices(
-                            f"more than {cap} simplices at eps={eps}; raise the cap"
-                        )
+    # near[i] maps each vertex within eps of i to its distance.
+    near: list[dict[int, float]] = [{} for _ in range(n)]
+    above: list[list[int]] = [[] for _ in range(n)]
+    rows, cols = np.nonzero(np.triu(dist <= eps, 1))
+    for i, j, d in zip(rows.tolist(), cols.tolist(), dist[rows, cols].tolist()):
+        near[i][j] = near[j][i] = d
+        above[i].append(j)
+    level = [((i,), 0.0, above[i]) for i in range(n) if above[i]]
+    for dim in range(1, max_dim + 1):
+        top = dim == max_dim
+        nxt = []
+        for simplex, diameter, candidates in level:
+            for pos, j in enumerate(candidates):
+                lengths = near[j]
+                bigger = simplex + (j,)
+                size = max(diameter, *[lengths[v] for v in simplex])
+                out.append((bigger, size))
+                if len(out) > cap:
+                    raise TooManySimplices(
+                        f"more than {cap} simplices at eps={eps}; raise the cap"
+                    )
+                if not top:
+                    rest = [c for c in candidates[pos + 1 :] if c in lengths]
+                    if rest:
+                        nxt.append((bigger, size, rest))
         level = nxt
         if not level:
             break
-    out.sort(key=lambda item: (len(item[0]), item[0]))
     return out
 
 

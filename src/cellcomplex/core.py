@@ -210,6 +210,8 @@ class CellComplex:
         return self.boundaries[k - 1]
 
     def index_of(self, k: int, label: str) -> int:
+        if not 0 <= k <= self.dim:
+            raise BadDimension(f"no {k}-cells on a {self.dim}-complex")
         try:
             return self.cells[k].index(label)
         except ValueError:

@@ -1,17 +1,22 @@
 """Persistent homology of Vietoris-Rips filtrations.
 
-Simplices enter at their diameter; the boundary matrix in filtration
-order is reduced column by column over Z/2 and each pivot pair (i, j)
-becomes a bar born at the diameter of simplex i and dying at that of
-simplex j.  Unpaired cycle creators give infinite bars.  Zero-length
-bars are dropped from the default output.
+Simplices enter at their diameter, in (birth, dimension, vertex tuple)
+order.  The persistence pairs over Z/2 come from union-find plus
+cohomology with clearing: union-find with the elder rule pairs vertices
+with the edges that merge their components, and each higher dimension
+reduces its coboundary matrix in reverse filtration order, skipping the
+simplices already paired one dimension down (Chen & Kerber 2011; de
+Silva, Morozov & Vejdemo-Johansson 2011; Bauer 2021, Ripser).  Each
+pair (i, j) becomes a bar born at the diameter of simplex i and dying
+at that of simplex j; a simplex in no pair gives an infinite bar.
+Zero-length bars are dropped from the default output.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .builders import DEFAULT_SIMPLEX_CAP, PointCloud, rips_simplices
 
@@ -25,27 +30,41 @@ class FiltrationStep:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Simplices ordered by (birth, dimension, vertex tuple)."""
+    """Simplices ordered by (birth, dimension, vertex tuple).
+
+    ``faces[p]`` holds the positions of the facets of step p (empty for
+    a vertex), in ``itertools.combinations`` order; it is derived, not
+    an init, compare or repr field.
+    """
 
     steps: tuple[FiltrationStep, ...]
+    faces: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        order = {}
+        order: dict[tuple[int, ...], int] = {}
+        find = order.__getitem__
+        faces = []
+        previous = None
         for position, step in enumerate(self.steps):
-            if step.vertices != tuple(sorted(step.vertices)):
-                raise ValueError(f"simplex {step.vertices} is not sorted")
-            if len(step.vertices) != step.dim + 1:
-                raise ValueError(f"simplex {step.vertices} disagrees with dim {step.dim}")
-            if step.dim >= 1:
-                for face in itertools.combinations(step.vertices, step.dim):
-                    if face not in order:
-                        raise ValueError(
-                            f"face {face} of {step.vertices} missing or out of order"
-                        )
-            order[step.vertices] = position
-        keys = [(s.birth, s.dim, s.vertices) for s in self.steps]
-        if keys != sorted(keys):
-            raise ValueError("filtration is not sorted by (birth, dim, vertices)")
+            vertices, dim = step.vertices, step.dim
+            if vertices != tuple(sorted(vertices)):
+                raise ValueError(f"simplex {vertices} is not sorted")
+            if len(vertices) != dim + 1:
+                raise ValueError(f"simplex {vertices} disagrees with dim {dim}")
+            try:
+                faces.append(
+                    tuple(map(find, itertools.combinations(vertices, dim))) if dim else ()
+                )
+            except KeyError as exc:
+                raise ValueError(
+                    f"face {exc.args[0]} of {vertices} missing or out of order"
+                ) from None
+            key = (step.birth, dim, vertices)
+            if position and key < previous:
+                raise ValueError("filtration is not sorted by (birth, dim, vertices)")
+            previous = key
+            order[vertices] = position
+        object.__setattr__(self, "faces", tuple(faces))
 
 
 def vr_filtration(
@@ -55,12 +74,11 @@ def vr_filtration(
     cap: int = DEFAULT_SIMPLEX_CAP,
 ) -> Filtration:
     """Rips filtration up to scale max_eps; births are simplex diameters."""
-    simplices = rips_simplices(pc, max_eps, max_dim, cap)
-    steps = sorted(
-        (FiltrationStep(diameter, len(vertices) - 1, vertices) for vertices, diameter in simplices),
-        key=lambda s: (s.birth, s.dim, s.vertices),
+    keys = sorted(
+        (diameter, len(vertices) - 1, vertices)
+        for vertices, diameter in rips_simplices(pc, max_eps, max_dim, cap)
     )
-    return Filtration(tuple(steps))
+    return Filtration(tuple(FiltrationStep(*key) for key in keys))
 
 
 @dataclass(frozen=True)
@@ -91,36 +109,65 @@ class PersistenceDiagram:
 
 
 def persistence(filtration: Filtration, keep_zero_bars: bool = False) -> PersistenceDiagram:
-    """Standard Z/2 column reduction of the filtration boundary matrix."""
-    steps = filtration.steps
-    position = {step.vertices: i for i, step in enumerate(steps)}
-    columns: list[set[int]] = []
-    for step in steps:
-        if step.dim == 0:
-            columns.append(set())
-        else:
-            columns.append(
-                {position[face] for face in itertools.combinations(step.vertices, step.dim)}
-            )
-    low_owner: dict[int, int] = {}
+    """Pair the filtration's simplices over Z/2 and turn the pairs into bars.
+
+    Dimension 0 pairs come from union-find over the edges, with the
+    elder rule: each component's root is its oldest vertex, and an edge
+    joining two components kills the younger root.  Each higher
+    dimension k reduces the coboundary columns of the k-simplices in
+    reverse filtration order, the earliest coface being the pivot, and
+    skips the k-simplices that already killed a (k-1)-class (clearing).
+    Every simplex in no pair carries an infinite bar.
+    """
+    steps, faces = filtration.steps, filtration.faces
+    by_dim: list[list[int]] = [[], []]
+    for position, step in enumerate(steps):
+        while len(by_dim) <= step.dim:
+            by_dim.append([])
+        by_dim[step.dim].append(position)
     pairs: list[tuple[int, int]] = []
-    for j, column in enumerate(columns):
-        while column:
-            low = max(column)
-            owner = low_owner.get(low)
-            if owner is None:
-                break
-            column ^= columns[owner]
-        if column:
-            low_owner[max(column)] = j
-            pairs.append((max(column), j))
+    parent = list(range(len(steps)))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for edge in by_dim[1]:
+        a, b = (root(v) for v in faces[edge])
+        if a != b:
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            pairs.append((b, edge))
+    for k in range(1, len(by_dim) - 1):
+        cofaces: dict[int, list[int]] = {}
+        for coface in by_dim[k + 1]:
+            for face in faces[coface]:
+                cofaces.setdefault(face, []).append(coface)
+        killers = {j for _, j in pairs}
+        reduced: dict[int, set[int]] = {}
+        for simplex in reversed(by_dim[k]):
+            if simplex in killers:
+                continue
+            column = set(cofaces.get(simplex, ()))
+            while column:
+                pivot = min(column)
+                other = reduced.get(pivot)
+                if other is None:
+                    reduced[pivot] = column
+                    pairs.append((simplex, pivot))
+                    break
+                column ^= other
     bars = []
+    paired = set()
     for i, j in pairs:
+        paired.update((i, j))
         bar = PersistenceBar(steps[i].dim, steps[i].birth, steps[j].birth)
         if keep_zero_bars or bar.death > bar.birth:
             bars.append(bar)
-    for i, column in enumerate(columns):
-        if not column and i not in low_owner:
-            bars.append(PersistenceBar(steps[i].dim, steps[i].birth, math.inf))
+    for i, step in enumerate(steps):
+        if i not in paired:
+            bars.append(PersistenceBar(step.dim, step.birth, math.inf))
     bars.sort(key=lambda b: (b.dim, b.birth, b.death))
     return PersistenceDiagram(tuple(bars))

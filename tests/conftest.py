@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 import helpers
+
+# Property tests draw the same examples on every run, so a failure
+# reproduces; no per-example deadline, since timings vary by machine.
+settings.register_profile("cellcomplex", deadline=None, derandomize=True)
+settings.load_profile("cellcomplex")
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The rank oracle does exact row reduction over the rationals, fully
-independent of the numpy SVD path and of the Smith normal form code.
-The complex zoo produces small randomized builder outputs for the
-property suites.
+independent of the Smith normal form code.  The persistence oracle is
+the textbook Z/2 column reduction of the filtration boundary matrix,
+and the Rips oracle tries every vertex subset.  The complex zoo
+produces small randomized builder outputs for the property suites.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 import cellcomplex as cx
+from cellcomplex.persist import Filtration, PersistenceBar, PersistenceDiagram
 
 TOY_EDGES = [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]
 TOY_TRIANGLE = (0, 3, 4)
@@ -124,9 +127,81 @@ def minors_gcd(matrix, k: int) -> int:
     return result
 
 
+def persistence_oracle(
+    filtration: Filtration, keep_zero_bars: bool = False
+) -> PersistenceDiagram:
+    """Standard Z/2 column reduction of the filtration boundary matrix."""
+    steps = filtration.steps
+    position = {step.vertices: i for i, step in enumerate(steps)}
+    columns: list[set[int]] = []
+    for step in steps:
+        if step.dim == 0:
+            columns.append(set())
+        else:
+            columns.append(
+                {position[face] for face in itertools.combinations(step.vertices, step.dim)}
+            )
+    low_owner: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
+    for j, column in enumerate(columns):
+        while column:
+            low = max(column)
+            owner = low_owner.get(low)
+            if owner is None:
+                break
+            column ^= columns[owner]
+        if column:
+            low_owner[max(column)] = j
+            pairs.append((max(column), j))
+    bars = []
+    for i, j in pairs:
+        bar = PersistenceBar(steps[i].dim, steps[i].birth, steps[j].birth)
+        if keep_zero_bars or bar.death > bar.birth:
+            bars.append(bar)
+    for i, column in enumerate(columns):
+        if not column and i not in low_owner:
+            bars.append(PersistenceBar(steps[i].dim, steps[i].birth, math.inf))
+    bars.sort(key=lambda b: (b.dim, b.birth, b.death))
+    return PersistenceDiagram(tuple(bars))
+
+
+def rips_oracle(
+    pc: cx.PointCloud, eps: float, max_dim: int
+) -> list[tuple[tuple[int, ...], float]]:
+    """Every vertex subset of at most max_dim + 1 points within eps pairwise.
+
+    Sorted by (dimension, vertex tuple); a simplex's diameter is its
+    largest pairwise distance, 0.0 for a vertex.
+    """
+    dist = pc.distances()
+    out = [((i,), 0.0) for i in range(len(pc))]
+    for size in range(2, max_dim + 2):
+        for subset in itertools.combinations(range(len(pc)), size):
+            lengths = [dist[a, b] for a, b in itertools.combinations(subset, 2)]
+            if all(d <= eps for d in lengths):
+                out.append((subset, max(lengths)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Randomized generators
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def clouds(draw, max_points: int = 8) -> cx.PointCloud:
+    """Up to max_points points in R^1..R^3, with uniform coordinates in
+    [0, 2] or integer coordinates in 0..3 (repeated points, tied distances)."""
+    n = draw(st.integers(1, max_points))
+    d = draw(st.integers(1, 3))
+    coordinate = draw(st.sampled_from([st.floats(0, 2), st.integers(0, 3)]))
+    point = st.lists(coordinate, min_size=d, max_size=d)
+    return cx.PointCloud(draw(st.lists(point, min_size=n, max_size=n)))
+
+
+def scales() -> st.SearchStrategy[float]:
+    """Rips scales: none, any, or every edge."""
+    return st.one_of(st.just(0.0), st.floats(0, 4), st.just(math.inf))
 
 
 def random_connected_graph(

@@ -1,6 +1,7 @@
 """Builders: simplicial, Rips, products, cubical grids, graph liftings."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import errors
+from cellcomplex.builders import rips_simplices
 
 import helpers
 
@@ -87,6 +89,26 @@ class TestVietorisRips:
         with pytest.raises(ValueError):
             cx.PointCloud(np.zeros((0, 2)))
 
+    def test_nan_scale_rejected(self):
+        cloud = cx.PointCloud([[0, 0], [1, 0]])
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            rips_simplices(cloud, math.nan, 1)
+        with pytest.raises(ValueError, match="eps must be non-negative"):
+            cx.vietoris_rips(cloud, math.nan, 2)
+
+    def test_infinite_scale_is_bounded_by_the_cap(self):
+        cloud = cx.PointCloud([[0, 0], [1, 0], [0, 5]])
+        cc = cx.vietoris_rips(cloud, math.inf, 2)
+        assert [len(layer) for layer in cc.cells] == [3, 3, 1]
+        with pytest.raises(errors.TooManySimplices):
+            cx.vietoris_rips(cloud, math.inf, 2, max_simplices=6)
+
+    @settings(max_examples=300)
+    @given(cloud=helpers.clouds(), eps=helpers.scales(), max_dim=st.integers(0, 3))
+    def test_rips_simplices_match_brute_force(self, cloud, eps, max_dim):
+        # Same simplices in the same order, diameters equal as floats.
+        assert rips_simplices(cloud, eps, max_dim) == helpers.rips_oracle(cloud, eps, max_dim)
+
 
 class TestProduct:
     def test_paper_square_golden(self):
@@ -152,7 +174,7 @@ class TestProduct:
         prod = cx.product(edge, edge)
         assert prod.cells[1] == ("(v,v)[0]", "(w,v)", "(v,v)[1]", "(v,w)")
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_labels_unique_for_any_factor_labels(self, data):
         text = st.text(alphabet="(),\\a", max_size=4)

@@ -217,6 +217,15 @@ class TestPersistCommand:
         _, second, _ = run(capsys, "persist", square_points, "--max-eps", "2", "--max-dim", "2")
         assert first == second
 
+    @pytest.mark.parametrize("argv", [
+        ["persist", "{points}", "--max-eps", "nan", "--max-dim", "2"],
+        ["build", "vr", "{points}", "--eps", "nan", "--maxdim", "2"],
+    ], ids=["persist", "build-vr"])
+    def test_nan_scale_is_bad_input(self, capsys, square_points, argv):
+        code, out, err = run(capsys, *(a.format(points=square_points) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestExitCodes:
     def test_usage_error_is_two(self):

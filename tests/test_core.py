@@ -87,7 +87,7 @@ def sparse_sign_matrices(draw, rows=None):
 class TestBoundaryMatrixAgainstDense:
     """Every read of the column-indexed layout agrees with dense numpy."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(dense=sparse_sign_matrices(), data=st.data())
     def test_reads_flips_and_restrict(self, dense, data):
         triplets = [(int(i), int(j), int(dense[i, j])) for i, j in zip(*np.nonzero(dense))]
@@ -120,7 +120,7 @@ class TestBoundaryMatrixAgainstDense:
         assert sub.shape == (len(keep_r), len(keep_c))
         assert np.array_equal(sub.to_dense(), dense[np.ix_(keep_r, keep_c)])
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(a=sparse_sign_matrices(), data=st.data())
     def test_integer_product_and_apply_boundary(self, a, data):
         b = data.draw(sparse_sign_matrices(rows=a.shape[1]))
@@ -206,6 +206,27 @@ class TestFromTuples:
             cx.from_tuples(range(4), [(0, 1), (1, 2), (0, 2)], [(0, 1, 2, 1)])
         with pytest.raises(errors.PolygonTooShort):
             cx.from_tuples(range(3), [(0, 1), (1, 2)], [(0, 1)])
+
+
+class TestIndexOfDimension:
+    @pytest.fixture
+    def edge(self):
+        return cx.from_tuples(["a", "b"], [("a", "b")])
+
+    @pytest.mark.parametrize("k", [-1, -2, 2, 3])
+    def test_dimension_outside_complex_is_rejected(self, edge, k):
+        with pytest.raises(errors.BadDimension):
+            edge.index_of(k, "a-b")
+        with pytest.raises(errors.BadDimension):
+            edge.ref(k, "a")
+        with pytest.raises(errors.BadDimension):
+            cx.chain_on(edge, k, {"a": 1.0})
+
+    def test_valid_dimensions_still_resolve(self, edge):
+        assert edge.index_of(0, "b") == 1
+        assert edge.ref(1, "a-b", -1) == cx.CellRef(1, 0, -1)
+        with pytest.raises(errors.UnknownVertex):
+            edge.index_of(1, "a")
 
 
 class TestBoundaryOfCell:

@@ -44,6 +44,15 @@ CASES = {
          "--max-dim", "1", "--keep-zero-bars"],
         0,
     ),
+    "persist_dim3_zero_bars": (
+        ["persist", f"{G}/points.csv", "--max-eps", "0.6", "--max-dim", "3",
+         "--keep-zero-bars"],
+        0,
+    ),
+    # Integer grid ring with repeated points: zero distances and tied diameters.
+    "persist_grid_ties": (
+        ["persist", f"{G}/grid_points.csv", "--max-eps", "2.5", "--max-dim", "2"], 0
+    ),
 }
 
 

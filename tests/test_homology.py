@@ -47,7 +47,7 @@ class TestBettiNumbers:
             betti = cx.betti_numbers(cc).betti
             assert sum((-1) ** k * b for k, b in enumerate(betti)) == cx.euler_characteristic(cc)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans())
     def test_real_and_integer_match_rational_oracle(self, seed, two_complex):
         rng = random.Random(seed)

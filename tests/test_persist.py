@@ -1,12 +1,16 @@
 """Rips filtrations and persistence diagrams."""
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellcomplex as cx
+from cellcomplex.builders import rips_simplices
 from cellcomplex.persist import Filtration, FiltrationStep
 
 import helpers
@@ -41,8 +45,6 @@ class TestVrFiltration:
         seen = set()
         for step in filtration.steps:
             if step.dim >= 1:
-                import itertools
-
                 for face in itertools.combinations(step.vertices, step.dim):
                     assert face in seen
             seen.add(step.vertices)
@@ -58,6 +60,45 @@ class TestVrFiltration:
             Filtration(steps[::-1])
         with pytest.raises(ValueError):
             Filtration((FiltrationStep(0.0, 1, (0, 1)),))
+
+    def test_validation_rejects_missing_face_between_valid_steps(self):
+        steps = (
+            FiltrationStep(0.0, 0, (0,)),
+            FiltrationStep(0.0, 0, (1,)),
+            FiltrationStep(0.5, 1, (0, 1)),
+            FiltrationStep(0.6, 1, (0, 2)),
+            FiltrationStep(0.7, 0, (2,)),
+        )
+        with pytest.raises(ValueError, match=r"face \(2,\) of \(0, 2\) missing or out of order"):
+            Filtration(steps)
+
+    def test_validation_rejects_out_of_order_birth_between_valid_steps(self):
+        steps = (
+            FiltrationStep(0.0, 0, (0,)),
+            FiltrationStep(0.0, 0, (1,)),
+            FiltrationStep(0.0, 0, (2,)),
+            FiltrationStep(0.5, 1, (0, 1)),
+            FiltrationStep(0.4, 1, (1, 2)),
+            FiltrationStep(0.6, 1, (0, 2)),
+            FiltrationStep(0.6, 2, (0, 1, 2)),
+        )
+        with pytest.raises(ValueError, match="not sorted by"):
+            Filtration(steps)
+
+    def test_faces_hold_facet_positions(self):
+        steps = (
+            FiltrationStep(0.0, 0, (0,)),
+            FiltrationStep(0.0, 0, (1,)),
+            FiltrationStep(0.0, 0, (2,)),
+            FiltrationStep(0.5, 1, (0, 1)),
+            FiltrationStep(0.5, 1, (1, 2)),
+            FiltrationStep(0.6, 1, (0, 2)),
+            FiltrationStep(0.6, 2, (0, 1, 2)),
+        )
+        filtration = Filtration(steps)
+        assert filtration.faces == ((), (), (), (0, 1), (1, 2), (0, 2), (3, 5, 4))
+        assert "faces" not in repr(filtration)
+        assert filtration == Filtration(steps)
 
 
 class TestPersistence:
@@ -128,3 +169,32 @@ class TestPersistence:
             for k in range(3):
                 expected = betti[k] if k <= rips.dim else 0
                 assert diagram.alive_at(eps, k) == expected
+
+
+@settings(max_examples=300)
+@given(
+    cloud=helpers.clouds(),
+    eps=helpers.scales(),
+    max_dim=st.integers(0, 3),
+    keep_zero_bars=st.booleans(),
+)
+def test_bars_match_column_reduction_oracle(cloud, eps, max_dim, keep_zero_bars):
+    filtration = cx.vr_filtration(cloud, eps, max_dim)
+    expected = helpers.persistence_oracle(filtration, keep_zero_bars)
+    assert cx.persistence(filtration, keep_zero_bars) == expected
+
+
+@settings(max_examples=200)
+@given(cloud=helpers.clouds(), eps=helpers.scales(), max_dim=st.integers(0, 3), data=st.data())
+def test_bars_match_oracle_when_vertices_are_born_apart(cloud, eps, max_dim, data):
+    # A simplex is born at the later of its diameter and its latest vertex,
+    # so the elder rule decides which vertex's bar ends at each merge.
+    value = data.draw(st.lists(st.integers(0, 3), min_size=len(cloud), max_size=len(cloud)))
+    keys = sorted(
+        (max(diameter, *(value[v] for v in vertices)), len(vertices) - 1, vertices)
+        for vertices, diameter in rips_simplices(cloud, eps, max_dim)
+    )
+    filtration = Filtration(tuple(FiltrationStep(*key) for key in keys))
+    for keep_zero_bars in (False, True):
+        expected = helpers.persistence_oracle(filtration, keep_zero_bars)
+        assert cx.persistence(filtration, keep_zero_bars) == expected

@@ -102,7 +102,7 @@ def int_matrices(draw, values=(0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3), min_size=1)
     return np.array(flat, dtype=np.int64).reshape(rows, cols)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(matrix=int_matrices())
 def test_factors_are_quotients_of_minor_gcds(matrix):
     # d_1 * ... * d_r is the gcd of the r x r minors, for every r up to
@@ -115,7 +115,7 @@ def test_factors_are_quotients_of_minor_gcds(matrix):
         assert product == helpers.minors_gcd(matrix, r)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(matrix=int_matrices(values=(0, 0, 1, -1), min_size=0))
 def test_boundary_matrix_and_dense_input_agree(matrix):
     entries = tuple((int(i), int(j), int(matrix[i, j])) for i, j in zip(*np.nonzero(matrix)))
