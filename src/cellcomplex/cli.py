@@ -240,7 +240,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        # Overflow reaches stderr only as the error line of NonFiniteResult.
+        with np.errstate(all="ignore"):
+            return _dispatch(args)
     except CellComplexError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

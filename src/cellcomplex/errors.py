@@ -97,6 +97,10 @@ class UnknownFilter(CellComplexError):
     """Spectral filter descriptor does not name a registered filter."""
 
 
+class NonFiniteResult(CellComplexError):
+    """A floating-point result overflowed to infinity or NaN."""
+
+
 class SizeLimitExceeded(CellComplexError):
     """Complex is too large for a dense eigensolve."""
 

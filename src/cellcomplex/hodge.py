@@ -7,10 +7,12 @@ diagonal positive weights W_k, the weighted boundary is
 W_{k-1}^{-1/2} B_k W_k^{1/2} and all operators are built from it.
 
 Operators are dense arrays; complexes above MAX_DENSE_CELLS cells in a
-dimension are rejected.  Subspace sizes are exact Smith-form ranks,
-never eigenvalue thresholds.  Spectral output is deterministic:
-eigenvalues ascend and each eigenvector's largest-magnitude entry is
-made positive.
+dimension are rejected.  Spectra, decompositions and filters share one
+split: bases of im B_k^T and im B_{k+1} from thin SVDs sized by exact
+Smith-form ranks, never by float cutoffs, with the harmonic space as
+their complement.  Overflow raises NonFiniteResult.  Spectral output is
+deterministic: eigenvalues ascend and each eigenvector's
+largest-magnitude entry is made positive.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from .core import CellComplex, ChainVector
 from .errors import (
     BadDimension,
+    NonFiniteResult,
     NonPositiveWeight,
     ShapeMismatch,
     SizeLimitExceeded,
@@ -197,12 +200,29 @@ def _check_chain(cc: CellComplex, k: int, x: ChainVector) -> np.ndarray:
     return x.values
 
 
-def _project_onto_image(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of x onto the column space of matrix."""
-    if matrix.shape[1] == 0:
-        return np.zeros_like(x)
-    coeffs, *_ = np.linalg.lstsq(matrix, x, rcond=None)
-    return matrix @ coeffs
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, unless a float overflow left an infinity or NaN in them."""
+    if not np.isfinite(values).all():
+        raise NonFiniteResult(f"{what} overflowed the float range")
+    return values
+
+
+def _image_bases(
+    cc: CellComplex, k: int, weights: WeightSet | None
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Orthonormal bases of im B_k^T (gradient) and im B_{k+1} (curl) with eigenvalues.
+
+    Each basis is the top rank singular vectors of a thin SVD of the
+    weighted boundary, rank exact from its Smith form.  The squared
+    singular values are the eigenvalues of L_k on that subspace, since
+    each part of L_k annihilates the other's image.
+    """
+    if not 0 <= k <= cc.dim:
+        raise BadDimension(f"no Laplacian L_{k} on a {cc.dim}-complex")
+    _, s_down, vt = np.linalg.svd(dense_boundary(cc, k, weights), full_matrices=False)
+    u, s_up, _ = np.linalg.svd(dense_boundary(cc, k + 1, weights), full_matrices=False)
+    down, up = boundary_rank(cc, k), boundary_rank(cc, k + 1)
+    return (vt[:down].T, s_down[:down] ** 2), (u[:, :up], s_up[:up] ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,19 +240,13 @@ def hodge_decompose(
 ) -> HodgeDecomposition:
     """Split a k-chain into gradient, curl, and harmonic components."""
     values = _check_chain(cc, k, x)
-    down = dense_boundary(cc, k, weights)
-    up = dense_boundary(cc, k + 1, weights)
-    gradient = _project_onto_image(down.T, values)
-    curl = _project_onto_image(up, values)
-    harmonic = values - gradient - curl
+    (down, _), (up, _) = _image_bases(cc, k, weights)
+    gradient = down @ (down.T @ values)
+    curl = up @ (up.T @ values)
+    parts = (gradient, curl, values - gradient - curl)
     return HodgeDecomposition(
-        ChainVector(k, gradient), ChainVector(k, curl), ChainVector(k, harmonic)
+        *(ChainVector(k, _finite(part, "Hodge decomposition")) for part in parts)
     )
-
-
-def _fix_sign(vector: np.ndarray) -> np.ndarray:
-    pivot = int(np.argmax(np.abs(vector)))
-    return -vector if vector[pivot] < 0 else vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,55 +266,27 @@ def spectral_basis(
 ) -> SpectralBasis:
     """Full eigendecomposition of L_k, assembled subspace by subspace.
 
-    The top rank B_k eigenpairs of the down part span the gradient space
-    and the top rank B_{k+1} eigenpairs of the up part span the curl
-    space; both are eigenpairs of the full Laplacian because each part
-    annihilates the other's image.  The remaining bottom eigenvectors of
-    the full Laplacian span its kernel, the harmonic space.  Exact ranks
-    size the subspaces and per-subspace assembly keeps tags exact.
+    The gradient and curl eigenpairs are the image bases with their
+    eigenvalues; the harmonic vectors, eigenvalue 0, complete them to an
+    orthonormal basis of the chain space.  Ties in eigenvalue keep the
+    order gradient, curl, harmonic.
     """
-    n = cc.n_cells(k)
-    pairs: list[tuple[float, int, np.ndarray, str]] = []
-    for order, (part, tag, j) in enumerate((("down", "gradient", k), ("up", "curl", k + 1))):
-        evals, vecs = np.linalg.eigh(hodge_laplacian(cc, k, part, weights))
-        top = n - boundary_rank(cc, j)
-        pairs += [
-            (float(lam), order, _fix_sign(vec), tag)
-            for lam, vec in zip(evals[top:], vecs.T[top:])
-        ]
-    _, vecs = np.linalg.eigh(hodge_laplacian(cc, k, "full", weights))
-    pairs += [(0.0, 2, _fix_sign(vec), "harmonic") for vec in vecs.T[: n - len(pairs)]]
-    pairs.sort(key=lambda p: (p[0], p[1]))
-    eigenvalues = np.array([p[0] for p in pairs])
-    vectors = np.column_stack([p[2] for p in pairs]) if pairs else np.zeros((n, 0))
-    tags = tuple(p[3] for p in pairs)
-    return SpectralBasis(eigenvalues, vectors, tags)
-
-
-def classify_eigenvector(
-    cc: CellComplex,
-    k: int,
-    vector: np.ndarray,
-    weights: WeightSet | None = None,
-    threshold: float = 1e-7,
-) -> tuple[str, float]:
-    """Tag a unit vector by projection residual against the three subspaces.
-
-    Returns (tag, residual); ties go to the smallest residual, and a
-    residual above the threshold still yields the best-matching tag.
-    """
-    v = np.asarray(vector, dtype=float)
-    v = v / np.linalg.norm(v)
-    down = dense_boundary(cc, k, weights)
-    up = dense_boundary(cc, k + 1, weights)
-    lap = hodge_laplacian(cc, k, "full", weights)
-    residuals = {
-        "gradient": float(np.linalg.norm(v - _project_onto_image(down.T, v))),
-        "curl": float(np.linalg.norm(v - _project_onto_image(up, v))),
-        "harmonic": float(np.linalg.norm(lap @ v)),
-    }
-    tag = min(residuals, key=lambda t: (residuals[t] > threshold, residuals[t]))
-    return tag, residuals[tag]
+    (down, down_values), (up, up_values) = _image_bases(cc, k, weights)
+    images = np.hstack([down, up])
+    harmonic = np.linalg.qr(images, mode="complete")[0][:, images.shape[1] :]
+    eigenvalues = np.concatenate([down_values, up_values, np.zeros(harmonic.shape[1])])
+    tags = ("gradient",) * len(down_values) + ("curl",) * len(up_values)
+    tags += ("harmonic",) * harmonic.shape[1]
+    order = np.argsort(eigenvalues, kind="stable")
+    vectors = np.hstack([images, harmonic])[:, order]
+    if vectors.size:  # make each column's largest-magnitude entry positive
+        pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+        vectors *= np.where(pivots < 0, -1.0, 1.0)
+    return SpectralBasis(
+        _finite(eigenvalues[order], f"an eigenvalue of L_{k}"),
+        vectors,
+        tuple(tags[i] for i in order),
+    )
 
 
 FilterFunction = Callable[[np.ndarray], np.ndarray]
@@ -357,13 +343,14 @@ def spectral_filter(
     descriptor: str,
     weights: WeightSet | None = None,
 ) -> ChainVector:
-    """Apply a registered spectral filter: U f(Lambda) U^T x."""
+    """Apply a registered spectral filter U f(Lambda) U^T x; the harmonic part gets f(0)."""
     values = _check_chain(cc, k, x)
     f = parse_filter(descriptor)
-    basis = spectral_basis(cc, k, weights)
-    response = f(basis.eigenvalues)
-    filtered = basis.vectors @ (response * (basis.vectors.T @ values))
-    return ChainVector(k, filtered)
+    at_zero = f(np.zeros(1))
+    filtered = at_zero * values
+    for basis, eigenvalues in _image_bases(cc, k, weights):
+        filtered += basis @ ((f(eigenvalues) - at_zero) * (basis.T @ values))
+    return ChainVector(k, _finite(filtered, "filtered chain"))
 
 
 def quadratic_form(

@@ -2,8 +2,8 @@
 
 The k-th homology is ker B_k modulo im B_{k+1}.  Its Betti number is a
 count of exact Smith-form ranks, and the integer torsion is the Smith
-invariant factors above 1.  Harmonic representatives are the bottom
-beta_k eigenvectors of the Hodge Laplacian, whose kernel they span.
+invariant factors above 1.  Harmonic representatives are the harmonic
+vectors of hodge.spectral_basis, an orthonormal basis of ker L_k.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import CellComplex, ChainVector
 from .errors import BadDimension, NotACycle, ShapeMismatch
-from .hodge import boundary_rank, dense_boundary, hodge_laplacian, _fix_sign
+from .hodge import dense_boundary, spectral_basis
 from .snf import smith_normal_form
 
 RESIDUAL_TOL = 1e-8
@@ -56,9 +56,8 @@ def betti_numbers(cc: CellComplex, coefficients: str = "real") -> HomologySummar
 
 def harmonic_basis(cc: CellComplex, k: int) -> list[ChainVector]:
     """Orthonormal kernel basis of L_k; its size is the k-th Betti number."""
-    _, vecs = np.linalg.eigh(hodge_laplacian(cc, k))
-    betti = cc.n_cells(k) - boundary_rank(cc, k) - boundary_rank(cc, k + 1)
-    return [ChainVector(k, _fix_sign(vec)) for vec in vecs.T[:betti]]
+    basis = spectral_basis(cc, k)
+    return [ChainVector(k, v) for v, t in zip(basis.vectors.T, basis.tags) if t == "harmonic"]
 
 
 def _as_cycle(cc: CellComplex, chain: ChainVector, name: str) -> np.ndarray:

@@ -30,7 +30,8 @@ class FiltrationStep:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Simplices ordered by (birth, dimension, vertex tuple).
+    """Distinct simplices, strictly increasing vertex tuples, ordered by
+    (birth, dimension, vertex tuple).
 
     ``faces[p]`` holds the positions of the facets of step p (empty for
     a vertex), in ``itertools.combinations`` order; it is derived, not
@@ -47,10 +48,12 @@ class Filtration:
         previous = None
         for position, step in enumerate(self.steps):
             vertices, dim = step.vertices, step.dim
-            if vertices != tuple(sorted(vertices)):
-                raise ValueError(f"simplex {vertices} is not sorted")
             if len(vertices) != dim + 1:
                 raise ValueError(f"simplex {vertices} disagrees with dim {dim}")
+            # A repeated vertex in a higher simplex repeats in one of its
+            # facets, down to an edge, so the face lookup rejects it.
+            if vertices != tuple(sorted(vertices)) or (dim == 1 and vertices[0] == vertices[1]):
+                raise ValueError(f"simplex {vertices} is not strictly increasing")
             try:
                 faces.append(
                     tuple(map(find, itertools.combinations(vertices, dim))) if dim else ()
@@ -64,6 +67,9 @@ class Filtration:
                 raise ValueError("filtration is not sorted by (birth, dim, vertices)")
             previous = key
             order[vertices] = position
+        if len(order) != len(self.steps):
+            twice = next(s.vertices for i, s in enumerate(self.steps) if order[s.vertices] != i)
+            raise ValueError(f"simplex {twice} occurs twice")
         object.__setattr__(self, "faces", tuple(faces))
 
 

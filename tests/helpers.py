@@ -1,10 +1,13 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The rank oracle does exact row reduction over the rationals, fully
-independent of the Smith normal form code.  The persistence oracle is
-the textbook Z/2 column reduction of the filtration boundary matrix,
-and the Rips oracle tries every vertex subset.  The complex zoo
-produces small randomized builder outputs for the property suites.
+independent of the Smith normal form code.  The Hodge oracles project
+by least squares onto the boundary images and filter through one eigh
+of the full Laplacian, independent of the SVD split in ``hodge``.  The
+persistence oracle is the textbook Z/2 column reduction of the
+filtration boundary matrix, and the Rips oracle tries every vertex
+subset.  The complex zoo produces small randomized builder outputs for
+the property suites.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import cellcomplex as cx
+from cellcomplex import hodge
 from cellcomplex.persist import Filtration, PersistenceBar, PersistenceDiagram
 
 TOY_EDGES = [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]
@@ -125,6 +129,61 @@ def minors_gcd(matrix, k: int) -> int:
             minor = [[array[i][j] for j in cols] for i in rows]
             result = math.gcd(result, abs(int_det(minor)))
     return result
+
+
+def project_onto_image(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of x onto the column space of matrix."""
+    if matrix.shape[1] == 0:
+        return np.zeros_like(x)
+    coeffs, *_ = np.linalg.lstsq(matrix, x, rcond=None)
+    return matrix @ coeffs
+
+
+def classify_eigenvector(
+    cc: cx.CellComplex,
+    k: int,
+    vector: np.ndarray,
+    weights: cx.WeightSet | None = None,
+    threshold: float = 1e-7,
+) -> tuple[str, float]:
+    """Tag a unit vector by projection residual against the three subspaces.
+
+    Returns (tag, residual); ties go to the smallest residual, and a
+    residual above the threshold still yields the best-matching tag.
+    """
+    v = np.asarray(vector, dtype=float)
+    v = v / np.linalg.norm(v)
+    down = hodge.dense_boundary(cc, k, weights)
+    up = hodge.dense_boundary(cc, k + 1, weights)
+    lap = cx.hodge_laplacian(cc, k, "full", weights)
+    residuals = {
+        "gradient": float(np.linalg.norm(v - project_onto_image(down.T, v))),
+        "curl": float(np.linalg.norm(v - project_onto_image(up, v))),
+        "harmonic": float(np.linalg.norm(lap @ v)),
+    }
+    tag = min(residuals, key=lambda t: (residuals[t] > threshold, residuals[t]))
+    return tag, residuals[tag]
+
+
+def decompose_oracle(
+    cc: cx.CellComplex, k: int, x: np.ndarray, weights: cx.WeightSet | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient, curl and harmonic parts by least-squares projection."""
+    gradient = project_onto_image(hodge.dense_boundary(cc, k, weights).T, x)
+    curl = project_onto_image(hodge.dense_boundary(cc, k + 1, weights), x)
+    return gradient, curl, x - gradient - curl
+
+
+def filter_oracle(
+    cc: cx.CellComplex,
+    k: int,
+    x: np.ndarray,
+    descriptor: str,
+    weights: cx.WeightSet | None = None,
+) -> np.ndarray:
+    """U f(Lambda) U^T x from one eigh of the full Laplacian L_k."""
+    evals, vecs = np.linalg.eigh(cx.hodge_laplacian(cc, k, "full", weights))
+    return vecs @ (hodge.parse_filter(descriptor)(evals) * (vecs.T @ x))
 
 
 def persistence_oracle(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -323,6 +324,57 @@ class TestInputContract:
         )
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestNonFiniteResults:
+    """A result that overflows to inf or NaN exits 1 with one ``error:`` line."""
+
+    @staticmethod
+    def argv(tmp_path, command, values, weighted):
+        """``command`` at dim 1 on cubical([4, 4]), with a signal and extreme weights."""
+        grid = tmp_path / "grid.json"
+        grid.write_text(io.dumps(io.complex_to_json(cx.cubical([4, 4]))))
+        argv = [command[0], str(grid), "--dim", "1", *command[1:]]
+        if values is not None:
+            signal = tmp_path / "signal.json"
+            signal.write_text(json.dumps({"dim": 1, "values": list(values)}))
+            argv += ["--signal", str(signal)]
+        if weighted:
+            # The weighted B_2 entries are 1e300, so the curl eigenvalues overflow.
+            weights = tmp_path / "weights.json"
+            weights.write_text(json.dumps({"weights": [[1e300] * 16, [1e-300] * 24, [1e300] * 9]}))
+            argv += ["--weights", str(weights)]
+        return argv
+
+    @pytest.mark.parametrize("command, values, weighted", [
+        (["filter", "--filter", "heat:t=-1000"], range(1, 25), False),
+        (["filter", "--filter", "poly:1e308,1e308"], range(1, 25), False),
+        (["decompose"], [1e308] * 24, False),
+        (["spectrum"], None, True),
+        (["filter", "--filter", "lowpass"], range(1, 25), True),
+    ], ids=["heat-overflow", "poly-overflow", "decompose-overflow", "spectrum-weights",
+            "filter-weights"])
+    def test_overflow_is_an_error(self, capsys, tmp_path, command, values, weighted):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *self.argv(tmp_path, command, values, weighted))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not caught  # a numpy warning would print to stderr outside pytest
+
+    def test_finite_results_under_the_same_weights_pass(self, capsys, tmp_path):
+        # The curl part overflows, but the decomposition and a heat filter
+        # that damps it stay finite: the grid has no hole, so the filter
+        # keeps just the gradient part.
+        code, out, err = run(capsys, *self.argv(tmp_path, ["decompose"], range(1, 25), True))
+        assert (code, err) == (0, "")
+        split = json.loads(out)
+        parts = [np.array(split[p]["values"]) for p in ("gradient", "curl", "harmonic")]
+        assert np.allclose(sum(parts), np.arange(1, 25), rtol=0, atol=1e-9)
+        heat = ["filter", "--filter", "heat:t=1"]
+        code, out, err = run(capsys, *self.argv(tmp_path, heat, range(1, 25), True))
+        assert (code, err) == (0, "")
+        assert np.allclose(json.loads(out)["values"], parts[0], rtol=0, atol=1e-9)
 
 
 def test_spectrum_with_extreme_weights_never_raises(capsys, tmp_path):

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import errors, hodge
@@ -235,7 +237,7 @@ class TestSpectralBasis:
         for k in range(3):
             basis = cx.spectral_basis(toy_minus, k)
             for tag, vec in zip(basis.tags, basis.vectors.T):
-                classified, residual = hodge.classify_eigenvector(toy_minus, k, vec)
+                classified, residual = helpers.classify_eigenvector(toy_minus, k, vec)
                 assert classified == tag
                 assert residual <= 1e-7
 
@@ -250,6 +252,42 @@ class TestSpectralBasis:
         basis = cx.spectral_basis(toy, 1)
         for vec in basis.vectors.T:
             assert vec[int(np.argmax(np.abs(vec)))] > 0
+
+
+class TestAgainstOracles:
+    """The SVD split against exact ranks, eigvalsh, and the least-squares oracles."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans(), weighted=st.booleans())
+    def test_split_matches_oracles(self, seed, two_complex, weighted):
+        rng = random.Random(seed)
+        if two_complex:
+            cc = helpers.random_two_complex(rng)
+        else:
+            cc = helpers.random_builder_complex(rng)
+        weights = helpers.random_weights(rng, cc) if weighted else None
+        for k in range(cc.dim + 1):
+            n = cc.n_cells(k)
+            down = helpers.rank_over_q(cc.boundary(k).to_dense()) if k >= 1 else 0
+            up = helpers.rank_over_q(cc.boundary(k + 1).to_dense()) if k < cc.dim else 0
+            basis = cx.spectral_basis(cc, k, weights)
+            counts = tuple(basis.count(t) for t in ("gradient", "curl", "harmonic"))
+            assert counts == (down, up, n - down - up)
+            lap = cx.hodge_laplacian(cc, k, "full", weights)
+            assert np.max(
+                np.abs(basis.eigenvalues - np.linalg.eigvalsh(lap)), initial=0.0
+            ) <= 1e-8
+            for tag, vec in zip(basis.tags, basis.vectors.T):
+                assert helpers.classify_eigenvector(cc, k, vec, weights)[0] == tag
+            x = cx.ChainVector(k, np.array([rng.uniform(-2, 2) for _ in range(n)]))
+            split = cx.hodge_decompose(cc, k, x, weights)
+            expected = helpers.decompose_oracle(cc, k, x.values, weights)
+            for part, want in zip((split.gradient, split.curl, split.harmonic), expected):
+                assert np.max(np.abs(part.values - want), initial=0.0) <= 1e-8
+            for descriptor in ("identity", "lowpass", "heat:t=0.5", "poly:0.5,-0.25,0.125"):
+                out = cx.spectral_filter(cc, k, x, descriptor, weights)
+                want = helpers.filter_oracle(cc, k, x.values, descriptor, weights)
+                assert np.max(np.abs(out.values - want), initial=0.0) <= 1e-8
 
 
 class TestSpectralFilter:

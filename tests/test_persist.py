@@ -85,6 +85,33 @@ class TestVrFiltration:
         with pytest.raises(ValueError, match="not sorted by"):
             Filtration(steps)
 
+    def test_validation_rejects_repeated_vertex(self):
+        steps = (FiltrationStep(0.0, 0, (0,)), FiltrationStep(0.5, 1, (0, 0)))
+        with pytest.raises(ValueError, match=r"simplex \(0, 0\) is not strictly increasing"):
+            Filtration(steps)
+        steps = (
+            FiltrationStep(0.0, 0, (0,)),
+            FiltrationStep(0.0, 0, (1,)),
+            FiltrationStep(0.5, 1, (0, 1)),
+            FiltrationStep(0.5, 2, (0, 0, 1)),
+        )
+        with pytest.raises(ValueError, match=r"face \(0, 0\) of \(0, 0, 1\) missing"):
+            Filtration(steps)
+
+    @pytest.mark.parametrize("steps", [
+        (FiltrationStep(0.0, 0, (0,)), FiltrationStep(0.0, 0, (0,))),
+        # A vertex repeated after one of its cofaces.
+        (
+            FiltrationStep(0.0, 0, (0,)),
+            FiltrationStep(0.0, 0, (1,)),
+            FiltrationStep(1.0, 1, (0, 1)),
+            FiltrationStep(2.0, 0, (0,)),
+        ),
+    ], ids=["adjacent", "after-coface"])
+    def test_validation_rejects_repeated_simplex(self, steps):
+        with pytest.raises(ValueError, match=r"simplex \(0,\) occurs twice"):
+            Filtration(steps)
+
     def test_faces_hold_facet_positions(self):
         steps = (
             FiltrationStep(0.0, 0, (0,)),
