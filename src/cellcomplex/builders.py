@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from .core import (
@@ -312,34 +311,39 @@ def cubical(sizes: Sequence[int]) -> CellComplex:
 # ---------------------------------------------------------------------------
 
 
-def _cross(o, p, q) -> float:
+# Elements per temporary array in the pairwise checks of PlanarEmbedding.
+_BLOCK = 1 << 16
+
+
+def _first_violation(n_rows: int, n_cols: int, bad, upper: bool):
+    """First (row, col) in row-major order where bad(rows, cols) holds.
+
+    bad takes a slice of rows and a slice of columns and returns their
+    boolean block; rows are visited in blocks so that no temporary
+    exceeds about _BLOCK elements.  With upper, only cols > row count.
+    """
+    step = max(1, _BLOCK // n_cols)
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        first = start + 1 if upper else 0
+        block = bad(slice(start, stop), slice(first, n_cols))
+        if upper:
+            block &= np.arange(first, n_cols)[None, :] > np.arange(start, stop)[:, None]
+        hits = np.argwhere(block)
+        if len(hits):
+            return start + int(hits[0, 0]), first + int(hits[0, 1])
+    return None
+
+
+def _cross(o, p, q):
     return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
 
 
-def _segments_conflict(p1, p2, q1, q2, eps: float) -> bool:
-    """True when two segments without shared endpoints touch at all."""
-    d1 = _cross(q1, q2, p1)
-    d2 = _cross(q1, q2, p2)
-    d3 = _cross(p1, p2, q1)
-    d4 = _cross(p1, p2, q2)
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
-        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
-    ):
-        return True
-
-    def on_segment(a, b, c) -> bool:
-        if abs(_cross(a, b, c)) > eps:
-            return False
-        return (
-            min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps
-            and min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps
-        )
-
+def _in_box(a, b, c, eps: float):
+    """c within eps of the bounding box of a and b, coordinate by coordinate."""
     return (
-        on_segment(q1, q2, p1)
-        or on_segment(q1, q2, p2)
-        or on_segment(p1, p2, q1)
-        or on_segment(p1, p2, q2)
+        (np.minimum(a[0], b[0]) - eps <= c[0]) & (c[0] <= np.maximum(a[0], b[0]) + eps)
+        & (np.minimum(a[1], b[1]) - eps <= c[1]) & (c[1] <= np.maximum(a[1], b[1]) + eps)
     )
 
 
@@ -348,7 +352,11 @@ class PlanarEmbedding:
     """Straight-line plane drawing: vertex coordinates plus an edge list.
 
     Edges may only meet at shared endpoints; violations raise EdgesCross
-    at construction.
+    at construction.  The checks run in this order, each reporting its
+    first violation in row-major order: coinciding vertices (np.allclose
+    per vertex pair), edges without a shared endpoint that touch, and a
+    vertex on an edge it does not bound.  All three are vectorised over
+    blocks of rows, so memory stays O(block * E) rather than O(E^2).
     """
 
     points: np.ndarray = field(repr=False)
@@ -381,25 +389,55 @@ class PlanarEmbedding:
             if pair in seen_pairs:
                 raise EdgesCross(f"edge ({u}, {v}) drawn twice")
             seen_pairs.add(pair)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.allclose(pts[i], pts[j], atol=eps):
-                    raise EdgesCross(f"vertices {i} and {j} share coordinates")
-        for (u1, v1), (u2, v2) in itertools.combinations(edges, 2):
-            if {u1, v1} & {u2, v2}:
-                continue
-            if _segments_conflict(pts[u1], pts[v1], pts[u2], pts[v2], eps):
-                raise EdgesCross(f"edges ({u1}, {v1}) and ({u2}, {v2}) intersect")
-        for w in range(n):
-            for u, v in edges:
-                if w in (u, v):
-                    continue
-                d = _cross(pts[u], pts[v], pts[w])
-                if abs(d) <= eps and (
-                    min(pts[u][0], pts[v][0]) - eps <= pts[w][0] <= max(pts[u][0], pts[v][0]) + eps
-                    and min(pts[u][1], pts[v][1]) - eps <= pts[w][1] <= max(pts[u][1], pts[v][1]) + eps
-                ):
-                    raise EdgesCross(f"vertex {w} lies on edge ({u}, {v})")
+        x, y = pts[:, 0], pts[:, 1]
+
+        def same_point(i, j):  # np.allclose(pts[i], pts[j], atol=eps), rtol 1e-5
+            a, b = pts[i, None, :], pts[None, j, :]
+            return (np.abs(a - b) <= eps + 1e-5 * np.abs(b)).all(axis=2)
+
+        hit = _first_violation(n, n, same_point, upper=True)
+        if hit:
+            raise EdgesCross(f"vertices {hit[0]} and {hit[1]} share coordinates")
+        if not edges:
+            return
+        u, v = np.array(edges).T
+        ends = [(x[u], y[u]), (x[v], y[v])]
+
+        def touching(i, j):
+            # Row edge p1-p2 against column edge q1-q2.
+            p1, p2 = [(a[i, None], b[i, None]) for a, b in ends]
+            q1, q2 = [(a[None, j], b[None, j]) for a, b in ends]
+            d1, d2 = _cross(q1, q2, p1), _cross(q1, q2, p2)
+            d3, d4 = _cross(p1, p2, q1), _cross(p1, p2, q2)
+            proper = (((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))) & (
+                ((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps))
+            )
+            on = (
+                (~(np.abs(d1) > eps) & _in_box(q1, q2, p1, eps))
+                | (~(np.abs(d2) > eps) & _in_box(q1, q2, p2, eps))
+                | (~(np.abs(d3) > eps) & _in_box(p1, p2, q1, eps))
+                | (~(np.abs(d4) > eps) & _in_box(p1, p2, q2, eps))
+            )
+            ui, vi, uj, vj = u[i, None], v[i, None], u[None, j], v[None, j]
+            shared = (ui == uj) | (ui == vj) | (vi == uj) | (vi == vj)
+            return (proper | on) & ~shared
+
+        hit = _first_violation(len(edges), len(edges), touching, upper=True)
+        if hit:
+            (u1, v1), (u2, v2) = edges[hit[0]], edges[hit[1]]
+            raise EdgesCross(f"edges ({u1}, {v1}) and ({u2}, {v2}) intersect")
+
+        def on_edge(w, j):
+            p1, p2 = [(a[None, j], b[None, j]) for a, b in ends]
+            c = (x[w, None], y[w, None])
+            ws = np.arange(n)[w, None]
+            apart = (ws != u[None, j]) & (ws != v[None, j])
+            return (np.abs(_cross(p1, p2, c)) <= eps) & _in_box(p1, p2, c, eps) & apart
+
+        hit = _first_violation(n, len(edges), on_edge, upper=False)
+        if hit:
+            w, (u1, v1) = hit[0], edges[hit[1]]
+            raise EdgesCross(f"vertex {w} lies on edge ({u1}, {v1})")
 
 
 def _check_connected(n: int, adjacency: dict[int, list[int]]) -> None:
@@ -614,6 +652,10 @@ def chordless_cycle_lifting(
     chordless cycles can grow exponentially, so enumeration stops with
     an error once max_cells is exceeded.
     """
+    # networkx is imported here only: it is most of the package's import
+    # time, and no other command uses it.
+    import networkx as nx
+
     pairs = _underlying_graph(cc)
     if len({frozenset(p) for p in pairs}) != len(pairs):
         raise NotSimple("chordless cycle lifting needs a simple underlying graph")

@@ -98,7 +98,7 @@ class UnknownFilter(CellComplexError):
 
 
 class NonFiniteResult(CellComplexError):
-    """A floating-point result overflowed to infinity or NaN."""
+    """A floating-point result overflowed to infinity or NaN, or underflowed to 0."""
 
 
 class SizeLimitExceeded(CellComplexError):

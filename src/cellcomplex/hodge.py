@@ -10,7 +10,8 @@ Operators are dense arrays; complexes above MAX_DENSE_CELLS cells in a
 dimension are rejected.  Spectra, decompositions and filters share one
 split: bases of im B_k^T and im B_{k+1} from thin SVDs sized by exact
 Smith-form ranks, never by float cutoffs, with the harmonic space as
-their complement.  Overflow raises NonFiniteResult.  Spectral output is
+their complement.  Overflow, and a gradient or curl eigenvalue that
+underflows to 0, raise NonFiniteResult.  Spectral output is
 deterministic: eigenvalues ascend and each eigenvector's
 largest-magnitude entry is made positive.
 """
@@ -269,7 +270,9 @@ def spectral_basis(
     The gradient and curl eigenpairs are the image bases with their
     eigenvalues; the harmonic vectors, eigenvalue 0, complete them to an
     orthonormal basis of the chain space.  Ties in eigenvalue keep the
-    order gradient, curl, harmonic.
+    order gradient, curl, harmonic.  An eigenvalue that overflows, or a
+    gradient or curl eigenvalue whose square underflows to 0, raises
+    NonFiniteResult.
     """
     (down, down_values), (up, up_values) = _image_bases(cc, k, weights)
     images = np.hstack([down, up])
@@ -282,11 +285,10 @@ def spectral_basis(
     if vectors.size:  # make each column's largest-magnitude entry positive
         pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
         vectors *= np.where(pivots < 0, -1.0, 1.0)
-    return SpectralBasis(
-        _finite(eigenvalues[order], f"an eigenvalue of L_{k}"),
-        vectors,
-        tuple(tags[i] for i in order),
-    )
+    eigenvalues = _finite(eigenvalues[order], f"an eigenvalue of L_{k}")
+    if not (np.concatenate([down_values, up_values]) > 0).all():
+        raise NonFiniteResult(f"a gradient or curl eigenvalue of L_{k} underflowed to 0")
+    return SpectralBasis(eigenvalues, vectors, tuple(tags[i] for i in order))
 
 
 FilterFunction = Callable[[np.ndarray], np.ndarray]

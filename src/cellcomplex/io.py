@@ -13,11 +13,21 @@ with signs s in {-1, 1} and entries sorted by (j, i).  Chains are
 Documents are schema-checked before any computation touches them:
 integers and numbers exclude JSON true/false, and chain and weight
 values must be finite.
+
+Output is written by ``dumps``, whose contract is the bytes of
+``json.dumps(doc, indent=2)`` plus a newline.  The standard library
+runs an indented dump through its pure-Python encoder, one generator
+step per token; ``dumps`` instead joins each list of scalars in one
+call and formats each list of equal-length integer rows (boundary
+entries) through one ``%d`` template.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -40,7 +50,7 @@ def complex_to_json(cc: CellComplex) -> dict[str, Any]:
                 "k": k,
                 "rows": b.rows,
                 "cols": b.cols,
-                "entries": [[i, j, s] for i, j, s in b.entries],
+                "entries": b.entries,
             }
             for k, b in enumerate(cc.boundaries, start=1)
         ],
@@ -71,6 +81,30 @@ def _finite_vector(values: Any, message: str) -> np.ndarray:
         raise SchemaError(message) from None
     _require(bool(np.isfinite(array).all()), message)
     return array
+
+
+def _check_entries(entries: list, k: int) -> None:
+    """Every entry an integer triplet [row, col, sign] with sign -1 or 1.
+
+    Checked over the sets of row types, row lengths, element types and
+    signs; with faults of both kinds, the first faulty entry names the
+    error.
+    """
+    well_formed = (
+        set(map(type, entries)) <= {list}
+        and set(map(len, entries)) <= {3}
+        and set(map(type, chain.from_iterable(entries))) <= {int}
+    )
+    if not well_formed:
+        first = next(
+            i for i, e in enumerate(entries)
+            if type(e) is not list or len(e) != 3 or set(map(type, e)) != {int}
+        )
+        entries = entries[:first]
+    _require(
+        set(map(itemgetter(2), entries)) <= {-1, 1}, f"boundary {k} signs must be -1 or 1"
+    )
+    _require(well_formed, f"boundary {k} entries must be [row, col, sign] integer triplets")
 
 
 def complex_from_json(doc: Any) -> CellComplex:
@@ -107,21 +141,12 @@ def complex_from_json(doc: Any) -> CellComplex:
         )
         entries = spec["entries"]
         _require(isinstance(entries, list), f"boundary {k} entries must be a list")
-        triplets = []
-        for entry in entries:
-            _require(
-                isinstance(entry, list)
-                and len(entry) == 3
-                and all(map(_is_int, entry)),
-                f"boundary {k} entries must be [row, col, sign] integer triplets",
-            )
-            _require(entry[2] in (-1, 1), f"boundary {k} signs must be -1 or 1")
-            triplets.append(tuple(entry))
+        _check_entries(entries, k)
         _require(
             _is_int(spec["rows"]) and _is_int(spec["cols"]),
             f"boundary {k} rows/cols must be integers",
         )
-        mats.append(BoundaryMatrix(spec["rows"], spec["cols"], tuple(triplets)))
+        mats.append(BoundaryMatrix(spec["rows"], spec["cols"], tuple(map(tuple, entries))))
     return from_boundary_matrices(cells, mats)
 
 
@@ -158,5 +183,75 @@ def load_complex(path: str) -> CellComplex:
 
 
 def dumps(doc: Any) -> str:
-    """Deterministic, human-readable JSON serialisation."""
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2)`` plus a newline, byte for byte.
+
+    Dict keys must be strings; a value of any type json cannot encode
+    raises TypeError.
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# Encoders of a list whose items all have one of these exact types; a
+# bool, though an int, is not one of them.
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float}
+
+
+def _encode(o: Any, indent: str) -> str:
+    """o at the nesting level whose line break and indent is ``indent``."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        return "[" + inner + _items(o, inner) + indent + "]" if o else "[]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        for key in o:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in o.items()]
+        ) + indent + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _items(seq: list | tuple, inner: str) -> str:
+    """The items of a nonempty list, one per line at indent ``inner``."""
+    sep = "," + inner
+    types = set(map(type, seq))
+    if len(types) == 1:
+        kind = types.pop()
+        if kind in _SCALARS:
+            return sep.join(map(_SCALARS[kind], seq))
+        if kind in (list, tuple):
+            lengths = set(map(len, seq))
+            width = lengths.pop()
+            if not lengths and width and set(map(type, chain.from_iterable(seq))) == {int}:
+                # One template for all rows; %d spells an int as int.__repr__.
+                cell = "," + inner + "  "
+                row = "[" + inner + "  " + cell.join(["%d"] * width) + inner + "]"
+                return sep.join([row] * len(seq)) % tuple(chain.from_iterable(seq))
+    return sep.join([_encode(v, inner) for v in seq])

@@ -6,13 +6,16 @@ by least squares onto the boundary images and filter through one eigh
 of the full Laplacian, independent of the SVD split in ``hodge``.  The
 persistence oracle is the textbook Z/2 column reduction of the
 filtration boundary matrix, and the Rips oracle tries every vertex
-subset.  The complex zoo produces small randomized builder outputs for
+subset.  The writer oracle is the standard library's indented JSON
+dump, and the plane-drawing oracle tests every vertex pair, edge pair
+and vertex-edge pair in Python loops.  The complex zoo produces small randomized builder outputs for
 the property suites.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import hodge
+from cellcomplex.errors import DuplicateLabel, EdgesCross, UnknownVertex
 from cellcomplex.persist import Filtration, PersistenceBar, PersistenceDiagram
 
 TOY_EDGES = [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]
@@ -240,6 +244,91 @@ def rips_oracle(
             if all(d <= eps for d in lengths):
                 out.append((subset, max(lengths)))
     return out
+
+
+def dumps_oracle(doc) -> str:
+    """The writer contract of ``io.dumps``: the standard library's indented dump."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _cross(o, p, q) -> float:
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+def _segments_conflict(p1, p2, q1, q2, eps: float) -> bool:
+    """True when two segments without shared endpoints touch at all."""
+    d1 = _cross(q1, q2, p1)
+    d2 = _cross(q1, q2, p2)
+    d3 = _cross(p1, p2, q1)
+    d4 = _cross(p1, p2, q2)
+    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
+        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
+    ):
+        return True
+
+    def on_segment(a, b, c) -> bool:
+        if abs(_cross(a, b, c)) > eps:
+            return False
+        return (
+            min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps
+            and min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps
+        )
+
+    return (
+        on_segment(q1, q2, p1)
+        or on_segment(q1, q2, p2)
+        or on_segment(p1, p2, q1)
+        or on_segment(p1, p2, q2)
+    )
+
+
+def planar_embedding_oracle(points, edges, labels=()) -> None:
+    """Every check of ``PlanarEmbedding``, pair by pair in Python loops.
+
+    Raises what the constructor raises, with the same message, or
+    returns None where it accepts the drawing.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
+        raise ValueError("points must be a nonempty (n, 2) array")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("coordinates must be finite")
+    n = len(pts)
+    labels = labels or tuple(str(i) for i in range(n))
+    if len(labels) != n or len(set(labels)) != n:
+        raise DuplicateLabel("need one unique label per vertex")
+    edges = tuple((int(u), int(v)) for u, v in edges)
+    scale = max(1.0, float(np.max(np.abs(pts))))
+    eps = 1e-12 * scale * scale
+    seen_pairs = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise UnknownVertex(f"edge ({u}, {v}) outside 0..{n - 1}")
+        if u == v:
+            raise EdgesCross(f"edge ({u}, {v}) is a self-loop")
+        pair = frozenset((u, v))
+        if pair in seen_pairs:
+            raise EdgesCross(f"edge ({u}, {v}) drawn twice")
+        seen_pairs.add(pair)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if np.allclose(pts[i], pts[j], atol=eps):
+                raise EdgesCross(f"vertices {i} and {j} share coordinates")
+    for (u1, v1), (u2, v2) in itertools.combinations(edges, 2):
+        if {u1, v1} & {u2, v2}:
+            continue
+        if _segments_conflict(pts[u1], pts[v1], pts[u2], pts[v2], eps):
+            raise EdgesCross(f"edges ({u1}, {v1}) and ({u2}, {v2}) intersect")
+    for w in range(n):
+        for u, v in edges:
+            if w in (u, v):
+                continue
+            d = _cross(pts[u], pts[v], pts[w])
+            if abs(d) <= eps and (
+                min(pts[u][0], pts[v][0]) - eps <= pts[w][0] <= max(pts[u][0], pts[v][0]) + eps
+                and min(pts[u][1], pts[v][1]) - eps <= pts[w][1] <= max(pts[u][1], pts[v][1]) + eps
+            ):
+                raise EdgesCross(f"vertex {w} lies on edge ({u}, {v})")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellcomplex as cx
-from cellcomplex import errors
+from cellcomplex import builders, errors
 from cellcomplex.builders import rips_simplices
 
 import helpers
@@ -297,6 +297,68 @@ class TestWindowLifting:
             dense_l = np.abs(lifted.boundary(k).to_dense())[np.ix_(rows_l, perm_l)]
             dense_s = np.abs(simplicial.boundary(k).to_dense())[np.ix_(rows_s, perm_s)]
             assert np.array_equal(dense_l, dense_s)
+
+
+def _outcome(fn, *args):
+    """None if fn(*args) returns, else the exception type and message."""
+    try:
+        fn(*args)
+    except (ValueError, errors.CellComplexError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def drawings(draw):
+    """Points on a 4x4 integer grid (collinear, touching and coincident
+    cases) or uniform floats, with distinct edges in either orientation."""
+    n = draw(st.integers(1, 8))
+    coordinate = draw(st.sampled_from([st.integers(0, 3), st.floats(-2, 2)]))
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n))
+    pairs = list(itertools.permutations(range(n), 2))
+    if not pairs:
+        return points, []
+    return points, draw(st.lists(st.sampled_from(pairs), unique_by=frozenset, max_size=10))
+
+
+def _grid_with_diagonals(m: int):
+    points = [(i, j) for i in range(m) for j in range(m)]
+    at = {p: k for k, p in enumerate(points)}
+    edges = [(at[i, j], at[i + 1, j]) for i in range(m - 1) for j in range(m)]
+    edges += [(at[i, j], at[i, j + 1]) for i in range(m) for j in range(m - 1)]
+    edges += [(at[i, j], at[i + 1, j + 1]) for i in range(m - 1) for j in range(m - 1)]
+    return points, edges, at
+
+
+class TestPlanarEmbeddingChecks:
+    @settings(max_examples=300)
+    @given(drawing=drawings())
+    def test_matches_the_loop_oracle(self, drawing):
+        points, edges = drawing
+        assert _outcome(cx.PlanarEmbedding, points, tuple(edges)) == _outcome(
+            helpers.planar_embedding_oracle, points, edges
+        )
+
+    def test_violations_in_the_last_row_block(self):
+        # 289 vertices and 800 edges: every check spans several row blocks,
+        # and each planted violation sits in the last one.
+        m = 17
+        points, edges, at = _grid_with_diagonals(m)
+        n = len(points)
+        assert n * n > builders._BLOCK and len(edges) ** 2 > builders._BLOCK
+        cx.PlanarEmbedding(points, tuple(edges))
+        last = (at[m - 2, m - 2], at[m - 1, m - 1])  # the last diagonal
+        assert edges[-1] == last
+        crossing = (at[m - 1, m - 2], at[m - 2, m - 1])
+        cases = [
+            (points + [points[-1]], edges, f"vertices {n - 1} and {n} share coordinates"),
+            (points, edges + [crossing], f"edges {last} and {crossing} intersect"),
+            (points + [(m - 1.5, m - 1.5)], edges, f"vertex {n} lies on edge {last}"),
+        ]
+        for pts, drawn, message in cases:
+            with pytest.raises(errors.EdgesCross) as info:
+                cx.PlanarEmbedding(pts, tuple(drawn))
+            assert str(info.value) == message
 
 
 class TestSpanningTreeLifting:

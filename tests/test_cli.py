@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 
@@ -288,6 +291,25 @@ class TestInputContract:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("entries, fault", [
+        ([[0, 0, 1], [1, 0, True]], "triplet"),
+        ([[0, 0, 1.0], [1, 0, -1]], "triplet"),
+        ([[0, 0], [1, 0, -1]], "triplet"),
+        ([[0, 0, 2], [1, 0, -1]], "sign"),
+        ([[0, 0, 2], [1, 0, 1.0]], "sign"),
+        ([[0, 0, 1.0], [1, 0, 2]], "triplet"),
+    ], ids=["bool", "float", "short-row", "sign-2", "sign-first", "triplet-first"])
+    def test_bad_entry_message(self, capsys, tmp_path, entries, fault):
+        # With faults of both kinds, the first faulty entry names the error.
+        message = {
+            "triplet": "boundary 1 entries must be [row, col, sign] integer triplets",
+            "sign": "boundary 1 signs must be -1 or 1",
+        }[fault]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_with(_edge_doc(), ("boundaries", 0, "entries"), entries)))
+        code, out, err = run(capsys, "betti", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("signal, weights", [
         ('{"dim": true, "values": [1]}', None),
         ('{"dim": 1, "values": [true]}', None),
@@ -395,3 +417,27 @@ def test_spectrum_with_extreme_weights_never_raises(capsys, tmp_path):
         assert (code, err) == (0, "")
         tags = Counter(line.rsplit(",", 1)[1] for line in out.splitlines())
         assert tags == {"gradient": 35, "curl": 25}
+
+
+def test_spectrum_with_underflowing_weights_is_an_error(capsys, tmp_path):
+    # The weighted B_1 entries are 1e-300, so the squared singular values,
+    # the curl eigenvalues of L_0, underflow to 0.
+    grid = tmp_path / "grid.json"
+    grid.write_text(io.dumps(io.complex_to_json(cx.cubical([4, 4]))))
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"weights": [[1e300] * 16, [1e-300] * 24, [1e300] * 9]}))
+    code, out, err = run(capsys, "spectrum", str(grid), "--dim", "0", "--weights", str(weights))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "underflow" in err and err.count("\n") == 1
+
+
+def test_importing_the_cli_leaves_networkx_unloaded():
+    # networkx serves only ``lift chordless``; the import costs every command.
+    src = os.path.dirname(os.path.dirname(cx.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, cellcomplex.cli; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
