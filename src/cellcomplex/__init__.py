@@ -40,6 +40,7 @@ from .hodge import (
     dirac_operator,
     hodge_decompose,
     hodge_laplacian,
+    laplacian_spectrum,
     nonsymmetric_hodge,
     normalized_rw_weights,
     quadratic_form,
@@ -95,6 +96,7 @@ __all__ = [
     "hodge_laplacian",
     "homologous",
     "is_simple",
+    "laplacian_spectrum",
     "nonsymmetric_hodge",
     "normalized_rw_weights",
     "persistence",

@@ -120,22 +120,32 @@ def from_simplicial(
         raise UncoveredVertex(f"vertex {vlabels[missing[0]]!r} lies in no simplex")
 
     dim = max(len(s) for s in simplex_set) - 1
-    by_dim: list[list[tuple[int, ...]]] = [
-        sorted(s for s in simplex_set if len(s) == k + 1) for k in range(dim + 1)
-    ]
-    index_of = [
-        {simplex: i for i, simplex in enumerate(layer)} for layer in by_dim
-    ]
-    cells = [[("-".join(vlabels[i] for i in s)) if k else vlabels[s[0]] for s in layer]
-             for k, layer in enumerate(by_dim)]
+    layers = [sorted(s for s in simplex_set if len(s) == k + 1) for k in range(dim + 1)]
+    return _complex_of_layers(vlabels, layers)
+
+
+def _complex_of_layers(
+    vlabels: Sequence[str], layers: Sequence[Sequence[tuple[int, ...]]]
+) -> CellComplex:
+    """Complex of simplex layers that are already checked and sorted.
+
+    Layer k lists the k-simplices as increasing vertex tuples in
+    lexicographic order; layer 0 is every vertex in order, and every
+    face of a simplex is in the layer below.  The face omitting position
+    i gets boundary sign (-1)^i.
+    """
+    cells = [list(vlabels)]
+    cells += [["-".join([vlabels[v] for v in s]) for s in layer] for layer in layers[1:]]
     mats = []
-    for k in range(1, dim + 1):
-        entries = []
-        for col, simplex in enumerate(by_dim[k]):
-            for i in range(len(simplex)):
-                face = simplex[:i] + simplex[i + 1 :]
-                entries.append((index_of[k - 1][face], col, (-1) ** i))
-        mats.append(BoundaryMatrix(len(by_dim[k - 1]), len(by_dim[k]), tuple(entries)))
+    for k in range(1, len(layers)):
+        position = {simplex: row for row, simplex in enumerate(layers[k - 1])}
+        signs = [(i, (-1) ** i) for i in range(k + 1)]
+        entries = [
+            (position[simplex[:i] + simplex[i + 1 :]], col, sign)
+            for col, simplex in enumerate(layers[k])
+            for i, sign in signs
+        ]
+        mats.append(BoundaryMatrix(len(layers[k - 1]), len(layers[k]), tuple(entries)))
     return from_boundary_matrices(cells, mats)
 
 
@@ -197,9 +207,17 @@ def vietoris_rips(
     max_dim: int,
     max_simplices: int = DEFAULT_SIMPLEX_CAP,
 ) -> CellComplex:
-    """Vietoris-Rips complex of a point cloud at scale eps."""
-    simplices = [s for s, _ in rips_simplices(pc, eps, max_dim, max_simplices)]
-    return from_simplicial([str(i) for i in range(len(pc))], simplices)
+    """Vietoris-Rips complex of a point cloud at scale eps.
+
+    rips_simplices already lists its simplices downward closed and
+    sorted by (dimension, vertex tuple), so its levels are the layers.
+    """
+    simplices = rips_simplices(pc, eps, max_dim, max_simplices)
+    layers = [
+        [simplex for simplex, _ in level]
+        for _, level in itertools.groupby(simplices, key=lambda item: len(item[0]))
+    ]
+    return _complex_of_layers([str(i) for i in range(len(pc))], layers)
 
 
 # ---------------------------------------------------------------------------

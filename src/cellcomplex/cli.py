@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -24,8 +25,19 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _load_csv(path: str) -> np.ndarray:
+    """Rows of comma-separated numbers; an empty file gives an empty array.
+
+    numpy warns on an empty file; the caller's shape check reports it as
+    the one error line instead.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+
+
 def _load_points(path: str) -> builders.PointCloud:
-    return builders.PointCloud(np.loadtxt(path, delimiter=",", ndmin=2))
+    return builders.PointCloud(_load_csv(path))
 
 
 def _load_chain(path: str) -> ChainVector:
@@ -147,15 +159,12 @@ def _run_betti(args, output: str | None) -> int:
 
 def _run_spectrum(args, output: str | None) -> int:
     cc = io.load_complex(args.file)
-    basis = hodge.spectral_basis(cc, args.dim, _load_weights(args.weights))
+    eigenvalues, tags = hodge.laplacian_spectrum(cc, args.dim, _load_weights(args.weights))
     if output == "json":
-        doc = {
-            "eigenvalues": [io.round_sig(v) for v in basis.eigenvalues],
-            "tags": list(basis.tags),
-        }
+        doc = {"eigenvalues": [io.round_sig(v) for v in eigenvalues], "tags": list(tags)}
         sys.stdout.write(io.dumps(doc))
     else:
-        for lam, tag in zip(basis.eigenvalues, basis.tags):
+        for lam, tag in zip(eigenvalues, tags):
             sys.stdout.write(f"{_fmt(lam)},{tag}\n")
     return 0
 
@@ -222,7 +231,7 @@ def _dispatch(args) -> int:
     if args.command == "lift":
         cc = io.load_complex(args.graph)
         if args.lifting == "window":
-            coords = np.loadtxt(args.coords, delimiter=",", ndmin=2)
+            coords = _load_csv(args.coords)
             pairs = tuple(
                 core._edge_endpoints(cc.boundary(1), j) for j in range(cc.n_cells(1))
             )

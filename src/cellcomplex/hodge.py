@@ -6,14 +6,20 @@ into curl (im B_{k+1}), gradient (im B_k^T), and harmonic parts.  With
 diagonal positive weights W_k, the weighted boundary is
 W_{k-1}^{-1/2} B_k W_k^{1/2} and all operators are built from it.
 
-Operators are dense arrays; complexes above MAX_DENSE_CELLS cells in a
-dimension are rejected.  Spectra, decompositions and filters share one
-split: bases of im B_k^T and im B_{k+1} from thin SVDs sized by exact
+Each command computes only what it returns.  Polynomial filters
+(identity, lowpass, poly:) and the quadratic form never form a matrix:
+they apply L_k as sparse products over the entries of B_k and B_{k+1}
+(np.bincount), polynomials by Horner's rule, so they run at any size.
+Spectra, decompositions and heat filters read one split: im B_k^T and
+im B_{k+1} from SVDs of the dense weighted boundaries, sized by exact
 Smith-form ranks, never by float cutoffs, with the harmonic space as
-their complement.  Overflow, and a gradient or curl eigenvalue that
+their complement; a spectrum takes the singular values alone.  These
+dense operators reject complexes above MAX_DENSE_CELLS cells in a
+dimension.  Overflow, and a gradient or curl eigenvalue that
 underflows to 0, raise NonFiniteResult.  Spectral output is
-deterministic: eigenvalues ascend and each eigenvector's
-largest-magnitude entry is made positive.
+deterministic: eigenvalues ascend, ties keep the order gradient, curl,
+harmonic, and each eigenvector's largest-magnitude entry is made
+positive.
 """
 
 from __future__ import annotations
@@ -209,21 +215,92 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def _image_bases(
-    cc: CellComplex, k: int, weights: WeightSet | None
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    cc: CellComplex, k: int, weights: WeightSet | None, vectors: bool = True
+) -> tuple[tuple[np.ndarray | None, np.ndarray], tuple[np.ndarray | None, np.ndarray]]:
     """Orthonormal bases of im B_k^T (gradient) and im B_{k+1} (curl) with eigenvalues.
 
     Each basis is the top rank singular vectors of a thin SVD of the
     weighted boundary, rank exact from its Smith form.  The squared
     singular values are the eigenvalues of L_k on that subspace, since
-    each part of L_k annihilates the other's image.
+    each part of L_k annihilates the other's image.  With vectors=False
+    only the singular values are computed and both bases are None.
     """
     if not 0 <= k <= cc.dim:
         raise BadDimension(f"no Laplacian L_{k} on a {cc.dim}-complex")
-    _, s_down, vt = np.linalg.svd(dense_boundary(cc, k, weights), full_matrices=False)
-    u, s_up, _ = np.linalg.svd(dense_boundary(cc, k + 1, weights), full_matrices=False)
+    b_down, b_up = dense_boundary(cc, k, weights), dense_boundary(cc, k + 1, weights)
     down, up = boundary_rank(cc, k), boundary_rank(cc, k + 1)
+    if not vectors:  # numpy's SVD runs faster on the taller of B and B^T
+        s_down, s_up = (
+            np.linalg.svd(b if b.shape[0] >= b.shape[1] else b.T, compute_uv=False)
+            for b in (b_down, b_up)
+        )
+        return (None, s_down[:down] ** 2), (None, s_up[:up] ** 2)
+    _, s_down, vt = np.linalg.svd(b_down, full_matrices=False)
+    u, s_up, _ = np.linalg.svd(b_up, full_matrices=False)
     return (vt[:down].T, s_down[:down] ** 2), (u[:, :up], s_up[:up] ** 2)
+
+
+def _weighted_entries(
+    cc: CellComplex, j: int, weights: WeightSet | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """Rows, columns, values and shape of the weighted B_j, read from its entries.
+
+    B_0 and B_{dim+1} are the empty maps into and out of the end of the
+    chain complex.
+    """
+    shape = (cc.n_cells(j - 1), cc.n_cells(j))
+    if not 1 <= j <= cc.dim:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0), shape
+    entries = cc.boundary(j).entries
+    rows, cols, signs = np.array(entries, dtype=np.int64).reshape(len(entries), 3).T
+    values = signs.astype(float)
+    if weights is not None:
+        left = 1.0 / np.sqrt(weights.vector(j - 1))
+        values = left[rows] * values * np.sqrt(weights.vector(j))[cols]
+    return rows, cols, values, shape
+
+
+def _product(b, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """B x, or B^T x, of weighted entries as one np.bincount."""
+    rows, cols, values, (m, n) = b
+    if transpose:
+        return np.bincount(cols, weights=values * x[rows], minlength=n)
+    return np.bincount(rows, weights=values * x[cols], minlength=m)
+
+
+def _sparse_boundaries(cc: CellComplex, k: int, weights: WeightSet | None):
+    """The weighted B_k and B_{k+1} as entries, the two halves of L_k."""
+    if not 0 <= k <= cc.dim:
+        raise BadDimension(f"no Laplacian L_{k} on a {cc.dim}-complex")
+    if weights is not None:
+        weights.check_against(cc)
+    return _weighted_entries(cc, k, weights), _weighted_entries(cc, k + 1, weights)
+
+
+def _tagged_spectrum(
+    cc: CellComplex, k: int, weights: WeightSet | None, vectors: bool
+) -> tuple[np.ndarray, tuple[str, ...], np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues of L_k, their tags, and the sorting permutation.
+
+    The eigenvalues of the image bases come first, gradient then curl,
+    then one zero per harmonic dimension; a stable sort keeps that order
+    among ties.  With vectors=True the last item holds the gradient and
+    curl basis vectors side by side, in the unsorted order; otherwise
+    it is None.  An eigenvalue that overflows, or a gradient or curl
+    eigenvalue whose square underflows to 0, raises NonFiniteResult.
+    """
+    (down, down_values), (up, up_values) = _image_bases(cc, k, weights, vectors)
+    images = np.hstack([down, up]) if vectors else None
+    harmonic = cc.n_cells(k) - len(down_values) - len(up_values)
+    eigenvalues = np.concatenate([down_values, up_values, np.zeros(harmonic)])
+    tags = ("gradient",) * len(down_values) + ("curl",) * len(up_values)
+    tags += ("harmonic",) * harmonic
+    order = np.argsort(eigenvalues, kind="stable")
+    eigenvalues = _finite(eigenvalues[order], f"an eigenvalue of L_{k}")
+    if not (np.concatenate([down_values, up_values]) > 0).all():
+        raise NonFiniteResult(f"a gradient or curl eigenvalue of L_{k} underflowed to 0")
+    return eigenvalues, tuple(tags[i] for i in order), order, images
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,21 +351,25 @@ def spectral_basis(
     gradient or curl eigenvalue whose square underflows to 0, raises
     NonFiniteResult.
     """
-    (down, down_values), (up, up_values) = _image_bases(cc, k, weights)
-    images = np.hstack([down, up])
+    eigenvalues, tags, order, images = _tagged_spectrum(cc, k, weights, vectors=True)
     harmonic = np.linalg.qr(images, mode="complete")[0][:, images.shape[1] :]
-    eigenvalues = np.concatenate([down_values, up_values, np.zeros(harmonic.shape[1])])
-    tags = ("gradient",) * len(down_values) + ("curl",) * len(up_values)
-    tags += ("harmonic",) * harmonic.shape[1]
-    order = np.argsort(eigenvalues, kind="stable")
     vectors = np.hstack([images, harmonic])[:, order]
     if vectors.size:  # make each column's largest-magnitude entry positive
         pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
         vectors *= np.where(pivots < 0, -1.0, 1.0)
-    eigenvalues = _finite(eigenvalues[order], f"an eigenvalue of L_{k}")
-    if not (np.concatenate([down_values, up_values]) > 0).all():
-        raise NonFiniteResult(f"a gradient or curl eigenvalue of L_{k} underflowed to 0")
-    return SpectralBasis(eigenvalues, vectors, tuple(tags[i] for i in order))
+    return SpectralBasis(eigenvalues, vectors, tags)
+
+
+def laplacian_spectrum(
+    cc: CellComplex, k: int, weights: WeightSet | None = None
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The eigenvalues and tags of spectral_basis, without the eigenvectors.
+
+    Only the singular values of the two weighted boundaries are
+    computed, so the cost is that of two values-only SVDs.
+    """
+    eigenvalues, tags, _, _ = _tagged_spectrum(cc, k, weights, vectors=False)
+    return eigenvalues, tags
 
 
 FilterFunction = Callable[[np.ndarray], np.ndarray]
@@ -304,18 +385,14 @@ def _poly_filter(coeffs: Sequence[float]) -> FilterFunction:
     return apply
 
 
-def parse_filter(descriptor: str) -> FilterFunction:
-    """Resolve a filter descriptor from the registered family.
-
-    Accepted forms: ``identity``, ``lowpass`` (1 - lambda),
-    ``heat:t=T`` (exp(-T lambda)), and ``poly:c0,c1,...``.
-    """
+def _parse(descriptor: str) -> tuple[FilterFunction, tuple[float, ...] | None]:
+    """The filter function f of a descriptor and, if f is a polynomial, its coefficients."""
     name, _, params = descriptor.partition(":")
     if name == "identity" and not params:
-        return lambda lam: np.ones_like(lam)
-    if name == "lowpass" and not params:
-        return lambda lam: 1.0 - lam
-    if name == "heat":
+        coeffs = [1.0]
+    elif name == "lowpass" and not params:
+        coeffs = [1.0, -1.0]
+    elif name == "heat":
         if not params.startswith("t="):
             raise UnknownFilter(f"heat filter needs t=<value>, got {descriptor!r}")
         try:
@@ -324,8 +401,8 @@ def parse_filter(descriptor: str) -> FilterFunction:
             raise UnknownFilter(f"bad heat time in {descriptor!r}") from None
         if not math.isfinite(t):
             raise UnknownFilter(f"bad heat time in {descriptor!r}")
-        return lambda lam: np.exp(-t * lam)
-    if name == "poly":
+        return (lambda lam: np.exp(-t * lam)), None
+    elif name == "poly":
         try:
             coeffs = [float(c) for c in params.split(",")] if params else []
         except ValueError:
@@ -334,8 +411,18 @@ def parse_filter(descriptor: str) -> FilterFunction:
             raise UnknownFilter("poly filter needs comma-separated coefficients")
         if not all(math.isfinite(c) for c in coeffs):
             raise UnknownFilter(f"bad polynomial coefficients in {descriptor!r}")
-        return _poly_filter(coeffs)
-    raise UnknownFilter(f"unknown filter {descriptor!r}")
+    else:
+        raise UnknownFilter(f"unknown filter {descriptor!r}")
+    return _poly_filter(coeffs), tuple(coeffs)
+
+
+def parse_filter(descriptor: str) -> FilterFunction:
+    """Resolve a filter descriptor from the registered family.
+
+    Accepted forms: ``identity``, ``lowpass`` (1 - lambda),
+    ``heat:t=T`` (exp(-T lambda)), and ``poly:c0,c1,...``.
+    """
+    return _parse(descriptor)[0]
 
 
 def spectral_filter(
@@ -345,9 +432,25 @@ def spectral_filter(
     descriptor: str,
     weights: WeightSet | None = None,
 ) -> ChainVector:
-    """Apply a registered spectral filter U f(Lambda) U^T x; the harmonic part gets f(0)."""
+    """Apply a registered spectral filter U f(Lambda) U^T x; the harmonic part gets f(0).
+
+    A polynomial f (identity, lowpass, poly:) is p(L_k) x exactly, by
+    Horner's rule on sparse products of the weighted boundaries, with no
+    size limit.  A heat filter scales the image bases of the exact-rank
+    split, which are dense.
+    """
     values = _check_chain(cc, k, x)
-    f = parse_filter(descriptor)
+    f, coeffs = _parse(descriptor)
+    if coeffs is not None:
+        down, up = _sparse_boundaries(cc, k, weights)
+
+        def laplacian(v: np.ndarray) -> np.ndarray:
+            return _product(down, _product(down, v), True) + _product(up, _product(up, v, True))
+
+        filtered = coeffs[-1] * values
+        for c in reversed(coeffs[:-1]):
+            filtered = laplacian(filtered) + c * values
+        return ChainVector(k, _finite(filtered, "filtered chain"))
     at_zero = f(np.zeros(1))
     filtered = at_zero * values
     for basis, eigenvalues in _image_bases(cc, k, weights):
@@ -361,11 +464,10 @@ def quadratic_form(
     x: ChainVector,
     weights: WeightSet | None = None,
 ) -> float:
-    """x^T L_k x, the variation energy |B_{k+1}^T x|^2 + |B_k x|^2."""
+    """x^T L_k x, the variation energy |B_{k+1}^T x|^2 + |B_k x|^2, from sparse products."""
     values = _check_chain(cc, k, x)
-    down = dense_boundary(cc, k, weights)
-    up = dense_boundary(cc, k + 1, weights)
-    return float(np.sum((up.T @ values) ** 2) + np.sum((down @ values) ** 2))
+    down, up = _sparse_boundaries(cc, k, weights)
+    return float(np.sum(_product(up, values, True) ** 2) + np.sum(_product(down, values) ** 2))
 
 
 def weighted_inner_product(x: ChainVector, y: ChainVector, weight: np.ndarray) -> float:

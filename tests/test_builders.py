@@ -109,6 +109,20 @@ class TestVietorisRips:
         # Same simplices in the same order, diameters equal as floats.
         assert rips_simplices(cloud, eps, max_dim) == helpers.rips_oracle(cloud, eps, max_dim)
 
+    @settings(max_examples=200)
+    @given(cloud=helpers.clouds(), eps=helpers.scales(), max_dim=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_from_simplicial(self, cloud, eps, max_dim, seed):
+        # vietoris_rips skips the checks and the sort of from_simplicial;
+        # fed the same simplices in any order, from_simplicial must agree.
+        simplices = [s for s, _ in rips_simplices(cloud, eps, max_dim)]
+        random.Random(seed).shuffle(simplices)
+        expected = cx.from_simplicial(range(len(cloud)), simplices)
+        cc = cx.vietoris_rips(cloud, eps, max_dim)
+        assert cc.cells == expected.cells
+        assert [b.shape for b in cc.boundaries] == [b.shape for b in expected.boundaries]
+        assert [b.entries for b in cc.boundaries] == [b.entries for b in expected.boundaries]
+
 
 class TestProduct:
     def test_paper_square_golden(self):

@@ -252,6 +252,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["persist", "{csv}", "--max-eps", "1", "--max-dim", "1"],
+        ["build", "vr", "{csv}", "--eps", "1", "--maxdim", "1"],
+        ["lift", "window", "{graph}", "--coords", "{csv}"],
+    ], ids=["persist", "build-vr", "lift-window"])
+    def test_empty_csv_is_one_error_line(self, capsys, tmp_path, toy_graph, argv):
+        csv = tmp_path / "empty.csv"
+        csv.write_text("")
+        graph = tmp_path / "graph.json"
+        graph.write_text(io.dumps(io.complex_to_json(toy_graph)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *(a.format(csv=csv, graph=graph) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not caught  # a numpy warning would print to stderr outside pytest
+
 
 def _edge_doc() -> dict:
     return io.complex_to_json(helpers.k2_paper())

@@ -9,7 +9,8 @@ signals and weights in ``hodge_inputs.json``, compare with
 and per tag the sorted eigenvalues, or the chain values, to 1e-9
 relative to the largest magnitude in the expected output.  Sorting
 within a tag leaves out the order of tied eigenvalues, which LAPACK
-does not fix.
+does not fix.  ``golden/capture_hodge.py`` writes the expected outputs
+from whichever ``src/`` is on PYTHONPATH.
 """
 
 import json
@@ -80,6 +81,9 @@ HODGE_COMMANDS = {
     "decompose": ["decompose"],
     "heat": ["filter", "--filter", "heat:t=0.5"],
     "poly": ["filter", "--filter", "poly:0.5,-0.25,0.125"],
+    "lowpass": ["filter", "--filter", "lowpass"],
+    "identity": ["filter", "--filter", "identity"],
+    "spectrumjson": ["--output", "json", "spectrum"],
 }
 HODGE_CASES = [
     f"{command}_{name}_{k}{'_w' if weighted else ''}"
@@ -95,7 +99,7 @@ def hodge_argv(case: str, tmp_path: Path) -> list[str]:
     command, name, k, *weighted = case.split("_")
     inputs = HODGE_INPUTS[name]
     argv = [*HODGE_COMMANDS[command], f"{G}/{name}.json", "--dim", k]
-    if command != "spectrum":
+    if "spectrum" not in HODGE_COMMANDS[command]:
         signal = tmp_path / "signal.json"
         signal.write_text(json.dumps({"dim": int(k), "values": inputs["signals"][int(k)]}))
         argv += ["--signal", str(signal)]
@@ -108,14 +112,19 @@ def hodge_argv(case: str, tmp_path: Path) -> list[str]:
 
 def hodge_values(case: str, out: str) -> dict[str, np.ndarray]:
     """Per-tag sorted eigenvalues of a spectrum, or the chain(s) of a decompose/filter."""
-    if case.startswith("spectrum"):
+    command = case.split("_")[0]
+    if "spectrum" in HODGE_COMMANDS[command]:
+        if command == "spectrumjson":
+            doc = json.loads(out)
+            rows = zip(doc["eigenvalues"], doc["tags"])
+        else:
+            rows = (line.split(",") for line in out.splitlines())
         by_tag: dict[str, list[float]] = {}
-        for line in out.splitlines():
-            value, tag = line.split(",")
+        for value, tag in rows:
             by_tag.setdefault(tag, []).append(float(value))
         return {tag: np.sort(values) for tag, values in by_tag.items()}
     doc = json.loads(out)
-    chains = doc if case.startswith("decompose") else {"chain": doc}
+    chains = doc if command == "decompose" else {"chain": doc}
     return {part: np.array(chain["values"]) for part, chain in chains.items()}
 
 

@@ -1,6 +1,7 @@
 """Hodge Laplacians, weights, Dirac operator, spectra, filters."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -290,6 +291,82 @@ class TestAgainstOracles:
                 assert np.max(np.abs(out.values - want), initial=0.0) <= 1e-8
 
 
+class TestValuesOnlySpectrum:
+    """laplacian_spectrum against the eigenvalues and tags of spectral_basis."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans(), weighted=st.booleans())
+    def test_matches_spectral_basis(self, seed, two_complex, weighted):
+        rng = random.Random(seed)
+        if two_complex:
+            cc = helpers.random_two_complex(rng)
+        else:
+            cc = helpers.random_builder_complex(rng)
+        weights = helpers.random_weights(rng, cc) if weighted else None
+        for k in range(cc.dim + 1):
+            eigenvalues, tags = cx.laplacian_spectrum(cc, k, weights)
+            basis = cx.spectral_basis(cc, k, weights)
+            assert Counter(tags) == Counter(basis.tags)
+            assert np.all(np.diff(eigenvalues) >= 0)
+            scale = float(np.max(basis.eigenvalues, initial=0.0))
+            for tag in set(tags):
+                mine = np.sort(eigenvalues[np.array(tags) == tag])
+                full = np.sort(basis.eigenvalues[np.array(basis.tags) == tag])
+                assert np.max(np.abs(mine - full)) <= 1e-10 * scale
+
+    def test_bad_dimension(self, toy):
+        for k in (-1, 3):
+            with pytest.raises(errors.BadDimension):
+                cx.laplacian_spectrum(toy, k)
+
+
+class TestPastTheDenseLimit:
+    """Polynomial filters and the quadratic form on a 60x60 grid, whose 3,721
+    vertices exceed MAX_DENSE_CELLS, against L_0 from the edge list."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return cx.cubical([60, 60])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_polynomial_filters_and_energy(self, grid, weighted):
+        assert grid.n_cells(0) > hodge.MAX_DENSE_CELLS
+        weights = helpers.random_weights(random.Random(15), grid) if weighted else None
+        w0, w1 = (weights.vector(0), weights.vector(1)) if weighted else (1.0, 1.0)
+        tails = np.array([i for i, _, s in grid.boundary(1).entries if s == -1])
+        heads = np.array([i for i, _, s in grid.boundary(1).entries if s == 1])
+
+        def differences(v):  # W1^{1/2} B1^T W0^{-1/2} v
+            y = v / np.sqrt(w0)
+            return np.sqrt(w1) * (y[heads] - y[tails])
+
+        def laplacian(v):  # W0^{-1/2} B1 W1 B1^T W0^{-1/2} v, edge by edge
+            flow = np.sqrt(w1) * differences(v)
+            out = np.zeros(len(v))
+            np.add.at(out, heads, flow)
+            np.add.at(out, tails, -flow)
+            return out / np.sqrt(w0)
+
+        x = np.random.default_rng(15).normal(size=grid.n_cells(0))
+        chain = cx.ChainVector(0, x)
+        lx = laplacian(x)
+        expected = {
+            "identity": x,
+            "lowpass": x - lx,
+            "poly:0.5,-0.25,0.125": 0.5 * x - 0.25 * lx + 0.125 * laplacian(lx),
+        }
+        for descriptor, want in expected.items():
+            out = cx.spectral_filter(grid, 0, chain, descriptor, weights).values
+            assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+        energy = float(np.sum(differences(x) ** 2))
+        assert abs(cx.quadratic_form(grid, 0, chain, weights) - energy) <= 1e-12 * energy
+
+    def test_heat_stays_dense(self, grid):
+        x = cx.ChainVector(0, np.ones(grid.n_cells(0)))
+        with pytest.raises(errors.SizeLimitExceeded):
+            cx.spectral_filter(grid, 0, x, "heat:t=0.5")
+
+
 class TestSpectralFilter:
     def test_identity(self, toy):
         x = cx.ChainVector(1, np.arange(1.0, 7.0))
@@ -315,6 +392,13 @@ class TestSpectralFilter:
         out = cx.spectral_filter(toy, 1, x, "poly:2,-1")
         direct = 2 * x.values - cx.hodge_laplacian(toy, 1) @ x.values
         assert np.max(np.abs(out.values - direct)) <= 1e-8
+
+    def test_polynomial_filter_checks_dimension_and_weights(self, toy):
+        with pytest.raises(errors.BadDimension):
+            cx.spectral_filter(toy, 3, cx.ChainVector(3, []), "poly:1,2")
+        short = cx.WeightSet((np.ones(4), np.ones(6), np.ones(2)))
+        with pytest.raises(errors.ShapeMismatch):
+            cx.spectral_filter(toy, 1, cx.ChainVector(1, np.ones(6)), "lowpass", short)
 
     @pytest.mark.parametrize(
         "descriptor", ["bandpass", "heat", "heat:tau=1", "poly:", "poly:a,b", "identity:x"]
@@ -342,6 +426,27 @@ class TestQuadraticForm:
             direct = cx.quadratic_form(toy, 1, x)
             coeffs = basis.vectors.T @ x.values
             assert np.isclose(direct, np.sum(basis.eigenvalues * coeffs**2), atol=1e-8)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans(), weighted=st.booleans())
+    def test_matches_dense_boundaries(self, seed, two_complex, weighted):
+        rng = random.Random(seed)
+        if two_complex:
+            cc = helpers.random_two_complex(rng)
+        else:
+            cc = helpers.random_builder_complex(rng)
+        weights = helpers.random_weights(rng, cc) if weighted else None
+        for k in range(cc.dim + 1):
+            x = np.array([rng.uniform(-2, 2) for _ in range(cc.n_cells(k))])
+            down = hodge.dense_boundary(cc, k, weights)
+            up = hodge.dense_boundary(cc, k + 1, weights)
+            dense = float(np.sum((up.T @ x) ** 2) + np.sum((down @ x) ** 2))
+            energy = cx.quadratic_form(cc, k, cx.ChainVector(k, x), weights)
+            assert abs(energy - dense) <= 1e-12 * dense + 1e-300
+
+    def test_bad_dimension(self, toy):
+        with pytest.raises(errors.BadDimension):
+            cx.quadratic_form(toy, 3, cx.ChainVector(3, []))
 
     def test_nonnegative_and_zero_on_harmonics(self, toy_minus):
         rng = np.random.default_rng(14)
