@@ -43,6 +43,9 @@ from .errors import (
 
 DEFAULT_SIMPLEX_CAP = 10**6
 DEFAULT_CYCLE_CAP = 10**5
+# Elements per temporary array in blocked numpy passes: the Rips
+# candidate masks and the pairwise checks of PlanarEmbedding.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +66,26 @@ class PointCloud:
         return len(self.points)
 
     def distances(self) -> np.ndarray:
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        return np.sqrt(np.sum(diff**2, axis=-1))
+        """Euclidean distance matrix, one squared coordinate difference at
+        a time; summed in numpy's pairwise order, so it is bit-identical
+        to np.sqrt(np.sum(diff**2, axis=-1)) over the broadcast diff."""
+        return np.sqrt(_pairwise_sum([(c[:, None] - c[None, :]) ** 2 for c in self.points.T]))
+
+
+def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of terms in the order numpy's pairwise summation
+    adds the elements of a contiguous axis: in turn below 8 terms, eight
+    running sums combined as a tree up to 128 terms, halves above."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    if n < 8:
+        return sum(terms[1:], terms[0])
+    full = n - n % 8
+    r = [sum(terms[j + 8 : full : 8], terms[j]) for j in range(8)]
+    tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return sum(terms[full:], tree)
 
 
 # ---------------------------------------------------------------------------
@@ -120,48 +141,105 @@ def from_simplicial(
         raise UncoveredVertex(f"vertex {vlabels[missing[0]]!r} lies in no simplex")
 
     dim = max(len(s) for s in simplex_set) - 1
-    layers = [sorted(s for s in simplex_set if len(s) == k + 1) for k in range(dim + 1)]
+    layers = [
+        np.array(sorted(s for s in simplex_set if len(s) == k + 1), dtype=np.int64)
+        for k in range(dim + 1)
+    ]
     return _complex_of_layers(vlabels, layers)
 
 
-def _complex_of_layers(
-    vlabels: Sequence[str], layers: Sequence[Sequence[tuple[int, ...]]]
-) -> CellComplex:
+def _complex_of_layers(vlabels: Sequence[str], layers: Sequence[np.ndarray]) -> CellComplex:
     """Complex of simplex layers that are already checked and sorted.
 
-    Layer k lists the k-simplices as increasing vertex tuples in
-    lexicographic order; layer 0 is every vertex in order, and every
-    face of a simplex is in the layer below.  The face omitting position
-    i gets boundary sign (-1)^i.
+    Layer k is an int array whose rows are the k-simplices' increasing
+    vertex tuples in lexicographic order; layer 0 is every vertex in
+    order, and every face of a simplex is in the layer below.  The face
+    omitting position i gets boundary sign (-1)^i.
     """
     cells = [list(vlabels)]
-    cells += [["-".join([vlabels[v] for v in s]) for s in layer] for layer in layers[1:]]
+    cells += [["-".join([vlabels[v] for v in s]) for s in layer.tolist()] for layer in layers[1:]]
     mats = []
     for k in range(1, len(layers)):
-        position = {simplex: row for row, simplex in enumerate(layers[k - 1])}
-        signs = [(i, (-1) ** i) for i in range(k + 1)]
-        entries = [
-            (position[simplex[:i] + simplex[i + 1 :]], col, sign)
-            for col, simplex in enumerate(layers[k])
-            for i, sign in signs
-        ]
-        mats.append(BoundaryMatrix(len(layers[k - 1]), len(layers[k]), tuple(entries)))
+        m = len(layers[k])
+        rows = _match_rows(layers[k - 1], _facets(layers[k]))[0]
+        cols = np.tile(np.arange(m), k + 1)
+        signs = np.repeat([(-1) ** (k - j) for j in range(k + 1)], m)
+        order = np.lexsort(_radix_keys((rows, cols)))
+        entries = zip(rows[order].tolist(), cols[order].tolist(), signs[order].tolist())
+        mats.append(BoundaryMatrix(len(layers[k - 1]), m, tuple(entries)))
     return from_boundary_matrices(cells, mats)
+
+
+def _facets(simplices: np.ndarray) -> np.ndarray:
+    """The facets of rows of k-simplices, facet j omitting vertex k - j
+    (itertools.combinations order); facet j of row r is row j * m + r."""
+    m, size = simplices.shape
+    keep = [[c for c in range(size) if c != size - 1 - j] for j in range(size)]
+    return simplices[:, keep].transpose(1, 0, 2).reshape(size * m, size - 1)
+
+
+def _match_rows(table: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact row lookup by one stable lexsort of the table and query rows.
+
+    Returns the index in table of each query row (-1 where no table row
+    equals it) and a mask of the table rows equal to an earlier one.
+    Rows compare column by column, so no key is formed from a row and
+    nothing can overflow.  Equal rows sort together, table rows first in
+    their original order, so each query's match leads its run.
+    """
+    t = len(table)
+    both = np.concatenate([table, queries])
+    order = np.lexsort(_radix_keys(both.T[::-1]))  # stable: table rows stay first, in order
+    starts = np.ones(len(both), dtype=bool)
+    starts[1:] = False
+    for column in both.T:  # column by column: numpy reduces across short rows slowly
+        ranked = column[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    lead = order[np.maximum.accumulate(np.where(starts, np.arange(len(both)), 0))]
+    hits = np.empty(len(queries), dtype=np.int64)
+    hits[order[order >= t] - t] = lead[order >= t]
+    hits[hits >= t] = -1
+    repeated = np.zeros(t, dtype=bool)
+    repeated[order[~starts & (order < t)]] = True
+    return hits, repeated
+
+
+def _radix_keys(columns) -> list[np.ndarray]:
+    """np.lexsort keys that order like the int columns (the last one most
+    significant) but sort by radix: each column, less its minimum when
+    that is negative, is split into the 16-bit digits its largest value
+    needs, lowest first.  Exact for any int64 values; numpy sorts 16-bit
+    keys in linear time."""
+    keys = []
+    for column in columns:
+        offset = column.astype(np.uint64) - column.min(initial=0).astype(np.uint64)
+        for shift in range(0, max(int(offset.max(initial=0)).bit_length(), 1), 16):
+            keys.append((offset >> np.uint64(shift)).astype(np.uint16))
+    return keys
 
 
 def rips_simplices(
     pc: PointCloud, eps: float, max_dim: int, cap: int = DEFAULT_SIMPLEX_CAP
-) -> list[tuple[tuple[int, ...], float]]:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """All Rips simplices up to max_dim with their birth diameters.
 
     A subset of points is a simplex when its pairwise distances all stay
     within eps; its diameter (0 for vertices) is the largest pairwise
-    distance.  Output is sorted by (dimension, vertex tuple).
+    distance.  Level k of the returned list is one ``(vertices,
+    diameters)`` pair: an int array of shape (m, k + 1) whose rows are
+    the k-simplices' increasing vertex tuples in lexicographic order,
+    and a float array of their m diameters.  The list stops at the
+    highest dimension that has a simplex.
 
-    Each simplex is extended by the vertices above its last one that lie
-    within eps of all its vertices (its candidates), in increasing
-    order, so every level comes out sorted.  A coface's diameter is the
-    larger of its parent's and the lengths from the new vertex.
+    Level k + 1 comes from level k.  The candidates of a simplex are the
+    vertices above its last one within eps of all its vertices: the AND
+    of its vertices' rows of the strict upper-triangular mask dist <= eps.
+    A coface's diameter is the larger of its parent's and the largest
+    distance from the new vertex.  Rows go in blocks of about _BLOCK
+    mask elements, and each block's count is checked against cap before
+    its simplices are built, so memory stays bounded when the cap is
+    hit.  The cap counts the vertices too, but only a cloud with an edge
+    can exceed it.
     """
     if not eps >= 0:
         raise ValueError("eps must be non-negative")
@@ -169,36 +247,30 @@ def rips_simplices(
         raise ValueError("max_dim must be non-negative")
     dist = pc.distances()
     n = len(pc)
-    out: list[tuple[tuple[int, ...], float]] = [((i,), 0.0) for i in range(n)]
-    # near[i] maps each vertex within eps of i to its distance.
-    near: list[dict[int, float]] = [{} for _ in range(n)]
-    above: list[list[int]] = [[] for _ in range(n)]
-    rows, cols = np.nonzero(np.triu(dist <= eps, 1))
-    for i, j, d in zip(rows.tolist(), cols.tolist(), dist[rows, cols].tolist()):
-        near[i][j] = near[j][i] = d
-        above[i].append(j)
-    level = [((i,), 0.0, above[i]) for i in range(n) if above[i]]
-    for dim in range(1, max_dim + 1):
-        top = dim == max_dim
-        nxt = []
-        for simplex, diameter, candidates in level:
-            for pos, j in enumerate(candidates):
-                lengths = near[j]
-                bigger = simplex + (j,)
-                size = max(diameter, *[lengths[v] for v in simplex])
-                out.append((bigger, size))
-                if len(out) > cap:
-                    raise TooManySimplices(
-                        f"more than {cap} simplices at eps={eps}; raise the cap"
-                    )
-                if not top:
-                    rest = [c for c in candidates[pos + 1 :] if c in lengths]
-                    if rest:
-                        nxt.append((bigger, size, rest))
-        level = nxt
-        if not level:
+    near = np.triu(dist <= eps, 1)
+    levels = [(np.arange(n).reshape(n, 1), np.zeros(n))]
+    total = n
+    step = max(1, _BLOCK // n)
+    for _ in range(max_dim):
+        vertices, diameters = levels[-1]
+        blocks = []
+        for start in range(0, len(vertices), step):
+            parents = vertices[start : start + step]
+            fits = near[parents[:, 0]]
+            for column in parents.T[1:]:
+                fits &= near[column]
+            found = np.count_nonzero(fits)
+            total += found
+            if found and total > cap:
+                raise TooManySimplices(f"more than {cap} simplices at eps={eps}; raise the cap")
+            rows, new = np.nonzero(fits)
+            parent = parents[rows]
+            size = np.maximum(diameters[start + rows], dist[parent, new[:, None]].max(axis=1))
+            blocks.append((np.column_stack([parent, new]), size))
+        if not any(len(size) for _, size in blocks):
             break
-    return out
+        levels.append(tuple(map(np.concatenate, zip(*blocks))))
+    return levels
 
 
 def vietoris_rips(
@@ -209,15 +281,11 @@ def vietoris_rips(
 ) -> CellComplex:
     """Vietoris-Rips complex of a point cloud at scale eps.
 
-    rips_simplices already lists its simplices downward closed and
-    sorted by (dimension, vertex tuple), so its levels are the layers.
+    The vertex arrays of rips_simplices are downward closed and sorted,
+    so they are the layers.
     """
-    simplices = rips_simplices(pc, eps, max_dim, max_simplices)
-    layers = [
-        [simplex for simplex, _ in level]
-        for _, level in itertools.groupby(simplices, key=lambda item: len(item[0]))
-    ]
-    return _complex_of_layers([str(i) for i in range(len(pc))], layers)
+    levels = rips_simplices(pc, eps, max_dim, max_simplices)
+    return _complex_of_layers([str(i) for i in range(len(pc))], [v for v, _ in levels])
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +395,6 @@ def cubical(sizes: Sequence[int]) -> CellComplex:
 # ---------------------------------------------------------------------------
 # Graph liftings
 # ---------------------------------------------------------------------------
-
-
-# Elements per temporary array in the pairwise checks of PlanarEmbedding.
-_BLOCK = 1 << 16
 
 
 def _first_violation(n_rows: int, n_cols: int, bad, upper: bool):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from typing import Sequence
@@ -52,34 +53,30 @@ def _load_weights(path: str | None) -> hodge.WeightSet | None:
         return hodge.WeightSet(tuple(io.weights_from_json(json.load(fh))))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ccx", description="Cell complex toolkit: build, validate, analyse."
-    )
-    parser.add_argument("--output", choices=("json", "csv"), default=None,
-                        help="override the command's default output format")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check regularity conditions")
+def _validate_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--nd", action="store_true", help="run the per-cell n-d conditions")
 
-    p = sub.add_parser("betti", help="Betti numbers")
+
+def _betti_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--integer", action="store_true", help="exact integer homology")
 
-    p = sub.add_parser("decompose", help="gradient/curl/harmonic split of a chain")
+
+def _decompose_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--signal", required=True)
     p.add_argument("--weights")
 
-    p = sub.add_parser("spectrum", help="Hodge Laplacian eigenvalues with tags")
+
+def _spectrum_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--weights")
 
-    p = sub.add_parser("filter", help="apply a spectral filter to a chain")
+
+def _filter_args(p) -> None:
     p.add_argument("file")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--signal", required=True)
@@ -87,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="DESC", help="identity | lowpass | heat:t=T | poly:c0,c1,...")
     p.add_argument("--weights")
 
-    p = sub.add_parser("build", help="build a complex")
+
+def _build_args(p) -> None:
     build_sub = p.add_subparsers(dest="builder", required=True)
     b = build_sub.add_parser("vr", help="Vietoris-Rips complex of a point cloud")
     b.add_argument("points", help="csv file, one comma-separated point per row")
@@ -96,11 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     b = build_sub.add_parser("cubical", help="cubical lattice complex")
     b.add_argument("sizes", type=int, nargs="+")
 
-    p = sub.add_parser("product", help="product of two complexes")
+
+def _product_args(p) -> None:
     p.add_argument("a")
     p.add_argument("b")
 
-    p = sub.add_parser("lift", help="attach 2-cells to a graph")
+
+def _lift_args(p) -> None:
     lift_sub = p.add_subparsers(dest="lifting", required=True)
     l = lift_sub.add_parser("window", help="inner windows of a planar embedding")
     l.add_argument("graph")
@@ -113,12 +113,69 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("graph")
     l.add_argument("--max-cells", type=int, default=builders.DEFAULT_CYCLE_CAP)
 
-    p = sub.add_parser("persist", help="persistence diagram of a Rips filtration")
+
+def _persist_args(p) -> None:
     p.add_argument("points")
     p.add_argument("--max-eps", type=float, required=True)
     p.add_argument("--max-dim", type=int, required=True)
     p.add_argument("--keep-zero-bars", action="store_true")
+
+
+# Subcommand -> (help, function that adds its arguments), in help order.
+_SUBCOMMANDS = {
+    "validate": ("check regularity conditions", _validate_args),
+    "betti": ("Betti numbers", _betti_args),
+    "decompose": ("gradient/curl/harmonic split of a chain", _decompose_args),
+    "spectrum": ("Hodge Laplacian eigenvalues with tags", _spectrum_args),
+    "filter": ("apply a spectral filter to a chain", _filter_args),
+    "build": ("build a complex", _build_args),
+    "product": ("product of two complexes", _product_args),
+    "lift": ("attach 2-cells to a graph", _lift_args),
+    "persist": ("persistence diagram of a Rips filtration", _persist_args),
+}
+
+
+def build_parser(
+    command: str | None = None, parser_class: type = argparse.ArgumentParser
+) -> argparse.ArgumentParser:
+    """The ``ccx`` parser, with every subcommand or with ``command`` only."""
+    parser = parser_class(
+        prog="ccx", description="Cell complex toolkit: build, validate, analyse."
+    )
+    parser.add_argument("--output", choices=("json", "csv"), default=None,
+                        help="override the command's default output format")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_arguments) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=text))
     return parser
+
+
+class _Retry(Exception):
+    """The one-subcommand parser met help or an error."""
+
+
+class _QuietParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Retry
+
+    def print_help(self, file=None):
+        raise _Retry
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parse with a parser of the invoked subcommand alone.
+
+    Building every subcommand costs more than parsing.  Help and usage
+    errors are left to the full parser, which parses argv again, so
+    their bytes and exit codes do not depend on the shortcut.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = next((arg for arg in argv if arg in _SUBCOMMANDS), None)
+    try:
+        return build_parser(command, _QuietParser).parse_args(argv)
+    except _Retry:
+        return build_parser().parse_args(argv)
 
 
 def _emit_complex(cc) -> int:
@@ -173,22 +230,23 @@ def _run_persist(args, output: str | None) -> int:
     cloud = _load_points(args.points)
     filtration = persist.vr_filtration(cloud, args.max_eps, args.max_dim)
     diagram = persist.persistence(filtration, keep_zero_bars=args.keep_zero_bars)
+    bars = zip(diagram.dims.tolist(), diagram.births.tolist(), diagram.deaths.tolist())
     if output == "json":
         doc = {
             "bars": [
                 {
-                    "dim": bar.dim,
-                    "birth": io.round_sig(bar.birth),
-                    "death": "inf" if bar.infinite else io.round_sig(bar.death),
+                    "dim": dim,
+                    "birth": io.round_sig(birth),
+                    "death": "inf" if death == math.inf else io.round_sig(death),
                 }
-                for bar in diagram.bars
+                for dim, birth, death in bars
             ]
         }
         sys.stdout.write(io.dumps(doc))
     else:
-        for bar in diagram.bars:
-            death = "inf" if bar.infinite else _fmt(bar.death)
-            sys.stdout.write(f"{bar.dim},{_fmt(bar.birth)},{death}\n")
+        # The values are Python floats, so this is _fmt's format; inf prints "inf".
+        lines = [f"{dim},{birth:.12g},{death:.12g}\n" for dim, birth, death in bars]
+        sys.stdout.write("".join(lines))
     return 0
 
 
@@ -246,8 +304,7 @@ def _dispatch(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         # Overflow reaches stderr only as the error line of NonFiniteResult.
         with np.errstate(all="ignore"):

@@ -225,7 +225,11 @@ def persistence_oracle(
         if not column and i not in low_owner:
             bars.append(PersistenceBar(steps[i].dim, steps[i].birth, math.inf))
     bars.sort(key=lambda b: (b.dim, b.birth, b.death))
-    return PersistenceDiagram(tuple(bars))
+    return PersistenceDiagram(
+        np.array([b.dim for b in bars], dtype=np.int64),
+        np.array([b.birth for b in bars], dtype=float),
+        np.array([b.death for b in bars], dtype=float),
+    )
 
 
 def rips_oracle(
@@ -236,7 +240,7 @@ def rips_oracle(
     Sorted by (dimension, vertex tuple); a simplex's diameter is its
     largest pairwise distance, 0.0 for a vertex.
     """
-    dist = pc.distances()
+    dist = distances_oracle(pc)
     out = [((i,), 0.0) for i in range(len(pc))]
     for size in range(2, max_dim + 2):
         for subset in itertools.combinations(range(len(pc)), size):
@@ -244,6 +248,22 @@ def rips_oracle(
             if all(d <= eps for d in lengths):
                 out.append((subset, max(lengths)))
     return out
+
+
+def rips_listed(levels) -> list[tuple[tuple[int, ...], float]]:
+    """rips_simplices levels as one list of (vertex tuple, diameter), in
+    the oracle's format, after checking each level's array shapes."""
+    out = []
+    for k, (vertices, diameters) in enumerate(levels):
+        assert len(diameters) and vertices.shape == (len(diameters), k + 1)
+        out += zip(map(tuple, vertices.tolist()), diameters.tolist())
+    return out
+
+
+def distances_oracle(pc: cx.PointCloud) -> np.ndarray:
+    """Euclidean distances by broadcasting every coordinate at once."""
+    diff = pc.points[:, None, :] - pc.points[None, :, :]
+    return np.sqrt(np.sum(diff**2, axis=-1))
 
 
 def dumps_oracle(doc) -> str:

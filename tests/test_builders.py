@@ -52,6 +52,46 @@ class TestFromSimplicial:
         assert cc.cells[2] == ("0-1-2",)
 
 
+class TestPointCloudDistances:
+    @settings(max_examples=200)
+    @given(data=st.data(), d=st.integers(1, 4), n=st.integers(1, 12))
+    def test_bit_identical_to_broadcasting(self, data, d, n):
+        coordinate = data.draw(st.sampled_from([
+            st.floats(-1e3, 1e3, allow_subnormal=False), st.integers(-3, 3),
+        ]))
+        points = data.draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
+                                    min_size=n, max_size=n))
+        points += data.draw(st.lists(st.sampled_from(points), max_size=3))  # repeats
+        cloud = cx.PointCloud(points)
+        assert np.array_equal(cloud.distances(), helpers.distances_oracle(cloud))
+
+    # From 8 coordinates on, numpy sums in blocks of eight, and above 128 by halves.
+    @pytest.mark.parametrize("d", [5, 8, 9, 16, 23, 128, 129, 300])
+    def test_bit_identical_in_high_dimension(self, d):
+        rng = np.random.default_rng(d)
+        points = rng.normal(size=(9, d)) * rng.uniform(0.01, 100, size=d)
+        cloud = cx.PointCloud(np.vstack([points, points[:2]]))
+        assert np.array_equal(cloud.distances(), helpers.distances_oracle(cloud))
+
+
+@settings(max_examples=200)
+@given(data=st.data(), width=st.integers(1, 4))
+def test_match_rows_finds_equal_rows(data, width):
+    # Values near the int64 limits: a key built from a row would overflow.
+    value = st.sampled_from([-(2**63), -(2**62), -1, 0, 1, 2, 2**62, 2**63 - 1])
+    row = st.tuples(*[value] * width)
+    table = data.draw(st.lists(row, max_size=12))
+    queries = data.draw(st.lists(st.one_of(row, st.sampled_from(table or [(0,) * width])),
+                                 max_size=12))
+    shape = lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), width)  # noqa: E731
+    hits, repeated = builders._match_rows(shape(table), shape(queries))
+    first = {}
+    for i, r in enumerate(table):
+        first.setdefault(r, i)
+    assert hits.tolist() == [first.get(q, -1) for q in queries]
+    assert repeated.tolist() == [first[r] != i for i, r in enumerate(table)]
+
+
 class TestVietorisRips:
     def test_triangle_within_eps(self):
         cloud = cx.PointCloud([[0, 0], [1, 0], [0.5, 0.8]])
@@ -103,11 +143,43 @@ class TestVietorisRips:
         with pytest.raises(errors.TooManySimplices):
             cx.vietoris_rips(cloud, math.inf, 2, max_simplices=6)
 
+    # The cap counts every simplex, vertices included, and only a cloud
+    # with at least one edge can exceed it.
+    @pytest.mark.parametrize("build", [
+        lambda cloud, cap: rips_simplices(cloud, 2.0, 2, cap),
+        lambda cloud, cap: cx.vietoris_rips(cloud, 2.0, 2, max_simplices=cap),
+    ], ids=["rips_simplices", "vietoris_rips"])
+    def test_cap_boundary(self, build):
+        square = cx.PointCloud([[0, 0], [1, 0], [1, 1], [0, 1]])  # 4 + 6 + 4 simplices
+        build(square, 14)
+        with pytest.raises(errors.TooManySimplices, match="more than 13 simplices"):
+            build(square, 13)
+        apart = cx.PointCloud([[10.0 * i, 0] for i in range(5)])
+        build(apart, 3)
+        with pytest.raises(errors.TooManySimplices):
+            build(cx.PointCloud([[0, 0], [1, 0], [10, 0], [20, 0], [30, 0]]), 4)
+
+    def test_cap_bounds_memory(self):
+        # Every edge of 400 points is within eps = inf: 80,200 simplices
+        # up to dimension 1, and the triangles pass the cap block by block.
+        import tracemalloc
+
+        cloud = cx.PointCloud(np.random.default_rng(3).uniform(size=(400, 2)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.TooManySimplices):
+                rips_simplices(cloud, math.inf, 2, cap=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     @settings(max_examples=300)
     @given(cloud=helpers.clouds(), eps=helpers.scales(), max_dim=st.integers(0, 3))
     def test_rips_simplices_match_brute_force(self, cloud, eps, max_dim):
         # Same simplices in the same order, diameters equal as floats.
-        assert rips_simplices(cloud, eps, max_dim) == helpers.rips_oracle(cloud, eps, max_dim)
+        levels = rips_simplices(cloud, eps, max_dim)
+        assert helpers.rips_listed(levels) == helpers.rips_oracle(cloud, eps, max_dim)
 
     @settings(max_examples=200)
     @given(cloud=helpers.clouds(), eps=helpers.scales(), max_dim=st.integers(0, 3),
@@ -115,7 +187,7 @@ class TestVietorisRips:
     def test_equals_from_simplicial(self, cloud, eps, max_dim, seed):
         # vietoris_rips skips the checks and the sort of from_simplicial;
         # fed the same simplices in any order, from_simplicial must agree.
-        simplices = [s for s, _ in rips_simplices(cloud, eps, max_dim)]
+        simplices = [s for s, _ in helpers.rips_listed(rips_simplices(cloud, eps, max_dim))]
         random.Random(seed).shuffle(simplices)
         expected = cx.from_simplicial(range(len(cloud)), simplices)
         cc = cx.vietoris_rips(cloud, eps, max_dim)

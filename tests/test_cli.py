@@ -1,5 +1,6 @@
 """CLI grammar, formats, exit codes, and byte-determinism."""
 
+import ast
 import json
 import math
 import os
@@ -7,12 +8,13 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cellcomplex as cx
-from cellcomplex import io
+from cellcomplex import cli, io, persist
 from cellcomplex.cli import main
 from cellcomplex.core import BoundaryMatrix
 
@@ -229,6 +231,92 @@ class TestPersistCommand:
         code, out, err = run(capsys, *(a.format(points=square_points) for a in argv))
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+    def test_no_per_simplex_objects(self, capsys, monkeypatch, square_points):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        monkeypatch.setattr(persist.FiltrationStep, "__init__", refuse)
+        monkeypatch.setattr(persist.PersistenceBar, "__init__", refuse)
+        for argv in (
+            ["persist", square_points, "--max-eps", "2", "--max-dim", "3", "--keep-zero-bars"],
+            ["--output", "json", "persist", square_points, "--max-eps", "2", "--max-dim", "2"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and out and not err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv", [
+    ["persist", f"{GOLDEN}/grid_points.csv", "--max-eps", "2.5", "--max-dim", "2"],
+    ["--output", "json", "persist", f"{GOLDEN}/points.csv", "--max-eps", "0.6",
+     "--max-dim", "3", "--keep-zero-bars"],
+    ["build", "vr", f"{GOLDEN}/grid_points.csv", "--eps", "2", "--maxdim", "2"],
+], ids=["persist", "persist-json", "build-vr"])
+def test_traced_commands_print_the_untraced_bytes(capsys, argv):
+    # The benchmark's tracer wraps public functions of every layer; the
+    # wrapped program must print exactly what the plain one prints.
+    code, expected, _ = run(capsys, *argv)
+    root = Path(cx.__file__).resolve().parents[2]
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import tracing\n"
+        "from cellcomplex import cli\n"
+        "tracer = tracing.Tracer(); tracing.install(tracer); tracer.active = True\n"
+        "code = cli.main(sys.argv[2:]); sys.stderr.write(repr(dict(tracer.counts)))\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(root / "ccxbench"), *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == (code, expected)
+    counts = ast.literal_eval(result.stderr)  # the tracer ran and counted the work
+    assert counts.get("persist.steps", 0) + counts.get("builders.cells_built", 0) > 0
+
+
+# One row per kind of command line: every subcommand, missing and bad
+# arguments, an unknown command, help, and option values that spell a
+# subcommand's name.
+PARSER_CASES = [
+    ["validate", "x.json"], ["validate", "--nd", "x.json"], ["betti", "--integer", "x"],
+    ["--output", "csv", "betti", "x"], ["decompose", "x", "--dim", "1", "--signal", "s"],
+    ["spectrum", "x", "--dim", "0", "--weights", "w"],
+    ["filter", "x", "--dim", "1", "--signal", "s", "--filter", "lowpass"],
+    ["build", "vr", "p", "--eps", "1", "--maxdim", "2"], ["build", "cubical", "3", "3"],
+    ["product", "a", "b"], ["lift", "window", "g", "--coords", "c"],
+    ["lift", "tree", "g", "--root", "5"], ["lift", "chordless", "g", "--max-cells", "9"],
+    ["persist", "p", "--max-eps", "1", "--max-dim", "2", "--keep-zero-bars"],
+    ["--output", "json", "persist", "p", "--max-eps", "1", "--max-dim", "1"],
+    [], ["betti"], ["persist", "p"], ["persist", "p", "--max-eps", "x", "--max-dim", "1"],
+    ["build"], ["build", "vr"], ["build", "cubical"], ["lift"], ["lift", "tree"],
+    ["spectrum", "x", "--dim", "z"], ["betti", "x", "--bogus"], ["product", "a"],
+    ["no-such-command"], ["no-such-command", "persist"], ["build", "torus", "x"],
+    ["-h"], ["--help"], ["-h", "persist"], ["--help", "betti", "x"], ["persist", "-h"],
+    ["build", "-h"], ["build", "vr", "-h"],
+    ["lift", "window", "--help"], ["--output", "xml"], ["--output", "xml", "betti", "x"],
+    ["--output"], ["validate", "betti"], ["--output", "betti", "validate", "x"],
+    ["persist", "persist", "--max-eps", "1", "--max-dim", "1"], ["--out", "csv", "betti", "x"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_one_subcommand_parser_agrees_with_the_full_one(capsys, argv):
+    full = _parse_outcome(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+    assert _parse_outcome(capsys, cli._parse, argv) == full
 
 
 class TestExitCodes:

@@ -62,6 +62,19 @@ CASES = {
     "persist_grid_ties": (
         ["persist", f"{G}/grid_points.csv", "--max-eps", "2.5", "--max-dim", "2"], 0
     ),
+    "persist_grid_json": (
+        ["--output", "json", "persist", f"{G}/grid_points.csv", "--max-eps", "3",
+         "--max-dim", "2"],
+        0,
+    ),
+    "persist_grid_zero_bars": (
+        ["persist", f"{G}/grid_points.csv", "--max-eps", "2.5", "--max-dim", "1",
+         "--keep-zero-bars"],
+        0,
+    ),
+    "build_vr_grid": (
+        ["build", "vr", f"{G}/grid_points.csv", "--eps", "2", "--maxdim", "2"], 0
+    ),
 }
 
 

@@ -55,11 +55,11 @@ class TestVrFiltration:
             FiltrationStep(0.0, 0, (1,)),
             FiltrationStep(0.5, 1, (0, 1)),
         )
-        Filtration(steps)
+        Filtration.from_steps(steps)
         with pytest.raises(ValueError):
-            Filtration(steps[::-1])
+            Filtration.from_steps(steps[::-1])
         with pytest.raises(ValueError):
-            Filtration((FiltrationStep(0.0, 1, (0, 1)),))
+            Filtration.from_steps((FiltrationStep(0.0, 1, (0, 1)),))
 
     def test_validation_rejects_missing_face_between_valid_steps(self):
         steps = (
@@ -70,7 +70,7 @@ class TestVrFiltration:
             FiltrationStep(0.7, 0, (2,)),
         )
         with pytest.raises(ValueError, match=r"face \(2,\) of \(0, 2\) missing or out of order"):
-            Filtration(steps)
+            Filtration.from_steps(steps)
 
     def test_validation_rejects_out_of_order_birth_between_valid_steps(self):
         steps = (
@@ -83,20 +83,20 @@ class TestVrFiltration:
             FiltrationStep(0.6, 2, (0, 1, 2)),
         )
         with pytest.raises(ValueError, match="not sorted by"):
-            Filtration(steps)
+            Filtration.from_steps(steps)
 
     def test_validation_rejects_repeated_vertex(self):
         steps = (FiltrationStep(0.0, 0, (0,)), FiltrationStep(0.5, 1, (0, 0)))
         with pytest.raises(ValueError, match=r"simplex \(0, 0\) is not strictly increasing"):
-            Filtration(steps)
+            Filtration.from_steps(steps)
         steps = (
             FiltrationStep(0.0, 0, (0,)),
             FiltrationStep(0.0, 0, (1,)),
             FiltrationStep(0.5, 1, (0, 1)),
             FiltrationStep(0.5, 2, (0, 0, 1)),
         )
-        with pytest.raises(ValueError, match=r"face \(0, 0\) of \(0, 0, 1\) missing"):
-            Filtration(steps)
+        with pytest.raises(ValueError, match=r"simplex \(0, 0, 1\) is not strictly increasing"):
+            Filtration.from_steps(steps)
 
     @pytest.mark.parametrize("steps", [
         (FiltrationStep(0.0, 0, (0,)), FiltrationStep(0.0, 0, (0,))),
@@ -110,7 +110,7 @@ class TestVrFiltration:
     ], ids=["adjacent", "after-coface"])
     def test_validation_rejects_repeated_simplex(self, steps):
         with pytest.raises(ValueError, match=r"simplex \(0,\) occurs twice"):
-            Filtration(steps)
+            Filtration.from_steps(steps)
 
     def test_faces_hold_facet_positions(self):
         steps = (
@@ -122,10 +122,60 @@ class TestVrFiltration:
             FiltrationStep(0.6, 1, (0, 2)),
             FiltrationStep(0.6, 2, (0, 1, 2)),
         )
-        filtration = Filtration(steps)
-        assert filtration.faces == ((), (), (), (0, 1), (1, 2), (0, 2), (3, 5, 4))
+        filtration = Filtration.from_steps(steps)
+        assert filtration.faces.tolist() == [
+            [-1, -1, -1], [-1, -1, -1], [-1, -1, -1],
+            [0, 1, -1], [1, 2, -1], [0, 2, -1], [3, 5, 4],
+        ]
         assert "faces" not in repr(filtration)
-        assert filtration == Filtration(steps)
+        assert filtration == Filtration.from_steps(steps)
+
+
+    def test_validation_rejects_nan_birth(self):
+        # A NaN birth compares false both ways, so a sort would keep it and
+        # vertex 1's H0 bar would vanish.
+        steps = (
+            FiltrationStep(0.0, 0, (0,)),
+            FiltrationStep(math.nan, 0, (1,)),
+            FiltrationStep(0.5, 1, (0, 1)),
+        )
+        with pytest.raises(ValueError, match="step 1 has a NaN birth"):
+            Filtration.from_steps(steps)
+
+    def test_validation_rejects_negative_dim(self):
+        with pytest.raises(ValueError, match="step 0 has negative dim -1"):
+            Filtration.from_steps((FiltrationStep(0.0, -1, ()),))
+
+    def test_validation_rejects_dim_mismatch(self):
+        steps = (FiltrationStep(0.0, 0, (0,)), FiltrationStep(0.0, 1, (1,)))
+        with pytest.raises(ValueError, match=r"simplex \(1,\) disagrees with dim 1"):
+            Filtration.from_steps(steps)
+        with pytest.raises(ValueError, match="one entry per step"):
+            Filtration(np.zeros(2), np.zeros(1, dtype=int), np.zeros((2, 1), dtype=int))
+
+    def test_steps_read_the_columns(self):
+        filtration = cx.vr_filtration(SQUARE, 2.0, 2)
+        steps = filtration.steps
+        assert len(steps) == 14 and steps[-1] == FiltrationStep(math.sqrt(2), 2, (1, 2, 3))
+        assert steps[4:6] == (FiltrationStep(1.0, 1, (0, 1)), FiltrationStep(1.0, 1, (0, 3)))
+        assert Filtration.from_steps(steps) == filtration
+        assert Filtration.from_steps(()).steps == ()
+
+
+@settings(max_examples=300)
+@given(cloud=helpers.clouds(), eps=helpers.scales(), max_dim=st.integers(0, 3))
+def test_filtration_order_and_faces_match_oracle(cloud, eps, max_dim):
+    filtration = cx.vr_filtration(cloud, eps, max_dim)
+    keys = sorted(
+        (diameter, len(vertices) - 1, vertices)
+        for vertices, diameter in helpers.rips_oracle(cloud, eps, max_dim)
+    )
+    assert list(filtration.steps) == [FiltrationStep(*key) for key in keys]
+    position = {vertices: p for p, (_, _, vertices) in enumerate(keys)}
+    for p, (_, dim, vertices) in enumerate(keys):
+        facets = [position[f] for f in itertools.combinations(vertices, dim)] if dim else []
+        padding = [-1] * (filtration.faces.shape[1] - len(facets))
+        assert filtration.faces[p].tolist() == facets + padding
 
 
 class TestPersistence:
@@ -219,9 +269,9 @@ def test_bars_match_oracle_when_vertices_are_born_apart(cloud, eps, max_dim, dat
     value = data.draw(st.lists(st.integers(0, 3), min_size=len(cloud), max_size=len(cloud)))
     keys = sorted(
         (max(diameter, *(value[v] for v in vertices)), len(vertices) - 1, vertices)
-        for vertices, diameter in rips_simplices(cloud, eps, max_dim)
+        for vertices, diameter in helpers.rips_listed(rips_simplices(cloud, eps, max_dim))
     )
-    filtration = Filtration(tuple(FiltrationStep(*key) for key in keys))
+    filtration = Filtration.from_steps(tuple(FiltrationStep(*key) for key in keys))
     for keep_zero_bars in (False, True):
         expected = helpers.persistence_oracle(filtration, keep_zero_bars)
         assert cx.persistence(filtration, keep_zero_bars) == expected
