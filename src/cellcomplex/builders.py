@@ -675,6 +675,8 @@ def spanning_tree_lifting(cc: CellComplex, root: str | int | None = None) -> Cel
     if root is None:
         root_index = 0
     elif isinstance(root, int):
+        if not 0 <= root < n:
+            raise UnknownVertex(f"no 0-cell at index {root} of {n}")
         root_index = root
     else:
         root_index = cc.index_of(0, str(root))

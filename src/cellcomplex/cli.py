@@ -121,20 +121,6 @@ def _persist_args(p) -> None:
     p.add_argument("--keep-zero-bars", action="store_true")
 
 
-# Subcommand -> (help, function that adds its arguments), in help order.
-_SUBCOMMANDS = {
-    "validate": ("check regularity conditions", _validate_args),
-    "betti": ("Betti numbers", _betti_args),
-    "decompose": ("gradient/curl/harmonic split of a chain", _decompose_args),
-    "spectrum": ("Hodge Laplacian eigenvalues with tags", _spectrum_args),
-    "filter": ("apply a spectral filter to a chain", _filter_args),
-    "build": ("build a complex", _build_args),
-    "product": ("product of two complexes", _product_args),
-    "lift": ("attach 2-cells to a graph", _lift_args),
-    "persist": ("persistence diagram of a Rips filtration", _persist_args),
-}
-
-
 def build_parser(
     command: str | None = None, parser_class: type = argparse.ArgumentParser
 ) -> argparse.ArgumentParser:
@@ -145,7 +131,7 @@ def build_parser(
     parser.add_argument("--output", choices=("json", "csv"), default=None,
                         help="override the command's default output format")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_arguments) in _SUBCOMMANDS.items():
+    for name, (text, add_arguments, _) in _SUBCOMMANDS.items():
         if command in (None, name):
             add_arguments(sub.add_parser(name, help=text))
     return parser
@@ -204,20 +190,30 @@ def _basic_report(cc) -> validate.ValidationReport:
     return validate.validate_nd(cc)
 
 
-def _run_betti(args, output: str | None) -> int:
+def _run_betti(args) -> int:
     cc = io.load_complex(args.file)
     summary = homology.betti_numbers(cc, "integer" if args.integer else "real")
-    if output == "csv":
+    if args.output == "csv":
         sys.stdout.write(",".join(str(b) for b in summary.betti) + "\n")
     else:
         sys.stdout.write(io.dumps(summary.to_json()))
     return 0
 
 
-def _run_spectrum(args, output: str | None) -> int:
+def _run_decompose(args) -> int:
+    cc = io.load_complex(args.file)
+    split = hodge.hodge_decompose(
+        cc, args.dim, _load_chain(args.signal), _load_weights(args.weights)
+    )
+    parts = ("gradient", "curl", "harmonic")
+    sys.stdout.write(io.dumps({p: io.chain_to_json(getattr(split, p)) for p in parts}))
+    return 0
+
+
+def _run_spectrum(args) -> int:
     cc = io.load_complex(args.file)
     eigenvalues, tags = hodge.laplacian_spectrum(cc, args.dim, _load_weights(args.weights))
-    if output == "json":
+    if args.output == "json":
         doc = {"eigenvalues": [io.round_sig(v) for v in eigenvalues], "tags": list(tags)}
         sys.stdout.write(io.dumps(doc))
     else:
@@ -226,12 +222,45 @@ def _run_spectrum(args, output: str | None) -> int:
     return 0
 
 
-def _run_persist(args, output: str | None) -> int:
+def _run_filter(args) -> int:
+    cc = io.load_complex(args.file)
+    filtered = hodge.spectral_filter(
+        cc, args.dim, _load_chain(args.signal), args.descriptor,
+        _load_weights(args.weights),
+    )
+    sys.stdout.write(io.dumps(io.chain_to_json(filtered)))
+    return 0
+
+
+def _run_build(args) -> int:
+    if args.builder == "vr":
+        cloud = _load_points(args.points)
+        return _emit_complex(builders.vietoris_rips(cloud, args.eps, args.maxdim))
+    return _emit_complex(builders.cubical(args.sizes))
+
+
+def _run_product(args) -> int:
+    return _emit_complex(builders.product(io.load_complex(args.a), io.load_complex(args.b)))
+
+
+def _run_lift(args) -> int:
+    cc = io.load_complex(args.graph)
+    if args.lifting == "window":
+        coords = _load_csv(args.coords)
+        pairs = tuple(core._edge_endpoints(cc.boundary(1), j) for j in range(cc.n_cells(1)))
+        emb = builders.PlanarEmbedding(coords, pairs, tuple(cc.cells[0]))
+        return _emit_complex(builders.window_lifting(emb))
+    if args.lifting == "tree":
+        return _emit_complex(builders.spanning_tree_lifting(cc, args.root))
+    return _emit_complex(builders.chordless_cycle_lifting(cc, args.max_cells))
+
+
+def _run_persist(args) -> int:
     cloud = _load_points(args.points)
     filtration = persist.vr_filtration(cloud, args.max_eps, args.max_dim)
     diagram = persist.persistence(filtration, keep_zero_bars=args.keep_zero_bars)
     bars = zip(diagram.dims.tolist(), diagram.births.tolist(), diagram.deaths.tolist())
-    if output == "json":
+    if args.output == "json":
         doc = {
             "bars": [
                 {
@@ -250,57 +279,19 @@ def _run_persist(args, output: str | None) -> int:
     return 0
 
 
-def _dispatch(args) -> int:
-    if args.command == "validate":
-        return _run_validate(args)
-    if args.command == "betti":
-        return _run_betti(args, args.output)
-    if args.command == "decompose":
-        cc = io.load_complex(args.file)
-        split = hodge.hodge_decompose(
-            cc, args.dim, _load_chain(args.signal), _load_weights(args.weights)
-        )
-        doc = {
-            "gradient": io.chain_to_json(split.gradient),
-            "curl": io.chain_to_json(split.curl),
-            "harmonic": io.chain_to_json(split.harmonic),
-        }
-        sys.stdout.write(io.dumps(doc))
-        return 0
-    if args.command == "spectrum":
-        return _run_spectrum(args, args.output)
-    if args.command == "filter":
-        cc = io.load_complex(args.file)
-        filtered = hodge.spectral_filter(
-            cc, args.dim, _load_chain(args.signal), args.descriptor,
-            _load_weights(args.weights),
-        )
-        sys.stdout.write(io.dumps(io.chain_to_json(filtered)))
-        return 0
-    if args.command == "build":
-        if args.builder == "vr":
-            cloud = _load_points(args.points)
-            return _emit_complex(builders.vietoris_rips(cloud, args.eps, args.maxdim))
-        return _emit_complex(builders.cubical(args.sizes))
-    if args.command == "product":
-        return _emit_complex(
-            builders.product(io.load_complex(args.a), io.load_complex(args.b))
-        )
-    if args.command == "lift":
-        cc = io.load_complex(args.graph)
-        if args.lifting == "window":
-            coords = _load_csv(args.coords)
-            pairs = tuple(
-                core._edge_endpoints(cc.boundary(1), j) for j in range(cc.n_cells(1))
-            )
-            emb = builders.PlanarEmbedding(coords, pairs, tuple(cc.cells[0]))
-            return _emit_complex(builders.window_lifting(emb))
-        if args.lifting == "tree":
-            return _emit_complex(builders.spanning_tree_lifting(cc, args.root))
-        return _emit_complex(builders.chordless_cycle_lifting(cc, args.max_cells))
-    if args.command == "persist":
-        return _run_persist(args, args.output)
-    raise AssertionError(f"unhandled command {args.command}")
+# Subcommand -> (help, function that adds its arguments, function that runs
+# it on the parsed arguments), in help order.
+_SUBCOMMANDS = {
+    "validate": ("check regularity conditions", _validate_args, _run_validate),
+    "betti": ("Betti numbers", _betti_args, _run_betti),
+    "decompose": ("gradient/curl/harmonic split of a chain", _decompose_args, _run_decompose),
+    "spectrum": ("Hodge Laplacian eigenvalues with tags", _spectrum_args, _run_spectrum),
+    "filter": ("apply a spectral filter to a chain", _filter_args, _run_filter),
+    "build": ("build a complex", _build_args, _run_build),
+    "product": ("product of two complexes", _product_args, _run_product),
+    "lift": ("attach 2-cells to a graph", _lift_args, _run_lift),
+    "persist": ("persistence diagram of a Rips filtration", _persist_args, _run_persist),
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -308,7 +299,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # Overflow reaches stderr only as the error line of NonFiniteResult.
         with np.errstate(all="ignore"):
-            return _dispatch(args)
+            return _SUBCOMMANDS[args.command][2](args)
     except CellComplexError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -96,9 +96,9 @@ class BoundaryMatrix:
         return [(j, s) for ii, j, s in self.entries if ii == i]
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for i, j, s in self.entries:
-            dense[i, j] = s
+        rows, cols, signs, shape = _entry_arrays(self)
+        dense = np.zeros(shape, dtype=np.int64)
+        dense[rows, cols] = signs
         return dense
 
     def flip_columns(self, cols: Iterable[int]) -> "BoundaryMatrix":
@@ -129,6 +129,23 @@ class BoundaryMatrix:
             if i in rmap
         )
         return BoundaryMatrix(len(rows), len(cols), kept)
+
+
+def _entry_arrays(b: BoundaryMatrix):
+    """Rows, columns and signs (int64 arrays, in stored order) and the shape of B:
+    the one place where entry tuples become arrays, for every numeric reader."""
+    entries = b.entries
+    rows, cols, signs = np.array(entries, dtype=np.int64).reshape(len(entries), 3).T
+    return rows, cols, signs, b.shape
+
+
+def _product(b, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """B x, or B^T x, for B as (rows, cols, values, shape): one np.bincount,
+    which adds in entry order as a loop over the entries would."""
+    rows, cols, values, (m, n) = b
+    if transpose:
+        return np.bincount(cols, weights=values * x[rows], minlength=n)
+    return np.bincount(rows, weights=values * x[cols], minlength=m)
 
 
 def _positions(indices: Sequence[int], n: int, what: str) -> dict[int, int]:
@@ -346,17 +363,19 @@ def apply_boundary(cc: CellComplex, chain: ChainVector) -> ChainVector:
     b = cc.boundary(chain.dim)
     if len(chain.values) != b.cols:
         raise ShapeMismatch(f"chain has {len(chain.values)} values, B has {b.cols} columns")
-    out = np.zeros(b.rows)
-    for i, j, s in b.entries:
-        out[i] += s * chain.values[j]
-    return ChainVector(chain.dim - 1, out)
+    return ChainVector(chain.dim - 1, _product(_entry_arrays(b), chain.values))
 
 
 def chain_on(cc: CellComplex, k: int, coeffs: Mapping[str, float]) -> ChainVector:
     """Chain with the given coefficients on labelled k-cells, 0 elsewhere."""
-    values = np.zeros(cc.n_cells(k))
+    if not 0 <= k <= cc.dim:
+        raise BadDimension(f"no {k}-cells on a {cc.dim}-complex")
+    index = {label: i for i, label in enumerate(cc.cells[k])}
+    values = np.zeros(len(index))
     for label, value in coeffs.items():
-        values[cc.index_of(k, label)] = value
+        if label not in index:
+            raise UnknownVertex(f"no {k}-cell labelled {label!r}")
+        values[index[label]] = value
     return ChainVector(k, values)
 
 

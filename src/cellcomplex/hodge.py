@@ -6,20 +6,21 @@ into curl (im B_{k+1}), gradient (im B_k^T), and harmonic parts.  With
 diagonal positive weights W_k, the weighted boundary is
 W_{k-1}^{-1/2} B_k W_k^{1/2} and all operators are built from it.
 
-Each command computes only what it returns.  Polynomial filters
-(identity, lowpass, poly:) and the quadratic form never form a matrix:
-they apply L_k as sparse products over the entries of B_k and B_{k+1}
-(np.bincount), polynomials by Horner's rule, so they run at any size.
-Spectra, decompositions and heat filters read one split: im B_k^T and
-im B_{k+1} from SVDs of the dense weighted boundaries, sized by exact
-Smith-form ranks, never by float cutoffs, with the harmonic space as
-their complement; a spectrum takes the singular values alone.  These
-dense operators reject complexes above MAX_DENSE_CELLS cells in a
-dimension.  Overflow, and a gradient or curl eigenvalue that
-underflows to 0, raise NonFiniteResult.  Spectral output is
-deterministic: eigenvalues ascend, ties keep the order gradient, curl,
-harmonic, and each eigenvector's largest-magnitude entry is made
-positive.
+Every operator reads the weighted entry arrays of core's one boundary
+reader and computes only what it returns.  Polynomial filters
+(identity, lowpass, poly:, by Horner's rule), the quadratic form and
+the random-walk weights are sparse products and counts over the
+entries (np.bincount), so they run at any size.  Spectra,
+decompositions and heat filters read one split: im B_k^T and im B_{k+1},
+each from a thin SVD of the taller side of the dense weighted boundary
+(scattered from the entries), sized by exact Smith-form ranks, never by
+float cutoffs, with the harmonic space as their complement; a spectrum
+takes the singular values alone.  These dense operators reject
+complexes above MAX_DENSE_CELLS cells in a dimension.  Overflow, and a
+gradient or curl eigenvalue that underflows to 0, raise
+NonFiniteResult.  Spectral output is deterministic: eigenvalues ascend,
+ties keep the order gradient, curl, harmonic, and each eigenvector's
+largest-magnitude entry is made positive.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import CellComplex, ChainVector
+from .core import CellComplex, ChainVector, _entry_arrays, _product
 from .errors import (
     BadDimension,
     NonFiniteResult,
@@ -87,24 +88,33 @@ def _guard_size(cc: CellComplex) -> None:
             )
 
 
-def dense_boundary(
-    cc: CellComplex, k: int, weights: WeightSet | None = None
-) -> np.ndarray:
-    """B_k as a dense float array; k = 0 and k = dim + 1 give empty maps."""
+def _weighted_entries(
+    cc: CellComplex, j: int, weights: WeightSet | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """Rows, columns, values and shape of the weighted B_j, read from its entries;
+    B_0 and B_{dim+1} are the empty maps at the ends of the chain complex."""
+    if weights is not None:
+        weights.check_against(cc)
+    if not 1 <= j <= cc.dim:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0), (cc.n_cells(j - 1), cc.n_cells(j))
+    rows, cols, signs, shape = _entry_arrays(cc.boundary(j))
+    values = signs.astype(float)
+    if weights is not None:
+        left = 1.0 / np.sqrt(weights.vector(j - 1))
+        values = left[rows] * values * np.sqrt(weights.vector(j))[cols]
+    return rows, cols, values, shape
+
+
+def dense_boundary(cc: CellComplex, k: int, weights: WeightSet | None = None) -> np.ndarray:
+    """The weighted B_k as a dense float array; k = 0 and k = dim + 1 give empty maps."""
     if not 0 <= k <= cc.dim + 1:
         raise BadDimension(f"no boundary B_{k} on a {cc.dim}-complex")
     _guard_size(cc)
-    if k == 0:
-        return np.zeros((0, cc.n_cells(0)))
-    if k == cc.dim + 1:
-        return np.zeros((cc.n_cells(cc.dim), 0))
-    dense = cc.boundary(k).to_dense().astype(float)
-    if weights is None:
-        return dense
-    weights.check_against(cc)
-    left = 1.0 / np.sqrt(weights.vector(k - 1))
-    right = np.sqrt(weights.vector(k))
-    return left[:, None] * dense * right[None, :]
+    rows, cols, values, shape = _weighted_entries(cc, k, weights)
+    dense = np.zeros(shape)
+    dense[rows, cols] = values
+    return dense
 
 
 def boundary_rank(cc: CellComplex, k: int) -> int:
@@ -158,15 +168,15 @@ def normalized_rw_weights(cc: CellComplex) -> WeightSet:
 
     2-cells are weighted by their boundary size, edges by the number of
     2-cells they border (floored at 1), vertices by twice the weighted
-    edge degree.
+    edge degree: counts over the entries of B_1 and B_2, at any size.
     """
     if cc.dim != 2:
         raise BadDimension("random-walk weights need a 2-dimensional complex")
-    abs_b1 = np.abs(dense_boundary(cc, 1))
-    abs_b2 = np.abs(dense_boundary(cc, 2))
-    w2 = abs_b2.T @ np.ones(cc.n_cells(1))
-    w1 = np.maximum(abs_b2 @ np.ones(cc.n_cells(2)), 1.0)
-    w0 = 2.0 * (abs_b1 @ w1)
+    rows1, cols1, _, (n0, _) = _weighted_entries(cc, 1, None)
+    rows2, cols2, _, (n1, n2) = _weighted_entries(cc, 2, None)
+    w2 = np.bincount(cols2, minlength=n2).astype(float)
+    w1 = np.maximum(np.bincount(rows2, minlength=n1), 1.0)
+    w0 = 2.0 * np.bincount(rows1, weights=w1[cols1], minlength=n0)
     return WeightSet((w0, w1, w2))
 
 
@@ -186,15 +196,11 @@ def dirac_operator(cc: CellComplex, weights: WeightSet | None = None) -> np.ndar
     """
     _guard_size(cc)
     offsets = chain_offsets(cc)
-    total = offsets[-1]
-    dirac = np.zeros((total, total), dtype=np.int64 if weights is None else float)
+    dirac = np.zeros((offsets[-1],) * 2, dtype=np.int64 if weights is None else float)
     for k in range(1, cc.dim + 1):
-        block = dense_boundary(cc, k, weights)
-        rows = slice(offsets[k - 1], offsets[k])
-        cols = slice(offsets[k], offsets[k + 1])
-        dirac[rows, cols] = block
-        dirac[cols, rows] = block.T
-    return dirac
+        rows, cols, values, _ = _weighted_entries(cc, k, weights)
+        dirac[offsets[k - 1] + rows, offsets[k] + cols] = values
+    return dirac + dirac.T
 
 
 def _check_chain(cc: CellComplex, k: int, x: ChainVector) -> np.ndarray:
@@ -204,6 +210,8 @@ def _check_chain(cc: CellComplex, k: int, x: ChainVector) -> np.ndarray:
         raise ShapeMismatch(
             f"chain has {len(x.values)} values, complex has {cc.n_cells(k)} {k}-cells"
         )
+    if not 0 <= k <= cc.dim:
+        raise BadDimension(f"no Laplacian L_{k} on a {cc.dim}-complex")
     return x.values
 
 
@@ -214,81 +222,50 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def _image(
+    b: np.ndarray, rank: int, transpose: bool, vectors: bool
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Orthonormal basis of im B (im B^T with transpose) and the squared singular values.
+
+    Both are the top rank of one thin SVD, on the taller of B and B^T,
+    where numpy's is faster, and on B itself when square.  With
+    vectors=False only singular values are computed; the basis is None.
+    """
+    tall = b.shape[0] >= b.shape[1]
+    result = np.linalg.svd(b if tall else b.T, full_matrices=False, compute_uv=vectors)
+    if not vectors:
+        return None, result[:rank] ** 2
+    u, s, vt = result
+    # The left singular vectors span the column space of the matrix decomposed.
+    return (u[:, :rank] if tall != transpose else vt[:rank].T), s[:rank] ** 2
+
+
 def _image_bases(
     cc: CellComplex, k: int, weights: WeightSet | None, vectors: bool = True
 ) -> tuple[tuple[np.ndarray | None, np.ndarray], tuple[np.ndarray | None, np.ndarray]]:
     """Orthonormal bases of im B_k^T (gradient) and im B_{k+1} (curl) with eigenvalues.
 
-    Each basis is the top rank singular vectors of a thin SVD of the
-    weighted boundary, rank exact from its Smith form.  The squared
-    singular values are the eigenvalues of L_k on that subspace, since
-    each part of L_k annihilates the other's image.  With vectors=False
-    only the singular values are computed and both bases are None.
+    Each is sized by the exact Smith-form rank; the squared singular values
+    are the eigenvalues of L_k on it, as each part annihilates the other's image.
     """
     if not 0 <= k <= cc.dim:
         raise BadDimension(f"no Laplacian L_{k} on a {cc.dim}-complex")
     b_down, b_up = dense_boundary(cc, k, weights), dense_boundary(cc, k + 1, weights)
-    down, up = boundary_rank(cc, k), boundary_rank(cc, k + 1)
-    if not vectors:  # numpy's SVD runs faster on the taller of B and B^T
-        s_down, s_up = (
-            np.linalg.svd(b if b.shape[0] >= b.shape[1] else b.T, compute_uv=False)
-            for b in (b_down, b_up)
-        )
-        return (None, s_down[:down] ** 2), (None, s_up[:up] ** 2)
-    _, s_down, vt = np.linalg.svd(b_down, full_matrices=False)
-    u, s_up, _ = np.linalg.svd(b_up, full_matrices=False)
-    return (vt[:down].T, s_down[:down] ** 2), (u[:, :up], s_up[:up] ** 2)
-
-
-def _weighted_entries(
-    cc: CellComplex, j: int, weights: WeightSet | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
-    """Rows, columns, values and shape of the weighted B_j, read from its entries.
-
-    B_0 and B_{dim+1} are the empty maps into and out of the end of the
-    chain complex.
-    """
-    shape = (cc.n_cells(j - 1), cc.n_cells(j))
-    if not 1 <= j <= cc.dim:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0), shape
-    entries = cc.boundary(j).entries
-    rows, cols, signs = np.array(entries, dtype=np.int64).reshape(len(entries), 3).T
-    values = signs.astype(float)
-    if weights is not None:
-        left = 1.0 / np.sqrt(weights.vector(j - 1))
-        values = left[rows] * values * np.sqrt(weights.vector(j))[cols]
-    return rows, cols, values, shape
-
-
-def _product(b, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """B x, or B^T x, of weighted entries as one np.bincount."""
-    rows, cols, values, (m, n) = b
-    if transpose:
-        return np.bincount(cols, weights=values * x[rows], minlength=n)
-    return np.bincount(rows, weights=values * x[cols], minlength=m)
-
-
-def _sparse_boundaries(cc: CellComplex, k: int, weights: WeightSet | None):
-    """The weighted B_k and B_{k+1} as entries, the two halves of L_k."""
-    if not 0 <= k <= cc.dim:
-        raise BadDimension(f"no Laplacian L_{k} on a {cc.dim}-complex")
-    if weights is not None:
-        weights.check_against(cc)
-    return _weighted_entries(cc, k, weights), _weighted_entries(cc, k + 1, weights)
+    return (
+        _image(b_down, boundary_rank(cc, k), True, vectors),
+        _image(b_up, boundary_rank(cc, k + 1), False, vectors),
+    )
 
 
 def _tagged_spectrum(
     cc: CellComplex, k: int, weights: WeightSet | None, vectors: bool
 ) -> tuple[np.ndarray, tuple[str, ...], np.ndarray, np.ndarray | None]:
-    """Ascending eigenvalues of L_k, their tags, and the sorting permutation.
+    """Ascending eigenvalues of L_k, their tags, the sorting permutation, and
+    with vectors=True the gradient and curl bases side by side, unsorted.
 
-    The eigenvalues of the image bases come first, gradient then curl,
-    then one zero per harmonic dimension; a stable sort keeps that order
-    among ties.  With vectors=True the last item holds the gradient and
-    curl basis vectors side by side, in the unsorted order; otherwise
-    it is None.  An eigenvalue that overflows, or a gradient or curl
-    eigenvalue whose square underflows to 0, raises NonFiniteResult.
+    Gradient, curl and harmonic (zero) eigenvalues are sorted stably, so
+    ties keep that order.  An eigenvalue that overflows, or a gradient or
+    curl eigenvalue whose square underflows to 0, raises NonFiniteResult.
     """
     (down, down_values), (up, up_values) = _image_bases(cc, k, weights, vectors)
     images = np.hstack([down, up]) if vectors else None
@@ -352,12 +329,18 @@ def spectral_basis(
     NonFiniteResult.
     """
     eigenvalues, tags, order, images = _tagged_spectrum(cc, k, weights, vectors=True)
+    return SpectralBasis(eigenvalues, _completed(images)[:, order], tags)
+
+
+def _completed(images: np.ndarray) -> np.ndarray:
+    """The image bases followed by their orthonormal complement, from a complete QR,
+    each column negated if its largest-magnitude entry is negative."""
     harmonic = np.linalg.qr(images, mode="complete")[0][:, images.shape[1] :]
-    vectors = np.hstack([images, harmonic])[:, order]
-    if vectors.size:  # make each column's largest-magnitude entry positive
+    vectors = np.hstack([images, harmonic])
+    if vectors.size:
         pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
         vectors *= np.where(pivots < 0, -1.0, 1.0)
-    return SpectralBasis(eigenvalues, vectors, tags)
+    return vectors
 
 
 def laplacian_spectrum(
@@ -442,7 +425,7 @@ def spectral_filter(
     values = _check_chain(cc, k, x)
     f, coeffs = _parse(descriptor)
     if coeffs is not None:
-        down, up = _sparse_boundaries(cc, k, weights)
+        down, up = _weighted_entries(cc, k, weights), _weighted_entries(cc, k + 1, weights)
 
         def laplacian(v: np.ndarray) -> np.ndarray:
             return _product(down, _product(down, v), True) + _product(up, _product(up, v, True))
@@ -466,7 +449,7 @@ def quadratic_form(
 ) -> float:
     """x^T L_k x, the variation energy |B_{k+1}^T x|^2 + |B_k x|^2, from sparse products."""
     values = _check_chain(cc, k, x)
-    down, up = _sparse_boundaries(cc, k, weights)
+    down, up = _weighted_entries(cc, k, weights), _weighted_entries(cc, k + 1, weights)
     return float(np.sum(_product(up, values, True) ** 2) + np.sum(_product(down, values) ** 2))
 
 

@@ -3,7 +3,8 @@
 The k-th homology is ker B_k modulo im B_{k+1}.  Its Betti number is a
 count of exact Smith-form ranks, and the integer torsion is the Smith
 invariant factors above 1.  Harmonic representatives are the harmonic
-vectors of hodge.spectral_basis, an orthonormal basis of ker L_k.
+vectors of hodge.spectral_basis, built without the rest of its basis.
+Cycle checks apply B_k as a sparse product.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CellComplex, ChainVector
+from .core import CellComplex, ChainVector, apply_boundary
 from .errors import BadDimension, NotACycle, ShapeMismatch
-from .hodge import dense_boundary, spectral_basis
+from .hodge import _completed, _image_bases, dense_boundary
 from .snf import smith_normal_form
 
 RESIDUAL_TOL = 1e-8
@@ -56,8 +57,8 @@ def betti_numbers(cc: CellComplex, coefficients: str = "real") -> HomologySummar
 
 def harmonic_basis(cc: CellComplex, k: int) -> list[ChainVector]:
     """Orthonormal kernel basis of L_k; its size is the k-th Betti number."""
-    basis = spectral_basis(cc, k)
-    return [ChainVector(k, v) for v, t in zip(basis.vectors.T, basis.tags) if t == "harmonic"]
+    images = np.hstack([basis for basis, _ in _image_bases(cc, k, None)])
+    return [ChainVector(k, v) for v in _completed(images)[:, images.shape[1] :].T]
 
 
 def _as_cycle(cc: CellComplex, chain: ChainVector, name: str) -> np.ndarray:
@@ -66,7 +67,7 @@ def _as_cycle(cc: CellComplex, chain: ChainVector, name: str) -> np.ndarray:
         raise ShapeMismatch(f"{name} has {len(values)} values for {cc.n_cells(chain.dim)} cells")
     if chain.dim >= 1:
         scale = np.max(np.abs(values))
-        boundary = dense_boundary(cc, chain.dim) @ values
+        boundary = apply_boundary(cc, chain).values
         if scale > 0 and np.max(np.abs(boundary)) / scale > RESIDUAL_TOL:
             raise NotACycle(f"{name} is not in the kernel of B_{chain.dim}")
     return values

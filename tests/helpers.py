@@ -8,7 +8,10 @@ persistence oracle is the textbook Z/2 column reduction of the
 filtration boundary matrix, and the Rips oracle tries every vertex
 subset.  The writer oracle is the standard library's indented JSON
 dump, and the plane-drawing oracle tests every vertex pair, edge pair
-and vertex-edge pair in Python loops.  The complex zoo produces small randomized builder outputs for
+and vertex-edge pair in Python loops.  The boundary oracles read the
+entries one at a time and weight dense matrices by broadcasting, as
+core and hodge did before they scattered and multiplied from entry
+arrays.  The complex zoo produces small randomized builder outputs for
 the property suites.
 """
 
@@ -135,6 +138,49 @@ def minors_gcd(matrix, k: int) -> int:
     return result
 
 
+def to_dense_oracle(b: cx.BoundaryMatrix) -> np.ndarray:
+    """B as a dense int64 array, written one entry at a time."""
+    dense = np.zeros((b.rows, b.cols), dtype=np.int64)
+    for i, j, s in b.entries:
+        dense[i, j] = s
+    return dense
+
+
+def apply_boundary_oracle(cc: cx.CellComplex, chain: cx.ChainVector) -> np.ndarray:
+    """B_k x, adding one entry at a time in stored order."""
+    b = cc.boundary(chain.dim)
+    out = np.zeros(b.rows)
+    for i, j, s in b.entries:
+        out[i] += s * chain.values[j]
+    return out
+
+
+def dense_boundary_oracle(
+    cc: cx.CellComplex, k: int, weights: cx.WeightSet | None = None
+) -> np.ndarray:
+    """W_{k-1}^{-1/2} B_k W_k^{1/2} by dense broadcasting; empty maps at k = 0, dim + 1."""
+    if k == 0:
+        return np.zeros((0, cc.n_cells(0)))
+    if k == cc.dim + 1:
+        return np.zeros((cc.n_cells(cc.dim), 0))
+    dense = to_dense_oracle(cc.boundary(k)).astype(float)
+    if weights is None:
+        return dense
+    left = 1.0 / np.sqrt(weights.vector(k - 1))
+    right = np.sqrt(weights.vector(k))
+    return left[:, None] * dense * right[None, :]
+
+
+def rw_weights_oracle(cc: cx.CellComplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random-walk weights from the dense |B_1| and |B_2|."""
+    abs_b1 = np.abs(dense_boundary_oracle(cc, 1))
+    abs_b2 = np.abs(dense_boundary_oracle(cc, 2))
+    w2 = abs_b2.T @ np.ones(cc.n_cells(1))
+    w1 = np.maximum(abs_b2 @ np.ones(cc.n_cells(2)), 1.0)
+    w0 = 2.0 * (abs_b1 @ w1)
+    return w0, w1, w2
+
+
 def project_onto_image(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Orthogonal projection of x onto the column space of matrix."""
     if matrix.shape[1] == 0:
@@ -157,8 +203,8 @@ def classify_eigenvector(
     """
     v = np.asarray(vector, dtype=float)
     v = v / np.linalg.norm(v)
-    down = hodge.dense_boundary(cc, k, weights)
-    up = hodge.dense_boundary(cc, k + 1, weights)
+    down = dense_boundary_oracle(cc, k, weights)
+    up = dense_boundary_oracle(cc, k + 1, weights)
     lap = cx.hodge_laplacian(cc, k, "full", weights)
     residuals = {
         "gradient": float(np.linalg.norm(v - project_onto_image(down.T, v))),
@@ -173,8 +219,8 @@ def decompose_oracle(
     cc: cx.CellComplex, k: int, x: np.ndarray, weights: cx.WeightSet | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient, curl and harmonic parts by least-squares projection."""
-    gradient = project_onto_image(hodge.dense_boundary(cc, k, weights).T, x)
-    curl = project_onto_image(hodge.dense_boundary(cc, k + 1, weights), x)
+    gradient = project_onto_image(dense_boundary_oracle(cc, k, weights).T, x)
+    curl = project_onto_image(dense_boundary_oracle(cc, k + 1, weights), x)
     return gradient, curl, x - gradient - curl
 
 
@@ -492,10 +538,13 @@ def random_two_complex(rng: random.Random) -> cx.CellComplex:
     )
 
 
-def random_weights(rng: random.Random, cc: cx.CellComplex) -> cx.WeightSet:
+def random_weights(
+    rng: random.Random, cc: cx.CellComplex, spread: float = 1.5
+) -> cx.WeightSet:
+    """Weights exp(u) with u uniform in [-spread, spread]."""
     return cx.WeightSet(
         tuple(
-            np.array([math.exp(rng.uniform(-1.5, 1.5)) for _ in range(cc.n_cells(k))])
+            np.array([math.exp(rng.uniform(-spread, spread)) for _ in range(cc.n_cells(k))])
             for k in range(cc.dim + 1)
         )
     )
@@ -504,8 +553,8 @@ def random_weights(rng: random.Random, cc: cx.CellComplex) -> cx.WeightSet:
 def exactness_holds(cc: cx.CellComplex) -> bool:
     """Direct integer check of B_{k-1} @ B_k = 0, independent of core."""
     for k in range(2, cc.dim + 1):
-        a = cc.boundary(k - 1).to_dense().astype(object)
-        b = cc.boundary(k).to_dense().astype(object)
+        a = to_dense_oracle(cc.boundary(k - 1)).astype(object)
+        b = to_dense_oracle(cc.boundary(k)).astype(object)
         if np.any(a @ b != 0):
             return False
     return True

@@ -477,6 +477,13 @@ class TestSpanningTreeLifting:
             assert cc.n_cells(2) == 2
             assert cx.validate_nd(cc).valid
 
+    @pytest.mark.parametrize("root", [4, 7, -1])
+    def test_integer_root_outside_vertices_rejected(self, root):
+        ring = cx.from_tuples(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+        with pytest.raises(errors.UnknownVertex) as info:
+            cx.spanning_tree_lifting(ring, root)
+        assert str(info.value) == f"no 0-cell at index {root} of 4"
+
     def test_disconnected_rejected(self):
         graph = cx.from_tuples(range(4), [(0, 1), (2, 3)])
         with pytest.raises(errors.Disconnected):

@@ -1,6 +1,7 @@
 """Core data model: construction, boundary queries, orientations, JSON."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -221,12 +222,65 @@ class TestIndexOfDimension:
             edge.ref(k, "a")
         with pytest.raises(errors.BadDimension):
             cx.chain_on(edge, k, {"a": 1.0})
+        with pytest.raises(errors.BadDimension):
+            cx.chain_on(edge, k, {})
 
     def test_valid_dimensions_still_resolve(self, edge):
         assert edge.index_of(0, "b") == 1
         assert edge.ref(1, "a-b", -1) == cx.CellRef(1, 0, -1)
         with pytest.raises(errors.UnknownVertex):
             edge.index_of(1, "a")
+
+
+class TestChainOn:
+    def test_every_edge_of_a_large_grid_without_index_of(self, monkeypatch):
+        grid = cx.cubical([60, 60])
+        labels = grid.labels(1)
+        coeffs = {label: float(i) for i, label in enumerate(reversed(labels))}
+
+        def index_of(self, k, label):
+            raise AssertionError("chain_on looked a label up with index_of")
+
+        monkeypatch.setattr(cx.CellComplex, "index_of", index_of)
+        chain = cx.chain_on(grid, 1, coeffs)
+        assert np.array_equal(chain.values, np.arange(len(labels), dtype=float)[::-1])
+
+    @pytest.mark.parametrize("label", ["a", "zz", 0])
+    def test_unknown_label_message(self, toy, label):
+        with pytest.raises(errors.UnknownVertex) as info:
+            cx.chain_on(toy, 1, {"0-1": 2.0, label: 1.0})
+        assert str(info.value) == f"no 1-cell labelled {label!r}"
+
+
+class TestEntryArrays:
+    """to_dense and apply_boundary against the entry-by-entry loops, bit for bit."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans())
+    def test_match_entry_loops(self, seed, two_complex):
+        rng = np.random.default_rng(seed)
+        if two_complex:
+            cc = helpers.random_two_complex(random.Random(seed))
+        else:
+            cc = helpers.random_builder_complex(random.Random(seed))
+        for k in range(1, cc.dim + 1):
+            b = cc.boundary(k)
+            dense = b.to_dense()
+            assert dense.dtype == np.int64
+            assert np.array_equal(dense, helpers.to_dense_oracle(b))
+            # magnitudes 1e-8..1e8, so a different summation order shows
+            x = rng.normal(size=b.cols) * 10.0 ** rng.uniform(-8, 8, size=b.cols)
+            chain = cx.ChainVector(k, x)
+            out = cx.apply_boundary(cc, chain)
+            assert out.dim == k - 1
+            assert np.array_equal(out.values, helpers.apply_boundary_oracle(cc, chain))
+
+    def test_empty_boundary(self):
+        b = BoundaryMatrix(3, 2, ())
+        assert np.array_equal(b.to_dense(), np.zeros((3, 2), dtype=np.int64))
+        cc = cx.from_boundary_matrices([["a", "b", "c"], ["e", "f"]], [b])
+        out = cx.apply_boundary(cc, cx.ChainVector(1, [1.0, -2.0]))
+        assert np.array_equal(out.values, np.zeros(3))
 
 
 class TestBoundaryOfCell:

@@ -1,5 +1,6 @@
 """Hodge Laplacians, weights, Dirac operator, spectra, filters."""
 
+import math
 import random
 from collections import Counter
 
@@ -16,6 +17,16 @@ import helpers
 
 def dense(cc, k):
     return cc.boundary(k).to_dense().astype(float)
+
+
+def zoo_complex(rng, two_complex):
+    if two_complex:
+        return helpers.random_two_complex(rng)
+    return helpers.random_builder_complex(rng)
+
+
+# Weights from 1e-4 to 1e4.
+WIDE = 4 * math.log(10)
 
 
 class TestHodgeLaplacian:
@@ -115,6 +126,28 @@ class TestNonsymmetricHodge:
             cx.nonsymmetric_hodge(toy_graph, cx.WeightSet((np.ones(5), np.ones(6))))
 
 
+class TestDenseBoundaryScatter:
+    """dense_boundary against the dense weighting it replaced, bit for bit."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans())
+    def test_matches_dense_weighting(self, seed, two_complex):
+        rng = random.Random(seed)
+        cc = zoo_complex(rng, two_complex)
+        for weights in (None, helpers.random_weights(rng, cc, WIDE)):
+            for k in range(cc.dim + 2):
+                got = hodge.dense_boundary(cc, k, weights)
+                want = helpers.dense_boundary_oracle(cc, k, weights)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_mismatched_weights_rejected_at_the_empty_maps(self, toy):
+        short = cx.WeightSet((np.ones(4), np.ones(6), np.ones(2)))
+        for k in (0, 3):
+            with pytest.raises(errors.ShapeMismatch):
+                hodge.dense_boundary(toy, k, short)
+
+
 class TestNormalizedRwWeights:
     def test_toy_golden_values(self, toy):
         weights = cx.normalized_rw_weights(toy)
@@ -125,6 +158,36 @@ class TestNormalizedRwWeights:
     def test_floor_keeps_unbordered_edges_positive(self, toy_minus):
         weights = cx.normalized_rw_weights(toy_minus)
         assert np.array_equal(weights.vector(1), [1, 1, 1, 1, 1, 1])
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans())
+    def test_matches_dense_formula(self, seed, two_complex):
+        cc = zoo_complex(random.Random(seed), two_complex)
+        if cc.dim != 2:
+            return
+        expected = helpers.rw_weights_oracle(cc)
+        # an isolated vertex, or a 2-cell with an empty boundary, weighs 0
+        if not all(vector.all() for vector in expected):
+            with pytest.raises(errors.NonPositiveWeight):
+                cx.normalized_rw_weights(cc)
+            return
+        weights = cx.normalized_rw_weights(cc)
+        for got, want in zip(weights.vectors, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_past_the_dense_limit(self):
+        grid = cx.cubical([60, 60])
+        assert grid.n_cells(1) > hodge.MAX_DENSE_CELLS
+        w0, w1, w2 = cx.normalized_rw_weights(grid).vectors
+        assert np.array_equal(w2, np.full(grid.n_cells(2), 4.0))
+        # 4 * 59 edges on the outline border one square, the rest two
+        assert sorted(Counter(w1.tolist()).items()) == [(1.0, 236), (2.0, grid.n_cells(1) - 236)]
+        tails = np.array([i for i, _, s in grid.boundary(1).entries if s == -1])
+        heads = np.array([i for i, _, s in grid.boundary(1).entries if s == 1])
+        expected = np.zeros(grid.n_cells(0))
+        np.add.at(expected, tails, 2 * w1)
+        np.add.at(expected, heads, 2 * w1)
+        assert np.array_equal(w0, expected)
 
 
 class TestDirac:
@@ -289,6 +352,106 @@ class TestAgainstOracles:
                 out = cx.spectral_filter(cc, k, x, descriptor, weights)
                 want = helpers.filter_oracle(cc, k, x.values, descriptor, weights)
                 assert np.max(np.abs(out.values - want), initial=0.0) <= 1e-8
+
+
+def _cycle(n, filled):
+    return cx.from_tuples(range(n), [(i, (i + 1) % n) for i in range(n)],
+                          [tuple(range(n))] if filled else [])
+
+
+def _thrice_filled_triangle():
+    """A triangle with three 2-cells on its one cycle: B_2 is square."""
+    b1 = cx.BoundaryMatrix(3, 3, ((0, 0, -1), (1, 0, 1), (1, 1, -1), (2, 1, 1),
+                                  (0, 2, -1), (2, 2, 1)))
+    column = ((0, 1), (1, 1), (2, -1))
+    b2 = cx.BoundaryMatrix(3, 3, tuple((i, j, s) for j in range(3) for i, s in column))
+    return cx.from_boundary_matrices([["a", "b", "c"], ["ab", "bc", "ac"],
+                                      ["f", "g", "h"]], [b1, b2])
+
+
+# (complex, k): B_k^T and B_{k+1} at k are wide, tall or square.
+SPLIT_CASES = {
+    "toy-0": (helpers.toy, 0),
+    "toy-1": (helpers.toy, 1),
+    "toy-2": (helpers.toy, 2),
+    "cycle-0": (lambda: _cycle(5, False), 0),
+    "filled-cycle-1": (lambda: _cycle(5, True), 1),
+    "grid-1": (lambda: cx.cubical([3, 4]), 1),
+    "path-1": (lambda: cx.cubical([5]), 1),
+    "triangles-1": (_thrice_filled_triangle, 1),
+    "triangles-2": (_thrice_filled_triangle, 2),
+}
+
+
+def _shape_class(matrix):
+    rows, cols = matrix.shape
+    return "square" if rows == cols else "tall" if rows > cols else "wide"
+
+
+class TestTallSideSplit:
+    """Decompose and heat, whose SVD runs on the taller side, against the
+    least-squares projection and eigh oracles, to 1e-12 of max|x|."""
+
+    def test_cases_cover_every_shape(self):
+        seen = set()
+        for build, k in SPLIT_CASES.values():
+            cc = build()
+            down = hodge.dense_boundary(cc, k).T
+            up = hodge.dense_boundary(cc, k + 1)
+            for side, matrix in (("gradient", down), ("curl", up)):
+                if matrix.size:
+                    seen.add((side, _shape_class(matrix)))
+        assert seen == {(side, shape) for side in ("gradient", "curl")
+                        for shape in ("wide", "tall", "square")}
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_fixed_shapes(self, case, weighted):
+        build, k = SPLIT_CASES[case]
+        cc = build()
+        rng = random.Random(case)
+        weights = helpers.random_weights(rng, cc) if weighted else None
+        self.check(cc, k, weights, rng)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans(), weighted=st.booleans())
+    def test_zoo(self, seed, two_complex, weighted):
+        rng = random.Random(seed)
+        cc = zoo_complex(rng, two_complex)
+        weights = helpers.random_weights(rng, cc) if weighted else None
+        for k in range(cc.dim + 1):
+            self.check(cc, k, weights, rng)
+
+    @pytest.mark.parametrize("case", ["cycle-0", "filled-cycle-1", "triangles-1", "triangles-2"])
+    def test_spectrum_of_a_square_boundary_reads_b_itself(self, case):
+        """The values-only SVD keeps its bytes: square B as B, otherwise the taller side."""
+        build, k = SPLIT_CASES[case]
+        cc = build()
+        weights = helpers.random_weights(random.Random(case), cc, WIDE)
+        parts, square = [], False
+        for j in (k, k + 1):
+            b = helpers.dense_boundary_oracle(cc, j, weights)
+            if b.size:
+                square |= b.shape[0] == b.shape[1]
+                rank = helpers.rank_over_q(helpers.to_dense_oracle(cc.boundary(j)))
+                taller = b if b.shape[0] >= b.shape[1] else b.T
+                parts.append(np.linalg.svd(taller, compute_uv=False)[:rank] ** 2)
+        assert square
+        harmonic = np.zeros(cc.n_cells(k) - sum(map(len, parts)))
+        expected = np.sort(np.concatenate([*parts, harmonic]))
+        assert np.array_equal(cx.laplacian_spectrum(cc, k, weights)[0], expected)
+
+    @staticmethod
+    def check(cc, k, weights, rng):
+        x = np.array([rng.uniform(-2, 2) for _ in range(cc.n_cells(k))])
+        tol = 1e-12 * np.max(np.abs(x))
+        split = cx.hodge_decompose(cc, k, cx.ChainVector(k, x), weights)
+        expected = helpers.decompose_oracle(cc, k, x, weights)
+        for part, want in zip((split.gradient, split.curl, split.harmonic), expected):
+            assert np.max(np.abs(part.values - want)) <= tol
+        heat = cx.spectral_filter(cc, k, cx.ChainVector(k, x), "heat:t=0.5", weights)
+        want = helpers.filter_oracle(cc, k, x, "heat:t=0.5", weights)
+        assert np.max(np.abs(heat.values - want)) <= tol
 
 
 class TestValuesOnlySpectrum:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellcomplex as cx
-from cellcomplex import errors
+from cellcomplex import errors, hodge, homology
 
 import helpers
 
@@ -102,6 +102,31 @@ class TestHarmonicBasis:
             for k in range(cc.dim + 1):
                 assert len(cx.harmonic_basis(cc, k)) == betti[k]
 
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans())
+    def test_equals_harmonic_columns_of_spectral_basis(self, seed, two_complex):
+        rng = random.Random(seed)
+        if two_complex:
+            cc = helpers.random_two_complex(rng)
+        else:
+            cc = helpers.random_builder_complex(rng)
+        for k in range(cc.dim + 1):
+            basis = cx.spectral_basis(cc, k)
+            want = basis.vectors[:, np.array(basis.tags, dtype=object) == "harmonic"]
+            got = cx.harmonic_basis(cc, k)
+            assert all(v.dim == k for v in got)
+            got = np.array([v.values for v in got]).T.reshape(want.shape)
+            assert np.array_equal(got, want)
+
+    def test_does_not_build_the_full_spectrum(self, toy_minus, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("harmonic_basis built the full spectral basis")
+
+        for owner in (hodge, homology):
+            monkeypatch.setattr(owner, "spectral_basis", refuse, raising=False)
+        monkeypatch.setattr(hodge, "_tagged_spectrum", refuse)
+        assert len(cx.harmonic_basis(toy_minus, 1)) == 1
+
 
 class TestHomologous:
     def worked_example_chains(self, cc):
@@ -133,6 +158,18 @@ class TestHomologous:
         zero = cx.ChainVector(1, np.zeros(6))
         with pytest.raises(errors.NotACycle):
             cx.homologous(toy_minus, not_cycle, zero)
+
+    def test_cycle_check_is_sparse(self, toy_minus, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cycle check built a dense boundary")
+
+        monkeypatch.setattr(homology, "dense_boundary", refuse)
+        not_cycle = cx.chain_on(toy_minus, 1, {"0-1": 1})
+        zero = cx.ChainVector(1, np.zeros(6))
+        with pytest.raises(errors.NotACycle):
+            cx.homologous(toy_minus, not_cycle, zero)
+        with pytest.raises(errors.NotACycle):
+            cx.homologous(toy_minus, zero, not_cycle)
 
     def test_dimension_mismatch(self, toy_minus):
         with pytest.raises(errors.BadDimension):
