@@ -22,7 +22,9 @@ from .core import (
     BoundaryMatrix,
     CellComplex,
     _edge_endpoints,
+    _entry_arrays,
     _rotate_min_first,
+    _tail_head,
     from_boundary_matrices,
     from_tuples,
     oriented_cycle,
@@ -164,9 +166,7 @@ def _complex_of_layers(vlabels: Sequence[str], layers: Sequence[np.ndarray]) -> 
         rows = _match_rows(layers[k - 1], _facets(layers[k]))[0]
         cols = np.tile(np.arange(m), k + 1)
         signs = np.repeat([(-1) ** (k - j) for j in range(k + 1)], m)
-        order = np.lexsort(_radix_keys((rows, cols)))
-        entries = zip(rows[order].tolist(), cols[order].tolist(), signs[order].tolist())
-        mats.append(BoundaryMatrix(len(layers[k - 1]), m, tuple(entries)))
+        mats.append(BoundaryMatrix(len(layers[k - 1]), m, np.column_stack((rows, cols, signs))))
     return from_boundary_matrices(cells, mats)
 
 
@@ -355,24 +355,22 @@ def product(a: CellComplex, b: CellComplex) -> CellComplex:
     mats = []
     for total in range(1, dim + 1):
         row_offset = dict(_product_blocks(a, b, total - 1))
-        entries = []
-        col_base = 0
-        for k, _ in _product_blocks(a, b, total):
+        parts = []  # triplets per factor boundary and block
+        for k, col_base in _product_blocks(a, b, total):
             kb = total - k
             na, nb = a.n_cells(k), b.n_cells(kb)
-            cols_a = a.boundary(k).columns() if k >= 1 else [[]] * na
-            cols_b = b.boundary(kb).columns() if kb >= 1 else [[]] * nb
-            sign = (-1) ** (k + 1)
-            nb_down = b.n_cells(kb - 1)
-            for i in range(na):
-                for j in range(nb):
-                    col = col_base + i * nb + j
-                    for r, s in cols_a[i]:
-                        entries.append((row_offset[k - 1] + r * nb + j, col, s))
-                    for r, s in cols_b[j]:
-                        entries.append((row_offset[k] + i * nb_down + r, col, sign * s))
-            col_base += na * nb
-        mats.append(BoundaryMatrix(len(cells[total - 1]), len(cells[total]), tuple(entries)))
+            if k >= 1:  # the boundary of a's cell i, paired with b's cell j
+                r, i, s, _ = _entry_arrays(a.boundary(k))
+                r, i, j = r[:, None], i[:, None], np.arange(nb)
+                rows, cols = row_offset[k - 1] + r * nb + j, col_base + i * nb + j
+                parts.append(np.stack(np.broadcast_arrays(rows, cols, s[:, None]), -1))
+            if kb >= 1:  # a's cell i, paired with the boundary of b's cell j
+                r, j, s, _ = _entry_arrays(b.boundary(kb))
+                i = np.arange(na)[:, None]
+                rows, cols = row_offset[k] + i * b.n_cells(kb - 1) + r, col_base + i * nb + j
+                parts.append(np.stack(np.broadcast_arrays(rows, cols, (-1) ** (k + 1) * s), -1))
+        triplets = np.concatenate([part.reshape(-1, 3) for part in parts])
+        mats.append(BoundaryMatrix(len(cells[total - 1]), len(cells[total]), triplets))
     return from_boundary_matrices(cells, mats)
 
 
@@ -596,7 +594,7 @@ def window_lifting(emb: PlanarEmbedding) -> CellComplex:
         )
     outer = negatives[0]
 
-    b1 = base.boundary(1)
+    ends = _edge_endpoints(base.boundary(1))
     windows: list[tuple[tuple[int, ...], list[tuple[int, int]]]] = []
     for fi, walk in enumerate(faces):
         if fi == outer:
@@ -609,29 +607,19 @@ def window_lifting(emb: PlanarEmbedding) -> CellComplex:
                 idx, sign = edge_index[(v, u)], -1
             net[idx] = net.get(idx, 0) + sign
         entries = [(idx, sign) for idx, sign in sorted(net.items()) if sign]
-        cycle, reason = oriented_cycle(b1, entries)
+        cycle, reason = oriented_cycle(ends, entries)
         if reason is not None:
             raise NotACycleColumn(f"window boundary is not a simple cycle: {reason}")
         windows.append((_rotate_min_first(cycle), entries))
     windows.sort(key=lambda item: item[0])
-
-    face_labels = ["-".join(emb.labels[i] for i in cyc) for cyc, _ in windows]
-    b2_entries = tuple(
-        (idx, col, sign)
-        for col, (_, entries) in enumerate(windows)
-        for idx, sign in entries
-    )
-    b2 = BoundaryMatrix(b1.cols, len(windows), b2_entries)
-    return from_boundary_matrices(
-        [list(base.cells[0]), list(base.cells[1]), face_labels], [b1, b2]
-    )
+    return _cycle_cells(base, [entries for _, entries in windows], canonical=False)
 
 
 def _underlying_graph(cc: CellComplex) -> list[tuple[int, int]]:
     if cc.dim != 1:
         raise BadDimension("lifting expects a 1-dimensional complex")
-    b1 = cc.boundary(1)
-    return [_edge_endpoints(b1, j) for j in range(b1.cols)]
+    ends = _edge_endpoints(cc.boundary(1))
+    return [_tail_head(ends, j) for j in range(len(ends))]
 
 
 def _cycle_cells(
@@ -641,11 +629,12 @@ def _cycle_cells(
     if not columns:
         return cc
     b1 = cc.boundary(1)
+    pairs = _edge_endpoints(b1)
     labels: list[str] = []
     seen: set[str] = set()
     entries: list[tuple[int, int, int]] = []
     for col, signed_edges in enumerate(columns):
-        cycle, reason = oriented_cycle(b1, signed_edges)
+        cycle, reason = oriented_cycle(pairs, signed_edges)
         if reason is not None:
             raise NotACycleColumn(f"lifted cycle is invalid: {reason}")
         if canonical and len(cycle) >= 3 and cycle[1] > cycle[-1]:
@@ -657,10 +646,8 @@ def _cycle_cells(
         seen.add(label)
         labels.append(label)
         entries.extend((j, col, s) for j, s in signed_edges)
-    b2 = BoundaryMatrix(b1.cols, len(columns), tuple(entries))
-    return from_boundary_matrices(
-        [list(cc.cells[0]), list(cc.cells[1]), labels], [b1, b2]
-    )
+    b2 = BoundaryMatrix(b1.cols, len(columns), entries)
+    return from_boundary_matrices([*cc.cells, labels], [b1, b2])
 
 
 def spanning_tree_lifting(cc: CellComplex, root: str | int | None = None) -> CellComplex:

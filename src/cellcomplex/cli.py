@@ -247,7 +247,8 @@ def _run_lift(args) -> int:
     cc = io.load_complex(args.graph)
     if args.lifting == "window":
         coords = _load_csv(args.coords)
-        pairs = tuple(core._edge_endpoints(cc.boundary(1), j) for j in range(cc.n_cells(1)))
+        ends = core._edge_endpoints(cc.boundary(1)) if cc.dim >= 1 else []
+        pairs = tuple(core._tail_head(ends, j) for j in range(len(ends)))
         emb = builders.PlanarEmbedding(coords, pairs, tuple(cc.cells[0]))
         return _emit_complex(builders.window_lifting(emb))
     if args.lifting == "tree":

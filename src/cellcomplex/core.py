@@ -4,16 +4,16 @@ A cell complex of dimension n is stored as ordered per-dimension label
 lists together with signed sparse boundary matrices B_1..B_n.  Entries
 of B_k live in {-1, +1}: column j lists the (k-1)-cells bounding the
 j-th k-cell, with the sign recording whether reference orientations
-agree.  Every layer reads the one layout of BoundaryMatrix: entries
-sorted by (column, row) plus a column pointer, so reading one column
-costs the length of that column.  Everything here is immutable;
-operations return new values.
+agree.  Every layer reads the one layout of BoundaryMatrix: read-only
+CSC arrays (indptr, indices, signs), sorted and checked by numpy, so a
+column costs its length.  Everything here is immutable; operations
+return new values.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ from .errors import (
     DuplicateEntry,
     DuplicateLabel,
     ExactnessViolated,
-    IntegerOverflow,
     MissingEdge,
     NotACycleColumn,
     NotSimple,
@@ -41,59 +40,75 @@ from .errors import (
 INT_LIMIT = 2**62
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class BoundaryMatrix:
-    """Sparse signed incidence matrix with entries in {-1, +1}.
+    """Sparse signed incidence matrix with entries in {-1, +1}, stored CSC.
 
-    Entries are stored as (row, col, sign) triplets sorted by (col, row),
-    at most one per position: compressed sparse column order.  The
-    column pointer ``indptr`` holds cols + 1 offsets, so column j is
-    ``entries[indptr[j]:indptr[j + 1]]`` and reading it costs its length.
+    Three read-only int64 arrays hold it: column j has the increasing rows
+    ``indices[indptr[j]:indptr[j + 1]]`` and their signs at the same
+    positions of ``signs``.  The constructor takes (row, col, sign)
+    triplets in any order, as a sequence or an (n, 3) array, and rejects
+    the first entry in (col, row) order whose indices are not integers
+    inside the shape, whose sign is not the integer +-1 or that repeats a
+    position.  Equality is by value.
     """
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, int, int], ...]
-    indptr: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    signs: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        entries = tuple(sorted(self.entries, key=lambda e: (e[1], e[0])))
-        counts = [0] * (self.cols + 1)
-        pi = pj = -1
-        for i, j, s in entries:
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise ShapeMismatch(
-                    f"entry ({i}, {j}) outside {self.rows}x{self.cols} matrix"
-                )
-            if s not in (-1, 1):
-                raise ValueError(f"boundary entry sign must be +-1, got {s}")
-            if i == pi and j == pj:
-                raise DuplicateEntry(f"duplicate entry at ({i}, {j})")
-            pi, pj = i, j
-            counts[j + 1] += 1
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "indptr", tuple(itertools.accumulate(counts)))
+    def __init__(self, rows: int, cols: int, entries):
+        self.__post_init__(rows, cols, entries)
+
+    def __post_init__(self, rows: int, cols: int, entries) -> None:
+        given = np.asarray(entries)
+        given = given.reshape(0, 3) if given.size == 0 else given
+        if given.ndim != 2 or given.shape[1] != 3:
+            raise ValueError("boundary entries must be (row, col, sign) triplets")
+        if given.dtype.kind not in "bi":  # floats, strings, unsigned, ints beyond int64
+            _reject_entry(rows, cols, entries)
+        given = given.astype(np.int64, copy=False)
+        order = np.lexsort((given[:, 0], given[:, 1]))
+        r, c, s = given[order].T.copy()
+        bad = (r < 0) | (r >= rows) | (c < 0) | (c >= cols) | (np.abs(s) != 1)
+        bad[1:] |= (r[1:] == r[:-1]) & (c[1:] == c[:-1])
+        if bad.any():
+            _reject_entry(rows, cols, entries)
+        indptr = np.searchsorted(c, np.arange(cols + 1))
+        indptr.flags.writeable = r.flags.writeable = s.flags.writeable = False
+        vars(self).update(rows=int(rows), cols=int(cols), indptr=indptr, indices=r, signs=s)
+
+    def _key(self) -> tuple:
+        return self.shape, self.indptr.tobytes(), self.indices.tobytes(), self.signs.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BoundaryMatrix) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    @property
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
+        """The (row, col, sign) triplets in (col, row) order, as Python ints."""
+        return tuple(zip(*(array.tolist() for array in _entry_arrays(self)[:3])))
+
     def columns(self) -> list[list[tuple[int, int]]]:
         """Per-column lists of (row, sign)."""
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
-        for i, j, s in self.entries:
-            cols[j].append((i, s))
-        return cols
+        pairs = list(zip(self.indices.tolist(), self.signs.tolist()))
+        ptr = self.indptr.tolist()
+        return [pairs[p:q] for p, q in zip(ptr, ptr[1:])]
 
     def column(self, j: int) -> list[tuple[int, int]]:
         if not 0 <= j < self.cols:
             raise ShapeMismatch(f"column {j} outside 0..{self.cols - 1}")
-        return [(i, s) for i, _, s in self.entries[self.indptr[j] : self.indptr[j + 1]]]
-
-    def row(self, i: int) -> list[tuple[int, int]]:
-        if not 0 <= i < self.rows:
-            raise ShapeMismatch(f"row {i} outside 0..{self.rows - 1}")
-        return [(j, s) for ii, j, s in self.entries if ii == i]
+        p, q = self.indptr[j : j + 2].tolist()
+        return list(zip(self.indices[p:q].tolist(), self.signs[p:q].tolist()))
 
     def to_dense(self) -> np.ndarray:
         rows, cols, signs, shape = _entry_arrays(self)
@@ -102,41 +117,56 @@ class BoundaryMatrix:
         return dense
 
     def flip_columns(self, cols: Iterable[int]) -> "BoundaryMatrix":
-        flip = set(cols)
-        return BoundaryMatrix(
-            self.rows,
-            self.cols,
-            tuple((i, j, -s if j in flip else s) for i, j, s in self.entries),
-        )
+        return self._negated(1, cols)
 
     def flip_rows(self, rows: Iterable[int]) -> "BoundaryMatrix":
-        flip = set(rows)
-        return BoundaryMatrix(
-            self.rows,
-            self.cols,
-            tuple((i, j, -s if i in flip else s) for i, j, s in self.entries),
-        )
+        return self._negated(0, rows)
+
+    def _negated(self, axis: int, indices: Iterable[int]) -> "BoundaryMatrix":
+        """The entries in the given rows (axis 0) or columns (axis 1) negated."""
+        triplets = np.column_stack(_entry_arrays(self)[:3])
+        triplets[np.isin(triplets[:, axis], list(indices)), 2] *= -1
+        return BoundaryMatrix(self.rows, self.cols, triplets)
 
     def restrict(self, rows: Sequence[int], cols: Sequence[int]) -> "BoundaryMatrix":
         """Submatrix on the given row/col index lists (order preserved)."""
-        rmap = _positions(rows, self.rows, "row")
-        _positions(cols, self.cols, "column")
-        entries, indptr = self.entries, self.indptr
-        kept = tuple(
-            (rmap[i], c, s)
-            for c, j in enumerate(cols)
-            for i, _, s in entries[indptr[j] : indptr[j + 1]]
-            if i in rmap
-        )
-        return BoundaryMatrix(len(rows), len(cols), kept)
+        position = np.full(self.rows, -1, dtype=np.int64)
+        position[_indices(rows, self.rows, "row")] = np.arange(len(rows))
+        at, new_col = _gather(self.indptr, _indices(cols, self.cols, "column"))
+        new_row = position[self.indices[at]]
+        kept = new_row >= 0
+        triplets = np.column_stack((new_row[kept], new_col[kept], self.signs[at][kept]))
+        return BoundaryMatrix(len(rows), len(cols), triplets)
+
+
+def _reject_entry(rows: int, cols: int, triplets) -> None:
+    """Raise for the first triplet in (col, row) order that is not an integer index
+    inside the shape, has a sign other than the integer +-1 or repeats a position.
+    Only a faulty or non-integer input reaches this one-at-a-time check."""
+    last = None
+    for i, j, s in sorted(triplets, key=lambda e: (e[1], e[0])):
+        if not (isinstance(i, Integral) and isinstance(j, Integral)
+                and 0 <= i < rows and 0 <= j < cols):
+            raise ShapeMismatch(f"entry ({i}, {j}) outside {rows}x{cols} matrix")
+        if s not in (-1, 1) or not isinstance(s, Integral):
+            raise ValueError(f"boundary entry sign must be +-1, got {s}")
+        if (i, j) == last:
+            raise DuplicateEntry(f"duplicate entry at ({i}, {j})")
+        last = (i, j)
 
 
 def _entry_arrays(b: BoundaryMatrix):
-    """Rows, columns and signs (int64 arrays, in stored order) and the shape of B:
-    the one place where entry tuples become arrays, for every numeric reader."""
-    entries = b.entries
-    rows, cols, signs = np.array(entries, dtype=np.int64).reshape(len(entries), 3).T
-    return rows, cols, signs, b.shape
+    """Rows, columns and signs (int64 arrays, in stored order) and the shape of B,
+    for every numeric reader; the column index is derived from indptr."""
+    return b.indices, np.repeat(np.arange(b.cols), np.diff(b.indptr)), b.signs, b.shape
+
+
+def _gather(indptr: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries of columns ``which``, in order, and their column's place in it."""
+    starts = indptr[which]
+    lengths = indptr[which + 1] - starts
+    owner = np.repeat(np.arange(len(which)), lengths)
+    return np.arange(owner.size) + (starts - np.cumsum(lengths) + lengths)[owner], owner
 
 
 def _product(b, x: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -148,30 +178,30 @@ def _product(b, x: np.ndarray, transpose: bool = False) -> np.ndarray:
     return np.bincount(rows, weights=values * x[cols], minlength=m)
 
 
-def _positions(indices: Sequence[int], n: int, what: str) -> dict[int, int]:
-    """Position of each index in the list; all must be distinct and in 0..n-1."""
-    pos = {i: k for k, i in enumerate(indices)}
-    if len(pos) != len(indices) or (pos and (min(pos) < 0 or max(pos) >= n)):
+def _indices(indices: Sequence[int], n: int, what: str) -> np.ndarray:
+    """The index list as an int64 array; all must be distinct and in 0..n-1."""
+    array = np.asarray(indices, dtype=np.int64).reshape(-1)
+    if array.size and (array.min() < 0 or array.max() >= n or len(set(indices)) < array.size):
         raise ShapeMismatch(f"{what} indices must be distinct, non-negative and below {n}")
-    return pos
+    return array
 
 
 def integer_product(a: BoundaryMatrix, b: BoundaryMatrix) -> dict[tuple[int, int], int]:
-    """Exact integer sparse product a @ b as a dict of nonzero entries."""
+    """Exact integer product a @ b as a dict of its nonzero entries in (col, row) order:
+    each entry of b expands into its row's column of a, summed per position.  A sum of
+    at most nnz(a) terms of +-1 cannot come near INT_LIMIT, so none is tested."""
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    a_cols = [a.entries[p:q] for p, q in zip(a.indptr, a.indptr[1:])]
-    out: dict[tuple[int, int], int] = {}
-    for j, (p, q) in enumerate(zip(b.indptr, b.indptr[1:])):
-        column: dict[int, int] = {}
-        for i, _, s in b.entries[p:q]:
-            for r, _, s2 in a_cols[i]:
-                val = column.get(r, 0) + s * s2
-                if abs(val) > INT_LIMIT:
-                    raise IntegerOverflow("entry exceeded 64-bit range in exact product")
-                column[r] = val
-        out.update(((r, j), val) for r, val in column.items() if val)
-    return out
+    at, owner = _gather(a.indptr, b.indices)
+    rows, cols = a.indices[at], _entry_arrays(b)[1][owner]
+    order = np.lexsort((rows, cols))
+    rows, cols = rows[order], cols[order]
+    new = np.ones(rows.size, dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(new)
+    sums = np.add.reduceat((a.signs[at] * b.signs[owner])[order], starts) if rows.size else rows
+    keep = starts[sums != 0]
+    return dict(zip(zip(rows[keep].tolist(), cols[keep].tolist()), sums[sums != 0].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,6 +268,20 @@ class CellComplex:
         return CellRef(k, self.index_of(k, label), orientation)
 
 
+def _cell_layers(cells: Sequence[Sequence[str]]) -> tuple[tuple[str, ...], ...]:
+    """The label layers as string tuples; each must be nonempty and unique."""
+    if not cells or not cells[0]:
+        raise ShapeMismatch("a complex needs a nonempty set of 0-cells")
+    cell_lists = tuple(tuple(str(label) for label in layer) for layer in cells)
+    for k, layer in enumerate(cell_lists):
+        if not layer:
+            raise ShapeMismatch(f"cell layer {k} is empty")
+        if len(set(layer)) != len(layer):
+            dup = next(l for l in layer if layer.count(l) > 1)
+            raise DuplicateLabel(f"duplicate {k}-cell label {dup!r}")
+    return cell_lists
+
+
 def from_boundary_matrices(
     cells: Sequence[Sequence[str]],
     boundaries: Sequence[BoundaryMatrix],
@@ -248,20 +292,12 @@ def from_boundary_matrices(
     condition B_{k-1} @ B_k = 0 in exact integer arithmetic.  Full
     regularity validation lives in the validate module.
     """
-    if not cells or not cells[0]:
-        raise ShapeMismatch("a complex needs a nonempty set of 0-cells")
-    cell_lists = tuple(tuple(str(label) for label in layer) for layer in cells)
+    cell_lists = _cell_layers(cells)
     dim = len(cell_lists) - 1
     if len(boundaries) != dim:
         raise ShapeMismatch(
             f"{dim + 1} cell layers need {dim} boundary matrices, got {len(boundaries)}"
         )
-    for k, layer in enumerate(cell_lists):
-        if not layer:
-            raise ShapeMismatch(f"cell layer {k} is empty")
-        if len(set(layer)) != len(layer):
-            dup = next(l for l in layer if layer.count(l) > 1)
-            raise DuplicateLabel(f"duplicate {k}-cell label {dup!r}")
     for k, b in enumerate(boundaries, start=1):
         want = (len(cell_lists[k - 1]), len(cell_lists[k]))
         if b.shape != want:
@@ -269,7 +305,7 @@ def from_boundary_matrices(
     for k in range(2, dim + 1):
         product = integer_product(boundaries[k - 2], boundaries[k - 1])
         if product:
-            (row, col), value = min(product.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+            (row, col), value = next(iter(product.items()))
             raise ExactnessViolated(k, row, col, value)
     return CellComplex(dim, cell_lists, tuple(boundaries))
 
@@ -403,21 +439,33 @@ def is_simple(cc: CellComplex) -> bool:
     return True
 
 
-def _edge_endpoints(b1: BoundaryMatrix, j: int) -> tuple[int, int]:
-    """(tail, head) of edge j; requires a valid dimension-1 column."""
-    column = b1.column(j)
-    if len(column) != 2 or column[0][1] == column[1][1]:
+def _edge_endpoints(b1: BoundaryMatrix) -> list[tuple[int, int] | None]:
+    """(tail, head) of every edge of B_1, in one array pass; None for a column that
+    is not one -1 and one +1, which _tail_head rejects."""
+    rows, cols, signs, _ = _entry_arrays(b1)
+    ends = np.zeros((2, b1.cols), dtype=np.int64)
+    ends[(signs + 1) // 2, cols] = rows  # tails, where -1, then heads, where +1
+    good = (np.bincount(cols, minlength=b1.cols) == 2) & (np.bincount(cols, signs, b1.cols) == 0)
+    pairs: list = list(zip(*ends.tolist()))
+    for j in np.flatnonzero(~good).tolist():
+        pairs[j] = None
+    return pairs
+
+
+def _tail_head(ends: Sequence[tuple[int, int] | None], j: int) -> tuple[int, int]:
+    """Edge j's (tail, head) from _edge_endpoints; NotACycleColumn if it has none."""
+    if ends[j] is None:
         raise NotACycleColumn(f"edge column {j} is not a (tail, head) incidence")
-    (a, sign), (b, _) = column
-    return (a, b) if sign == -1 else (b, a)
+    return ends[j]
 
 
 def oriented_cycle(
-    b1: BoundaryMatrix, entries: Sequence[tuple[int, int]]
+    ends: Sequence[tuple[int, int] | None], entries: Sequence[tuple[int, int]]
 ) -> tuple[list[int], str | None]:
     """Trace a signed edge selection as one oriented simple cycle.
 
-    ``entries`` holds (edge index, sign) pairs; sign -1 traverses the edge
+    ``ends`` holds each edge's (tail, head) from ``_edge_endpoints`` and
+    ``entries`` the (edge index, sign) pairs; sign -1 traverses the edge
     against its reference orientation.  Returns (vertex cycle, None) on
     success, or ([], reason) when the selection is empty, branches, is
     inconsistently oriented, or splits into several components.
@@ -427,7 +475,7 @@ def oriented_cycle(
     succ: dict[int, int] = {}
     indeg: dict[int, int] = {}
     for j, s in entries:
-        tail, head = _edge_endpoints(b1, j)
+        tail, head = _tail_head(ends, j)
         if s == -1:
             tail, head = head, tail
         if tail in succ:
@@ -450,8 +498,8 @@ def oriented_cycle(
     return cycle, None
 
 
-def _cycle_tuple(cc: CellComplex, col: int) -> list[int]:
-    cycle, reason = oriented_cycle(cc.boundary(1), cc.boundary(2).column(col))
+def _cycle_tuple(cc: CellComplex, ends: Sequence[tuple[int, int]], col: int) -> list[int]:
+    cycle, reason = oriented_cycle(ends, cc.boundary(2).column(col))
     if reason is not None:
         label = cc.cells[2][col]
         raise NotACycleColumn(f"2-cell {label!r}: {reason}")
@@ -472,20 +520,15 @@ def canonicalize_orientations(cc: CellComplex) -> CellComplex:
         raise NotSimple("canonical orientation requires a simple complex")
     if cc.dim == 0:
         return cc
-    b1 = cc.boundary(1)
-    pairs = [_edge_endpoints(b1, j) for j in range(b1.cols)]
+    ends = _edge_endpoints(cc.boundary(1))
+    pairs = [_tail_head(ends, j) for j in range(len(ends))]
     edge_flips = [j for j, (tail, head) in enumerate(pairs) if tail > head]
-    new_b1 = b1.flip_columns(edge_flips)
-    mats = [new_b1]
+    mats = [cc.boundary(1).flip_columns(edge_flips)]
     if cc.dim == 2:
-        b2 = cc.boundary(2).flip_rows(edge_flips)
-        interim = CellComplex(2, cc.cells, (new_b1, b2))
-        poly_flips = []
-        for col in range(b2.cols):
-            cycle = _cycle_tuple(interim, col)
-            if len(cycle) >= 2 and cycle[1] > cycle[-1]:
-                poly_flips.append(col)
-        mats.append(b2.flip_columns(poly_flips))
+        # A flipped edge with its B_2 row negated is walked the same way.
+        cycles = [_cycle_tuple(cc, pairs, col) for col in range(cc.n_cells(2))]
+        poly_flips = [col for col, c in enumerate(cycles) if len(c) >= 2 and c[1] > c[-1]]
+        mats.append(cc.boundary(2).flip_rows(edge_flips).flip_columns(poly_flips))
     return CellComplex(cc.dim, cc.cells, tuple(mats))
 
 
@@ -505,14 +548,13 @@ def to_tuples(
     vlabels = list(cc.cells[0])
     edges: list[tuple[str, str]] = []
     polygons: list[tuple[str, ...]] = []
-    if cc.dim >= 1:
-        b1 = cc.boundary(1)
-        for j in range(b1.cols):
-            tail, head = _edge_endpoints(b1, j)
-            edges.append((vlabels[tail], vlabels[head]))
+    ends = _edge_endpoints(cc.boundary(1)) if cc.dim >= 1 else []
+    for j in range(len(ends)):
+        tail, head = _tail_head(ends, j)
+        edges.append((vlabels[tail], vlabels[head]))
     if cc.dim == 2:
         for col in range(cc.n_cells(2)):
-            cycle = _rotate_min_first(_cycle_tuple(cc, col))
+            cycle = _rotate_min_first(_cycle_tuple(cc, ends, col))
             polygons.append(tuple(vlabels[i] for i in cycle))
     return vlabels, edges, polygons
 
@@ -540,7 +582,7 @@ def subcomplex(cc: CellComplex, keep: Sequence[Sequence[int]]) -> CellComplex:
     if not layers or not layers[0]:
         raise ShapeMismatch("sub-complex needs at least one 0-cell")
     for k, layer in enumerate(layers):
-        _positions(layer, cc.n_cells(k), f"{k}-cell")
+        _indices(layer, cc.n_cells(k), f"{k}-cell")
     cells = tuple(
         tuple(cc.cells[k][i] for i in layer) for k, layer in enumerate(layers)
     )
@@ -550,12 +592,16 @@ def subcomplex(cc: CellComplex, keep: Sequence[Sequence[int]]) -> CellComplex:
     return CellComplex(len(layers) - 1, cells, mats)
 
 
+def _closure(column, k: int, index: int) -> list[list[int]]:
+    """closure_indices of k-cell ``index``, reading column j of B_l as column(l, j)."""
+    support: list[set[int]] = [set() for _ in range(k + 1)]
+    support[k].add(index)
+    for l in range(k, 0, -1):
+        for j in support[l]:
+            support[l - 1].update(i for i, _ in column(l, j))
+    return [sorted(layer) for layer in support]
+
+
 def closure_indices(cc: CellComplex, cell: CellRef) -> list[list[int]]:
     """Per-dimension indices of the smallest sub-complex containing a cell."""
-    support: list[set[int]] = [set() for _ in range(cell.dim + 1)]
-    support[cell.dim].add(cell.index)
-    for k in range(cell.dim, 0, -1):
-        b = cc.boundary(k)
-        for j in support[k]:
-            support[k - 1].update(i for i, _ in b.column(j))
-    return [sorted(layer) for layer in support]
+    return _closure(lambda l, j: cc.boundary(l).column(j), cell.dim, cell.index)

@@ -177,6 +177,10 @@ def normalized_rw_weights(cc: CellComplex) -> WeightSet:
     w2 = np.bincount(cols2, minlength=n2).astype(float)
     w1 = np.maximum(np.bincount(rows2, minlength=n1), 1.0)
     w0 = 2.0 * np.bincount(rows1, weights=w1[cols1], minlength=n0)
+    for k, w, cause in ((0, w0, "is isolated"), (2, w2, "has an empty boundary")):
+        if not w.all():
+            cell = f"{k}-cell {cc.cells[k][int(np.argmin(w))]!r}"
+            raise NonPositiveWeight(f"{cell} {cause}: its random-walk weight is 0")
     return WeightSet((w0, w1, w2))
 
 

@@ -86,6 +86,8 @@ def homologous(
     if a.dim != b.dim:
         raise BadDimension(f"chains have dimensions {a.dim} and {b.dim}")
     k = a.dim
+    if not 0 <= k <= cc.dim:
+        raise BadDimension(f"no {k}-cells on a {cc.dim}-complex")
     va = _as_cycle(cc, a, "first chain")
     vb = _as_cycle(cc, b, "second chain")
     diff = vb - va

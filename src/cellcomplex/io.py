@@ -32,8 +32,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import BoundaryMatrix, CellComplex, ChainVector, from_boundary_matrices
-from .errors import SchemaError
+from .core import BoundaryMatrix, CellComplex, ChainVector, _cell_layers, from_boundary_matrices
+from .errors import SchemaError, ShapeMismatch
 
 
 def round_sig(x: float, digits: int = 12) -> float:
@@ -146,7 +146,15 @@ def complex_from_json(doc: Any) -> CellComplex:
             _is_int(spec["rows"]) and _is_int(spec["cols"]),
             f"boundary {k} rows/cols must be integers",
         )
-        mats.append(BoundaryMatrix(spec["rows"], spec["cols"], tuple(map(tuple, entries))))
+        shape, want = (spec["rows"], spec["cols"]), (len(cells[k - 1]), len(cells[k]))
+        if shape != want:  # before the shape sizes any array, after the cell layers
+            _cell_layers(cells)
+            raise ShapeMismatch(f"B_{k} has shape {shape}, expected {want}")
+        try:  # flat, as numpy reads nested lists slowly
+            entries = np.fromiter(chain.from_iterable(entries), np.int64).reshape(-1, 3)
+        except OverflowError:  # an index beyond int64, which the constructor names
+            pass
+        mats.append(BoundaryMatrix(*shape, entries))
     return from_boundary_matrices(cells, mats)
 
 

@@ -37,6 +37,8 @@ class SnfResult:
 
 
 def _int_entries(matrix) -> tuple[int, int, list[tuple[int, int, int]]]:
+    if isinstance(matrix, BoundaryMatrix):
+        return matrix.rows, matrix.cols, matrix.entries
     array = np.asarray(matrix)
     if array.ndim != 2:
         if array.size == 0:
@@ -139,10 +141,11 @@ def _eliminate(r: int, c: int, rows, cols, heap) -> int:
 
 def smith_normal_form(matrix) -> SnfResult:
     """Diagonal invariant factors of a BoundaryMatrix or 2-d integer array."""
-    if isinstance(matrix, BoundaryMatrix):
-        n_rows, n_cols, entries = matrix.rows, matrix.cols, matrix.entries
-    else:
-        n_rows, n_cols, entries = _int_entries(matrix)
+    return _smith(*_int_entries(matrix))
+
+
+def _smith(n_rows: int, n_cols: int, entries) -> SnfResult:
+    """The elimination on (row, col, value) triplets, at most one per position."""
     cols: list[dict[int, int]] = [{} for _ in range(n_cols)]
     rows: list[set[int]] = [set() for _ in range(n_rows)]
     for i, j, v in entries:

@@ -20,12 +20,14 @@ from dataclasses import dataclass
 from .core import (
     CellComplex,
     CellRef,
+    _closure,
+    _edge_endpoints,
     closure_indices,
     oriented_cycle,
     subcomplex,
 )
 from .errors import BadDimension, NotACycleColumn
-from .snf import SnfResult, smith_normal_form
+from .snf import SnfResult, _smith
 
 __all__ = [
     "Failure",
@@ -90,11 +92,11 @@ def validate_dim2(cc: CellComplex) -> ValidationReport:
     if cc.dim != 2:
         raise BadDimension("dimension-2 validation needs a 2-dimensional complex")
     failures = []
-    b1, b2 = cc.boundary(1), cc.boundary(2)
-    for j, column in enumerate(b2.columns()):
+    ends = _edge_endpoints(cc.boundary(1))
+    for j, column in enumerate(cc.boundary(2).columns()):
         cell = f"2-cell {cc.cells[2][j]}"
         try:
-            _, reason = oriented_cycle(b1, column)
+            _, reason = oriented_cycle(ends, column)
         except NotACycleColumn as exc:
             reason = str(exc)
         if reason is not None:
@@ -111,20 +113,21 @@ def _all_unit_factors(snf: SnfResult) -> bool:
     return all(d == 1 for d in snf.diagonal[: snf.rank])
 
 
-def _cell_failures(cc: CellComplex, k: int, index: int) -> list[Failure]:
+def _cell_failures(cc: CellComplex, columns: list, k: int, index: int) -> list[Failure]:
     cell = f"{k}-cell {cc.cells[k][index]}"
-    layers = closure_indices(cc, CellRef(k, index))
-    hats = [
-        cc.boundary(l).restrict(layers[l - 1], layers[l]) for l in range(1, k + 1)
-    ]
-    snfs = [smith_normal_form(b) for b in hats]
+    layers = _closure(lambda l, j: columns[l][j], k, index)
+    snfs = []
+    for l in range(1, k + 1):  # B_l restricted to the closure, in stored order
+        position = {i: p for p, i in enumerate(layers[l - 1])}
+        entries = [(position[i], c, s) for c, j in enumerate(layers[l]) for i, s in columns[l][j]]
+        snfs.append(_smith(len(layers[l - 1]), len(layers[l]), entries))
     failures = []
     # Acyclicity: the top column is injective and, over Z, the kernel of
     # each lower map equals the image of the one above it.
     if snfs[k - 1].rank != 1:
         failures.append(Failure("cell-acyclic", cell, "boundary column is zero"))
     for l in range(2, k + 1):
-        kernel_rank = hats[l - 2].cols - snfs[l - 2].rank
+        kernel_rank = len(layers[l - 1]) - snfs[l - 2].rank
         if kernel_rank != snfs[l - 1].rank or not _all_unit_factors(snfs[l - 1]):
             failures.append(
                 Failure(
@@ -135,7 +138,7 @@ def _cell_failures(cc: CellComplex, k: int, index: int) -> list[Failure]:
                     f"factors {snfs[l - 1].diagonal[: snfs[l - 1].rank]})",
                 )
             )
-    cokernel_rank = hats[0].rows - snfs[0].rank
+    cokernel_rank = len(layers[0]) - snfs[0].rank
     if cokernel_rank != 1 or not _all_unit_factors(snfs[0]):
         failures.append(
             Failure(
@@ -153,7 +156,8 @@ def validate_nd(cc: CellComplex) -> ValidationReport:
     failures: list[Failure] = []
     if cc.dim >= 1:
         failures.extend(_b1_column_failures(cc))
+    columns = [[]] + [cc.boundary(k).columns() for k in range(1, cc.dim + 1)]
     for k in range(1, cc.dim + 1):
         for index in range(cc.n_cells(k)):
-            failures.extend(_cell_failures(cc, k, index))
+            failures.extend(_cell_failures(cc, columns, k, index))
     return ValidationReport.from_failures(failures)

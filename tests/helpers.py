@@ -11,8 +11,12 @@ dump, and the plane-drawing oracle tests every vertex pair, edge pair
 and vertex-edge pair in Python loops.  The boundary oracles read the
 entries one at a time and weight dense matrices by broadcasting, as
 core and hodge did before they scattered and multiplied from entry
-arrays.  The complex zoo produces small randomized builder outputs for
-the property suites.
+arrays.  The boundary-layout oracles are the tuple code that the CSC
+arrays replaced: a sort-and-check of the triplets, a dict-summed
+product, a per-column read of edge endpoints, a column-by-column
+restriction, and per-cell validation through restricted matrices and
+their Smith forms.  The complex zoo produces small randomized builder
+outputs for the property suites.
 """
 
 from __future__ import annotations
@@ -28,7 +32,15 @@ from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import hodge
-from cellcomplex.errors import DuplicateLabel, EdgesCross, UnknownVertex
+from cellcomplex.core import closure_indices
+from cellcomplex.errors import (
+    DuplicateEntry,
+    DuplicateLabel,
+    EdgesCross,
+    NotACycleColumn,
+    ShapeMismatch,
+    UnknownVertex,
+)
 from cellcomplex.persist import Filtration, PersistenceBar, PersistenceDiagram
 
 TOY_EDGES = [(0, 1), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]
@@ -144,6 +156,97 @@ def to_dense_oracle(b: cx.BoundaryMatrix) -> np.ndarray:
     for i, j, s in b.entries:
         dense[i, j] = s
     return dense
+
+
+def sorted_entries_oracle(rows: int, cols: int, entries) -> tuple:
+    """A boundary's (row, col, sign) triplets sorted by (col, row) and
+    checked one at a time, with the constructor's errors and messages."""
+    entries = tuple(sorted(map(tuple, entries), key=lambda e: (e[1], e[0])))
+    pi = pj = -1
+    for i, j, s in entries:
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ShapeMismatch(f"entry ({i}, {j}) outside {rows}x{cols} matrix")
+        if s not in (-1, 1):
+            raise ValueError(f"boundary entry sign must be +-1, got {s}")
+        if i == pi and j == pj:
+            raise DuplicateEntry(f"duplicate entry at ({i}, {j})")
+        pi, pj = i, j
+    return entries
+
+
+def integer_product_oracle(a: cx.BoundaryMatrix, b: cx.BoundaryMatrix) -> dict:
+    """Nonzero entries of a @ b, summed per column of b in dicts."""
+    a_cols = a.columns()
+    out = {}
+    for j, column in enumerate(b.columns()):
+        sums: dict[int, int] = {}
+        for i, s in column:
+            for r, s2 in a_cols[i]:
+                sums[r] = sums.get(r, 0) + s * s2
+        out.update(((r, j), v) for r, v in sums.items() if v)
+    return out
+
+
+def exactness_violation_oracle(cc: cx.CellComplex):
+    """(k, row, col, value) of the first nonzero of B_{k-1} B_k, lowest k
+    first, then in (col, row) order; None on a chain complex."""
+    for k in range(2, cc.dim + 1):
+        product = integer_product_oracle(cc.boundary(k - 1), cc.boundary(k))
+        if product:
+            (row, col), value = min(product.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+            return k, row, col, value
+    return None
+
+
+def edge_endpoints_oracle(b1: cx.BoundaryMatrix, j: int) -> tuple[int, int]:
+    """(tail, head) of edge j, read from its column alone."""
+    column = b1.column(j)
+    if len(column) != 2 or column[0][1] == column[1][1]:
+        raise NotACycleColumn(f"edge column {j} is not a (tail, head) incidence")
+    (a, sign), (b, _) = column
+    return (a, b) if sign == -1 else (b, a)
+
+
+def restrict_oracle(b: cx.BoundaryMatrix, rows, cols) -> tuple:
+    """Triplets of the submatrix on the row/col lists, column by column."""
+    rmap = {i: k for k, i in enumerate(rows)}
+    return tuple(
+        (rmap[i], c, s) for c, j in enumerate(cols) for i, s in b.column(j) if i in rmap
+    )
+
+
+def validate_nd_oracle(cc: cx.CellComplex) -> list[tuple[str, str, str]]:
+    """(condition, cell, detail) of every failure of the per-cell
+    conditions, from a restricted BoundaryMatrix and its Smith form per
+    cell boundary; the B1-columns failures come from validate_dim1."""
+    failures = []
+    if cc.dim >= 1:
+        failures += [(f.condition, f.cell, f.detail) for f in cx.validate_dim1(cc).failures]
+    for k in range(1, cc.dim + 1):
+        for index in range(cc.n_cells(k)):
+            cell = f"{k}-cell {cc.cells[k][index]}"
+            layers = closure_indices(cc, cx.CellRef(k, index))
+            hats = [cc.boundary(l).restrict(layers[l - 1], layers[l]) for l in range(1, k + 1)]
+            snfs = [cx.smith_normal_form(b) for b in hats]
+            if snfs[k - 1].rank != 1:
+                failures.append(("cell-acyclic", cell, "boundary column is zero"))
+            for l in range(2, k + 1):
+                kernel, image = hats[l - 2].cols - snfs[l - 2].rank, snfs[l - 1]
+                factors = image.diagonal[: image.rank]
+                if kernel != image.rank or any(d != 1 for d in factors):
+                    failures.append((
+                        "cell-acyclic", cell,
+                        f"ker B_{l - 1} != im B_{l} on the closure (kernel rank {kernel}, "
+                        f"image rank {image.rank}, factors {factors})",
+                    ))
+            cokernel, factors = hats[0].rows - snfs[0].rank, snfs[0].diagonal[: snfs[0].rank]
+            if cokernel != 1 or any(d != 1 for d in factors):
+                failures.append((
+                    "cell-connected", cell,
+                    f"integer cokernel of B_1 on the closure has rank {cokernel} "
+                    f"with factors {factors}, expected Z",
+                ))
+    return failures
 
 
 def apply_boundary_oracle(cc: cx.CellComplex, chain: cx.ChainVector) -> np.ndarray:

@@ -1,0 +1,281 @@
+"""The CSC boundary layout against the tuple code it replaced.
+
+Each array routine of core, and validate_nd's per-cell readers, is
+checked against its oracle in helpers: the constructor's sort and checks
+(errors and messages included), the exactness product (also against
+dense numpy, with planted violations), edge endpoints, restriction and
+the per-cell regularity reports.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cellcomplex as cx
+from cellcomplex import core, errors, validate
+from cellcomplex.core import BoundaryMatrix, _edge_endpoints, _tail_head, integer_product
+
+import helpers
+
+HUGE = (2**70, -(2**70), 2**63, -(2**63) - 1)
+
+
+@st.composite
+def triplet_lists(draw):
+    """(rows, cols, triplets): a valid sign pattern in any order, plus up to
+    three planted faults (out of shape, bad sign, repeat, beyond int64)."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    entries = [(i, j, draw(st.sampled_from((-1, 1)))) for i, j in chosen]
+    for fault in draw(st.lists(st.sampled_from(("shape", "sign", "repeat", "huge")),
+                               max_size=3)):
+        i, j = draw(st.integers(0, max(rows - 1, 0))), draw(st.integers(0, max(cols - 1, 0)))
+        s = draw(st.sampled_from((-1, 1)))
+        if fault == "shape":
+            i, j = draw(st.sampled_from(((-1, j), (i, -1), (rows, j), (i, cols))))
+        elif fault == "sign":
+            s = draw(st.sampled_from((0, 2, -2, 3)))
+        elif fault == "repeat" and entries:
+            i, j, _ = draw(st.sampled_from(entries))
+        elif fault == "huge":
+            slot = draw(st.integers(0, 2))
+            i, j, s = [draw(st.sampled_from(HUGE)) if k == slot else v
+                       for k, v in enumerate((i, j, s))]
+        entries.insert(draw(st.integers(0, len(entries))), (i, j, s))
+    return rows, cols, entries
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except (errors.CellComplexError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestConstructor:
+    @settings(max_examples=400)
+    @given(case=triplet_lists())
+    def test_matches_the_sort_and_check_oracle(self, case):
+        rows, cols, entries = case
+        want = raised(helpers.sorted_entries_oracle, rows, cols, entries)
+        inputs = [entries, tuple(entries)]
+        if not any(abs(v) >= 2**63 for e in entries for v in e):
+            inputs.append(np.array(entries, dtype=np.int64).reshape(-1, 3))
+        for given_entries in inputs:
+            assert raised(BoundaryMatrix, rows, cols, given_entries) == want
+        if want is None:
+            m = BoundaryMatrix(rows, cols, entries)
+            assert m.entries == helpers.sorted_entries_oracle(rows, cols, entries)
+            assert all(BoundaryMatrix(rows, cols, e) == m for e in inputs)
+            assert len({hash(BoundaryMatrix(rows, cols, e)) for e in inputs}) == 1
+            for array in (m.indptr, m.indices, m.signs):
+                assert array.dtype == np.int64 and not array.flags.writeable
+            assert m.indptr[-1] == len(entries) and len(m.indptr) == cols + 1
+
+    @pytest.mark.parametrize("entries, error, message", [
+        ([(0, 0, 1), (5, 0, 1)], errors.ShapeMismatch, "entry (5, 0) outside 2x1 matrix"),
+        ([(1, 0, 1), (0, 0, 2)], ValueError, "boundary entry sign must be +-1, got 2"),
+        ([(1, 0, 1), (1, 0, -1)], errors.DuplicateEntry, "duplicate entry at (1, 0)"),
+        ([(2**70, 0, 1)], errors.ShapeMismatch,
+         f"entry ({2**70}, 0) outside 2x1 matrix"),
+        ([(2**71, 0, 1), (2**70, 0, 1)], errors.ShapeMismatch,
+         f"entry ({2**70}, 0) outside 2x1 matrix"),
+        ([(0, 0)], ValueError, "boundary entries must be (row, col, sign) triplets"),
+    ], ids=["shape", "sign", "repeat", "huge", "huge-tie", "pairs"])
+    def test_error_messages(self, entries, error, message):
+        with pytest.raises(error) as info:
+            BoundaryMatrix(2, 1, entries)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("entries", [
+        [(0, 0, -1), (1, 0, 1.5)], [(0, 0, -1), (1, 0, 1.0)], [(0, 0, -1), (1, 0, "1")],
+    ], ids=["sign-1.5", "sign-1.0", "sign-str"])
+    def test_a_sign_must_be_the_integer_one(self, entries):
+        with pytest.raises(ValueError) as info:
+            BoundaryMatrix(2, 1, entries)
+        assert str(info.value) == f"boundary entry sign must be +-1, got {entries[1][2]}"
+        if entries[1][2] == 1.5:  # the tuple code rejected it the same way
+            assert raised(helpers.sorted_entries_oracle, 2, 1, entries) == (
+                type(info.value), str(info.value))
+
+    @pytest.mark.parametrize("entries, message", [
+        ([(0, 0, -1), (0.5, 0, 1)], "entry (0.5, 0) outside 2x1 matrix"),
+        ([(0, 0, -1), (1, 0.0, 1)], "entry (1, 0.0) outside 2x1 matrix"),
+        (np.array([[0, 0, -1], [1.7, 0, 1]]), "entry (0.0, 0.0) outside 2x1 matrix"),
+    ], ids=["row-0.5", "col-0.0", "float-array"])
+    def test_an_index_must_be_an_integer(self, entries, message):
+        # The tuple code stored such entries unchecked; no cast truncates them now.
+        with pytest.raises(errors.ShapeMismatch) as info:
+            BoundaryMatrix(2, 1, entries)
+        assert str(info.value) == message
+
+    def test_unsigned_object_and_empty_inputs(self):
+        m = BoundaryMatrix(2, 1, [(0, 0, -1), (1, 0, 1)])
+        assert BoundaryMatrix(2, 1, np.array([(1, 0, 1), (0, 0, -1)], dtype=object)) == m
+        assert BoundaryMatrix(2, 1, np.array([[1, 0, 1]], dtype=np.uint8)).entries == ((1, 0, 1),)
+        assert BoundaryMatrix(2, 1, []) == BoundaryMatrix(2, 1, np.empty((0, 3)))
+
+    def test_flips_ignore_indices_outside_the_shape(self):
+        m = BoundaryMatrix(2, 1, ((0, 0, -1), (1, 0, 1)))
+        assert m.flip_columns([-1, 1, 5]) == m == m.flip_rows([-1, 2])
+        assert m.flip_rows([1, 1]).entries == ((0, 0, -1), (1, 0, -1))
+
+
+def zoo(seed: int) -> cx.CellComplex:
+    rng = random.Random(seed)
+    return (helpers.random_two_complex if seed % 3 == 0 else helpers.random_builder_complex)(rng)
+
+
+def plant_violation(cc: cx.CellComplex, rng: random.Random) -> cx.CellComplex:
+    """The complex with one entry of some B_k (k >= 2) negated, unchecked."""
+    ks = [k for k in range(2, cc.dim + 1) if cc.boundary(k).entries]
+    if not ks:
+        return cc
+    k = rng.choice(ks)
+    b = cc.boundary(k)
+    pick = rng.randrange(len(b.entries))
+    entries = [(i, j, -s if n == pick else s) for n, (i, j, s) in enumerate(b.entries)]
+    mats = list(cc.boundaries)
+    mats[k - 1] = BoundaryMatrix(b.rows, b.cols, entries)
+    return cx.CellComplex(cc.dim, cc.cells, tuple(mats))
+
+
+@st.composite
+def sign_matrices(draw, rows=None):
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(0, 6))
+    values = draw(st.lists(st.sampled_from((-1, 0, 0, 1)), min_size=rows * cols,
+                           max_size=rows * cols))
+    dense = np.array(values, dtype=np.int64).reshape(rows, cols)
+    return BoundaryMatrix(rows, cols, [(i, j, dense[i, j]) for i, j in zip(*np.nonzero(dense))])
+
+
+class TestExactnessProduct:
+    @settings(max_examples=200)
+    @given(a=sign_matrices(), data=st.data())
+    def test_random_products(self, a, data):
+        b = data.draw(sign_matrices(rows=a.cols))
+        product = integer_product(a, b)
+        assert product == helpers.integer_product_oracle(a, b)
+        dense = a.to_dense() @ b.to_dense()
+        assert product == {(int(i), int(j)): int(dense[i, j]) for i, j in zip(*np.nonzero(dense))}
+        keys = list(product)
+        assert keys == sorted(keys, key=lambda rc: (rc[1], rc[0]))
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_zoo_with_planted_violations(self, seed):
+        cc = plant_violation(zoo(seed), random.Random(seed))
+        for k in range(2, cc.dim + 1):
+            a, b = cc.boundary(k - 1), cc.boundary(k)
+            dense = a.to_dense() @ b.to_dense()
+            assert integer_product(a, b) == helpers.integer_product_oracle(a, b)
+            assert len(integer_product(a, b)) == np.count_nonzero(dense)
+        want = helpers.exactness_violation_oracle(cc)
+        if want is None:
+            cx.from_boundary_matrices(cc.cells, cc.boundaries)
+            return
+        with pytest.raises(errors.ExactnessViolated) as info:
+            cx.from_boundary_matrices(cc.cells, cc.boundaries)
+        exc = info.value
+        assert (exc.k, exc.row, exc.col, exc.value) == want
+        assert str(exc) == str(errors.ExactnessViolated(*want))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(errors.ShapeMismatch):
+            integer_product(BoundaryMatrix(2, 3, ()), BoundaryMatrix(2, 1, ()))
+
+
+def endpoints_oracle(b1: BoundaryMatrix) -> list:
+    ends = []
+    for j in range(b1.cols):
+        try:
+            ends.append(helpers.edge_endpoints_oracle(b1, j))
+        except errors.NotACycleColumn:
+            ends.append(None)
+    return ends
+
+
+class TestEdgeEndpoints:
+    @settings(max_examples=200)
+    @given(b1=sign_matrices())
+    def test_random_columns(self, b1):
+        want = endpoints_oracle(b1)
+        ends = _edge_endpoints(b1)
+        assert ends == want
+        for j, pair in enumerate(want):
+            if pair is None:
+                with pytest.raises(errors.NotACycleColumn) as info:
+                    _tail_head(ends, j)
+                assert str(info.value) == f"edge column {j} is not a (tail, head) incidence"
+            else:
+                assert _tail_head(ends, j) == pair
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_zoo(self, seed):
+        cc = zoo(seed)
+        if cc.dim >= 1:
+            assert _edge_endpoints(cc.boundary(1)) == endpoints_oracle(
+                cc.boundary(1))
+
+
+class TestRestrict:
+    @settings(max_examples=200)
+    @given(m=sign_matrices(), data=st.data())
+    def test_matches_the_column_oracle(self, m, data):
+        rows = data.draw(st.lists(st.integers(0, max(m.rows - 1, 0)), unique=True)
+                         if m.rows else st.just([]))
+        cols = data.draw(st.lists(st.integers(0, max(m.cols - 1, 0)), unique=True)
+                         if m.cols else st.just([]))
+        sub = m.restrict(rows, cols)
+        assert sub.shape == (len(rows), len(cols))
+        oracle = helpers.restrict_oracle(m, rows, cols)
+        assert sub.entries == helpers.sorted_entries_oracle(len(rows), len(cols), oracle)
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([0, 0], [0]), ([2], [0]), ([-1], [0]), ([0], [1]), ([0], [0, 0]),
+    ])
+    def test_bad_index_lists(self, rows, cols):
+        with pytest.raises(errors.ShapeMismatch):
+            BoundaryMatrix(2, 1, ((0, 0, -1), (1, 0, 1))).restrict(rows, cols)
+
+
+class TestValidateNd:
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), planted=st.booleans())
+    def test_reports_match_the_restrict_and_smith_oracle(self, seed, planted):
+        cc = zoo(seed)
+        if planted:
+            cc = plant_violation(cc, random.Random(seed))
+        report = cx.validate_nd(cc)
+        got = [(f.condition, f.cell, f.detail) for f in report.failures]
+        assert got == helpers.validate_nd_oracle(cc)
+        assert report.valid == (not got)
+
+    def test_planted_bad_cells_are_named(self):
+        cube = cx.cubical([2, 2, 2])
+        bad = plant_violation(cube, random.Random(1))
+        got = helpers.validate_nd_oracle(bad)
+        assert got and [(f.condition, f.cell, f.detail)
+                        for f in cx.validate_nd(bad).failures] == got
+
+    def test_builds_no_matrix_per_cell(self, monkeypatch):
+        cube = cx.cubical([3, 3, 3])
+        calls = []
+        original = BoundaryMatrix.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[:2])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(core.BoundaryMatrix, "__init__", counting)
+        assert validate.validate_nd(cube).valid
+        assert calls == []
+        monkeypatch.undo()
+        assert cx.closure(cube, cx.CellRef(3, 0)).n_cells(0) == 8

@@ -198,6 +198,21 @@ class TestLiftCommands:
         cc = io.complex_from_json(json.loads(out))
         assert cc.cells[2] == ("0-1-2-3",)
 
+    @pytest.mark.parametrize("lifting", ["window", "tree", "chordless"])
+    def test_edge_without_tail_and_head(self, capsys, tmp_path, lifting):
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({
+            "dim": 1, "cells": [["0", "1", "2"], ["a", "b"]],
+            "boundaries": [{"k": 1, "rows": 3, "cols": 2,
+                            "entries": [[0, 0, -1], [1, 0, 1], [1, 1, 1], [2, 1, 1]]}],
+        }))
+        coords = tmp_path / "coords.csv"
+        coords.write_text("0,0\n1,0\n1,1\n")
+        extra = ["--coords", str(coords)] if lifting == "window" else []
+        code, out, err = run(capsys, "lift", lifting, str(graph), *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: edge column 1 is not a (tail, head) incidence\n"
+
 
 class TestPersistCommand:
     def test_square_csv(self, capsys, square_points):
@@ -250,13 +265,18 @@ class TestPersistCommand:
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("argv", [
-    ["persist", f"{GOLDEN}/grid_points.csv", "--max-eps", "2.5", "--max-dim", "2"],
-    ["--output", "json", "persist", f"{GOLDEN}/points.csv", "--max-eps", "0.6",
-     "--max-dim", "3", "--keep-zero-bars"],
-    ["build", "vr", f"{GOLDEN}/grid_points.csv", "--eps", "2", "--maxdim", "2"],
-], ids=["persist", "persist-json", "build-vr"])
-def test_traced_commands_print_the_untraced_bytes(capsys, argv):
+@pytest.mark.parametrize("argv, counter", [
+    (["persist", f"{GOLDEN}/grid_points.csv", "--max-eps", "2.5", "--max-dim", "2"],
+     "persist.steps"),
+    (["--output", "json", "persist", f"{GOLDEN}/points.csv", "--max-eps", "0.6",
+      "--max-dim", "3", "--keep-zero-bars"], "persist.steps"),
+    (["build", "vr", f"{GOLDEN}/grid_points.csv", "--eps", "2", "--maxdim", "2"],
+     "builders.cells_built"),
+    (["validate", "--nd", f"{GOLDEN}/cube.json"], "validate.cells_checked"),
+    (["betti", "--integer", f"{GOLDEN}/rp2.json"], "snf.calls"),
+    (["lift", "tree", f"{GOLDEN}/grid_graph.json"], "builders.cells_built"),
+], ids=["persist", "persist-json", "build-vr", "validate-nd", "betti-integer", "lift-tree"])
+def test_traced_commands_print_the_untraced_bytes(capsys, argv, counter):
     # The benchmark's tracer wraps public functions of every layer; the
     # wrapped program must print exactly what the plain one prints.
     code, expected, _ = run(capsys, *argv)
@@ -276,7 +296,7 @@ def test_traced_commands_print_the_untraced_bytes(capsys, argv):
     )
     assert (result.returncode, result.stdout) == (code, expected)
     counts = ast.literal_eval(result.stderr)  # the tracer ran and counted the work
-    assert counts.get("persist.steps", 0) + counts.get("builders.cells_built", 0) > 0
+    assert counts.get(counter, 0) > 0
 
 
 # One row per kind of command line: every subcommand, missing and bad
@@ -413,6 +433,19 @@ class TestInputContract:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(_with(_edge_doc(), ("boundaries", 0, "entries"), entries)))
         code, out, err = run(capsys, "betti", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("boundaries", 0, "cols"), 2**62, f"B_1 has shape (2, {2**62}), expected (2, 1)"),
+        (("boundaries", 0, "rows"), 2**62, f"B_1 has shape ({2**62}, 1), expected (2, 1)"),
+        (("boundaries", 0, "entries", 0, 0), 2**70, f"entry ({2**70}, 0) outside 2x1 matrix"),
+        (("boundaries", 0, "entries", 1, 1), -(2**70), f"entry (1, {-(2**70)}) outside 2x1 matrix"),
+    ], ids=["cols", "rows", "row-index", "col-index"])
+    def test_huge_shape_or_index_is_one_error_line(self, capsys, tmp_path, path, value, message):
+        # Sizes that no array could hold are rejected before any is allocated.
+        doc_path = tmp_path / "huge.json"
+        doc_path.write_text(json.dumps(_with(_edge_doc(), path, value)))
+        code, out, err = run(capsys, "validate", str(doc_path))
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("signal, weights", [

@@ -175,6 +175,19 @@ class TestNormalizedRwWeights:
         for got, want in zip(weights.vectors, expected):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    def test_zero_weight_names_the_cell(self, toy_graph):
+        isolated = cx.from_tuples(range(4), [(0, 1), (1, 2), (0, 2)], [(0, 1, 2)])
+        with pytest.raises(errors.NonPositiveWeight) as info:
+            cx.normalized_rw_weights(isolated)
+        assert str(info.value) == "0-cell '3' is isolated: its random-walk weight is 0"
+        empty = cx.BoundaryMatrix(toy_graph.n_cells(1), 1, ())
+        hollow = cx.from_boundary_matrices(
+            [*toy_graph.cells, ["f"]], [toy_graph.boundary(1), empty]
+        )
+        with pytest.raises(errors.NonPositiveWeight) as info:
+            cx.normalized_rw_weights(hollow)
+        assert str(info.value) == "2-cell 'f' has an empty boundary: its random-walk weight is 0"
+
     def test_past_the_dense_limit(self):
         grid = cx.cubical([60, 60])
         assert grid.n_cells(1) > hodge.MAX_DENSE_CELLS

@@ -177,6 +177,11 @@ class TestHomologous:
                 toy_minus, cx.ChainVector(1, np.zeros(6)), cx.ChainVector(0, np.zeros(5))
             )
 
+    def test_dimension_above_the_complex(self, toy):
+        for k in (3, 4):
+            with pytest.raises(errors.BadDimension, match=f"no {k}-cells on a 2-complex"):
+                cx.homologous(toy, cx.ChainVector(k, []), cx.ChainVector(k, []))
+
     def test_top_dimension_without_fillers(self):
         # Hollow tetrahedron shell: beta_2 = 1 and there is no B_3.
         shell = cx.from_simplicial(
