@@ -9,6 +9,16 @@ have vanishing integer homology above degree 0 (acyclicity) and integer
 normal forms: equality of a kernel and an image lattice reduces to a
 rank identity plus all invariant factors being 1.
 
+validate_nd reads every cell's closure, but reaches the Smith
+elimination only where nothing simpler is exact.  The top level is the
+cell's own column, of rank 1 with factor 1 unless it is empty.  When
+every closure edge is one -1 and one +1, level 1 is a graph incidence
+matrix, which is totally unimodular: every factor is 1 and its rank is
+vertices minus components, counted by union-find.  Only the levels in
+between, and level 1 over a faulty edge, go to the Smith elimination.
+So a 1-cell (top level only) never needs it, nor does a 2-cell over
+valid edges (level 1 and the top).
+
 Validators report failures instead of raising; each failure carries a
 condition id from {B1-columns, cell-acyclic, cell-connected, B2-cycle}.
 """
@@ -16,6 +26,7 @@ condition id from {B1-columns, cell-acyclic, cell-connected, B2-cycle}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import (
     CellComplex,
@@ -27,7 +38,7 @@ from .core import (
     subcomplex,
 )
 from .errors import BadDimension, NotACycleColumn
-from .snf import SnfResult, _smith
+from .snf import _smith
 
 __all__ = [
     "Failure",
@@ -65,11 +76,13 @@ class ValidationReport:
         }
 
 
-def _b1_column_failures(cc: CellComplex) -> list[Failure]:
+def _b1_column_failures(cc: CellComplex, ends: list) -> list[Failure]:
+    """A failure for each edge without (tail, head) in ``ends``; only those columns are read."""
+    b1 = cc.boundary(1)
     failures = []
-    for j, column in enumerate(cc.boundary(1).columns()):
-        signs = sorted(s for _, s in column)
-        if signs != [-1, 1]:
+    for j, pair in enumerate(ends):
+        if pair is None:
+            signs = sorted(s for _, s in b1.column(j))
             failures.append(
                 Failure(
                     "B1-columns",
@@ -84,7 +97,8 @@ def validate_dim1(cc: CellComplex) -> ValidationReport:
     """Check the dimension-1 condition on every column of B_1."""
     if cc.dim < 1:
         raise BadDimension("dimension-1 validation needs at least one edge layer")
-    return ValidationReport.from_failures(_b1_column_failures(cc))
+    ends = _edge_endpoints(cc.boundary(1))
+    return ValidationReport.from_failures(_b1_column_failures(cc, ends))
 
 
 def validate_dim2(cc: CellComplex) -> ValidationReport:
@@ -109,43 +123,69 @@ def closure(cc: CellComplex, cell: CellRef) -> CellComplex:
     return subcomplex(cc, closure_indices(cc, cell))
 
 
-def _all_unit_factors(snf: SnfResult) -> bool:
-    return all(d == 1 for d in snf.diagonal[: snf.rank])
+def _forest_size(ends: list, edges: Iterable[int]) -> int:
+    """Edges in a spanning forest of the given edges, that is vertices minus components."""
+    parent: dict[int, int] = {}
+
+    def root(v: int) -> int:
+        while v in parent:
+            v = parent[v]
+        return v
+
+    size = 0
+    for j in edges:
+        a, b = map(root, ends[j])
+        if a != b:
+            parent[a] = b
+            size += 1
+    return size
 
 
-def _cell_failures(cc: CellComplex, columns: list, k: int, index: int) -> list[Failure]:
-    cell = f"{k}-cell {cc.cells[k][index]}"
-    layers = _closure(lambda l, j: columns[l][j], k, index)
-    snfs = []
-    for l in range(1, k + 1):  # B_l restricted to the closure, in stored order
+def _level(columns: list, ends: list, layers: list, k: int, l: int) -> tuple[int, tuple]:
+    """Rank and nonzero invariant factors of B_l restricted to a k-cell's closure."""
+    if l == k:  # the cell's own column: one nonzero +-1 column has factor 1
+        rank = 1 if layers[k - 1] else 0
+    elif l == 1 and all(ends[j] is not None for j in layers[1]):
+        rank = _forest_size(ends, layers[1])  # a graph incidence matrix: all factors 1
+    else:  # the restricted entries, in stored order
         position = {i: p for p, i in enumerate(layers[l - 1])}
         entries = [(position[i], c, s) for c, j in enumerate(layers[l]) for i, s in columns[l][j]]
-        snfs.append(_smith(len(layers[l - 1]), len(layers[l]), entries))
+        snf = _smith(len(layers[l - 1]), len(layers[l]), entries)
+        return snf.rank, snf.diagonal[: snf.rank]
+    return rank, (1,) * rank
+
+
+def _cell_failures(
+    cc: CellComplex, columns: list, ends: list, k: int, index: int
+) -> list[Failure]:
+    cell = f"{k}-cell {cc.cells[k][index]}"
+    layers = _closure(lambda l, j: columns[l][j], k, index)
+    ranks, factors = zip(*(_level(columns, ends, layers, k, l) for l in range(1, k + 1)))
     failures = []
     # Acyclicity: the top column is injective and, over Z, the kernel of
     # each lower map equals the image of the one above it.
-    if snfs[k - 1].rank != 1:
+    if ranks[k - 1] != 1:
         failures.append(Failure("cell-acyclic", cell, "boundary column is zero"))
     for l in range(2, k + 1):
-        kernel_rank = len(layers[l - 1]) - snfs[l - 2].rank
-        if kernel_rank != snfs[l - 1].rank or not _all_unit_factors(snfs[l - 1]):
+        kernel_rank = len(layers[l - 1]) - ranks[l - 2]
+        if kernel_rank != ranks[l - 1] or any(d != 1 for d in factors[l - 1]):
             failures.append(
                 Failure(
                     "cell-acyclic",
                     cell,
                     f"ker B_{l - 1} != im B_{l} on the closure "
-                    f"(kernel rank {kernel_rank}, image rank {snfs[l - 1].rank}, "
-                    f"factors {snfs[l - 1].diagonal[: snfs[l - 1].rank]})",
+                    f"(kernel rank {kernel_rank}, image rank {ranks[l - 1]}, "
+                    f"factors {factors[l - 1]})",
                 )
             )
-    cokernel_rank = len(layers[0]) - snfs[0].rank
-    if cokernel_rank != 1 or not _all_unit_factors(snfs[0]):
+    cokernel_rank = len(layers[0]) - ranks[0]
+    if cokernel_rank != 1 or any(d != 1 for d in factors[0]):
         failures.append(
             Failure(
                 "cell-connected",
                 cell,
                 f"integer cokernel of B_1 on the closure has rank {cokernel_rank} "
-                f"with factors {snfs[0].diagonal[: snfs[0].rank]}, expected Z",
+                f"with factors {factors[0]}, expected Z",
             )
         )
     return failures
@@ -153,11 +193,12 @@ def _cell_failures(cc: CellComplex, columns: list, k: int, index: int) -> list[F
 
 def validate_nd(cc: CellComplex) -> ValidationReport:
     """Check the full per-cell regularity conditions in any dimension."""
-    failures: list[Failure] = []
-    if cc.dim >= 1:
-        failures.extend(_b1_column_failures(cc))
+    if cc.dim < 1:
+        return ValidationReport(True, ())
+    ends = _edge_endpoints(cc.boundary(1))
+    failures = _b1_column_failures(cc, ends)
     columns = [[]] + [cc.boundary(k).columns() for k in range(1, cc.dim + 1)]
     for k in range(1, cc.dim + 1):
         for index in range(cc.n_cells(k)):
-            failures.extend(_cell_failures(cc, columns, k, index))
+            failures.extend(_cell_failures(cc, columns, ends, k, index))
     return ValidationReport.from_failures(failures)

@@ -218,10 +218,14 @@ def restrict_oracle(b: cx.BoundaryMatrix, rows, cols) -> tuple:
 def validate_nd_oracle(cc: cx.CellComplex) -> list[tuple[str, str, str]]:
     """(condition, cell, detail) of every failure of the per-cell
     conditions, from a restricted BoundaryMatrix and its Smith form per
-    cell boundary; the B1-columns failures come from validate_dim1."""
+    cell boundary, after a B1-columns failure for each edge column whose
+    sorted signs are not [-1, 1]."""
     failures = []
-    if cc.dim >= 1:
-        failures += [(f.condition, f.cell, f.detail) for f in cx.validate_dim1(cc).failures]
+    for j, column in enumerate(cc.boundary(1).columns() if cc.dim >= 1 else []):
+        signs = sorted(s for _, s in column)
+        if signs != [-1, 1]:
+            failures.append(("B1-columns", f"1-cell {cc.cells[1][j]}",
+                             f"column has signs {signs}, expected one -1 and one +1"))
     for k in range(1, cc.dim + 1):
         for index in range(cc.n_cells(k)):
             cell = f"{k}-cell {cc.cells[k][index]}"

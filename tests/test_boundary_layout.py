@@ -4,7 +4,8 @@ Each array routine of core, and validate_nd's per-cell readers, is
 checked against its oracle in helpers: the constructor's sort and checks
 (errors and messages included), the exactness product (also against
 dense numpy, with planted violations), edge endpoints, restriction and
-the per-cell regularity reports.
+the per-cell regularity reports (on builder outputs and cubical grids
+with planted faults in B_1, B_2 and the top cells).
 """
 
 import random
@@ -145,6 +146,80 @@ def plant_violation(cc: cx.CellComplex, rng: random.Random) -> cx.CellComplex:
     return cx.CellComplex(cc.dim, cc.cells, tuple(mats))
 
 
+def with_columns(cc: cx.CellComplex, k: int, columns: list, labels=None) -> cx.CellComplex:
+    """The complex with B_k's columns replaced (and k-cells relabelled), unchecked."""
+    labels = cc.cells[k] if labels is None else tuple(labels)
+    mats = list(cc.boundaries)
+    mats[k - 1] = BoundaryMatrix(cc.boundary(k).rows, len(columns),
+                                 [(i, j, s) for j, col in enumerate(columns) for i, s in col])
+    if k < cc.dim and len(labels) > cc.n_cells(k):  # new k-cells bound nothing above
+        b = cc.boundary(k + 1)
+        mats[k] = BoundaryMatrix(len(labels), b.cols, b.entries)
+    cells = cc.cells[:k] + (labels,) + cc.cells[k + 1:]
+    return cx.CellComplex(cc.dim, cells, tuple(mats))
+
+
+def plant_fault(cc: cx.CellComplex, fault: str, rng: random.Random) -> cx.CellComplex:
+    """The complex with one planted fault, unchecked; unchanged where it has no place.
+
+    b1-single and b1-same-sign break an edge column; b2-branch adds an edge
+    touching a 2-cell's cycle, b2-split sums the columns of two 2-cells with
+    disjoint edges and b2-empty clears one; top-cell adds the benchmark's
+    bad cell, bounded by the first and last top cells' columns together.
+    """
+    if fault == "exactness":
+        return plant_violation(cc, rng)
+    k = cc.dim if fault == "top-cell" else 1 if fault.startswith("b1") else 2
+    if not 1 <= k <= cc.dim:
+        return cc
+    columns = cc.boundary(k).columns()
+    j = rng.randrange(len(columns))
+    col = columns[j]
+    if fault == "b1-single" and col:
+        columns[j] = [rng.choice(col)]
+    elif fault == "b1-same-sign" and col:
+        sign = rng.choice((-1, 1))
+        columns[j] = [(i, sign) for i, _ in col]
+    elif fault == "b2-branch":
+        edges = cc.boundary(1).columns()
+        touched = {v for i, _ in col for v, _ in edges[i]}
+        near = [e for e, edge in enumerate(edges) if e not in dict(col)
+                and touched & {v for v, _ in edge}]
+        if near:
+            columns[j] = sorted(col + [(rng.choice(near), rng.choice((-1, 1)))])
+    elif fault == "b2-split":
+        other = [c for c in columns if c and not set(dict(c)) & set(dict(col))]
+        if col and other:
+            columns[j] = sorted(col + rng.choice(other))
+    elif fault == "b2-empty":
+        columns[j] = []
+    elif fault == "top-cell":
+        first, last = columns[0], columns[-1]
+        if set(dict(first)) & set(dict(last)):
+            return cc
+        return with_columns(cc, k, columns + [sorted(first + last)], cc.cells[k] + ("planted",))
+    return with_columns(cc, k, columns)
+
+
+FAULTS = ("exactness", "b1-single", "b1-same-sign", "b2-branch", "b2-split", "b2-empty",
+          "top-cell")
+
+
+@st.composite
+def faulty_complexes(draw):
+    """A zoo complex or a 2-, 3- or 4-D cubical grid, with up to three planted faults."""
+    if draw(st.booleans()):
+        cc = zoo(draw(st.integers(0, 2**32 - 1)))
+    else:
+        dim = draw(st.integers(2, 4))
+        sizes = st.integers(2, 4 if dim == 2 else 3)
+        cc = cx.cubical(draw(st.lists(sizes, min_size=dim, max_size=dim)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
+        cc = plant_fault(cc, fault, rng)
+    return cc
+
+
 @st.composite
 def sign_matrices(draw, rows=None):
     rows = draw(st.integers(0, 6)) if rows is None else rows
@@ -247,12 +322,9 @@ class TestRestrict:
 
 
 class TestValidateNd:
-    @settings(max_examples=80)
-    @given(seed=st.integers(0, 2**32 - 1), planted=st.booleans())
-    def test_reports_match_the_restrict_and_smith_oracle(self, seed, planted):
-        cc = zoo(seed)
-        if planted:
-            cc = plant_violation(cc, random.Random(seed))
+    @settings(max_examples=150, deadline=None)
+    @given(cc=faulty_complexes())
+    def test_reports_match_the_restrict_and_smith_oracle(self, cc):
         report = cx.validate_nd(cc)
         got = [(f.condition, f.cell, f.detail) for f in report.failures]
         assert got == helpers.validate_nd_oracle(cc)
@@ -279,3 +351,24 @@ class TestValidateNd:
         assert calls == []
         monkeypatch.undo()
         assert cx.closure(cube, cx.CellRef(3, 0)).n_cells(0) == 8
+
+    def test_smith_runs_only_between_level_one_and_the_top(self, monkeypatch):
+        cube = cx.cubical([3, 3, 3])
+        cell, seen, calls = [], [], []
+        cell_failures, smith = validate._cell_failures, validate._smith
+
+        def tracking(cc, columns, ends, k, index):
+            cell[:] = [(k, index)]
+            seen.append((k, index))
+            return cell_failures(cc, columns, ends, k, index)
+
+        def counting(*args):
+            calls.append(cell[0])
+            return smith(*args)
+
+        monkeypatch.setattr(validate, "_cell_failures", tracking)
+        monkeypatch.setattr(validate, "_smith", counting)
+        assert validate.validate_nd(cube).valid
+        assert len(seen) == sum(cube.n_cells(k) for k in range(1, 4))  # every cell, one path
+        assert calls and {k for k, _ in calls} == {3}
+        assert len(set(calls)) == len(calls)  # at most one per 3-cell

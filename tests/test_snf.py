@@ -1,4 +1,4 @@
-"""Smith normal form: examples, invariant-factor oracle, overflow."""
+"""Smith normal form: examples, invariant-factor oracle, overflow, graph incidences."""
 
 import random
 
@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellcomplex import errors
-from cellcomplex.core import BoundaryMatrix
+from cellcomplex.core import BoundaryMatrix, _edge_endpoints
 from cellcomplex.snf import SnfResult, smith_normal_form
+from cellcomplex.validate import _forest_size
 
 import helpers
 
@@ -121,3 +122,45 @@ def test_boundary_matrix_and_dense_input_agree(matrix):
     entries = tuple((int(i), int(j), int(matrix[i, j])) for i, j in zip(*np.nonzero(matrix)))
     sparse = BoundaryMatrix(*matrix.shape, entries)
     assert smith_normal_form(sparse) == smith_normal_form(matrix.tolist())
+
+
+@st.composite
+def graphs(draw):
+    """(vertex count, edges): any (tail, head) pairs of distinct vertices, parallel
+    edges allowed."""
+    n = draw(st.integers(1, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(pairs, max_size=12)) if n > 1 else []
+
+
+def components(n: int, edges) -> int:
+    """Connected components by depth-first search."""
+    adjacent = {v: set() for v in range(n)}
+    for a, b in edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    seen, count = set(), 0
+    for v in range(n):
+        if v not in seen:
+            count += 1
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                if u not in seen:
+                    seen.add(u)
+                    stack.extend(adjacent[u] - seen)
+    return count
+
+
+@settings(max_examples=200)
+@given(graph=graphs())
+def test_graph_incidence_factors_are_ones(graph):
+    # A graph's B_1 is totally unimodular: rank V - components, every factor 1.
+    # validate_nd decides level 1 of a closure from this and a union-find.
+    n, edges = graph
+    b1 = BoundaryMatrix(n, len(edges), [(v, j, s) for j, (t, h) in enumerate(edges)
+                                        for v, s in ((t, -1), (h, 1))])
+    result = smith_normal_form(b1)
+    assert result.rank == n - components(n, edges)
+    assert set(result.diagonal[: result.rank]) <= {1}
+    assert _forest_size(_edge_endpoints(b1), range(len(edges))) == result.rank
