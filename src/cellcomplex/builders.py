@@ -21,8 +21,10 @@ import numpy as np
 from .core import (
     BoundaryMatrix,
     CellComplex,
+    _canonical_cycle,
     _edge_endpoints,
     _entry_arrays,
+    _forest_merges,
     _rotate_min_first,
     _tail_head,
     from_boundary_matrices,
@@ -38,6 +40,7 @@ from .errors import (
     NotACycleColumn,
     NotDownwardClosed,
     NotSimple,
+    ShapeMismatch,
     TooManySimplices,
     UncoveredVertex,
     UnknownVertex,
@@ -452,7 +455,9 @@ class PlanarEmbedding:
         object.__setattr__(self, "points", pts)
         n = len(pts)
         labels = self.labels or tuple(str(i) for i in range(n))
-        if len(labels) != n or len(set(labels)) != n:
+        if len(labels) != n:
+            raise ShapeMismatch(f"{n} coordinate rows for {len(labels)} vertices")
+        if len(set(labels)) != n:
             raise DuplicateLabel("need one unique label per vertex")
         object.__setattr__(self, "labels", tuple(labels))
         edges = tuple((int(u), int(v)) for u, v in self.edges)
@@ -520,21 +525,6 @@ class PlanarEmbedding:
             raise EdgesCross(f"vertex {w} lies on edge ({u1}, {v1})")
 
 
-def _check_connected(n: int, adjacency: dict[int, list[int]]) -> None:
-    if n == 0:
-        return
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adjacency.get(u, []):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != n:
-        raise Disconnected("underlying graph is not connected")
-
-
 def window_lifting(emb: PlanarEmbedding) -> CellComplex:
     """Attach every inner window of a plane drawing as a 2-cell.
 
@@ -551,7 +541,8 @@ def window_lifting(emb: PlanarEmbedding) -> CellComplex:
         adjacency[u].append(v)
         adjacency[v].append(u)
         edge_index[(u, v)] = idx
-    _check_connected(n, adjacency)
+    if len(_forest_merges(n, emb.edges)) != n - 1:
+        raise Disconnected("underlying graph is not connected")
     order = {
         u: sorted(
             adjacency[u],
@@ -637,9 +628,9 @@ def _cycle_cells(
         cycle, reason = oriented_cycle(pairs, signed_edges)
         if reason is not None:
             raise NotACycleColumn(f"lifted cycle is invalid: {reason}")
-        if canonical and len(cycle) >= 3 and cycle[1] > cycle[-1]:
+        cycle, flipped = _canonical_cycle(cycle) if canonical else (cycle, False)
+        if flipped:
             signed_edges = [(j, -s) for j, s in signed_edges]
-            cycle = [cycle[0]] + cycle[:0:-1]
         label = "-".join(cc.cells[0][i] for i in _rotate_min_first(cycle))
         while label in seen:
             label += "+"
@@ -738,10 +729,7 @@ def chordless_cycle_lifting(
     for cycle in nx.chordless_cycles(graph):
         if len(cycle) < 3:
             continue
-        rotated = _rotate_min_first(list(cycle))
-        if rotated[1] > rotated[-1]:
-            rotated = (rotated[0],) + tuple(reversed(rotated[1:]))
-        cycles.append(rotated)
+        cycles.append(_canonical_cycle(cycle)[0])
         if len(cycles) > max_cells:
             raise CapExceeded(max_cells)
     cycles.sort()

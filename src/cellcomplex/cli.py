@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import builders, core, homology, hodge, io, persist, validate
+from . import builders, homology, hodge, io, persist, validate
 from .core import ChainVector
 from .errors import CellComplexError
 
@@ -247,8 +247,7 @@ def _run_lift(args) -> int:
     cc = io.load_complex(args.graph)
     if args.lifting == "window":
         coords = _load_csv(args.coords)
-        ends = core._edge_endpoints(cc.boundary(1)) if cc.dim >= 1 else []
-        pairs = tuple(core._tail_head(ends, j) for j in range(len(ends)))
+        pairs = builders._underlying_graph(cc)
         emb = builders.PlanarEmbedding(coords, pairs, tuple(cc.cells[0]))
         return _emit_complex(builders.window_lifting(emb))
     if args.lifting == "tree":

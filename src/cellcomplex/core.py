@@ -452,6 +452,25 @@ def _edge_endpoints(b1: BoundaryMatrix) -> list[tuple[int, int] | None]:
     return pairs
 
 
+def _forest_merges(n: int, pairs: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
+    """Spanning forest of the edges (a, b) on vertices 0..n-1, in order, by union-find
+    with path halving; the smaller root survives each merge (the elder rule).  Returns
+    (position, younger root) for each edge that joins two trees."""
+    parent = list(range(n))
+    merges = []
+    for position, (a, b) in enumerate(pairs):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            merges.append((position, b))
+    return merges
+
+
 def _tail_head(ends: Sequence[tuple[int, int] | None], j: int) -> tuple[int, int]:
     """Edge j's (tail, head) from _edge_endpoints; NotACycleColumn if it has none."""
     if ends[j] is None:
@@ -498,6 +517,16 @@ def oriented_cycle(
     return cycle, None
 
 
+def _canonical_cycle(cycle: Sequence[int]) -> tuple[tuple[int, ...], bool]:
+    """The vertex cycle in canonical orientation, which starts at its minimal vertex
+    and moves toward the smaller of that vertex's two neighbours, and whether that
+    orientation reverses the given one."""
+    rotated = _rotate_min_first(cycle)
+    if len(rotated) >= 3 and rotated[1] > rotated[-1]:
+        return (rotated[0],) + rotated[:0:-1], True
+    return rotated, False
+
+
 def _cycle_tuple(cc: CellComplex, ends: Sequence[tuple[int, int]], col: int) -> list[int]:
     cycle, reason = oriented_cycle(ends, cc.boundary(2).column(col))
     if reason is not None:
@@ -510,9 +539,8 @@ def canonicalize_orientations(cc: CellComplex) -> CellComplex:
     """Flip cell orientations into the canonical form.
 
     Edges are made to run from lower to higher vertex index; each 2-cell
-    cycle is oriented so that, starting from its minimal vertex, it moves
-    toward the smaller of that vertex's two cycle neighbours.  A flipped
-    k-cell negates its column of B_k and its row of B_{k+1}.
+    cycle takes the orientation of ``_canonical_cycle``.  A flipped k-cell
+    negates its column of B_k and its row of B_{k+1}.
     """
     if cc.dim > 2:
         raise DimensionTooHigh("canonical orientation is defined up to dimension 2")
@@ -527,7 +555,7 @@ def canonicalize_orientations(cc: CellComplex) -> CellComplex:
     if cc.dim == 2:
         # A flipped edge with its B_2 row negated is walked the same way.
         cycles = [_cycle_tuple(cc, pairs, col) for col in range(cc.n_cells(2))]
-        poly_flips = [col for col, c in enumerate(cycles) if len(c) >= 2 and c[1] > c[-1]]
+        poly_flips = [col for col, c in enumerate(cycles) if _canonical_cycle(c)[1]]
         mats.append(cc.boundary(2).flip_rows(edge_flips).flip_columns(poly_flips))
     return CellComplex(cc.dim, cc.cells, tuple(mats))
 

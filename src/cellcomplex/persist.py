@@ -2,13 +2,14 @@
 
 Simplices enter at their diameter, in (birth, dimension, vertex tuple)
 order.  The persistence pairs over Z/2 come from union-find plus
-cohomology with clearing: union-find with the elder rule pairs vertices
-with the edges that merge their components, and each higher dimension
-reduces its coboundary matrix in reverse filtration order, skipping the
-simplices already paired one dimension down (Chen & Kerber 2011; de
-Silva, Morozov & Vejdemo-Johansson 2011; Bauer 2021, Ripser).  Each
-pair (i, j) becomes a bar born at the diameter of simplex i and dying
-at that of simplex j; a simplex in no pair gives an infinite bar.
+cohomology with clearing: the package's one spanning-forest routine,
+``core._forest_merges``, pairs vertices with the edges that merge their
+components by the elder rule, and each higher dimension reduces its
+coboundary matrix in reverse filtration order, skipping the simplices
+already paired one dimension down (Chen & Kerber 2011; de Silva,
+Morozov & Vejdemo-Johansson 2011; Bauer 2021, Ripser).  Each pair
+(i, j) becomes a bar born at the diameter of simplex i and dying at
+that of simplex j; a simplex in no pair gives an infinite bar.
 Zero-length bars are dropped from the default output.
 
 Filtrations and diagrams are kept as numpy columns, one entry per
@@ -33,6 +34,7 @@ from .builders import (
     _radix_keys,
     rips_simplices,
 )
+from .core import _forest_merges
 
 
 @dataclass(frozen=True)
@@ -282,12 +284,13 @@ class PersistenceDiagram:
 def persistence(filtration: Filtration, keep_zero_bars: bool = False) -> PersistenceDiagram:
     """Pair the filtration's simplices over Z/2 and turn the pairs into bars.
 
-    Dimension 0 pairs come from union-find over the edges' facets, with
-    the elder rule: each component's root is its oldest vertex, and an
-    edge joining two components kills the younger root.  Each higher
-    dimension k reduces the coboundary columns of the k-simplices in
-    reverse filtration order, the earliest coface being the pivot, and
-    skips the k-simplices that already killed a (k-1)-class (clearing).
+    Dimension 0 pairs come from ``core._forest_merges`` over the edges'
+    facets in filtration order, with the elder rule: each component's
+    root is its oldest vertex, and an edge joining two components kills
+    the younger root.  Each higher dimension k reduces the coboundary
+    columns of the k-simplices in reverse filtration order, the earliest
+    coface being the pivot, and skips the k-simplices that already
+    killed a (k-1)-class (clearing).
     Coboundaries are read from CSR coface lists, compressed sparse rows
     of the (k+1)-simplices' facet positions, sorted by position, so an
     unreduced column's pivot is its first entry.  Every simplex in no
@@ -295,21 +298,10 @@ def persistence(filtration: Filtration, keep_zero_bars: bool = False) -> Persist
     """
     births, dims, faces = filtration.births, filtration.dims, filtration.faces
     m = len(births)
-    born: list[int] = []
-    died: list[int] = []
-    parent = list(range(m))
     edges = np.flatnonzero(dims == 1)
-    for edge, (a, b) in zip(edges.tolist(), faces[edges, :2].tolist()):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            born.append(b)
-            died.append(edge)
+    merges = _forest_merges(m, faces[edges, :2].tolist())
+    born = [root for _, root in merges]
+    died = edges[[p for p, _ in merges]].tolist()
     for k in range(1, faces.shape[1] - 1):
         cofaces = np.flatnonzero(dims == k + 1)
         facets = faces[cofaces, : k + 2].ravel()

@@ -1,20 +1,24 @@
 """Smith normal form over the integers by one sparse elimination.
 
-Every rank in the package comes from here.  Unit pivots go first
-(Kaczynski-Mrozek-Slusarek 1998; Dumas-Saunders-Villard 2001): boundary
-matrices are +-1-sparse, so nearly every pivot is a unit.  Entries are
-tracked against a 64-bit bound; exceeding it raises instead of silently
-losing precision.
+Every rank in the package comes from here.  A graph incidence matrix
+(every column one -1 and one +1, as B_1) is totally unimodular: its
+factors are 1 and its rank is the size of a spanning forest, from
+``core._forest_merges``, with no elimination.  Other matrices take unit
+pivots first (Kaczynski-Mrozek-Slusarek 1998; Dumas-Saunders-Villard
+2001): boundary matrices are +-1-sparse, so nearly every pivot is a
+unit.  Entries are tracked against a 64-bit bound; exceeding it raises
+instead of silently losing precision.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INT_LIMIT, BoundaryMatrix
+from .core import INT_LIMIT, BoundaryMatrix, _forest_merges
 from .errors import IntegerOverflow
 
 
@@ -141,11 +145,28 @@ def _eliminate(r: int, c: int, rows, cols, heap) -> int:
 
 def smith_normal_form(matrix) -> SnfResult:
     """Diagonal invariant factors of a BoundaryMatrix or 2-d integer array."""
-    return _smith(*_int_entries(matrix))
+    n_rows, n_cols, entries = _int_entries(matrix)
+    factors = _smith(n_rows, n_cols, entries)
+    return SnfResult(tuple(factors) + (0,) * (min(n_rows, n_cols) - len(factors)), len(factors))
 
 
-def _smith(n_rows: int, n_cols: int, entries) -> SnfResult:
-    """The elimination on (row, col, value) triplets, at most one per position."""
+def _incidence_pairs(n_cols: int, entries) -> Iterator[tuple[int, int]] | None:
+    """(tail, head) rows of each column if every column is one -1 and one +1, else None."""
+    tail, head = [-1] * n_cols, [-1] * n_cols
+    for i, j, v in entries:
+        ends = tail if v == -1 else head if v == 1 else None
+        if ends is None or ends[j] >= 0:
+            return None
+        ends[j] = i
+    return None if -1 in tail or -1 in head else zip(tail, head)
+
+
+def _smith(n_rows: int, n_cols: int, entries) -> list[int]:
+    """The nonzero invariant factors of (row, col, value) triplets, at most one per
+    position: the spanning-forest rank of a graph incidence matrix, else the elimination."""
+    pairs = _incidence_pairs(n_cols, entries)
+    if pairs is not None:
+        return [1] * len(_forest_merges(n_rows, pairs))
     cols: list[dict[int, int]] = [{} for _ in range(n_cols)]
     rows: list[set[int]] = [set() for _ in range(n_rows)]
     for i, j, v in entries:
@@ -153,9 +174,7 @@ def _smith(n_rows: int, n_cols: int, entries) -> SnfResult:
         rows[i].add(j)
     heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapq.heapify(heap)
-    diagonal = []
+    factors = []
     while pivot := _pivot(heap, rows, cols):
-        diagonal.append(_eliminate(*pivot, rows, cols, heap))
-    rank = len(diagonal)
-    diagonal.extend([0] * (min(n_rows, n_cols) - rank))
-    return SnfResult(tuple(diagonal), rank)
+        factors.append(_eliminate(*pivot, rows, cols, heap))
+    return factors

@@ -9,15 +9,13 @@ have vanishing integer homology above degree 0 (acyclicity) and integer
 normal forms: equality of a kernel and an image lattice reduces to a
 rank identity plus all invariant factors being 1.
 
-validate_nd reads every cell's closure, but reaches the Smith
-elimination only where nothing simpler is exact.  The top level is the
-cell's own column, of rank 1 with factor 1 unless it is empty.  When
-every closure edge is one -1 and one +1, level 1 is a graph incidence
-matrix, which is totally unimodular: every factor is 1 and its rank is
-vertices minus components, counted by union-find.  Only the levels in
-between, and level 1 over a faulty edge, go to the Smith elimination.
-So a 1-cell (top level only) never needs it, nor does a 2-cell over
-valid edges (level 1 and the top).
+validate_nd reads every cell's closure.  The top level is the cell's
+own column, of rank 1 with factor 1 unless it is empty.  Every lower
+level goes to the Smith kernel ``snf._smith`` as triplets; level 1 over
+valid edges is a graph incidence matrix, which the kernel ranks by its
+spanning forest without elimination.  So a 1-cell (top level only) runs
+no elimination, nor does a 2-cell over valid edges (level 1 and the
+top).
 
 Validators report failures instead of raising; each failure carries a
 condition id from {B1-columns, cell-acyclic, cell-connected, B2-cycle}.
@@ -26,7 +24,6 @@ condition id from {B1-columns, cell-acyclic, cell-connected, B2-cycle}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .core import (
     CellComplex,
@@ -76,11 +73,11 @@ class ValidationReport:
         }
 
 
-def _b1_column_failures(cc: CellComplex, ends: list) -> list[Failure]:
-    """A failure for each edge without (tail, head) in ``ends``; only those columns are read."""
+def _b1_column_failures(cc: CellComplex) -> list[Failure]:
+    """A failure for each edge without (tail, head); only those columns are read."""
     b1 = cc.boundary(1)
     failures = []
-    for j, pair in enumerate(ends):
+    for j, pair in enumerate(_edge_endpoints(b1)):
         if pair is None:
             signs = sorted(s for _, s in b1.column(j))
             failures.append(
@@ -97,8 +94,7 @@ def validate_dim1(cc: CellComplex) -> ValidationReport:
     """Check the dimension-1 condition on every column of B_1."""
     if cc.dim < 1:
         raise BadDimension("dimension-1 validation needs at least one edge layer")
-    ends = _edge_endpoints(cc.boundary(1))
-    return ValidationReport.from_failures(_b1_column_failures(cc, ends))
+    return ValidationReport.from_failures(_b1_column_failures(cc))
 
 
 def validate_dim2(cc: CellComplex) -> ValidationReport:
@@ -123,44 +119,20 @@ def closure(cc: CellComplex, cell: CellRef) -> CellComplex:
     return subcomplex(cc, closure_indices(cc, cell))
 
 
-def _forest_size(ends: list, edges: Iterable[int]) -> int:
-    """Edges in a spanning forest of the given edges, that is vertices minus components."""
-    parent: dict[int, int] = {}
-
-    def root(v: int) -> int:
-        while v in parent:
-            v = parent[v]
-        return v
-
-    size = 0
-    for j in edges:
-        a, b = map(root, ends[j])
-        if a != b:
-            parent[a] = b
-            size += 1
-    return size
-
-
-def _level(columns: list, ends: list, layers: list, k: int, l: int) -> tuple[int, tuple]:
-    """Rank and nonzero invariant factors of B_l restricted to a k-cell's closure."""
+def _level(columns: list, layers: list, k: int, l: int) -> tuple[int, ...]:
+    """Nonzero invariant factors of B_l restricted to a k-cell's closure."""
     if l == k:  # the cell's own column: one nonzero +-1 column has factor 1
-        rank = 1 if layers[k - 1] else 0
-    elif l == 1 and all(ends[j] is not None for j in layers[1]):
-        rank = _forest_size(ends, layers[1])  # a graph incidence matrix: all factors 1
-    else:  # the restricted entries, in stored order
-        position = {i: p for p, i in enumerate(layers[l - 1])}
-        entries = [(position[i], c, s) for c, j in enumerate(layers[l]) for i, s in columns[l][j]]
-        snf = _smith(len(layers[l - 1]), len(layers[l]), entries)
-        return snf.rank, snf.diagonal[: snf.rank]
-    return rank, (1,) * rank
+        return (1,) if layers[k - 1] else ()
+    position = {i: p for p, i in enumerate(layers[l - 1])}
+    entries = [(position[i], c, s) for c, j in enumerate(layers[l]) for i, s in columns[l][j]]
+    return tuple(_smith(len(layers[l - 1]), len(layers[l]), entries))
 
 
-def _cell_failures(
-    cc: CellComplex, columns: list, ends: list, k: int, index: int
-) -> list[Failure]:
+def _cell_failures(cc: CellComplex, columns: list, k: int, index: int) -> list[Failure]:
     cell = f"{k}-cell {cc.cells[k][index]}"
     layers = _closure(lambda l, j: columns[l][j], k, index)
-    ranks, factors = zip(*(_level(columns, ends, layers, k, l) for l in range(1, k + 1)))
+    factors = [_level(columns, layers, k, l) for l in range(1, k + 1)]
+    ranks = [len(f) for f in factors]
     failures = []
     # Acyclicity: the top column is injective and, over Z, the kernel of
     # each lower map equals the image of the one above it.
@@ -195,10 +167,9 @@ def validate_nd(cc: CellComplex) -> ValidationReport:
     """Check the full per-cell regularity conditions in any dimension."""
     if cc.dim < 1:
         return ValidationReport(True, ())
-    ends = _edge_endpoints(cc.boundary(1))
-    failures = _b1_column_failures(cc, ends)
+    failures = _b1_column_failures(cc)
     columns = [[]] + [cc.boundary(k).columns() for k in range(1, cc.dim + 1)]
     for k in range(1, cc.dim + 1):
         for index in range(cc.n_cells(k)):
-            failures.extend(_cell_failures(cc, columns, ends, k, index))
+            failures.extend(_cell_failures(cc, columns, k, index))
     return ValidationReport.from_failures(failures)

@@ -468,7 +468,9 @@ def planar_embedding_oracle(points, edges, labels=()) -> None:
         raise ValueError("coordinates must be finite")
     n = len(pts)
     labels = labels or tuple(str(i) for i in range(n))
-    if len(labels) != n or len(set(labels)) != n:
+    if len(labels) != n:
+        raise ShapeMismatch(f"{n} coordinate rows for {len(labels)} vertices")
+    if len(set(labels)) != n:
         raise DuplicateLabel("need one unique label per vertex")
     edges = tuple((int(u), int(v)) for u, v in edges)
     scale = max(1.0, float(np.max(np.abs(pts))))

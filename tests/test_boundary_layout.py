@@ -9,6 +9,7 @@ with planted faults in B_1, B_2 and the top cells).
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellcomplex as cx
-from cellcomplex import core, errors, validate
+from cellcomplex import core, errors, snf, validate
 from cellcomplex.core import BoundaryMatrix, _edge_endpoints, _tail_head, integer_product
 
 import helpers
@@ -353,22 +354,25 @@ class TestValidateNd:
         assert cx.closure(cube, cx.CellRef(3, 0)).n_cells(0) == 8
 
     def test_smith_runs_only_between_level_one_and_the_top(self, monkeypatch):
+        # Counts the pivots of the elimination, snf._eliminate, per cell.
         cube = cx.cubical([3, 3, 3])
-        cell, seen, calls = [], [], []
-        cell_failures, smith = validate._cell_failures, validate._smith
+        cell, seen, pivots = [], [], Counter()
+        cell_failures, eliminate = validate._cell_failures, snf._eliminate
 
-        def tracking(cc, columns, ends, k, index):
+        def tracking(cc, columns, k, index):
             cell[:] = [(k, index)]
             seen.append((k, index))
-            return cell_failures(cc, columns, ends, k, index)
+            return cell_failures(cc, columns, k, index)
 
         def counting(*args):
-            calls.append(cell[0])
-            return smith(*args)
+            pivots[cell[0]] += 1
+            return eliminate(*args)
 
         monkeypatch.setattr(validate, "_cell_failures", tracking)
-        monkeypatch.setattr(validate, "_smith", counting)
+        monkeypatch.setattr(snf, "_eliminate", counting)
         assert validate.validate_nd(cube).valid
         assert len(seen) == sum(cube.n_cells(k) for k in range(1, 4))  # every cell, one path
-        assert calls and {k for k, _ in calls} == {3}
-        assert len(set(calls)) == len(calls)  # at most one per 3-cell
+        # No 1- or 2-cell is eliminated; a 3-cell only at level 2, once:
+        # the 6 faces of a cube have rank 5, so 5 pivots.
+        assert set(pivots) == {(3, i) for i in range(cube.n_cells(3))}
+        assert set(pivots.values()) == {5}

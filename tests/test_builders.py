@@ -425,6 +425,21 @@ class TestPlanarEmbeddingChecks:
             helpers.planar_embedding_oracle, points, edges
         )
 
+    @pytest.mark.parametrize("labels, error", [
+        (("a", "b"), errors.ShapeMismatch),
+        (("a", "b", "c", "d"), errors.ShapeMismatch),
+        (("a", "b", "a"), errors.DuplicateLabel),
+    ])
+    def test_label_count_and_uniqueness(self, labels, error):
+        # A coordinate row count that differs from the label count is a shape
+        # error naming both counts; only equal counts with a repeat are duplicates.
+        points = [(0, 0), (1, 0), (0, 1)]
+        outcome = _outcome(cx.PlanarEmbedding, points, ((0, 1),), labels)
+        assert outcome == _outcome(helpers.planar_embedding_oracle, points, ((0, 1),), labels)
+        assert outcome[0] is error
+        if error is errors.ShapeMismatch:
+            assert outcome[1] == f"3 coordinate rows for {len(labels)} vertices"
+
     def test_violations_in_the_last_row_block(self):
         # 289 vertices and 800 edges: every check spans several row blocks,
         # and each planted violation sits in the last one.

@@ -213,6 +213,31 @@ class TestLiftCommands:
         assert (code, out) == (1, "")
         assert err == "error: edge column 1 is not a (tail, head) incidence\n"
 
+    @pytest.mark.parametrize("lifting", ["window", "tree", "chordless"])
+    @pytest.mark.parametrize("dim", [0, 2])
+    def test_rejects_a_complex_that_is_not_a_graph(self, capsys, tmp_path, lifting, dim):
+        square = cx.from_tuples(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 1, 2, 3)])
+        cc = cx.from_tuples(range(4)) if dim == 0 else square
+        graph = tmp_path / "graph.json"
+        graph.write_text(io.dumps(io.complex_to_json(cc)))
+        coords = tmp_path / "coords.csv"
+        coords.write_text("0,0\n1,0\n1,1\n0,1\n")
+        extra = ["--coords", str(coords)] if lifting == "window" else []
+        code, out, err = run(capsys, "lift", lifting, str(graph), *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: lifting expects a 1-dimensional complex\n"
+
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_window_coordinate_rows_must_match_the_vertices(self, capsys, tmp_path, rows):
+        square = cx.from_tuples(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+        graph = tmp_path / "square.json"
+        graph.write_text(io.dumps(io.complex_to_json(square)))
+        coords = tmp_path / "coords.csv"
+        coords.write_text("".join(f"{i},{i * i}\n" for i in range(rows)))
+        code, out, err = run(capsys, "lift", "window", str(graph), "--coords", str(coords))
+        assert (code, out) == (1, "")
+        assert err == f"error: {rows} coordinate rows for 4 vertices\n"
+
 
 class TestPersistCommand:
     def test_square_csv(self, capsys, square_points):

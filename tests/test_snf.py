@@ -1,16 +1,16 @@
 """Smith normal form: examples, invariant-factor oracle, overflow, graph incidences."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellcomplex import errors
-from cellcomplex.core import BoundaryMatrix, _edge_endpoints
+from cellcomplex import errors, snf
+from cellcomplex.core import BoundaryMatrix, _forest_merges
 from cellcomplex.snf import SnfResult, smith_normal_form
-from cellcomplex.validate import _forest_size
 
 import helpers
 
@@ -125,12 +125,12 @@ def test_boundary_matrix_and_dense_input_agree(matrix):
 
 
 @st.composite
-def graphs(draw):
+def graphs(draw, max_vertices=8, max_edges=12):
     """(vertex count, edges): any (tail, head) pairs of distinct vertices, parallel
     edges allowed."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_vertices))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
-    return n, draw(st.lists(pairs, max_size=12)) if n > 1 else []
+    return n, draw(st.lists(pairs, max_size=max_edges)) if n > 1 else []
 
 
 def components(n: int, edges) -> int:
@@ -156,11 +156,63 @@ def components(n: int, edges) -> int:
 @given(graph=graphs())
 def test_graph_incidence_factors_are_ones(graph):
     # A graph's B_1 is totally unimodular: rank V - components, every factor 1.
-    # validate_nd decides level 1 of a closure from this and a union-find.
+    # The Smith kernel ranks it by its spanning forest, from _forest_merges.
     n, edges = graph
     b1 = BoundaryMatrix(n, len(edges), [(v, j, s) for j, (t, h) in enumerate(edges)
                                         for v, s in ((t, -1), (h, 1))])
     result = smith_normal_form(b1)
     assert result.rank == n - components(n, edges)
     assert set(result.diagonal[: result.rank]) <= {1}
-    assert _forest_size(_edge_endpoints(b1), range(len(edges))) == result.rank
+    assert len(_forest_merges(n, edges)) == result.rank
+
+
+@settings(max_examples=200)
+@given(graph=graphs())
+def test_forest_merges_keep_the_elder_root(graph):
+    # Every tree's root is its smallest vertex, so a pair that joins two trees
+    # reports the larger of their minima; the oracle merges vertex sets.
+    n, edges = graph
+    tree = {v: {v} for v in range(n)}
+    expected = []
+    for p, (a, b) in enumerate(edges):
+        if tree[a] is not tree[b]:
+            expected.append((p, max(min(tree[a]), min(tree[b]))))
+            merged = tree[a] | tree[b]
+            tree.update(dict.fromkeys(merged, merged))
+    assert _forest_merges(n, edges) == expected
+
+
+@st.composite
+def multigraph_incidences(draw):
+    """(B_1 of a multigraph as a dense array, whether a column was planted): any
+    (tail, head) edges, so parallel edges and isolated vertices occur, and maybe
+    one planted column of -1, 0, +1 that is not one -1 and one +1."""
+    n, edges = draw(graphs(max_vertices=5, max_edges=6))
+    matrix = np.zeros((n, len(edges)), dtype=np.int64)
+    for j, (t, h) in enumerate(edges):
+        matrix[t, j], matrix[h, j] = -1, 1
+    column = st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n)
+    planted = draw(st.none() | column.filter(lambda c: sorted(v for v in c if v) != [-1, 1]))
+    if planted is None:
+        return matrix, False
+    return np.insert(matrix, draw(st.integers(0, len(edges))), planted, axis=1), True
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=multigraph_incidences())
+def test_incidence_rule_matches_the_oracles(drawn):
+    # An incidence matrix takes no elimination step; with a planted column it
+    # is eliminated.  Either way, from BoundaryMatrix or dense input, the rank
+    # is the rational rank and d_1 * ... * d_r the gcd of the r x r minors.
+    matrix, planted = drawn
+    entries = [(int(i), int(j), int(matrix[i, j])) for i, j in zip(*np.nonzero(matrix))]
+    with mock.patch.object(snf, "_eliminate", wraps=snf._eliminate) as eliminate:
+        result = smith_normal_form(BoundaryMatrix(*matrix.shape, entries))
+        assert smith_normal_form(matrix) == result
+    if not planted:
+        assert eliminate.call_count == 0
+    assert result.rank == helpers.rank_over_q(matrix)
+    product = 1
+    for r, d in enumerate(result.diagonal[: result.rank], start=1):
+        product *= d
+        assert product == helpers.minors_gcd(matrix, r)
