@@ -22,10 +22,11 @@ from .core import (
     BoundaryMatrix,
     CellComplex,
     _canonical_cycle,
+    _column,
     _edge_endpoints,
+    _edge_lookup,
     _entry_arrays,
     _forest_merges,
-    _rotate_min_first,
     _tail_head,
     from_boundary_matrices,
     from_tuples,
@@ -531,16 +532,16 @@ def window_lifting(emb: PlanarEmbedding) -> CellComplex:
     Faces are traced through the rotation system induced by the
     coordinates; the unique face of negative signed area (the outer one)
     is dropped and each remaining window becomes a counterclockwise
-    2-cell.  Doubled bridge traversals cancel out of window boundaries.
+    2-cell whose column is the ``_column`` of its walk, so doubled bridge
+    traversals cancel, traced once by ``oriented_cycle`` into its vertex
+    cycle.  Edges are labelled ``tail-head``, as ``from_tuples`` does.
     """
     pts = emb.points
     n = len(pts)
+    lookup = _edge_lookup(emb.edges)  # every edge walked both ways, in edge order
     adjacency: dict[int, list[int]] = {i: [] for i in range(n)}
-    edge_index: dict[tuple[int, int], int] = {}
-    for idx, (u, v) in enumerate(emb.edges):
+    for u, v in lookup:
         adjacency[u].append(v)
-        adjacency[v].append(u)
-        edge_index[(u, v)] = idx
     if len(_forest_merges(n, emb.edges)) != n - 1:
         raise Disconnected("underlying graph is not connected")
     order = {
@@ -551,33 +552,26 @@ def window_lifting(emb: PlanarEmbedding) -> CellComplex:
         for u in range(n)
     }
 
-    remaining = {(u, v) for u, v in emb.edges} | {(v, u) for u, v in emb.edges}
+    # Each face is an orbit of the darts: a dart (u, v) is followed by (v, w),
+    # w the neighbour of v just clockwise of u.
+    remaining = set(lookup)
     faces: list[list[tuple[int, int]]] = []
-    for start in sorted(remaining):
-        if start not in remaining:
-            continue
-        walk = [start]
-        remaining.discard(start)
-        while True:
-            u, v = walk[-1]
+    for dart in sorted(remaining):
+        walk = []
+        while dart in remaining:
+            remaining.discard(dart)
+            walk.append(dart)
+            u, v = dart
             ring = order[v]
-            w = ring[(ring.index(u) - 1) % len(ring)]
-            nxt = (v, w)
-            if nxt == start:
-                break
-            walk.append(nxt)
-            remaining.discard(nxt)
-        faces.append(walk)
-
-    def signed_area(walk: list[tuple[int, int]]) -> float:
-        return 0.5 * sum(
-            pts[u][0] * pts[v][1] - pts[v][0] * pts[u][1] for u, v in walk
-        )
+            dart = (v, ring[(ring.index(u) - 1) % len(ring)])
+        if walk:
+            faces.append(walk)
 
     base = from_tuples(emb.labels, [(emb.labels[u], emb.labels[v]) for u, v in emb.edges])
     if len(faces) <= 1:
         return base
-    areas = [signed_area(walk) for walk in faces]
+    areas = [0.5 * sum(pts[u][0] * pts[v][1] - pts[v][0] * pts[u][1] for u, v in walk)
+             for walk in faces]
     negatives = [i for i, area in enumerate(areas) if area < 0]
     if len(negatives) != 1:
         raise EdgesCross(
@@ -585,25 +579,17 @@ def window_lifting(emb: PlanarEmbedding) -> CellComplex:
         )
     outer = negatives[0]
 
-    ends = _edge_endpoints(base.boundary(1))
-    windows: list[tuple[tuple[int, ...], list[tuple[int, int]]]] = []
+    windows: list[tuple[list[int], list[tuple[int, int]]]] = []
     for fi, walk in enumerate(faces):
         if fi == outer:
             continue
-        net: dict[int, int] = {}
-        for u, v in walk:
-            if (u, v) in edge_index:
-                idx, sign = edge_index[(u, v)], 1
-            else:
-                idx, sign = edge_index[(v, u)], -1
-            net[idx] = net.get(idx, 0) + sign
-        entries = [(idx, sign) for idx, sign in sorted(net.items()) if sign]
-        cycle, reason = oriented_cycle(ends, entries)
+        column = _column(lookup, walk)
+        cycle, reason = oriented_cycle(emb.edges, column)
         if reason is not None:
             raise NotACycleColumn(f"window boundary is not a simple cycle: {reason}")
-        windows.append((_rotate_min_first(cycle), entries))
-    windows.sort(key=lambda item: item[0])
-    return _cycle_cells(base, [entries for _, entries in windows], canonical=False)
+        windows.append((cycle, column))
+    windows.sort(key=lambda window: window[0])
+    return _cycle_cells(base, windows)
 
 
 def _underlying_graph(cc: CellComplex) -> list[tuple[int, int]]:
@@ -614,39 +600,36 @@ def _underlying_graph(cc: CellComplex) -> list[tuple[int, int]]:
 
 
 def _cycle_cells(
-    cc: CellComplex, columns: list[list[tuple[int, int]]], canonical: bool
+    cc: CellComplex, cells: list[tuple[Sequence[int], list[tuple[int, int]]]]
 ) -> CellComplex:
-    """Attach 2-cells given as signed edge columns to a 1-complex."""
-    if not columns:
+    """Attach 2-cells to a 1-complex, each given as its vertex cycle, starting
+    at its minimal vertex, and its signed edges.  A cell is labelled by its
+    cycle's vertex labels, with a "+" per earlier cell of the same label."""
+    if not cells:
         return cc
-    b1 = cc.boundary(1)
-    pairs = _edge_endpoints(b1)
     labels: list[str] = []
     seen: set[str] = set()
     entries: list[tuple[int, int, int]] = []
-    for col, signed_edges in enumerate(columns):
-        cycle, reason = oriented_cycle(pairs, signed_edges)
-        if reason is not None:
-            raise NotACycleColumn(f"lifted cycle is invalid: {reason}")
-        cycle, flipped = _canonical_cycle(cycle) if canonical else (cycle, False)
-        if flipped:
-            signed_edges = [(j, -s) for j, s in signed_edges]
-        label = "-".join(cc.cells[0][i] for i in _rotate_min_first(cycle))
+    for col, (cycle, signed_edges) in enumerate(cells):
+        label = "-".join(cc.cells[0][i] for i in cycle)
         while label in seen:
             label += "+"
         seen.add(label)
         labels.append(label)
         entries.extend((j, col, s) for j, s in signed_edges)
-    b2 = BoundaryMatrix(b1.cols, len(columns), entries)
+    b1 = cc.boundary(1)
+    b2 = BoundaryMatrix(b1.cols, len(cells), entries)
     return from_boundary_matrices([*cc.cells, labels], [b1, b2])
 
 
 def spanning_tree_lifting(cc: CellComplex, root: str | int | None = None) -> CellComplex:
     """Fill the fundamental cycles of a BFS spanning tree with 2-cells.
 
-    Each non-tree edge closes exactly one cycle through the tree,
-    oriented along the non-tree edge and then canonicalised; the number
-    of 2-cells is |edges| - |vertices| + 1.
+    Each non-tree edge closes exactly one cycle through the tree: parent
+    edges are walked up from both of its ends, always from the deeper
+    one, until the two walks meet.  The cycle runs along the non-tree
+    edge and is then given the orientation of ``_canonical_cycle``; the
+    number of 2-cells is |edges| - |vertices| + 1.
     """
     pairs = _underlying_graph(cc)
     n = cc.n_cells(0)
@@ -662,47 +645,36 @@ def spanning_tree_lifting(cc: CellComplex, root: str | int | None = None) -> Cel
     for j, (t, h) in enumerate(pairs):
         adjacency[t].append((j, h))
         adjacency[h].append((j, t))
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {root_index}
+    depth = {root_index: 0}
+    # vertex -> (tree edge to its parent, that edge's sign walked upwards, parent)
+    parent: dict[int, tuple[int, int, int]] = {}
     queue = deque([root_index])
-    tree_edges: set[int] = set()
     while queue:
         u = queue.popleft()
         for j, v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                parent[v] = (j, u)
-                tree_edges.add(j)
+            if v not in depth:
+                depth[v] = depth[u] + 1
+                parent[v] = (j, 1 if pairs[j][0] == v else -1, u)
                 queue.append(v)
-    if len(seen) != n:
+    if len(depth) != n:
         raise Disconnected("spanning tree lifting needs a connected graph")
 
-    def root_path(v: int) -> list[int]:
-        path = [v]
-        while path[-1] != root_index:
-            path.append(parent[path[-1]][1])
-        return path
-
-    def tree_edge_between(a: int, b: int) -> int:
-        if a in parent and parent[a][1] == b:
-            return parent[a][0]
-        return parent[b][0]
-
-    columns: list[list[tuple[int, int]]] = []
+    tree_edges = {j for j, _, _ in parent.values()}
+    cells = []
     for j, (tail, head) in enumerate(pairs):
         if j in tree_edges:
             continue
-        up, down = root_path(head), root_path(tail)
-        up_set = set(up)
-        common = next(v for v in down if v in up_set)
-        # Tree path head -> lca -> tail; the lca appears once.
-        walk = up[: up.index(common) + 1] + down[: down.index(common)][::-1]
-        signed: dict[int, int] = {j: 1}
-        for a, b in zip(walk, walk[1:]):
-            edge = tree_edge_between(a, b)
-            signed[edge] = 1 if pairs[edge] == (a, b) else -1
-        columns.append(sorted(signed.items()))
-    return _cycle_cells(cc, columns, canonical=True)
+        # The cycle tail -> head -> ... -> meeting vertex -> ... -> tail.
+        up, down = [head], [tail]
+        signed = [(j, 1)]
+        while up[-1] != down[-1]:
+            deeper = up if depth[up[-1]] >= depth[down[-1]] else down
+            edge, sign, above = parent[deeper[-1]]
+            signed.append((edge, sign if deeper is up else -sign))
+            deeper.append(above)
+        cycle, flipped = _canonical_cycle(up + down[-2::-1])
+        cells.append((cycle, [(e, -s) for e, s in signed] if flipped else signed))
+    return _cycle_cells(cc, cells)
 
 
 def chordless_cycle_lifting(
@@ -710,21 +682,22 @@ def chordless_cycle_lifting(
 ) -> CellComplex:
     """Attach every chordless (induced) cycle of a simple graph as a 2-cell.
 
-    Output cells are sorted by canonical vertex tuple.  The number of
-    chordless cycles can grow exponentially, so enumeration stops with
-    an error once max_cells is exceeded.
+    Each cycle takes the orientation of ``_canonical_cycle`` and the
+    ``_column`` of that walk; output cells are sorted by canonical vertex
+    tuple.  The number of chordless cycles can grow exponentially, so
+    enumeration stops with an error once max_cells is exceeded.
     """
     # networkx is imported here only: it is most of the package's import
     # time, and no other command uses it.
     import networkx as nx
 
     pairs = _underlying_graph(cc)
-    if len({frozenset(p) for p in pairs}) != len(pairs):
+    lookup = _edge_lookup(pairs)
+    if len(lookup) != 2 * len(pairs):  # two edges join the same two vertices
         raise NotSimple("chordless cycle lifting needs a simple underlying graph")
     graph = nx.Graph()
     graph.add_nodes_from(range(cc.n_cells(0)))
     graph.add_edges_from(pairs)
-    edge_index = {frozenset(p): j for j, p in enumerate(pairs)}
     cycles: list[tuple[int, ...]] = []
     for cycle in nx.chordless_cycles(graph):
         if len(cycle) < 3:
@@ -733,11 +706,5 @@ def chordless_cycle_lifting(
         if len(cycles) > max_cells:
             raise CapExceeded(max_cells)
     cycles.sort()
-    columns = []
-    for cycle in cycles:
-        signed = []
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            j = edge_index[frozenset((a, b))]
-            signed.append((j, 1 if pairs[j] == (a, b) else -1))
-        columns.append(sorted(signed))
-    return _cycle_cells(cc, columns, canonical=False)
+    cells = [(cycle, _column(lookup, zip(cycle, cycle[1:] + cycle[:1]))) for cycle in cycles]
+    return _cycle_cells(cc, cells)

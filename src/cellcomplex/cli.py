@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import builders, homology, hodge, io, persist, validate
-from .core import ChainVector
+from .core import CellComplex, ChainVector
 from .errors import CellComplexError
 
 
@@ -248,8 +248,10 @@ def _run_lift(args) -> int:
     if args.lifting == "window":
         coords = _load_csv(args.coords)
         pairs = builders._underlying_graph(cc)
-        emb = builders.PlanarEmbedding(coords, pairs, tuple(cc.cells[0]))
-        return _emit_complex(builders.window_lifting(emb))
+        lifted = builders.window_lifting(builders.PlanarEmbedding(coords, pairs, cc.cells[0]))
+        # Its B_1 is the input's column for column; the input's edges keep their labels.
+        cells, mats = cc.cells + lifted.cells[2:], cc.boundaries + lifted.boundaries[1:]
+        return _emit_complex(CellComplex(lifted.dim, cells, mats))
     if args.lifting == "tree":
         return _emit_complex(builders.spanning_tree_lifting(cc, args.root))
     return _emit_complex(builders.chordless_cycle_lifting(cc, args.max_cells))

@@ -27,6 +27,7 @@ from .errors import (
     ExactnessViolated,
     MissingEdge,
     NotACycleColumn,
+    NotDownwardClosed,
     NotSimple,
     PolygonTooShort,
     RepeatedVertexInPolygon,
@@ -315,6 +316,28 @@ def _rotate_min_first(seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(seq[pos:]) + tuple(seq[:pos])
 
 
+def _edge_lookup(pairs: Iterable[tuple[int, int]]) -> dict[tuple[int, int], tuple[int, int]]:
+    """Map each ordered vertex pair (a, b) to (edge, +1) when the edge runs a -> b
+    and (edge, -1) when it runs b -> a, for edges given as (tail, head) pairs;
+    the first edge in order wins where several join the same two vertices."""
+    lookup: dict[tuple[int, int], tuple[int, int]] = {}
+    for j, (tail, head) in enumerate(pairs):
+        lookup.setdefault((tail, head), (j, 1))
+        lookup.setdefault((head, tail), (j, -1))
+    return lookup
+
+
+def _column(lookup: Mapping, steps: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The B_2 column of a closed walk given as (a, b) steps: the signed edges of
+    ``lookup`` summed per edge, so an edge walked both ways cancels, sorted by
+    edge.  A step that joins no edge raises KeyError with the step."""
+    net: dict[int, int] = {}
+    for step in steps:
+        j, sign = lookup[step]
+        net[j] = net.get(j, 0) + sign
+    return [(j, sign) for j, sign in sorted(net.items()) if sign]
+
+
 def from_tuples(
     vertices: Sequence,
     edges: Sequence[Sequence] = (),
@@ -322,10 +345,10 @@ def from_tuples(
 ) -> CellComplex:
     """Build a simple complex from tuple notation.
 
-    Edges are ordered (tail, head) vertex pairs; B_1 gets -1 at the tail
-    and +1 at the head.  Each polygon is a cyclic vertex tuple tracing a
-    closed walk over existing edges; B_2 entries are +1 where the walk
-    follows an edge's reference orientation and -1 where it opposes it.
+    Edges are ordered (tail, head) vertex pairs, labelled ``tail-head``;
+    B_1 gets -1 at the tail and +1 at the head.  Each polygon is a cyclic
+    vertex tuple tracing a closed walk over existing edges, labelled from
+    its minimal vertex; its B_2 column is the ``_column`` of that walk.
     """
     vlabels = [str(v) for v in vertices]
     if len(set(vlabels)) != len(vlabels):
@@ -339,22 +362,15 @@ def from_tuples(
             raise UnknownVertex(f"unknown vertex {label!r}")
         return vindex[label]
 
-    # A polygon pair may match an edge forwards or backwards; the first
-    # match in construction order wins (unambiguous on simple complexes).
-    edge_index: dict[tuple[int, int], tuple[int, int]] = {}
-    edge_labels: list[str] = []
-    b1_entries: list[tuple[int, int, int]] = []
-    for j, pair in enumerate(edges):
-        tail, head = pair
-        t, h = vertex_id(tail), vertex_id(head)
-        if t == h:
+    pairs: list[tuple[int, int]] = []
+    for tail, head in edges:
+        pairs.append((vertex_id(tail), vertex_id(head)))
+        if pairs[-1][0] == pairs[-1][1]:
             raise SelfLoopEdge(f"edge ({tail}, {head}) is a self-loop")
-        edge_index.setdefault((t, h), (j, 1))
-        edge_index.setdefault((h, t), (j, -1))
-        edge_labels.append(f"{vlabels[t]}-{vlabels[h]}")
-        b1_entries.append((t, j, -1))
-        b1_entries.append((h, j, 1))
+    edge_labels = [f"{vlabels[t]}-{vlabels[h]}" for t, h in pairs]
+    b1_entries = [(v, j, s) for j, (t, h) in enumerate(pairs) for v, s in ((t, -1), (h, 1))]
 
+    lookup = _edge_lookup(pairs)
     poly_labels: list[str] = []
     b2_entries: list[tuple[int, int, int]] = []
     for col, polygon in enumerate(polygons):
@@ -363,13 +379,13 @@ def from_tuples(
             raise PolygonTooShort(f"polygon {tuple(polygon)} has fewer than 3 vertices")
         if len(set(ids)) != len(ids):
             raise RepeatedVertexInPolygon(f"polygon {tuple(polygon)} repeats a vertex")
-        for a, b in zip(ids, ids[1:] + ids[:1]):
-            if (a, b) not in edge_index:
-                raise MissingEdge(polygon, (vlabels[a], vlabels[b]))
-            j, sign = edge_index[(a, b)]
-            b2_entries.append((j, col, sign))
-        canonical = _rotate_min_first(ids)
-        poly_labels.append("-".join(vlabels[i] for i in canonical))
+        try:
+            column = _column(lookup, zip(ids, ids[1:] + ids[:1]))
+        except KeyError as missing:
+            a, b = missing.args[0]
+            raise MissingEdge(polygon, (vlabels[a], vlabels[b])) from None
+        b2_entries.extend((j, col, sign) for j, sign in column)
+        poly_labels.append("-".join(vlabels[i] for i in _rotate_min_first(ids)))
 
     cells: list[Sequence[str]] = [vlabels]
     mats: list[BoundaryMatrix] = []
@@ -591,6 +607,7 @@ def flip_cell(cc: CellComplex, cell: CellRef) -> CellComplex:
     """Flip one cell's reference orientation (column and coboundary row)."""
     if cell.dim < 1:
         raise BadDimension("0-cells have no orientation to flip")
+    boundary_of_cell(cc, cell)  # BadDimension or ShapeMismatch for a cell cc lacks
     mats = list(cc.boundaries)
     mats[cell.dim - 1] = mats[cell.dim - 1].flip_columns([cell.index])
     if cell.dim < cc.dim:
@@ -603,6 +620,8 @@ def subcomplex(cc: CellComplex, keep: Sequence[Sequence[int]]) -> CellComplex:
 
     ``keep`` may be shorter than dim+1; trailing dimensions are dropped.
     Index order within each dimension is preserved from the input lists.
+    Every face of a kept cell must be kept: NotDownwardClosed names the
+    first kept cell, lowest dimension first, and its first dropped face.
     """
     layers = [list(idx) for idx in keep]
     while layers and not layers[-1]:
@@ -611,6 +630,15 @@ def subcomplex(cc: CellComplex, keep: Sequence[Sequence[int]]) -> CellComplex:
         raise ShapeMismatch("sub-complex needs at least one 0-cell")
     for k, layer in enumerate(layers):
         _indices(layer, cc.n_cells(k), f"{k}-cell")
+    for k in range(1, len(layers)):
+        b = cc.boundary(k)
+        at, owner = _gather(b.indptr, np.asarray(layers[k], dtype=np.int64))
+        dropped = np.flatnonzero(~np.isin(b.indices[at], layers[k - 1]))
+        if dropped.size:
+            cell, face = layers[k][owner[dropped[0]]], b.indices[at[dropped[0]]]
+            raise NotDownwardClosed(
+                f"{k}-cell {cc.cells[k][cell]!r} kept without its face {cc.cells[k - 1][face]!r}"
+            )
     cells = tuple(
         tuple(cc.cells[k][i] for i in layer) for k, layer in enumerate(layers)
     )

@@ -106,7 +106,7 @@ class SizeLimitExceeded(CellComplexError):
 
 
 class NotDownwardClosed(CellComplexError):
-    """Simplex set is missing a face of one of its members."""
+    """A simplex set or cell selection is missing a face of one of its members."""
 
 
 class UncoveredVertex(CellComplexError):

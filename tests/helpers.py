@@ -15,8 +15,11 @@ arrays.  The boundary-layout oracles are the tuple code that the CSC
 arrays replaced: a sort-and-check of the triplets, a dict-summed
 product, a per-column read of edge endpoints, a column-by-column
 restriction, and per-cell validation through restricted matrices and
-their Smith forms.  The complex zoo produces small randomized builder
-outputs for the property suites.
+their Smith forms.  The fundamental-cycle oracle walks each non-tree
+edge's full root paths and traces the column it finds, as the spanning
+tree lifting did before it walked parent edges up from both ends.  The
+complex zoo produces small randomized builder outputs for the property
+suites.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import hodge
-from cellcomplex.core import closure_indices
+from cellcomplex.core import closure_indices, oriented_cycle
 from cellcomplex.errors import (
     DuplicateEntry,
     DuplicateLabel,
@@ -205,6 +208,65 @@ def edge_endpoints_oracle(b1: cx.BoundaryMatrix, j: int) -> tuple[int, int]:
         raise NotACycleColumn(f"edge column {j} is not a (tail, head) incidence")
     (a, sign), (b, _) = column
     return (a, b) if sign == -1 else (b, a)
+
+
+def fundamental_cycles_oracle(cc: cx.CellComplex, root: int) -> cx.CellComplex:
+    """The BFS spanning-tree lifting by full root paths: each non-tree edge's
+    cycle runs along it, then from its head up to the lowest common ancestor
+    (the first vertex of the tail's root path on the head's) and down to its
+    tail.  The signed column is then traced back into a vertex cycle,
+    turned into canonical orientation and labelled from its minimal vertex,
+    with a "+" per earlier cell of the same label."""
+    b1 = cc.boundary(1)
+    pairs = [edge_endpoints_oracle(b1, j) for j in range(b1.cols)]
+    adjacency = {i: [] for i in range(cc.n_cells(0))}
+    for j, (t, h) in enumerate(pairs):
+        adjacency[t].append((j, h))
+        adjacency[h].append((j, t))
+    parent, queue = {root: None}, [root]
+    for u in queue:
+        for j, v in adjacency[u]:
+            if v not in parent:
+                parent[v] = (j, u)
+                queue.append(v)
+    tree_edges = {p[0] for p in parent.values() if p}
+
+    def root_path(v):
+        path = [v]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]][1])
+        return path
+
+    def tree_edge_between(a, b):
+        return parent[a][0] if parent[a] and parent[a][1] == b else parent[b][0]
+
+    labels, entries = [], []
+    for j, (tail, head) in enumerate(pairs):
+        if j in tree_edges:
+            continue
+        up, down = root_path(head), root_path(tail)
+        common = next(v for v in down if v in up)
+        walk = up[: up.index(common) + 1] + down[: down.index(common)][::-1]
+        signed = {j: 1}
+        for a, b in zip(walk, walk[1:]):
+            edge = tree_edge_between(a, b)
+            signed[edge] = 1 if pairs[edge] == (a, b) else -1
+        cycle, reason = oriented_cycle(pairs, sorted(signed.items()))
+        assert reason is None, reason
+        start = cycle.index(min(cycle))
+        cycle = cycle[start:] + cycle[:start]
+        flip = -1 if len(cycle) >= 3 and cycle[1] > cycle[-1] else 1
+        if flip == -1:
+            cycle = cycle[:1] + cycle[:0:-1]
+        label = "-".join(cc.cells[0][v] for v in cycle)
+        while label in labels:
+            label += "+"
+        labels.append(label)
+        entries += [(e, len(labels) - 1, flip * s) for e, s in signed.items()]
+    if not labels:
+        return cc
+    b2 = cx.BoundaryMatrix(b1.cols, len(labels), entries)
+    return cx.from_boundary_matrices([*cc.cells, labels], [b1, b2])
 
 
 def restrict_oracle(b: cx.BoundaryMatrix, rows, cols) -> tuple:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellcomplex as cx
-from cellcomplex import builders, errors
+from cellcomplex import builders, core, errors
 from cellcomplex.builders import rips_simplices
 
 import helpers
@@ -540,6 +540,94 @@ class TestChordlessCycleLifting:
     def test_acyclic_graph_unchanged(self):
         tree = cx.from_tuples(range(3), [(0, 1), (1, 2)])
         assert cx.chordless_cycle_lifting(tree).dim == 1
+
+
+@st.composite
+def multigraphs(draw):
+    """Connected graphs with parallel and antiparallel edges (digon cycles):
+    a random tree, extra edges, and copies of drawn edges, each edge in a
+    random orientation and the list shuffled."""
+    n = draw(st.integers(2, 7))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = list(itertools.permutations(range(n), 2))
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=6))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    edges = draw(st.permutations(edges))
+    edges = [e[::-1] if draw(st.booleans()) else e for e in edges]
+    entries = [(v, j, s) for j, (t, h) in enumerate(edges) for v, s in ((t, -1), (h, 1))]
+    b1 = cx.BoundaryMatrix(n, len(edges), entries)
+    return cx.from_boundary_matrices([[f"v{i}" for i in range(n)],
+                                      [f"e{j}" for j in range(len(edges))]], [b1])
+
+
+@st.composite
+def plane_grids(draw):
+    """Plane grids with a random set of diagonals and edge orientations."""
+    m = draw(st.integers(2, 5))
+    points, edges, _ = _grid_with_diagonals(m)
+    n_diag = (m - 1) ** 2
+    keep = draw(st.lists(st.booleans(), min_size=n_diag, max_size=n_diag))
+    edges = edges[: len(edges) - n_diag] + [e for e, k in zip(edges[-n_diag:], keep) if k]
+    edges = [e[::-1] if draw(st.booleans()) else e for e in edges]
+    return cx.PlanarEmbedding(points, tuple(edges)), n_diag + sum(keep)
+
+
+def _check_lifted(graph, lifted):
+    assert lifted.cells[:2] == graph.cells[:2]
+    assert lifted.boundary(1) == graph.boundary(1)
+    if lifted.dim == 2:
+        assert cx.validate_dim2(lifted).valid
+    assert cx.validate_nd(lifted).valid
+
+
+class TestCyclesAttachedWithoutRetracing:
+    """The liftings build each 2-cell's column once, from the cycle they
+    already hold; only window cells are traced, once each."""
+
+    @settings(max_examples=150)
+    @given(graph=multigraphs())
+    def test_tree_lifting_matches_the_root_path_oracle_at_every_root(self, graph):
+        for root in range(graph.n_cells(0)):
+            lifted = cx.spanning_tree_lifting(graph, root)
+            assert lifted == helpers.fundamental_cycles_oracle(graph, root)
+            assert lifted.n_cells(2) == graph.n_cells(1) - graph.n_cells(0) + 1
+            _check_lifted(graph, lifted)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_chordless_cells_are_valid_canonical_cycles(self, seed):
+        graph = helpers.random_connected_graph(random.Random(seed), n_max=8, extra_min=1)
+        lifted = cx.chordless_cycle_lifting(graph)
+        _check_lifted(graph, lifted)
+        for polygon in cx.to_tuples(lifted)[2]:
+            indices = [graph.index_of(0, v) for v in polygon]
+            assert indices[0] == min(indices) and indices[1] < indices[-1]
+
+    @settings(max_examples=40)
+    @given(grid=plane_grids())
+    def test_window_cells_of_plane_grids(self, grid):
+        emb, faces = grid
+        lifted = cx.window_lifting(emb)
+        graph = cx.from_tuples(emb.labels, [(emb.labels[u], emb.labels[v]) for u, v in emb.edges])
+        assert lifted.n_cells(2) == faces
+        _check_lifted(graph, lifted)
+
+    def test_oriented_cycle_runs_once_per_window_cell_only(self, monkeypatch, toy_graph):
+        calls, trace = [], core.oriented_cycle
+
+        def counted(*args):
+            calls.append(args)
+            return trace(*args)
+
+        monkeypatch.setattr(builders, "oriented_cycle", counted)
+        monkeypatch.setattr(core, "oriented_cycle", counted)
+        points, edges, _ = _grid_with_diagonals(4)
+        lifted = cx.window_lifting(cx.PlanarEmbedding(points, tuple(edges)))
+        assert len(calls) == lifted.n_cells(2) == 18
+        calls.clear()
+        assert cx.spanning_tree_lifting(toy_graph).n_cells(2) == 2
+        assert cx.chordless_cycle_lifting(toy_graph).n_cells(2) == 2
+        assert calls == []
 
 
 class TestBuilderOutputsAreRegular:

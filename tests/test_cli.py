@@ -198,6 +198,23 @@ class TestLiftCommands:
         cc = io.complex_from_json(json.loads(out))
         assert cc.cells[2] == ("0-1-2-3",)
 
+    def test_lift_window_keeps_the_input_edge_labels(self, capsys, tmp_path):
+        # Labels that are not tail-head, and an edge against the drawing's turn.
+        square = cx.from_boundary_matrices(
+            [list("abcd"), ["ab", "cb", "cd", "da"]],
+            [cx.from_tuples("abcd", [("a", "b"), ("c", "b"), ("c", "d"), ("d", "a")]).boundary(1)],
+        )
+        graph = tmp_path / "square.json"
+        graph.write_text(io.dumps(io.complex_to_json(square)))
+        coords = tmp_path / "coords.csv"
+        coords.write_text("0,0\n1,0\n1,1\n0,1\n")
+        code, out, _ = run(capsys, "lift", "window", str(graph), "--coords", str(coords))
+        cc = io.complex_from_json(json.loads(out))
+        assert code == 0
+        assert cc.cells == (tuple("abcd"), ("ab", "cb", "cd", "da"), ("a-b-c-d",))
+        assert cc.boundary(1) == square.boundary(1)
+        assert cc.boundary(2).column(0) == [(0, 1), (1, -1), (2, 1), (3, 1)]
+
     @pytest.mark.parametrize("lifting", ["window", "tree", "chordless"])
     def test_edge_without_tail_and_head(self, capsys, tmp_path, lifting):
         graph = tmp_path / "graph.json"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import errors, io
-from cellcomplex.core import BoundaryMatrix, integer_product, subcomplex
+from cellcomplex.core import BoundaryMatrix, _column, _edge_lookup, integer_product, subcomplex
 
 import helpers
 
@@ -73,6 +73,17 @@ class TestSubcomplexIndexRange:
         sub = subcomplex(path3(), [[2, 1], [1]])
         assert sub.cells == (("2", "1"), ("1-2",))
         assert sub.boundary(1).column(0) == [(0, 1), (1, -1)]
+
+    @pytest.mark.parametrize("keep, message", [
+        ([[0, 1, 2, 3, 4], [0, 1, 4], [1]], "2-cell '0-1-2-3' kept without its face '1-2'"),
+        ([[0, 1, 2, 3], [5, 0], [0]], "1-cell '3-4' kept without its face '4'"),
+        ([[4, 0], [0]], "1-cell '0-1' kept without its face '1'"),
+    ])
+    def test_selection_without_a_face_is_rejected(self, toy, keep, message):
+        # Dropping a face would leave B_{k-1} B_k != 0 and a negative Betti number.
+        with pytest.raises(errors.NotDownwardClosed) as info:
+            subcomplex(toy, keep)
+        assert str(info.value) == message
 
 
 @st.composite
@@ -398,6 +409,41 @@ class TestOrientationFlips:
         flipped = cx.flip_cell(toy, cx.CellRef(1, 1))
         assert flipped.boundary(1).column(1) == [(0, 1), (3, -1)]
         assert np.array_equal(flipped.boundary(2).to_dense()[1], [-1, 1])
+
+    @pytest.mark.parametrize("dim, index, error", [
+        (1, 99, errors.ShapeMismatch), (1, -1, errors.ShapeMismatch),
+        (2, 5, errors.ShapeMismatch), (3, 0, errors.BadDimension),
+    ])
+    def test_cell_that_does_not_exist_is_rejected(self, toy, dim, index, error):
+        ref = cx.CellRef(dim, index)
+        with pytest.raises(error) as flipped:
+            cx.flip_cell(toy, ref)
+        with pytest.raises(error) as read:
+            cx.boundary_of_cell(toy, ref)
+        assert str(flipped.value) == str(read.value)
+
+
+class TestWalkColumns:
+    def test_first_edge_joining_two_vertices_wins(self):
+        lookup = _edge_lookup([(0, 1), (1, 0), (1, 2), (0, 1)])
+        assert lookup == {(0, 1): (0, 1), (1, 0): (0, -1), (1, 2): (2, 1), (2, 1): (2, -1)}
+
+    def test_edge_walked_both_ways_cancels(self):
+        # Triangle 0-1-2 with a bridge 2-3 walked out and back.
+        lookup = _edge_lookup([(0, 1), (2, 1), (0, 2), (2, 3)])
+        walk = [(0, 1), (1, 2), (2, 3), (3, 2), (2, 0)]
+        assert _column(lookup, walk) == [(0, 1), (1, -1), (2, -1)]
+
+    def test_missing_step_raises_key_error(self):
+        with pytest.raises(KeyError) as info:
+            _column(_edge_lookup([(0, 1)]), [(0, 1), (1, 2)])
+        assert info.value.args[0] == (1, 2)
+
+    def test_polygon_over_antiparallel_edges_takes_the_first(self):
+        edges = [("a", "b"), ("b", "a"), ("b", "c"), ("c", "a")]
+        cc = cx.from_tuples("abc", edges, [("b", "a", "c")])
+        assert cc.cells[1:] == (("a-b", "b-a", "b-c", "c-a"), ("a-c-b",))
+        assert cc.boundary(2).column(0) == [(0, -1), (2, -1), (3, -1)]
 
 
 class TestTupleRoundTrip:

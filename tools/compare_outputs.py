@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Compare the ``ccx`` output of two source trees over benchmark workload rounds.
+
+    python3 tools/compare_outputs.py OLD_SRC NEW_SRC --workload lattice --seed 11 --rounds 0 1
+
+OLD_SRC and NEW_SRC are directories that hold a ``cellcomplex`` package
+(a ``src/`` tree).  Every command of the chosen rounds, as
+``ccxbench/workloads.py`` of this checkout writes it, runs through
+``cellcomplex.cli.main(argv)``: once in a fresh interpreter per tree,
+one tree after the other, on input files at the same paths.  The tool
+prints each side's command count and the SHA-256 over every command's
+(exit code, stdout, stderr), then how many commands differ and the first of
+them.  It exits 0 when both sides agree and 1 when they do not.
+Nothing under ``ccxbench/`` is changed; its input files go to a
+temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "ccxbench"
+
+
+def run_side(src: str, workload: str, seed: int, rounds: list[int], work: str) -> None:
+    """Run the rounds against the package in src; print one JSON line per command."""
+    sys.path[:0] = [src, str(BENCH)]
+    import workloads
+    from cellcomplex import cli
+
+    for rnd in rounds:
+        directory = os.path.join(work, f"round{rnd}")
+        os.makedirs(directory)
+        for cmd in workloads.WORKLOADS[workload](seed, rnd, workloads.Files(directory)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = cli.main(cmd.argv)
+                except SystemExit as exc:  # argparse usage errors
+                    rc = exc.code
+                except Exception as exc:  # what a user would see as a traceback
+                    rc = f"uncaught {type(exc).__name__}: {exc}"
+            record = {"argv": cmd.argv, "rc": rc, "stdout": out.getvalue(),
+                      "stderr": err.getvalue()}
+            print(json.dumps(record), flush=True)
+        shutil.rmtree(directory)
+
+
+def side(src: str, args, work: str) -> list[dict]:
+    """The records of one tree, from a child interpreter with one BLAS thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    cmd = [sys.executable, __file__, "--side", str(Path(src).resolve()), "--workload",
+           args.workload, "--seed", str(args.seed), "--work", work,
+           "--rounds", *map(str, args.rounds)]
+    child = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if child.returncode != 0:
+        sys.exit(f"error: the run against {src} failed:\n{child.stderr}")
+    return [json.loads(line) for line in child.stdout.splitlines()]
+
+
+def digest(records: list[dict]) -> str:
+    sha = hashlib.sha256()
+    for record in records:
+        sha.update(json.dumps([record["rc"], record["stdout"], record["stderr"]]).encode())
+    return sha.hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", nargs="?", help="first source tree")
+    parser.add_argument("new", nargs="?", help="second source tree")
+    parser.add_argument("--workload", required=True, choices=("lattice", "spectral", "rips"))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--rounds", type=int, nargs="+", default=[0])
+    parser.add_argument("--side", help=argparse.SUPPRESS)  # one tree, in the child
+    parser.add_argument("--work", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.side:
+        run_side(args.side, args.workload, args.seed, args.rounds, args.work)
+        return 0
+    if not (args.old and args.new):
+        parser.error("give two source trees")
+
+    work = tempfile.mkdtemp(prefix="compare-outputs-")
+    try:
+        # Both sides write their inputs to the same paths, which error lines may name.
+        records = [side(src, args, work) for src in (args.old, args.new)]
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    for src, found in zip((args.old, args.new), records):
+        print(f"{src}: {len(found)} commands, sha256 {digest(found)}")
+    keys = [[(r["rc"], r["stdout"], r["stderr"]) for r in found] for found in records]
+    differ = [old for old, a, b in zip(records[0], *keys) if a != b]
+    if differ:
+        print(f"{len(differ)} commands differ; the first: ccx {' '.join(differ[0]['argv'])}")
+    if len(records[0]) != len(records[1]):
+        print("the sides ran different numbers of commands")
+    elif not differ:
+        print("identical")
+        return 0
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
