@@ -471,7 +471,8 @@ def _edge_endpoints(b1: BoundaryMatrix) -> list[tuple[int, int] | None]:
 def _forest_merges(n: int, pairs: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
     """Spanning forest of the edges (a, b) on vertices 0..n-1, in order, by union-find
     with path halving; the smaller root survives each merge (the elder rule).  Returns
-    (position, younger root) for each edge that joins two trees."""
+    (younger root, position) for each edge that joins two trees: as (row, column),
+    the pivots of the edges' incidence matrix."""
     parent = list(range(n))
     merges = []
     for position, (a, b) in enumerate(pairs):
@@ -483,7 +484,7 @@ def _forest_merges(n: int, pairs: Iterable[Sequence[int]]) -> list[tuple[int, in
             if a > b:
                 a, b = b, a
             parent[b] = a
-            merges.append((position, b))
+            merges.append((b, position))
     return merges
 
 

@@ -300,8 +300,8 @@ def persistence(filtration: Filtration, keep_zero_bars: bool = False) -> Persist
     m = len(births)
     edges = np.flatnonzero(dims == 1)
     merges = _forest_merges(m, faces[edges, :2].tolist())
-    born = [root for _, root in merges]
-    died = edges[[p for p, _ in merges]].tolist()
+    born = [root for root, _ in merges]
+    died = edges[[p for _, p in merges]].tolist()
     for k in range(1, faces.shape[1] - 1):
         cofaces = np.flatnonzero(dims == k + 1)
         facets = faces[cofaces, : k + 2].ravel()

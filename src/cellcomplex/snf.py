@@ -7,12 +7,15 @@ factors are 1 and its rank is the size of a spanning forest, from
 pivots first (Kaczynski-Mrozek-Slusarek 1998; Dumas-Saunders-Villard
 2001): boundary matrices are +-1-sparse, so nearly every pivot is a
 unit.  Entries are tracked against a 64-bit bound; exceeding it raises
-instead of silently losing precision.
+instead of silently losing precision.  The kernel also reports a pivot
+(row, column) per factor, so that the Hodge decomposition can read a row
+basis and a column basis of a boundary off the same elimination.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -146,7 +149,7 @@ def _eliminate(r: int, c: int, rows, cols, heap) -> int:
 def smith_normal_form(matrix) -> SnfResult:
     """Diagonal invariant factors of a BoundaryMatrix or 2-d integer array."""
     n_rows, n_cols, entries = _int_entries(matrix)
-    factors = _smith(n_rows, n_cols, entries)
+    factors, _ = _smith(n_rows, n_cols, entries)
     return SnfResult(tuple(factors) + (0,) * (min(n_rows, n_cols) - len(factors)), len(factors))
 
 
@@ -161,12 +164,23 @@ def _incidence_pairs(n_cols: int, entries) -> Iterator[tuple[int, int]] | None:
     return None if -1 in tail or -1 in head else zip(tail, head)
 
 
-def _smith(n_rows: int, n_cols: int, entries) -> list[int]:
+def _smith(
+    n_rows: int, n_cols: int, entries
+) -> tuple[list[int], list[tuple[int, int]]]:
     """The nonzero invariant factors of (row, col, value) triplets, at most one per
-    position: the spanning-forest rank of a graph incidence matrix, else the elimination."""
+    position, and pivots (row, col) whose rows are a row basis and whose columns
+    are a column basis over the rationals.
+
+    A graph incidence matrix takes its spanning forest, whose pivots are the
+    (younger root, merging edge) pairs.  Otherwise every unit pivot of the
+    elimination is a pivot of Gauss elimination over the rationals.  A non-unit
+    pivot mixes rows and columns, so the pivots of what is left at the first one
+    come from _rational_pivots.
+    """
     pairs = _incidence_pairs(n_cols, entries)
     if pairs is not None:
-        return [1] * len(_forest_merges(n_rows, pairs))
+        pivots = _forest_merges(n_rows, pairs)
+        return [1] * len(pivots), pivots
     cols: list[dict[int, int]] = [{} for _ in range(n_cols)]
     rows: list[set[int]] = [set() for _ in range(n_rows)]
     for i, j, v in entries:
@@ -174,7 +188,43 @@ def _smith(n_rows: int, n_cols: int, entries) -> list[int]:
         rows[i].add(j)
     heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapq.heapify(heap)
-    factors = []
+    factors, pivots = [], []
+    units = True
     while pivot := _pivot(heap, rows, cols):
+        if units:
+            r, c = pivot
+            units = cols[c][r] in (1, -1)
+            pivots += [pivot] if units else _rational_pivots(cols)
         factors.append(_eliminate(*pivot, rows, cols, heap))
-    return factors
+    return factors, pivots
+
+
+def _rational_pivots(cols: list[dict[int, int]]) -> list[tuple[int, int]]:
+    """(row, col) pivots of Gauss elimination over the rationals, column by column,
+    on copies of the columns.  It is fraction-free: pivot p in row r takes q = c[r]
+    out of a column c as c <- (p c - q pivot column) / gcd, which has the zero
+    pattern of c - (q / p) pivot column."""
+    left = {j: dict(col) for j, col in enumerate(cols) if col}
+    pivots = []
+    while left:
+        c, col = left.popitem()
+        if not col:
+            continue
+        r = min(col)
+        p = col[r]
+        for other in left.values():
+            q = other.get(r)
+            if q:
+                for i in other:
+                    other[i] *= p
+                for i, v in col.items():
+                    w = other.get(i, 0) - q * v
+                    if w:
+                        other[i] = w
+                    else:
+                        del other[i]
+                g = math.gcd(*other.values())
+                for i in other:
+                    other[i] //= g
+        pivots.append((r, c))
+    return pivots

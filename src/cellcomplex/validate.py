@@ -125,7 +125,7 @@ def _level(columns: list, layers: list, k: int, l: int) -> tuple[int, ...]:
         return (1,) if layers[k - 1] else ()
     position = {i: p for p, i in enumerate(layers[l - 1])}
     entries = [(position[i], c, s) for c, j in enumerate(layers[l]) for i, s in columns[l][j]]
-    return tuple(_smith(len(layers[l - 1]), len(layers[l]), entries))
+    return tuple(_smith(len(layers[l - 1]), len(layers[l]), entries)[0])
 
 
 def _cell_failures(cc: CellComplex, columns: list, k: int, index: int) -> list[Failure]:

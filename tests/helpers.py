@@ -3,7 +3,9 @@
 The rank oracle does exact row reduction over the rationals, fully
 independent of the Smith normal form code.  The Hodge oracles project
 by least squares onto the boundary images and filter through one eigh
-of the full Laplacian, independent of the SVD split in ``hodge``.  The
+of the full Laplacian, independent of the SVD split in ``hodge``; the
+exact decomposition oracle projects by Gram-Schmidt over the rationals,
+at weights whose square roots are exact.  The
 persistence oracle is the textbook Z/2 column reduction of the
 filtration boundary matrix, and the Rips oracle tries every vertex
 subset.  The writer oracle is the standard library's indented JSON
@@ -71,6 +73,15 @@ TOY_B2 = np.array(
 )
 
 
+# Six-vertex triangulation of the real projective plane: H_1 = Z/2.
+RP2_TRIANGLES = [(0, 1, 2), (0, 1, 5), (0, 2, 3), (0, 3, 4), (0, 4, 5),
+                 (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+
+
+def rp2() -> cx.CellComplex:
+    return cx.from_simplicial(range(6), RP2_TRIANGLES, auto_close=True)
+
+
 def toy() -> cx.CellComplex:
     return cx.from_tuples(range(5), TOY_EDGES, [TOY_TRIANGLE, TOY_SQUARE])
 
@@ -95,27 +106,28 @@ def k2_paper() -> cx.CellComplex:
 
 
 def rank_over_q(matrix) -> int:
-    """Exact matrix rank by Gauss elimination over the rationals."""
+    """Exact matrix rank by Gauss elimination over the rationals, on sparse rows."""
     array = np.asarray(matrix)
     if array.size == 0:
         return 0
-    rows = [[Fraction(int(v)) for v in row] for row in array.tolist()]
-    n_rows, n_cols = len(rows), len(rows[0])
+    rows = [{j: Fraction(int(v)) for j, v in enumerate(row) if v} for row in array.tolist()]
     rank = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, n_rows) if rows[i][col] != 0), None)
+    for col in range(array.shape[1]):
+        pivot = next((i for i in range(rank, len(rows)) if col in rows[i]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [v / inv for v in rows[rank]]
-        for i in range(n_rows):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        top = rows[rank]
+        for row in rows[rank + 1 :]:
+            if col in row:
+                factor = row[col] / top[col]
+                for j, v in top.items():
+                    w = row.get(j, 0) - factor * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
         rank += 1
-        if rank == n_rows:
-            break
     return rank
 
 
@@ -391,6 +403,63 @@ def decompose_oracle(
     gradient = project_onto_image(dense_boundary_oracle(cc, k, weights).T, x)
     curl = project_onto_image(dense_boundary_oracle(cc, k + 1, weights), x)
     return gradient, curl, x - gradient - curl
+
+
+def _exact_root(w: float) -> Fraction:
+    """The square root of a float that is a power of 4, as an exact rational."""
+    w = Fraction(w)
+    num, den = math.isqrt(w.numerator), math.isqrt(w.denominator)
+    assert Fraction(num, den) ** 2 == w, f"{w} is not a rational square"
+    return Fraction(num, den)
+
+
+def _project_exact(columns: list[list[Fraction]], x: list[Fraction]) -> list[Fraction]:
+    """Orthogonal projection of x onto the span of the columns, by Gram-Schmidt
+    over the rationals (no normalisation, so no square roots)."""
+    basis = []
+    for column in columns:
+        v = list(column)
+        for u, norm in basis:
+            c = sum(a * b for a, b in zip(v, u)) / norm
+            v = [a - c * b for a, b in zip(v, u)]
+        if any(v):
+            basis.append((v, sum(a * a for a in v)))
+    out = [Fraction(0)] * len(x)
+    for u, norm in basis:
+        c = sum(a * b for a, b in zip(x, u)) / norm
+        out = [a + c * b for a, b in zip(out, u)]
+    return out
+
+
+def decompose_exact_oracle(
+    cc: cx.CellComplex, k: int, x: np.ndarray, weights: cx.WeightSet | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient, curl and harmonic parts by exact projection over the rationals
+    onto the columns of the weighted B_k^T and B_{k+1}, all weights read in.
+
+    Every weight must be a power of 4 (as 4.0 ** u for integer u), so that
+    W^{1/2} is exact; the parts are rounded to floats once, at the end.
+    """
+
+    def roots(j: int) -> list[Fraction]:
+        n = cc.n_cells(j) if 0 <= j <= cc.dim else 0
+        return [_exact_root(w) for w in weights.vector(j)] if weights else [Fraction(1)] * n
+
+    def weighted(j: int) -> list[list[Fraction]]:
+        """The columns of W_{j-1}^{-1/2} B_j W_j^{1/2}."""
+        if not 1 <= j <= cc.dim:
+            return []
+        dense = to_dense_oracle(cc.boundary(j)).tolist()
+        left, right = roots(j - 1), roots(j)
+        return [[dense[i][c] * right[c] / left[i] for i in range(len(left))]
+                for c in range(len(right))]
+
+    values = [Fraction(float(v)) for v in x]
+    down = weighted(k)
+    gradient = _project_exact([list(row) for row in zip(*down)] if down else [], values)
+    curl = _project_exact(weighted(k + 1), values)
+    harmonic = [v - g - c for v, g, c in zip(values, gradient, curl)]
+    return tuple(np.array([float(v) for v in part]) for part in (gradient, curl, harmonic))
 
 
 def filter_oracle(
@@ -716,6 +785,16 @@ def random_weights(
     return cx.WeightSet(
         tuple(
             np.array([math.exp(rng.uniform(-spread, spread)) for _ in range(cc.n_cells(k))])
+            for k in range(cc.dim + 1)
+        )
+    )
+
+
+def power_of_four_weights(rng: random.Random, cc: cx.CellComplex, spread: int = 7) -> cx.WeightSet:
+    """Weights 4^u with u a uniform integer in [-spread, spread], so W^{1/2} is exact."""
+    return cx.WeightSet(
+        tuple(
+            np.array([4.0 ** rng.randint(-spread, spread) for _ in range(cc.n_cells(k))])
             for k in range(cc.dim + 1)
         )
     )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import cellcomplex as cx
-from cellcomplex import cli, io, persist
+from cellcomplex import cli, errors, io, persist
 from cellcomplex.cli import main
 from cellcomplex.core import BoundaryMatrix
 
@@ -577,6 +577,63 @@ class TestNonFiniteResults:
         code, out, err = run(capsys, *self.argv(tmp_path, heat, range(1, 25), True))
         assert (code, err) == (0, "")
         assert np.allclose(json.loads(out)["values"], parts[0], rtol=0, atol=1e-9)
+
+
+def _extreme_cases():
+    """(name, complex, k, W_k): 1e-300 beside 1e300 in one weight vector, on each
+    bridge edge of a path and in each dimension of a grid."""
+    path = cx.cubical([6])
+    for j in range(path.n_cells(1)):
+        for rest in (1.0, 1e300):
+            w = [rest] * path.n_cells(1)
+            w[j] = 1e-300
+            yield f"path-bridge{j}-rest{rest:g}", path, 1, w
+    grid = cx.cubical([4, 4])
+    for k in range(3):
+        n = grid.n_cells(k)
+        for name, w in (("pair", [1.0] * n), ("huge", [1e300] * n), ("tiny", [1e-300] * n)):
+            w[0], w[n // 2] = 1e-300, 1e300
+            yield f"grid{k}-{name}", grid, k, w
+        w = list(np.where(np.random.default_rng(k).random(n) < 0.5, 1e-300, 1e300))
+        yield f"grid{k}-mixed", grid, k, w
+
+
+EXTREME_CASES = list(_extreme_cases())
+
+
+@pytest.mark.parametrize("cc, k, wk", [case[1:] for case in EXTREME_CASES],
+                         ids=[case[0] for case in EXTREME_CASES])
+def test_decompose_with_weights_past_the_float_range(capsys, tmp_path, cc, k, wk):
+    # Finite parts that sum to x, or NonFiniteResult as one error line: never
+    # numpy's LinAlgError, a traceback, or a warning.
+    vectors = [[1.0] * cc.n_cells(j) for j in range(cc.dim + 1)]
+    vectors[k] = wk
+    x = np.arange(1.0, cc.n_cells(k) + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            try:
+                split = cx.hodge_decompose(cc, k, cx.ChainVector(k, x), cx.WeightSet(vectors))
+            except errors.NonFiniteResult:
+                split = None
+    files = {"c": io.complex_to_json(cc), "w": {"weights": vectors},
+             "s": {"dim": k, "values": x.tolist()}}
+    for key, doc in files.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "decompose", str(tmp_path / "c.json"), "--dim", str(k),
+                             "--signal", str(tmp_path / "s.json"),
+                             "--weights", str(tmp_path / "w.json"))
+    assert not caught
+    if split is None:
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert (code, err) == (0, "")
+        parts = [np.array(json.loads(out)[p]["values"]) for p in ("gradient", "curl", "harmonic")]
+        assert all(np.isfinite(part).all() for part in parts)
+        assert np.allclose(sum(parts), x, rtol=0, atol=1e-9 * np.max(x))
 
 
 def test_spectrum_with_extreme_weights_never_raises(capsys, tmp_path):

@@ -402,8 +402,8 @@ def _shape_class(matrix):
 
 
 class TestTallSideSplit:
-    """Decompose and heat, whose SVD runs on the taller side, against the
-    least-squares projection and eigh oracles, to 1e-12 of max|x|."""
+    """Decompose (pivot-basis solves) and heat (an SVD on the taller side)
+    against the least-squares projection and eigh oracles, to 1e-12 of max|x|."""
 
     def test_cases_cover_every_shape(self):
         seen = set()
@@ -465,6 +465,53 @@ class TestTallSideSplit:
         heat = cx.spectral_filter(cc, k, cx.ChainVector(k, x), "heat:t=0.5", weights)
         want = helpers.filter_oracle(cc, k, x, "heat:t=0.5", weights)
         assert np.max(np.abs(heat.values - want)) <= tol
+
+
+class TestGroundedDecompose:
+    """The split by solves on the Smith kernel's pivots, against the exact
+    rational oracle, and its independence of W_{k-1} and W_{k+1}."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans())
+    def test_matches_the_exact_oracle(self, seed, two_complex):
+        # Weights 4^u, u in [-7, 7], spread about 10^+-4.
+        rng = random.Random(seed)
+        cc = zoo_complex(rng, two_complex)
+        weights = helpers.power_of_four_weights(rng, cc, 7)
+        for k in range(cc.dim + 1):
+            x = np.array([rng.uniform(-2, 2) for _ in range(cc.n_cells(k))])
+            tol = 1e-12 * np.max(np.abs(x), initial=0.0)
+            split = cx.hodge_decompose(cc, k, cx.ChainVector(k, x), weights)
+            expected = helpers.decompose_exact_oracle(cc, k, x, weights)
+            for part, want in zip((split.gradient, split.curl, split.harmonic), expected):
+                assert np.max(np.abs(part.values - want), initial=0.0) <= tol
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans())
+    def test_only_w_k_enters(self, seed, two_complex):
+        rng = random.Random(seed)
+        cc = zoo_complex(rng, two_complex)
+        weights = helpers.random_weights(rng, cc, WIDE)
+        for k in range(cc.dim + 1):
+            x = cx.ChainVector(k, np.array([rng.uniform(-2, 2) for _ in range(cc.n_cells(k))]))
+            vectors = list(weights.vectors)
+            for j in (k - 1, k + 1):
+                if 0 <= j <= cc.dim:
+                    vectors[j] = vectors[j] * 10.0 ** np.array(
+                        [rng.uniform(-4, 4) for _ in range(cc.n_cells(j))])
+            split = cx.hodge_decompose(cc, k, x, weights)
+            moved = cx.hodge_decompose(cc, k, x, cx.WeightSet(tuple(vectors)))
+            for part in ("gradient", "curl", "harmonic"):
+                assert np.array_equal(getattr(split, part).values, getattr(moved, part).values)
+
+    def test_a_wrong_length_weight_vector_is_rejected_in_every_dimension(self, toy):
+        # Only W_k enters the split, yet every vector is checked.
+        for k in range(3):
+            x = cx.ChainVector(k, np.ones(toy.n_cells(k)))
+            for j in range(3):
+                vectors = [np.ones(toy.n_cells(i) + (i == j)) for i in range(3)]
+                with pytest.raises(errors.ShapeMismatch):
+                    cx.hodge_decompose(toy, k, x, cx.WeightSet(tuple(vectors)))
 
 
 class TestValuesOnlySpectrum:

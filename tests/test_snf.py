@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cellcomplex as cx
 from cellcomplex import errors, snf
 from cellcomplex.core import BoundaryMatrix, _forest_merges
 from cellcomplex.snf import SnfResult, smith_normal_form
@@ -176,7 +177,7 @@ def test_forest_merges_keep_the_elder_root(graph):
     expected = []
     for p, (a, b) in enumerate(edges):
         if tree[a] is not tree[b]:
-            expected.append((p, max(min(tree[a]), min(tree[b]))))
+            expected.append((max(min(tree[a]), min(tree[b])), p))
             merged = tree[a] | tree[b]
             tree.update(dict.fromkeys(merged, merged))
     assert _forest_merges(n, edges) == expected
@@ -216,3 +217,60 @@ def test_incidence_rule_matches_the_oracles(drawn):
     for r, d in enumerate(result.diagonal[: result.rank], start=1):
         product *= d
         assert product == helpers.minors_gcd(matrix, r)
+
+
+def assert_pivot_bases(matrix) -> list[int]:
+    """The kernel's pivots: one per factor, as many as the rational rank, on
+    distinct rows and columns, and B on the pivot rows and on the pivot columns
+    each reaches that rank.  Returns the factors."""
+    matrix = np.asarray(matrix, dtype=np.int64).reshape(np.shape(matrix))
+    entries = [(int(i), int(j), int(matrix[i, j])) for i, j in zip(*np.nonzero(matrix))]
+    factors, pivots = snf._smith(*matrix.shape, entries)
+    rank = helpers.rank_over_q(matrix)
+    rows, cols = [r for r, _ in pivots], [c for _, c in pivots]
+    assert len(set(rows)) == len(set(cols)) == len(pivots) == len(factors) == rank
+    assert helpers.rank_over_q(matrix[rows, :]) == rank
+    assert helpers.rank_over_q(matrix[:, cols]) == rank
+    return factors
+
+
+def test_pivots_after_a_non_unit_pivot_come_from_the_rationals():
+    # No unit here, so the elimination mixes columns: its last pivot sits in
+    # column 1, which alone with column 3 has rank 1.
+    matrix = [[-4, -4, 4, 6], [-4, 0, -4, 0]]
+    with mock.patch.object(snf, "_rational_pivots", wraps=snf._rational_pivots) as rational:
+        assert assert_pivot_bases(matrix) == [2, 4]
+    assert rational.call_count == 1
+
+
+@settings(max_examples=200)
+@given(matrix=int_matrices())
+def test_pivots_of_integer_matrices_are_bases(matrix):
+    assert_pivot_bases(matrix)
+
+
+@settings(max_examples=150)
+@given(drawn=multigraph_incidences())
+def test_pivots_of_multigraph_incidences_are_bases(drawn):
+    # Without a planted column these are the spanning forest's (younger root, edge).
+    assert_pivot_bases(drawn[0])
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans())
+def test_pivots_of_zoo_boundaries_are_bases(seed, two_complex):
+    rng = random.Random(seed)
+    cc = helpers.random_two_complex(rng) if two_complex else helpers.random_builder_complex(rng)
+    for k in range(1, cc.dim + 1):
+        assert_pivot_bases(cc.boundary(k).to_dense())
+
+
+@pytest.mark.parametrize("build", [
+    helpers.rp2,
+    lambda: cx.product(helpers.rp2(), helpers.rp2()),
+    lambda: cx.product(helpers.rp2(), cx.cubical([3])),
+], ids=["rp2", "rp2-x-rp2", "rp2-x-path"])
+def test_pivots_with_torsion_are_bases(build):
+    cc = build()
+    factors = [assert_pivot_bases(cc.boundary(k).to_dense()) for k in range(1, cc.dim + 1)]
+    assert max(max(f) for f in factors) == 2  # a non-unit pivot was taken

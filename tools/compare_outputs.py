@@ -9,8 +9,12 @@ OLD_SRC and NEW_SRC are directories that hold a ``cellcomplex`` package
 ``cellcomplex.cli.main(argv)``: once in a fresh interpreter per tree,
 one tree after the other, on input files at the same paths.  The tool
 prints each side's command count and the SHA-256 over every command's
-(exit code, stdout, stderr), then how many commands differ and the first of
-them.  It exits 0 when both sides agree and 1 when they do not.
+(exit code, stdout, stderr), then how many commands differ, by subcommand,
+and the first of them.  For differing commands whose exit codes and stderr
+agree and whose stdout is JSON of the same shape, it prints the largest
+difference between their numbers, relative to the largest number of the
+command's output; the others it counts as differing in more than numbers.  It exits 0 when both sides agree and 1
+when they do not.
 Nothing under ``ccxbench/`` is changed; its input files go to a
 temporary directory.
 """
@@ -18,6 +22,7 @@ temporary directory.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -76,6 +81,41 @@ def digest(records: list[dict]) -> str:
     return sha.hexdigest()
 
 
+def _numbers(a, b, out: list[tuple[float, float]]) -> bool:
+    """Append (|a - b|, max(|a|, |b|)) for each pair of numbers at the same place in
+    two JSON documents; False if they differ in anything but their numbers."""
+    if isinstance(a, (bool, str)) or a is None:
+        return a == b
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)) and not isinstance(b, bool):
+        out.append((abs(a - b), max(abs(a), abs(b))))
+        return True
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(_numbers(x, y, out) for x, y in zip(a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_numbers(a[key], b[key], out) for key in a)
+    return False
+
+
+def _relative_difference(pairs: list[tuple[dict, dict]]) -> tuple[float, int]:
+    """The largest difference between the JSON numbers of a record pair, relative to
+    the largest number in the pair, over the pairs; and how many pairs differ in
+    more than their numbers."""
+    largest, other = 0.0, 0
+    for old, new in pairs:
+        found: list[tuple[float, float]] = []
+        try:
+            same = (old["rc"], old["stderr"]) == (new["rc"], new["stderr"]) and _numbers(
+                json.loads(old["stdout"]), json.loads(new["stdout"]), found)
+        except json.JSONDecodeError:
+            same = False
+        if not same:
+            other += 1
+        elif found:
+            scale = max(size for _, size in found)
+            largest = max(largest, max(diff for diff, _ in found) / scale if scale else 0.0)
+    return largest, other
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", nargs="?", help="first source tree")
@@ -101,12 +141,20 @@ def main() -> int:
     for src, found in zip((args.old, args.new), records):
         print(f"{src}: {len(found)} commands, sha256 {digest(found)}")
     keys = [[(r["rc"], r["stdout"], r["stderr"]) for r in found] for found in records]
-    differ = [old for old, a, b in zip(records[0], *keys) if a != b]
-    if differ:
-        print(f"{len(differ)} commands differ; the first: ccx {' '.join(differ[0]['argv'])}")
+    pairs = [(old, new) for old, new, a, b in zip(*records, *keys) if a != b]
+    if pairs:
+        first = pairs[0][0]["argv"]
+        print(f"{len(pairs)} commands differ; the first: ccx {' '.join(first)}")
+        by_command = collections.Counter(old["argv"][0] for old, _ in pairs)
+        print("by subcommand: " + ", ".join(f"{n} {c}" for c, n in sorted(by_command.items())))
+        largest, other = _relative_difference(pairs)
+        print(f"largest difference between their JSON numbers, relative to the output's "
+              f"largest: {largest:.2e}")
+        if other:
+            print(f"{other} of them differ in more than their JSON numbers")
     if len(records[0]) != len(records[1]):
         print("the sides ran different numbers of commands")
-    elif not differ:
+    elif not pairs:
         print("identical")
         return 0
     return 1
