@@ -155,23 +155,29 @@ def from_simplicial(
 
 
 def _complex_of_layers(vlabels: Sequence[str], layers: Sequence[np.ndarray]) -> CellComplex:
-    """Complex of simplex layers that are already checked and sorted.
+    """Complex of simplex layers that are already checked and sorted (see
+    _simplex_boundaries); a simplex is labelled by its vertices' labels."""
+    cells = [list(vlabels)]
+    cells += [["-".join([vlabels[v] for v in s]) for s in layer.tolist()] for layer in layers[1:]]
+    return from_boundary_matrices(cells, _simplex_boundaries(layers))
+
+
+def _simplex_boundaries(layers: Sequence[np.ndarray]) -> list[BoundaryMatrix]:
+    """B_1..B_n of simplex layers that are already checked and sorted.
 
     Layer k is an int array whose rows are the k-simplices' increasing
     vertex tuples in lexicographic order; layer 0 is every vertex in
     order, and every face of a simplex is in the layer below.  The face
     omitting position i gets boundary sign (-1)^i.
     """
-    cells = [list(vlabels)]
-    cells += [["-".join([vlabels[v] for v in s]) for s in layer.tolist()] for layer in layers[1:]]
     mats = []
     for k in range(1, len(layers)):
         m = len(layers[k])
-        rows = _match_rows(layers[k - 1], _facets(layers[k]))[0]
+        rows = _match_rows(layers[k - 1], _facets(layers[k]))
         cols = np.tile(np.arange(m), k + 1)
         signs = np.repeat([(-1) ** (k - j) for j in range(k + 1)], m)
         mats.append(BoundaryMatrix(len(layers[k - 1]), m, np.column_stack((rows, cols, signs))))
-    return from_boundary_matrices(cells, mats)
+    return mats
 
 
 def _facets(simplices: np.ndarray) -> np.ndarray:
@@ -182,14 +188,14 @@ def _facets(simplices: np.ndarray) -> np.ndarray:
     return simplices[:, keep].transpose(1, 0, 2).reshape(size * m, size - 1)
 
 
-def _match_rows(table: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _match_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Exact row lookup by one stable lexsort of the table and query rows.
 
-    Returns the index in table of each query row (-1 where no table row
-    equals it) and a mask of the table rows equal to an earlier one.
-    Rows compare column by column, so no key is formed from a row and
-    nothing can overflow.  Equal rows sort together, table rows first in
-    their original order, so each query's match leads its run.
+    Returns the index in table of each query row, -1 where no table row
+    equals it, and the first such index where several do.  Rows compare
+    column by column, so no key is formed from a row and nothing can
+    overflow.  Equal rows sort together, table rows first in their
+    original order, so each query's match leads its run.
     """
     t = len(table)
     both = np.concatenate([table, queries])
@@ -203,9 +209,7 @@ def _match_rows(table: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.
     hits = np.empty(len(queries), dtype=np.int64)
     hits[order[order >= t] - t] = lead[order >= t]
     hits[hits >= t] = -1
-    repeated = np.zeros(t, dtype=bool)
-    repeated[order[~starts & (order < t)]] = True
-    return hits, repeated
+    return hits
 
 
 def _radix_keys(columns) -> list[np.ndarray]:

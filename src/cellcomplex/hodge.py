@@ -486,15 +486,6 @@ def _parse(descriptor: str) -> tuple[FilterFunction, tuple[float, ...] | None]:
     return _poly_filter(coeffs), tuple(coeffs)
 
 
-def parse_filter(descriptor: str) -> FilterFunction:
-    """Resolve a filter descriptor from the registered family.
-
-    Accepted forms: ``identity``, ``lowpass`` (1 - lambda),
-    ``heat:t=T`` (exp(-T lambda)), and ``poly:c0,c1,...``.
-    """
-    return _parse(descriptor)[0]
-
-
 def spectral_filter(
     cc: CellComplex,
     k: int,
@@ -538,13 +529,3 @@ def quadratic_form(
     values = _check_chain(cc, k, x)
     down, up = _weighted_entries(cc, k, weights), _weighted_entries(cc, k + 1, weights)
     return float(np.sum(_product(up, values, True) ** 2) + np.sum(_product(down, values) ** 2))
-
-
-def weighted_inner_product(x: ChainVector, y: ChainVector, weight: np.ndarray) -> float:
-    """Inner product <x, y> = x^T diag(weight) y on a chain space."""
-    if x.dim != y.dim or len(x.values) != len(y.values):
-        raise ShapeMismatch("chains live in different spaces")
-    w = np.asarray(weight, dtype=float)
-    if np.any(w <= 0):
-        raise NonPositiveWeight("inner-product weights must be positive")
-    return float(x.values @ (w * y.values))

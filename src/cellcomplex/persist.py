@@ -1,40 +1,45 @@
-"""Persistent homology of Vietoris-Rips filtrations.
+"""Persistent homology of filtered cell complexes, over Z/2.
 
-Simplices enter at their diameter, in (birth, dimension, vertex tuple)
-order.  The persistence pairs over Z/2 come from union-find plus
-cohomology with clearing: the package's one spanning-forest routine,
+A filtration is a complex, given by its boundary matrices B_1..B_n,
+plus one birth per cell.  Cells enter in (birth, dimension, cell index)
+order, and each must be born no earlier than its faces.  A Rips
+filtration (``vr_filtration``) is the Vietoris-Rips complex with each
+simplex born at its diameter; any ``CellComplex`` can be filtered by
+passing its ``boundaries``, for instance with lower-star births.
+
+The persistence pairs come from union-find plus cohomology with
+clearing: the package's one spanning-forest routine,
 ``core._forest_merges``, pairs vertices with the edges that merge their
 components by the elder rule, and each higher dimension reduces its
-coboundary matrix in reverse filtration order, skipping the simplices
+coboundary matrix in reverse filtration order, skipping the cells
 already paired one dimension down (Chen & Kerber 2011; de Silva,
 Morozov & Vejdemo-Johansson 2011; Bauer 2021, Ripser).  Each pair
-(i, j) becomes a bar born at the diameter of simplex i and dying at
-that of simplex j; a simplex in no pair gives an infinite bar.
-Zero-length bars are dropped from the default output.
+(i, j) becomes a bar born at the birth of cell i and dying at that of
+cell j; a cell in no pair gives an infinite bar.  Zero-length bars are
+dropped from the default output.
 
-Filtrations and diagrams are kept as numpy columns, one entry per
-simplex or bar.  ``Filtration.steps`` and ``PersistenceDiagram.bars``
-read them as ``FiltrationStep`` and ``PersistenceBar`` objects, built
-one at a time on access.
+Coefficients are Z/2, so signs are ignored and torsion is not seen as
+torsion: RP^2's H_1 = Z/2 reads as one H_1 class and adds one H_2
+class, so its Z/2 Betti numbers are (1, 1, 1) where the rational ones
+are (1, 0, 0).
+
+Filtrations and diagrams are kept as numpy columns, one entry per cell
+or bar.  ``Filtration.steps`` and ``PersistenceDiagram.bars`` read them
+as ``FiltrationStep`` and ``PersistenceBar`` objects, built one at a
+time on access.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .builders import (
-    DEFAULT_SIMPLEX_CAP,
-    PointCloud,
-    _facets,
-    _match_rows,
-    _radix_keys,
-    rips_simplices,
-)
-from .core import _forest_merges
+from .builders import DEFAULT_SIMPLEX_CAP, PointCloud, _simplex_boundaries, rips_simplices
+from .core import BoundaryMatrix, _closure, _entry_arrays, _forest_merges, _gather
 
 
 @dataclass(frozen=True)
@@ -80,117 +85,115 @@ def _frozen(values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Filtration:
-    """Simplices in filtration order, as columns.
+    """A filtered complex: the boundary matrices B_1..B_n plus one birth per cell.
 
-    Step p is the simplex of dimension ``dims[p]`` on the vertices
-    ``vertices[p, :dims[p] + 1]``, born at ``births[p]``; the rest of
-    its row is -1, so no vertex id may be -1.  Steps must be distinct simplices with strictly
-    increasing vertices and no NaN birth, each after its facets, ordered
-    by (birth, dimension, vertex tuple).  The checks run vectorised on
-    every filtration.  ``faces[p, :dims[p] + 1]`` holds the positions of
-    the facets of a step of dimension >= 1, in ``itertools.combinations``
-    order, and -1 elsewhere; it is derived, not an init or repr field.
+    ``cell_births`` lists the births dimension by dimension, each in
+    cell order: the B_1.rows 0-cells (every birth, when there is no
+    B_1), then the B_k.cols k-cells for k = 1..n.  Cells enter in
+    (birth, dimension, cell index) order, and step p is the cell of
+    dimension ``dims[p]`` and index ``cells[p]`` in its dimension, born
+    at ``births[p]``; these three columns are derived, not init fields.
+    The matrices must chain (B_k has B_{k-1}.cols rows), every edge must
+    have two endpoints in B_1, and no birth may be NaN or precede the
+    birth of a face.  B_{k-1} B_k = 0 is taken as given.  Two
+    filtrations are equal when their matrices and cell births are.
     """
 
-    births: np.ndarray
-    dims: np.ndarray
-    vertices: np.ndarray
-    faces: np.ndarray = field(init=False, repr=False)
+    boundaries: tuple[BoundaryMatrix, ...] = field(repr=False)
+    cell_births: np.ndarray
+    births: np.ndarray = field(init=False, repr=False)
+    dims: np.ndarray = field(init=False, repr=False)
+    cells: np.ndarray = field(init=False, repr=False)
 
     @classmethod
     def from_steps(cls, steps: Sequence[FiltrationStep]) -> Filtration:
-        """The filtration of the given steps, in their order."""
-        width = max((max(len(s.vertices), s.dim + 1) for s in steps), default=1)
-        rows = [tuple(s.vertices) + (-1,) * (width - len(s.vertices)) for s in steps]
-        return cls(
-            np.array([s.birth for s in steps], dtype=float),
-            np.array([s.dim for s in steps], dtype=np.int64),
-            np.array(rows, dtype=np.int64).reshape(len(steps), width),
-        )
+        """The simplicial filtration of the given steps, in their order.
+
+        Steps must be distinct simplices with strictly increasing
+        vertices and no NaN birth, each after its facets, ordered by
+        (birth, dimension, vertex tuple).  Vertex ids may be any
+        integers: the 0-cells are numbered by their ids' order, which
+        ``steps`` then reports, and each dimension's cells by their
+        vertex tuples, as ``vr_filtration`` numbers them.
+        """
+        keys: list[tuple[float, int, tuple[int, ...]]] = []  # (birth, dim, vertices)
+        seen: set[tuple[int, ...]] = set()
+        for p, step in enumerate(steps):
+            birth, dim, simplex = float(step.birth), int(step.dim), tuple(map(int, step.vertices))
+            if math.isnan(birth):
+                raise ValueError(f"step {p} has a NaN birth")
+            if dim < 0:
+                raise ValueError(f"step {p} has negative dim {dim}")
+            if len(simplex) != dim + 1:
+                raise ValueError(f"simplex {simplex} disagrees with dim {dim}")
+            if any(a >= b for a, b in zip(simplex, simplex[1:])):
+                raise ValueError(f"simplex {simplex} is not strictly increasing")
+            if simplex in seen:
+                raise ValueError(f"simplex {simplex} occurs twice")
+            for face in itertools.combinations(simplex, dim) if dim else ():
+                if face not in seen:
+                    raise ValueError(f"face {face} of {simplex} missing or out of order")
+            if keys and keys[-1] > (birth, dim, simplex):
+                raise ValueError("filtration is not sorted by (birth, dim, vertices)")
+            keys.append((birth, dim, simplex))
+            seen.add(simplex)
+        rank = {v: i for i, v in enumerate(sorted(s[0] for _, dim, s in keys if dim == 0))}
+        cells = sorted(keys, key=lambda key: key[1:])
+        layers = [
+            np.array([[rank[v] for v in s] for _, dim, s in cells if dim == k], dtype=np.int64)
+            .reshape(-1, k + 1)
+            for k in range(cells[-1][1] + 1 if cells else 1)
+        ]
+        return cls(tuple(_simplex_boundaries(layers)), [birth for birth, _, _ in cells])
 
     def __post_init__(self):
-        births = _frozen(self.births, float)
-        dims = _frozen(self.dims, np.int64)
-        vertices = _frozen(self.vertices, np.int64)
-        if vertices.ndim != 2 or not len(births) == len(dims) == len(vertices):
-            raise ValueError("births, dims and vertices need one entry per step")
-        for name, value in (("births", births), ("dims", dims), ("vertices", vertices)):
+        mats = tuple(self.boundaries)
+        cell_births = np.array(self.cell_births, dtype=float)
+        sizes = [mats[0].rows if mats else len(cell_births), *(b.cols for b in mats)]
+        if any(b.rows != n for b, n in zip(mats, sizes)):
+            raise ValueError("each B_k needs one row per column of B_(k-1)")
+        if cell_births.shape != (sum(sizes),):
+            raise ValueError(f"{sum(sizes)} cells need one birth each, got {cell_births.size}")
+        if np.isnan(cell_births).any():
+            raise ValueError(f"cell {_first(np.isnan(cell_births))} has a NaN birth")
+        ends = np.diff(mats[0].indptr) if mats else np.empty(0)
+        if (ends != 2).any():
+            j = _first(ends != 2)
+            raise ValueError(f"edge {j} has {ends[j]} entries in B_1; an edge needs 2")
+        starts = np.cumsum([0, *sizes])
+        for k, b in enumerate(mats, start=1):
+            rows, cols = _entry_arrays(b)[:2]
+            early = cell_births[starts[k] + cols] < cell_births[starts[k - 1] + rows]
+            if early.any():
+                e = _first(early)
+                raise ValueError(f"{k}-cell {cols[e]} is born before its face {rows[e]}")
+        # The cells are listed by (dimension, index), so a stable sort by
+        # birth alone gives the (birth, dimension, index) order.
+        order = np.argsort(cell_births, kind="stable")
+        dims = np.repeat(np.arange(len(sizes)), sizes)[order]
+        object.__setattr__(self, "boundaries", mats)
+        for name, value in (("cell_births", cell_births), ("births", cell_births[order]),
+                            ("dims", dims), ("cells", order - starts[dims])):
+            value.setflags(write=False)
             object.__setattr__(self, name, value)
-        m, width = vertices.shape
-
-        def shown(p: int) -> tuple[int, ...]:
-            return tuple(vertices[p, : dims[p] + 1].tolist())
-
-        if np.isnan(births).any():
-            raise ValueError(f"step {_first(np.isnan(births))} has a NaN birth")
-        if (dims < 0).any():
-            p = _first(dims < 0)
-            raise ValueError(f"step {p} has negative dim {dims[p]}")
-        # Column by column: numpy reduces across short rows slowly.
-        misfit = dims >= width
-        rising = np.ones(m, dtype=bool)
-        for c in range(width):
-            misfit |= (vertices[:, c] != -1) != (c <= dims)
-            if c:
-                rising &= (vertices[:, c] > vertices[:, c - 1]) | (c > dims)
-        if misfit.any():
-            p = _first(misfit)
-            listed = tuple(v for v in vertices[p].tolist() if v != -1)
-            raise ValueError(f"simplex {listed} disagrees with dim {dims[p]}")
-        if not rising.all():
-            raise ValueError(f"simplex {shown(_first(~rising))} is not strictly increasing")
-
-        faces = np.full((m, width), -1, dtype=np.int64)
-        twice = []
-        for k in range(width):
-            here = np.flatnonzero(dims == k)
-            above = np.flatnonzero(dims == k + 1)
-            table = vertices[here, : k + 1]
-            cofaces = vertices[above, : k + 2] if k + 1 < width else np.empty((0, k + 2), int)
-            hits, repeated = _match_rows(table, _facets(cofaces))
-            twice.extend(here[repeated].tolist())
-            if len(above):
-                found = np.append(here, -1)[hits]  # a miss (-1) reads the appended -1
-                faces[above, : k + 2] = found.reshape(k + 2, len(above)).T
-        if twice:
-            raise ValueError(f"simplex {shown(min(twice))} occurs twice")
-        position = np.arange(m)
-        late = np.zeros(m, dtype=bool)
-        for j in range(width):
-            late |= (faces[:, j] > position) | ((faces[:, j] == -1) & (j <= dims) & (dims > 0))
-        if late.any():
-            p = _first(late)
-            row = faces[p, : dims[p] + 1]
-            j = _first((row > p) | (row == -1))
-            face = tuple(np.delete(vertices[p, : dims[p] + 1], dims[p] - j).tolist())
-            raise ValueError(f"face {face} of {shown(p)} missing or out of order")
-        # Each step's key must not exceed the next one's; the first
-        # column where two keys differ decides.
-        undecided = np.ones(max(m - 1, 0), dtype=bool)
-        for key in (births, dims, *vertices.T):
-            if (undecided & (key[:-1] > key[1:])).any():
-                raise ValueError("filtration is not sorted by (birth, dim, vertices)")
-            undecided &= key[:-1] == key[1:]
-        faces.setflags(write=False)
-        object.__setattr__(self, "faces", faces)
 
     @property
     def steps(self) -> Sequence[FiltrationStep]:
-        births, dims, vertices = self.births, self.dims, self.vertices
-        return _Rows(
-            len(births),
-            lambda p: FiltrationStep(
-                float(births[p]), int(dims[p]), tuple(vertices[p, : dims[p] + 1].tolist())
-            ),
-        )
+        """Each step's birth, dimension and 0-cells, sorted."""
+        births, dims, cells, mats = self.births, self.dims, self.cells, self.boundaries
+
+        def step(p: int) -> FiltrationStep:
+            k = int(dims[p])
+            vertices = _closure(lambda l, j: mats[l - 1].column(j), k, int(cells[p]))[0]
+            return FiltrationStep(float(births[p]), k, tuple(vertices))
+
+        return _Rows(len(births), step)
 
     def __eq__(self, other):
         if not isinstance(other, Filtration):
             return NotImplemented
-        return all(
-            np.array_equal(a, b)
-            for a, b in zip((self.births, self.dims, self.vertices),
-                            (other.births, other.dims, other.vertices))
+        return self.boundaries == other.boundaries and np.array_equal(
+            self.cell_births, other.cell_births
         )
 
 
@@ -202,20 +205,13 @@ def vr_filtration(
 ) -> Filtration:
     """Rips filtration up to scale max_eps; births are simplex diameters.
 
-    One np.lexsort on (birth, dim, vertex columns) orders the levels of
-    rips_simplices; rows of lower dimension are padded with -1, and the
-    int columns enter as radix keys.
+    The boundaries are those of ``vietoris_rips``, with no labels: each
+    dimension's simplices in lexicographic order, so the filtration
+    order is (birth, dimension, vertex tuple).
     """
     levels = rips_simplices(pc, max_eps, max_dim, cap)
-    sizes = [len(diameters) for _, diameters in levels]
-    vertices = np.full((sum(sizes), len(levels)), -1, dtype=np.int64)
-    offsets = np.cumsum([0, *sizes])
-    for k, (level, _) in enumerate(levels):
-        vertices[offsets[k] : offsets[k + 1], : k + 1] = level
-    births = np.concatenate([diameters for _, diameters in levels])
-    dims = np.repeat(np.arange(len(levels)), sizes)
-    order = np.lexsort((*_radix_keys([*vertices.T[::-1], dims]), births))
-    return Filtration(births[order], dims[order], vertices[order])
+    mats = _simplex_boundaries([vertices for vertices, _ in levels])
+    return Filtration(tuple(mats), np.concatenate([diameters for _, diameters in levels]))
 
 
 @dataclass(frozen=True)
@@ -282,37 +278,48 @@ class PersistenceDiagram:
 
 
 def persistence(filtration: Filtration, keep_zero_bars: bool = False) -> PersistenceDiagram:
-    """Pair the filtration's simplices over Z/2 and turn the pairs into bars.
+    """Pair the filtration's cells over Z/2 and turn the pairs into bars.
 
     Dimension 0 pairs come from ``core._forest_merges`` over the edges'
-    facets in filtration order, with the elder rule: each component's
-    root is its oldest vertex, and an edge joining two components kills
-    the younger root.  Each higher dimension k reduces the coboundary
-    columns of the k-simplices in reverse filtration order, the earliest
-    coface being the pivot, and skips the k-simplices that already
-    killed a (k-1)-class (clearing).
-    Coboundaries are read from CSR coface lists, compressed sparse rows
-    of the (k+1)-simplices' facet positions, sorted by position, so an
-    unreduced column's pivot is its first entry.  Every simplex in no
-    pair carries an infinite bar; bars are sorted by (dim, birth, death).
+    endpoints in B_1, in filtration positions and order, with the elder
+    rule: each component's root is its oldest vertex, and an edge
+    joining two components kills the younger root.  Each higher
+    dimension k reduces the coboundary columns of the k-cells in reverse
+    filtration order, the earliest coface being the pivot, and skips the
+    k-cells that already killed a (k-1)-class (clearing).
+    Coboundaries are read from the CSC columns of B_{k+1}, gathered in
+    filtration order and regrouped by row as CSR coface lists, sorted by
+    position, so an unreduced column's pivot is its first entry.  Every
+    cell in no pair carries an infinite bar; bars are sorted by (dim,
+    birth, death).
     """
-    births, dims, faces = filtration.births, filtration.dims, filtration.faces
+    births, dims, cells, mats = (
+        filtration.births, filtration.dims, filtration.cells, filtration.boundaries
+    )
     m = len(births)
-    edges = np.flatnonzero(dims == 1)
-    merges = _forest_merges(m, faces[edges, :2].tolist())
-    born = [root for root, _ in merges]
-    died = edges[[p for _, p in merges]].tolist()
-    for k in range(1, faces.shape[1] - 1):
-        cofaces = np.flatnonzero(dims == k + 1)
-        facets = faces[cofaces, : k + 2].ravel()
-        order = np.argsort(facets, kind="stable")
-        column_of = np.repeat(cofaces, k + 2)[order].tolist()
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(facets, minlength=m))]).tolist()
+    at = [np.flatnonzero(dims == k) for k in range(len(mats) + 1)]
+    position = []  # position[k][i]: where the k-cell i enters
+    for here in at:
+        position.append(np.empty(len(here), dtype=np.int64))
+        position[-1][cells[here]] = here
+    born: list[int] = []
+    died: list[int] = []
+    if mats:
+        ends = position[0][mats[0].indices.reshape(-1, 2)[cells[at[1]]]]
+        merges = _forest_merges(m, ends.tolist())
+        born = [root for root, _ in merges]
+        died = at[1][[j for _, j in merges]].tolist()
+    for k in range(1, len(mats)):
+        entries, owner = _gather(mats[k].indptr, cells[at[k + 1]])
+        rows = position[k][mats[k].indices[entries]]
+        order = np.argsort(rows, kind="stable")
+        column_of = at[k + 1][owner[order]].tolist()
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))]).tolist()
         killers = set(died)
         reduced: dict[int, list[int] | set[int]] = {}
-        for simplex in np.flatnonzero(dims == k)[::-1].tolist():
-            lo, hi = indptr[simplex], indptr[simplex + 1]
-            if lo == hi or simplex in killers:
+        for cell in at[k][::-1].tolist():
+            lo, hi = indptr[cell], indptr[cell + 1]
+            if lo == hi or cell in killers:
                 continue
             column = column_of[lo:hi]
             pivot = column[0]
@@ -328,7 +335,7 @@ def persistence(filtration: Filtration, keep_zero_bars: bool = False) -> Persist
                 if not column:
                     continue
             reduced[pivot] = column
-            born.append(simplex)
+            born.append(cell)
             died.append(pivot)
     born_at, died_at = np.array(born, dtype=np.int64), np.array(died, dtype=np.int64)
     paired = np.zeros(m, dtype=bool)

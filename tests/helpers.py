@@ -5,9 +5,9 @@ independent of the Smith normal form code.  The Hodge oracles project
 by least squares onto the boundary images and filter through one eigh
 of the full Laplacian, independent of the SVD split in ``hodge``; the
 exact decomposition oracle projects by Gram-Schmidt over the rationals,
-at weights whose square roots are exact.  The
-persistence oracle is the textbook Z/2 column reduction of the
-filtration boundary matrix, and the Rips oracle tries every vertex
+at weights whose square roots are exact.  The persistence oracle is the
+textbook Z/2 column reduction of the filtration boundary matrix, read
+column by column from its B_k, and the Rips oracle tries every vertex
 subset.  The writer oracle is the standard library's indented JSON
 dump, and the plane-drawing oracle tests every vertex pair, edge pair
 and vertex-edge pair in Python loops.  The boundary oracles read the
@@ -471,23 +471,27 @@ def filter_oracle(
 ) -> np.ndarray:
     """U f(Lambda) U^T x from one eigh of the full Laplacian L_k."""
     evals, vecs = np.linalg.eigh(cx.hodge_laplacian(cc, k, "full", weights))
-    return vecs @ (hodge.parse_filter(descriptor)(evals) * (vecs.T @ x))
+    return vecs @ (hodge._parse(descriptor)[0](evals) * (vecs.T @ x))
 
 
 def persistence_oracle(
     filtration: Filtration, keep_zero_bars: bool = False
 ) -> PersistenceDiagram:
-    """Standard Z/2 column reduction of the filtration boundary matrix."""
-    steps = filtration.steps
-    position = {step.vertices: i for i, step in enumerate(steps)}
-    columns: list[set[int]] = []
-    for step in steps:
-        if step.dim == 0:
-            columns.append(set())
-        else:
-            columns.append(
-                {position[face] for face in itertools.combinations(step.vertices, step.dim)}
-            )
+    """Standard Z/2 column reduction of the filtration boundary matrix.
+
+    The cells are sorted by (birth, dim, cell index) here, and column p
+    holds the positions of the faces that B_k lists for the cell at p,
+    read one column at a time; signs are dropped, as over Z/2.
+    """
+    mats = filtration.boundaries
+    sizes = [mats[0].rows if mats else len(filtration.cell_births), *(b.cols for b in mats)]
+    flat = [(k, i) for k, n in enumerate(sizes) for i in range(n)]
+    cells = sorted((birth, k, i) for birth, (k, i) in zip(filtration.cell_births.tolist(), flat))
+    position = {(k, i): p for p, (_, k, i) in enumerate(cells)}
+    columns = [
+        {position[k - 1, row] for row, _ in mats[k - 1].column(i)} if k else set()
+        for _, k, i in cells
+    ]
     low_owner: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
     for j, column in enumerate(columns):
@@ -502,18 +506,30 @@ def persistence_oracle(
             pairs.append((max(column), j))
     bars = []
     for i, j in pairs:
-        bar = PersistenceBar(steps[i].dim, steps[i].birth, steps[j].birth)
+        bar = PersistenceBar(cells[i][1], cells[i][0], cells[j][0])
         if keep_zero_bars or bar.death > bar.birth:
             bars.append(bar)
     for i, column in enumerate(columns):
         if not column and i not in low_owner:
-            bars.append(PersistenceBar(steps[i].dim, steps[i].birth, math.inf))
+            bars.append(PersistenceBar(cells[i][1], cells[i][0], math.inf))
     bars.sort(key=lambda b: (b.dim, b.birth, b.death))
     return PersistenceDiagram(
         np.array([b.dim for b in bars], dtype=np.int64),
         np.array([b.birth for b in bars], dtype=float),
         np.array([b.death for b in bars], dtype=float),
     )
+
+
+def lower_star_filtration(cc: cx.CellComplex, values) -> Filtration:
+    """cc filtered by the values on its 0-cells: each cell is born at the
+    largest value over the 0-cells of its closure (``closure_indices``),
+    and a cell whose closure holds no 0-cell at the smallest value."""
+    births = [
+        max((values[v] for v in closure_indices(cc, cx.CellRef(k, i))[0]), default=min(values))
+        for k in range(cc.dim + 1)
+        for i in range(cc.n_cells(k))
+    ]
+    return Filtration(cc.boundaries, births)
 
 
 def rips_oracle(

@@ -84,12 +84,11 @@ def test_match_rows_finds_equal_rows(data, width):
     queries = data.draw(st.lists(st.one_of(row, st.sampled_from(table or [(0,) * width])),
                                  max_size=12))
     shape = lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), width)  # noqa: E731
-    hits, repeated = builders._match_rows(shape(table), shape(queries))
+    hits = builders._match_rows(shape(table), shape(queries))
     first = {}
     for i, r in enumerate(table):
         first.setdefault(r, i)
     assert hits.tolist() == [first.get(q, -1) for q in queries]
-    assert repeated.tolist() == [first[r] != i for i, r in enumerate(table)]
 
 
 class TestVietorisRips:

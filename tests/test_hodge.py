@@ -679,15 +679,3 @@ class TestQuadraticForm:
             assert cx.quadratic_form(toy_minus, 1, x, weights) >= 0
         harmonic = cx.harmonic_basis(toy_minus, 1)[0]
         assert cx.quadratic_form(toy_minus, 1, harmonic) <= 1e-12
-
-
-class TestWeightedInnerProduct:
-    def test_basic_value(self):
-        x = cx.ChainVector(1, [1.0, 2.0])
-        y = cx.ChainVector(1, [3.0, -1.0])
-        assert cx.hodge.weighted_inner_product(x, y, np.array([2.0, 1.0])) == 4.0
-
-    def test_rejects_bad_weights(self):
-        x = cx.ChainVector(1, [1.0])
-        with pytest.raises(errors.NonPositiveWeight):
-            cx.hodge.weighted_inner_product(x, x, np.array([-1.0]))

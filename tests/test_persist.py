@@ -123,11 +123,15 @@ class TestVrFiltration:
             FiltrationStep(0.6, 2, (0, 1, 2)),
         )
         filtration = Filtration.from_steps(steps)
-        assert filtration.faces.tolist() == [
-            [-1, -1, -1], [-1, -1, -1], [-1, -1, -1],
-            [0, 1, -1], [1, 2, -1], [0, 2, -1], [3, 5, 4],
-        ]
-        assert "faces" not in repr(filtration)
+        # Each dimension's cells are numbered by vertex tuple: edges (0, 1),
+        # (0, 2), (1, 2); the face omitting position i has sign (-1)^i.
+        b1, b2 = filtration.boundaries
+        assert b1.to_dense().tolist() == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
+        assert b2.column(0) == [(0, 1), (1, -1), (2, 1)]
+        assert filtration.cell_births.tolist() == [0.0] * 3 + [0.5, 0.6, 0.5, 0.6]
+        # Edges 0, 2, 1 enter at positions 3, 4, 5: the triangle's facets.
+        assert filtration.cells.tolist() == [0, 1, 2, 0, 2, 1, 0]
+        assert "cells=" not in repr(filtration)
         assert filtration == Filtration.from_steps(steps)
 
 
@@ -150,8 +154,11 @@ class TestVrFiltration:
         steps = (FiltrationStep(0.0, 0, (0,)), FiltrationStep(0.0, 1, (1,)))
         with pytest.raises(ValueError, match=r"simplex \(1,\) disagrees with dim 1"):
             Filtration.from_steps(steps)
-        with pytest.raises(ValueError, match="one entry per step"):
-            Filtration(np.zeros(2), np.zeros(1, dtype=int), np.zeros((2, 1), dtype=int))
+        edge = cx.BoundaryMatrix(2, 1, [(0, 0, -1), (1, 0, 1)])
+        with pytest.raises(ValueError, match="3 cells need one birth each, got 2"):
+            Filtration((edge,), np.zeros(2))
+        with pytest.raises(ValueError, match="one row per column of B_"):
+            Filtration((edge, cx.BoundaryMatrix(2, 1, ())), np.zeros(4))
 
     def test_steps_read_the_columns(self):
         filtration = cx.vr_filtration(SQUARE, 2.0, 2)
@@ -160,6 +167,24 @@ class TestVrFiltration:
         assert steps[4:6] == (FiltrationStep(1.0, 1, (0, 1)), FiltrationStep(1.0, 1, (0, 3)))
         assert Filtration.from_steps(steps) == filtration
         assert Filtration.from_steps(()).steps == ()
+
+
+    def test_vertex_ids_need_not_be_a_range(self):
+        steps = (
+            FiltrationStep(0.0, 0, (-2,)),
+            FiltrationStep(0.0, 0, (3,)),
+            FiltrationStep(0.0, 0, (7,)),
+            FiltrationStep(1.0, 1, (-2, 7)),
+        )
+        filtration = Filtration.from_steps(steps)
+        # The 0-cells are numbered by the ids' order, and steps reports those numbers.
+        assert list(filtration.steps) == [
+            FiltrationStep(0.0, 0, (0,)), FiltrationStep(0.0, 0, (1,)),
+            FiltrationStep(0.0, 0, (2,)), FiltrationStep(1.0, 1, (0, 2)),
+        ]
+        assert [(b.dim, b.death) for b in cx.persistence(filtration).bars] == [
+            (0, 1.0), (0, math.inf), (0, math.inf)
+        ]
 
 
 @settings(max_examples=300)
@@ -172,10 +197,15 @@ def test_filtration_order_and_faces_match_oracle(cloud, eps, max_dim):
     )
     assert list(filtration.steps) == [FiltrationStep(*key) for key in keys]
     position = {vertices: p for p, (_, _, vertices) in enumerate(keys)}
+    entered = {cell: p for p, cell in enumerate(zip(filtration.dims.tolist(),
+                                                    filtration.cells.tolist()))}
     for p, (_, dim, vertices) in enumerate(keys):
-        facets = [position[f] for f in itertools.combinations(vertices, dim)] if dim else []
-        padding = [-1] * (filtration.faces.shape[1] - len(facets))
-        assert filtration.faces[p].tolist() == facets + padding
+        if dim:
+            # Facet j omits the vertex at position dim - j, with sign (-1)^(dim - j).
+            facets = itertools.combinations(vertices, dim)
+            expected = {position[f]: (-1) ** (dim - j) for j, f in enumerate(facets)}
+            column = filtration.boundaries[dim - 1].column(int(filtration.cells[p]))
+            assert {entered[dim - 1, row]: sign for row, sign in column} == expected
 
 
 class TestPersistence:
@@ -275,3 +305,62 @@ def test_bars_match_oracle_when_vertices_are_born_apart(cloud, eps, max_dim, dat
     for keep_zero_bars in (False, True):
         expected = helpers.persistence_oracle(filtration, keep_zero_bars)
         assert cx.persistence(filtration, keep_zero_bars) == expected
+
+
+def _lower_star_complex(seed: int, kind: int) -> cx.CellComplex:
+    rng = random.Random(seed)
+    if kind == 0:
+        return cx.cubical([rng.randint(1, 4) for _ in range(rng.randint(1, 3))])
+    return (helpers.random_two_complex if kind == 1 else helpers.random_builder_complex)(rng)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.integers(0, 2), data=st.data())
+def test_lower_star_filtrations_of_any_complex_match_oracle(seed, kind, data):
+    # Cubical grids, 2-complexes whose cells may not be regular, and builder outputs.
+    cc = _lower_star_complex(seed, kind)
+    n = cc.n_cells(0)
+    values = data.draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+    filtration = helpers.lower_star_filtration(cc, values)
+    for keep_zero_bars in (False, True):
+        expected = helpers.persistence_oracle(filtration, keep_zero_bars)
+        assert cx.persistence(filtration, keep_zero_bars) == expected
+    if kind == 0:  # torsion-free, so Z/2 counts the rational Betti numbers
+        diagram = cx.persistence(filtration)
+        alive = [diagram.alive_at(max(values), k) for k in range(cc.dim + 1)]
+        assert tuple(alive) == cx.betti_numbers(cc).betti
+
+
+def test_rp2_torsion_reads_as_a_class_over_z2():
+    rp2 = helpers.rp2()
+    filtration = Filtration(rp2.boundaries, np.zeros(sum(map(len, rp2.cells))))
+    diagram = cx.persistence(filtration)
+    assert [diagram.alive_at(0.0, k) for k in range(3)] == [1, 1, 1]
+    assert cx.betti_numbers(rp2).betti == (1, 0, 0)
+
+
+class TestFiltrationOfBoundaries:
+    @pytest.mark.parametrize("entries", [
+        [(0, 0, 1)], [], [(0, 0, -1), (1, 0, 1), (2, 0, 1)],
+    ], ids=["one", "none", "three"])
+    def test_edge_without_two_endpoints_is_one_line_error(self, entries):
+        b1 = cx.BoundaryMatrix(3, 2, [(0, 0, -1), (1, 0, 1), *((i, 1, s) for i, _, s in entries)])
+        with pytest.raises(ValueError, match=r"^edge 1 has \d entries in B_1; an edge needs 2$"):
+            Filtration((b1,), np.zeros(5))
+
+    def test_cell_born_before_a_face_is_rejected(self):
+        b1 = cx.BoundaryMatrix(2, 1, [(0, 0, -1), (1, 0, 1)])
+        with pytest.raises(ValueError, match="1-cell 0 is born before its face 1"):
+            Filtration((b1,), [0.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="cell 2 has a NaN birth"):
+            Filtration((b1,), [0.0, 2.0, math.nan])
+
+    def test_order_is_birth_dim_cell_index(self):
+        square = cx.cubical([2, 2])
+        births = [0.0] * 4 + [1.0, 0.0, 1.0, 0.0] + [1.0]
+        filtration = Filtration(square.boundaries, births)
+        assert filtration.dims.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2]
+        assert filtration.cells.tolist() == [0, 1, 2, 3, 1, 3, 0, 2, 0]
+        assert filtration.births.tolist() == sorted(births)
+        assert filtration.steps[5] == FiltrationStep(0.0, 1, tuple(
+            sorted(i for i, _ in square.boundary(1).column(3))))
