@@ -27,9 +27,9 @@ from .core import (
     _edge_lookup,
     _entry_arrays,
     _forest_merges,
+    _graph,
     _tail_head,
     from_boundary_matrices,
-    from_tuples,
     oriented_cycle,
 )
 from .errors import (
@@ -386,7 +386,7 @@ def path_complex(n: int) -> CellComplex:
     """Path graph P_n as a complex: n vertices, n-1 edges (i, i+1)."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return from_tuples(range(n), [(i, i + 1) for i in range(n - 1)])
+    return _graph([str(i) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
 
 
 def cubical(sizes: Sequence[int]) -> CellComplex:
@@ -571,7 +571,7 @@ def window_lifting(emb: PlanarEmbedding) -> CellComplex:
         if walk:
             faces.append(walk)
 
-    base = from_tuples(emb.labels, [(emb.labels[u], emb.labels[v]) for u, v in emb.edges])
+    base = _graph(emb.labels, emb.edges)
     if len(faces) <= 1:
         return base
     areas = [0.5 * sum(pts[u][0] * pts[v][1] - pts[v][0] * pts[u][1] for u, v in walk)

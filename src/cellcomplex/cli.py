@@ -3,7 +3,8 @@
 One binary with subcommands, JSON/CSV output on stdout, and a stable
 exit-code contract: 0 on success, 1 on validation or data errors, 2 on
 usage errors.  Numeric output is printed with 12 significant digits and
-is byte-identical across runs for identical inputs.
+is byte-identical across runs for identical inputs.  The one argparse
+parser is built once, at import, and every ``main`` call parses with it.
 """
 
 from __future__ import annotations
@@ -121,47 +122,17 @@ def _persist_args(p) -> None:
     p.add_argument("--keep-zero-bars", action="store_true")
 
 
-def build_parser(
-    command: str | None = None, parser_class: type = argparse.ArgumentParser
-) -> argparse.ArgumentParser:
-    """The ``ccx`` parser, with every subcommand or with ``command`` only."""
-    parser = parser_class(
+def build_parser() -> argparse.ArgumentParser:
+    """The ``ccx`` parser with every subcommand."""
+    parser = argparse.ArgumentParser(
         prog="ccx", description="Cell complex toolkit: build, validate, analyse."
     )
     parser.add_argument("--output", choices=("json", "csv"), default=None,
                         help="override the command's default output format")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, add_arguments, _) in _SUBCOMMANDS.items():
-        if command in (None, name):
-            add_arguments(sub.add_parser(name, help=text))
+        add_arguments(sub.add_parser(name, help=text))
     return parser
-
-
-class _Retry(Exception):
-    """The one-subcommand parser met help or an error."""
-
-
-class _QuietParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _Retry
-
-    def print_help(self, file=None):
-        raise _Retry
-
-
-def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Parse with a parser of the invoked subcommand alone.
-
-    Building every subcommand costs more than parsing.  Help and usage
-    errors are left to the full parser, which parses argv again, so
-    their bytes and exit codes do not depend on the shortcut.
-    """
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = next((arg for arg in argv if arg in _SUBCOMMANDS), None)
-    try:
-        return build_parser(command, _QuietParser).parse_args(argv)
-    except _Retry:
-        return build_parser().parse_args(argv)
 
 
 def _emit_complex(cc) -> int:
@@ -296,16 +267,17 @@ _SUBCOMMANDS = {
 }
 
 
+# Building the parser costs about forty times a parse, so it is built once.
+PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parse(argv)
+    args = PARSER.parse_args(argv)
     try:
         # Overflow reaches stderr only as the error line of NonFiniteResult.
         with np.errstate(all="ignore"):
             return _SUBCOMMANDS[args.command][2](args)
-    except CellComplexError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (CellComplexError, OSError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -367,8 +367,6 @@ def from_tuples(
         pairs.append((vertex_id(tail), vertex_id(head)))
         if pairs[-1][0] == pairs[-1][1]:
             raise SelfLoopEdge(f"edge ({tail}, {head}) is a self-loop")
-    edge_labels = [f"{vlabels[t]}-{vlabels[h]}" for t, h in pairs]
-    b1_entries = [(v, j, s) for j, (t, h) in enumerate(pairs) for v, s in ((t, -1), (h, 1))]
 
     lookup = _edge_lookup(pairs)
     poly_labels: list[str] = []
@@ -387,15 +385,29 @@ def from_tuples(
         b2_entries.extend((j, col, sign) for j, sign in column)
         poly_labels.append("-".join(vlabels[i] for i in _rotate_min_first(ids)))
 
-    cells: list[Sequence[str]] = [vlabels]
-    mats: list[BoundaryMatrix] = []
-    if edge_labels or poly_labels:
-        cells.append(edge_labels)
-        mats.append(BoundaryMatrix(len(vlabels), len(edge_labels), tuple(b1_entries)))
-    if poly_labels:
-        cells.append(poly_labels)
-        mats.append(BoundaryMatrix(len(edge_labels), len(poly_labels), tuple(b2_entries)))
-    return from_boundary_matrices(cells, mats)
+    graph = _graph(vlabels, pairs)
+    if not poly_labels:
+        return graph
+    b2 = BoundaryMatrix(len(pairs), len(poly_labels), tuple(b2_entries))
+    return from_boundary_matrices([*graph.cells, poly_labels], [*graph.boundaries, b2])
+
+
+def _graph(vlabels: Sequence[str], pairs: Sequence[tuple[int, int]]) -> CellComplex:
+    """The complex of a graph: its vertices, and one edge per (tail, head) vertex
+    index pair, labelled ``tail-head``, with -1 at the tail and +1 at the head
+    of its B_1 column.  Without edges it is a 0-complex."""
+    if not len(pairs):
+        return from_boundary_matrices([vlabels], [])
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    m = len(ends)
+    triplets = np.empty((m, 2, 3), dtype=np.int64)  # (tail, j, -1) and (head, j, +1)
+    triplets[:, :, 0] = ends
+    triplets[:, :, 1] = np.arange(m)[:, None]
+    triplets[:, :, 2] = (-1, 1)
+    edge_labels = [f"{vlabels[t]}-{vlabels[h]}" for t, h in ends.tolist()]
+    return from_boundary_matrices(
+        [vlabels, edge_labels], [BoundaryMatrix(len(vlabels), m, triplets.reshape(-1, 3))]
+    )
 
 
 def boundary_of_cell(cc: CellComplex, cell: CellRef) -> list[tuple[CellRef, int]]:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -442,27 +441,15 @@ def laplacian_spectrum(
     return eigenvalues, tags
 
 
-FilterFunction = Callable[[np.ndarray], np.ndarray]
-
-
-def _poly_filter(coeffs: Sequence[float]) -> FilterFunction:
-    def apply(lam: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(lam)
-        for c in reversed(list(coeffs)):
-            out = out * lam + c
-        return out
-
-    return apply
-
-
-def _parse(descriptor: str) -> tuple[FilterFunction, tuple[float, ...] | None]:
-    """The filter function f of a descriptor and, if f is a polynomial, its coefficients."""
+def _parse(descriptor: str) -> tuple[float, ...] | float:
+    """A filter descriptor as data: the coefficients c0, c1, ... of a polynomial
+    filter sum c_i lam^i, or the time t of the heat filter exp(-t lam)."""
     name, _, params = descriptor.partition(":")
     if name == "identity" and not params:
-        coeffs = [1.0]
-    elif name == "lowpass" and not params:
-        coeffs = [1.0, -1.0]
-    elif name == "heat":
+        return (1.0,)
+    if name == "lowpass" and not params:
+        return (1.0, -1.0)
+    if name == "heat":
         if not params.startswith("t="):
             raise UnknownFilter(f"heat filter needs t=<value>, got {descriptor!r}")
         try:
@@ -471,19 +458,18 @@ def _parse(descriptor: str) -> tuple[FilterFunction, tuple[float, ...] | None]:
             raise UnknownFilter(f"bad heat time in {descriptor!r}") from None
         if not math.isfinite(t):
             raise UnknownFilter(f"bad heat time in {descriptor!r}")
-        return (lambda lam: np.exp(-t * lam)), None
-    elif name == "poly":
-        try:
-            coeffs = [float(c) for c in params.split(",")] if params else []
-        except ValueError:
-            raise UnknownFilter(f"bad polynomial coefficients in {descriptor!r}") from None
-        if not coeffs:
-            raise UnknownFilter("poly filter needs comma-separated coefficients")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise UnknownFilter(f"bad polynomial coefficients in {descriptor!r}")
-    else:
+        return t
+    if name != "poly":
         raise UnknownFilter(f"unknown filter {descriptor!r}")
-    return _poly_filter(coeffs), tuple(coeffs)
+    try:
+        coeffs = tuple(float(c) for c in params.split(",")) if params else ()
+    except ValueError:
+        raise UnknownFilter(f"bad polynomial coefficients in {descriptor!r}") from None
+    if not coeffs:
+        raise UnknownFilter("poly filter needs comma-separated coefficients")
+    if not all(math.isfinite(c) for c in coeffs):
+        raise UnknownFilter(f"bad polynomial coefficients in {descriptor!r}")
+    return coeffs
 
 
 def spectral_filter(
@@ -501,21 +487,20 @@ def spectral_filter(
     split, which are dense.
     """
     values = _check_chain(cc, k, x)
-    f, coeffs = _parse(descriptor)
-    if coeffs is not None:
+    parsed = _parse(descriptor)
+    if isinstance(parsed, tuple):
         down, up = _weighted_entries(cc, k, weights), _weighted_entries(cc, k + 1, weights)
 
         def laplacian(v: np.ndarray) -> np.ndarray:
             return _product(down, _product(down, v), True) + _product(up, _product(up, v, True))
 
-        filtered = coeffs[-1] * values
-        for c in reversed(coeffs[:-1]):
+        filtered = parsed[-1] * values
+        for c in reversed(parsed[:-1]):
             filtered = laplacian(filtered) + c * values
         return ChainVector(k, _finite(filtered, "filtered chain"))
-    at_zero = f(np.zeros(1))
-    filtered = at_zero * values
+    filtered = values.copy()  # exp(-t 0) = 1 on the harmonic part
     for basis, eigenvalues in _image_bases(cc, k, weights):
-        filtered += basis @ ((f(eigenvalues) - at_zero) * (basis.T @ values))
+        filtered += basis @ ((np.exp(-parsed * eigenvalues) - 1.0) * (basis.T @ values))
     return ChainVector(k, _finite(filtered, "filtered chain"))
 
 

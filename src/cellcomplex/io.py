@@ -36,9 +36,9 @@ from .core import BoundaryMatrix, CellComplex, ChainVector, _cell_layers, from_b
 from .errors import SchemaError, ShapeMismatch
 
 
-def round_sig(x: float, digits: int = 12) -> float:
-    """Round to the given number of significant digits."""
-    return float(f"{float(x):.{digits}g}")
+def round_sig(x: float) -> float:
+    """Round to 12 significant digits."""
+    return float(f"{float(x):.12g}")
 
 
 def complex_to_json(cc: CellComplex) -> dict[str, Any]:

@@ -471,7 +471,14 @@ def filter_oracle(
 ) -> np.ndarray:
     """U f(Lambda) U^T x from one eigh of the full Laplacian L_k."""
     evals, vecs = np.linalg.eigh(cx.hodge_laplacian(cc, k, "full", weights))
-    return vecs @ (hodge._parse(descriptor)[0](evals) * (vecs.T @ x))
+    parsed = hodge._parse(descriptor)
+    if isinstance(parsed, float):  # the heat time t
+        f = np.exp(-parsed * evals)
+    else:  # polynomial coefficients, by Horner's rule
+        f = np.zeros_like(evals)
+        for c in reversed(parsed):
+            f = f * evals + c
+    return vecs @ (f * (vecs.T @ x))
 
 
 def persistence_oracle(
