@@ -686,29 +686,72 @@ def chordless_cycle_lifting(
 ) -> CellComplex:
     """Attach every chordless (induced) cycle of a simple graph as a 2-cell.
 
-    Each cycle takes the orientation of ``_canonical_cycle`` and the
-    ``_column`` of that walk; output cells are sorted by canonical vertex
-    tuple.  The number of chordless cycles can grow exponentially, so
-    enumeration stops with an error once max_cells is exceeded.
+    Each cycle is grown from its smallest vertex s along induced paths
+    through vertices of the graph's 2-core above s, and closes at a
+    neighbour of s.  It is recorded once, in the direction whose second
+    vertex is below its last, which is the orientation of
+    ``_canonical_cycle``, and gets the ``_column`` of that walk; output
+    cells are sorted by vertex tuple.  Where a path branches, a step is
+    taken only if a closing neighbour of s can still be reached from it,
+    so a path that cannot close is a single chain and the work grows with
+    the cycles found rather than with the induced paths.  The number of
+    chordless cycles can grow exponentially, so enumeration stops with an
+    error once max_cells is exceeded.
     """
-    # networkx is imported here only: it is most of the package's import
-    # time, and no other command uses it.
-    import networkx as nx
-
     pairs = _underlying_graph(cc)
     lookup = _edge_lookup(pairs)
     if len(lookup) != 2 * len(pairs):  # two edges join the same two vertices
         raise NotSimple("chordless cycle lifting needs a simple underlying graph")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(cc.n_cells(0)))
-    graph.add_edges_from(pairs)
+    adjacency: list[set[int]] = [set() for _ in range(cc.n_cells(0))]
+    for t, h in pairs:
+        adjacency[t].add(h)
+        adjacency[h].add(t)
+    # A vertex with fewer than two neighbours is on no cycle: drop such
+    # vertices until none is left (what remains is the graph's 2-core).
+    leaves = [v for v, ring in enumerate(adjacency) if len(ring) < 2]
+    while leaves:
+        v = leaves.pop()
+        for w in adjacency[v]:
+            adjacency[w].discard(v)
+            if len(adjacency[w]) == 1:
+                leaves.append(w)
+        adjacency[v] = set()
     cycles: list[tuple[int, ...]] = []
-    for cycle in nx.chordless_cycles(graph):
-        if len(cycle) < 3:
-            continue
-        cycles.append(_canonical_cycle(cycle)[0])
-        if len(cycles) > max_cells:
-            raise CapExceeded(max_cells)
+    below: set[int] = set()  # s and the vertices before it
+    for s, ring in enumerate(adjacency):
+        below.add(s)
+        # Induced paths s, v, ..., u, each with the vertices it may not take
+        # next: its own, and the neighbours of its inner vertices (a chord).
+        # A cycle closes at a neighbour of s above its second vertex, so
+        # none starts at the last neighbour.
+        last = max(ring, default=s)
+        stack = [((s, v), {s, v}) for v in ring if s < v < last]
+        while stack:
+            path, blocked = stack.pop()
+            u = path[-1]
+            steps = []
+            for w in adjacency[u] - blocked - below:
+                if w not in ring:
+                    steps.append(w)
+                elif path[1] < w:
+                    cycles.append(path + (w,))
+                    if len(cycles) > max_cells:
+                        raise CapExceeded(max_cells)
+            blocked = blocked | adjacency[u]
+            if len(steps) > 1:
+                # Keep only the steps from which a closing neighbour of s is
+                # still reachable through vertices the path may take (the
+                # shortest such route is induced, so the cycle exists): a
+                # path that cannot close is then a single chain, never a
+                # tree of paths.
+                live ={t for t in ring - blocked if t > path[1]}
+                frontier = live
+                while frontier:
+                    frontier = set().union(*(adjacency[x] for x in frontier))
+                    frontier = frontier - below - ring - blocked - live
+                    live |= frontier
+                steps = [w for w in steps if not live.isdisjoint(adjacency[w])]
+            stack.extend((path + (w,), blocked) for w in steps)
     cycles.sort()
     cells = [(cycle, _column(lookup, zip(cycle, cycle[1:] + cycle[:1]))) for cycle in cycles]
     return _cycle_cells(cc, cells)

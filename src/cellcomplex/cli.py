@@ -10,7 +10,6 @@ parser is built once, at import, and every ``main`` call parses with it.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
@@ -43,15 +42,13 @@ def _load_points(path: str) -> builders.PointCloud:
 
 
 def _load_chain(path: str) -> ChainVector:
-    with open(path) as fh:
-        return io.chain_from_json(json.load(fh))
+    return io.chain_from_json(io.load_json(path))
 
 
 def _load_weights(path: str | None) -> hodge.WeightSet | None:
     if path is None:
         return None
-    with open(path) as fh:
-        return hodge.WeightSet(tuple(io.weights_from_json(json.load(fh))))
+    return hodge.WeightSet(tuple(io.weights_from_json(io.load_json(path))))
 
 
 def _validate_args(p) -> None:
@@ -277,7 +274,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Overflow reaches stderr only as the error line of NonFiniteResult.
         with np.errstate(all="ignore"):
             return _SUBCOMMANDS[args.command][2](args)
-    except (CellComplexError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (CellComplexError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

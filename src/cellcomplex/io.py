@@ -181,13 +181,18 @@ def weights_from_json(doc: Any) -> list[np.ndarray]:
     ]
 
 
-def load_complex(path: str) -> CellComplex:
+def load_json(path: str) -> Any:
+    """The document in a JSON file.  Malformed JSON, and JSON nested too
+    deeply for the decoder's recursion, is a SchemaError."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
-    return complex_from_json(doc)
+
+
+def load_complex(path: str) -> CellComplex:
+    return complex_from_json(load_json(path))
 
 
 def dumps(doc: Any) -> str:

@@ -20,8 +20,9 @@ restriction, and per-cell validation through restricted matrices and
 their Smith forms.  The fundamental-cycle oracle walks each non-tree
 edge's full root paths and traces the column it finds, as the spanning
 tree lifting did before it walked parent edges up from both ends.  The
-complex zoo produces small randomized builder outputs for the property
-suites.
+chordless-cycle oracle tries every vertex subset for a connected,
+2-regular induced subgraph.  The complex zoo produces small randomized
+builder outputs for the property suites.
 """
 
 from __future__ import annotations
@@ -277,6 +278,47 @@ def fundamental_cycles_oracle(cc: cx.CellComplex, root: int) -> cx.CellComplex:
         entries += [(e, len(labels) - 1, flip * s) for e, s in signed.items()]
     if not labels:
         return cc
+    b2 = cx.BoundaryMatrix(b1.cols, len(labels), entries)
+    return cx.from_boundary_matrices([*cc.cells, labels], [b1, b2])
+
+
+def chordless_cycles_oracle(cc: cx.CellComplex) -> cx.CellComplex:
+    """The chordless cycle lifting by trying every vertex subset: a subset of
+    three or more vertices is a chordless cycle when its induced subgraph is
+    connected and 2-regular.  Each cycle is walked from its minimal vertex
+    toward the smaller of that vertex's two neighbours; an edge walked from
+    tail to head enters its column with +1.  Cells are sorted by vertex
+    tuple and labelled by their vertex labels."""
+    b1 = cc.boundary(1)
+    pairs = [edge_endpoints_oracle(b1, j) for j in range(b1.cols)]
+    cycles = []
+    for size in range(3, cc.n_cells(0) + 1):
+        for subset in itertools.combinations(range(cc.n_cells(0)), size):
+            inside = set(subset)
+            near = {v: [] for v in subset}
+            for t, h in pairs:
+                if t in inside and h in inside:
+                    near[t].append(h)
+                    near[h].append(t)
+            if any(len(ns) != 2 for ns in near.values()):
+                continue
+            cycle = [subset[0], min(near[subset[0]])]
+            while len(cycle) < size and cycle[-1] != cycle[0]:
+                a, b = near[cycle[-1]]
+                cycle.append(b if a == cycle[-2] else a)
+            if len(cycle) == size and cycle[0] in near[cycle[-1]]:
+                cycles.append(tuple(cycle))
+    if not cycles:
+        return cc
+    labels, entries = [], []
+    for col, cycle in enumerate(sorted(cycles)):
+        label = "-".join(cc.cells[0][v] for v in cycle)
+        while label in labels:
+            label += "+"
+        labels.append(label)
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            j = next(j for j, p in enumerate(pairs) if set(p) == {a, b})
+            entries.append((j, col, 1 if pairs[j] == (a, b) else -1))
     b2 = cx.BoundaryMatrix(b1.cols, len(labels), entries)
     return cx.from_boundary_matrices([*cc.cells, labels], [b1, b2])
 

@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -508,6 +511,21 @@ class TestSpanningTreeLifting:
             cx.spanning_tree_lifting(toy)
 
 
+@st.composite
+def simple_graphs(draw):
+    """Simple graphs on 2-9 vertices with at least one edge, of any density,
+    often with isolated vertices or several components; each edge in a
+    random orientation and the list shuffled."""
+    n = draw(st.integers(2, 9))
+    density = draw(st.integers(0, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e in pairs if draw(st.integers(0, 9)) < density]
+    edges = edges or [draw(st.sampled_from(pairs))]
+    edges = draw(st.permutations(edges))
+    edges = [e[::-1] if draw(st.booleans()) else e for e in edges]
+    return cx.from_tuples([f"v{i}" for i in range(n)], [(f"v{t}", f"v{h}") for t, h in edges])
+
+
 class TestChordlessCycleLifting:
     def test_triangle(self):
         triangle = cx.from_tuples(range(3), [(0, 1), (1, 2), (0, 2)])
@@ -539,6 +557,37 @@ class TestChordlessCycleLifting:
     def test_acyclic_graph_unchanged(self):
         tree = cx.from_tuples(range(3), [(0, 1), (1, 2)])
         assert cx.chordless_cycle_lifting(tree).dim == 1
+
+    def test_work_grows_with_the_cycles_not_the_induced_paths(self):
+        # A chain of 25 squares a0-{b1,c1}-a1-{b2,c2}-a2-..., numbered in that
+        # order, has 25 chordless cycles but 2^25 induced paths from a0.  A
+        # search that walks every induced path runs for hours; run the
+        # lifting in a child process so that such a search fails the test.
+        src = os.path.dirname(os.path.dirname(cx.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import cellcomplex as cx\n"
+            "edges = [(a, a + d) for a in range(0, 75, 3) for d in (1, 2)]\n"
+            "edges += [(a + d, a + 3) for a in range(0, 75, 3) for d in (1, 2)]\n"
+            "print(cx.chordless_cycle_lifting(cx.from_tuples(range(76), edges)).cells[2])\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True, timeout=30)
+        squares = tuple(f"{a}-{a + 1}-{a + 3}-{a + 2}" for a in range(0, 75, 3))
+        assert result.stdout == f"{squares}\n"
+
+    @settings(max_examples=200)
+    @given(graph=simple_graphs(), data=st.data())
+    def test_matches_the_vertex_subset_oracle(self, graph, data):
+        expected = helpers.chordless_cycles_oracle(graph)
+        count = expected.n_cells(2)
+        cap = data.draw(st.integers(0, 90) | st.integers(max(count - 1, 0), count + 1))
+        if count > cap:
+            with pytest.raises(errors.CapExceeded):
+                cx.chordless_cycle_lifting(graph, cap)
+        else:
+            assert cx.chordless_cycle_lifting(graph, cap) == expected
 
 
 @st.composite

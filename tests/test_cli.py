@@ -6,6 +6,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -428,7 +429,7 @@ class TestExitCodes:
             main(["no-such-command"])
         assert info.value.code == 2
 
-    def test_bad_tolerance_is_usage_error(self, toy_file):
+    def test_unknown_option_before_the_subcommand_is_usage_error(self, toy_file):
         with pytest.raises(SystemExit) as info:
             main(["--tolerance", "-1", "betti", toy_file])
         assert info.value.code == 2
@@ -442,6 +443,19 @@ class TestExitCodes:
         path.write_text('{"dim": 1}')
         code, _, err = run(capsys, "validate", str(path))
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["betti", "{deep}"],
+        ["decompose", "{toy}", "--dim", "0", "--signal", "{deep}"],
+        ["spectrum", "{toy}", "--dim", "0", "--weights", "{deep}"],
+    ], ids=["complex", "signal", "weights"])
+    def test_deeply_nested_json_is_one_error_line(self, capsys, tmp_path, toy_file, argv):
+        # Too deep for the decoder's recursion, which raises RecursionError.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, *(a.format(deep=deep, toy=toy_file) for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {deep}: invalid JSON (") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["persist", "{csv}", "--max-eps", "1", "--max-dim", "1"],
@@ -710,12 +724,36 @@ def test_spectrum_with_underflowing_weights_is_an_error(capsys, tmp_path):
 
 
 def test_importing_the_cli_leaves_networkx_unloaded():
-    # networkx serves only ``lift chordless``; the import costs every command.
+    # networkx is no dependency: the import does not load it, and ``lift
+    # chordless`` runs where importing it fails.
     src = os.path.dirname(os.path.dirname(cx.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, cellcomplex.cli; print('networkx' in sys.modules)"
+    argv = ["lift", "chordless", str(GOLDEN / "grid_graph.json")]
+    code = (
+        "import sys, cellcomplex.cli; print('networkx' in sys.modules); "
+        f"sys.modules['networkx'] = None; sys.exit(cellcomplex.cli.main({argv!r}))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout == "False\n"
+    assert result.stdout == "False\n" + (GOLDEN / "lift_chordless.out").read_text()
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # Every import statement, function-local ones too, by its top-level name.
+    allowed = sys.stdlib_module_names | {"numpy", "cellcomplex"}
+    for path in sorted(Path(cx.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not relative
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    requirements = pyproject["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", r).group() for r in requirements] == ["numpy"]
