@@ -29,6 +29,7 @@ from .core import (
     _forest_merges,
     _graph,
     _tail_head,
+    _with_2cells,
     from_boundary_matrices,
     oriented_cycle,
 )
@@ -146,7 +147,7 @@ def from_simplicial(
     if missing:
         raise UncoveredVertex(f"vertex {vlabels[missing[0]]!r} lies in no simplex")
 
-    dim = max(len(s) for s in simplex_set) - 1
+    dim = max((len(s) for s in simplex_set), default=1) - 1  # no vertex: _cell_layers raises
     layers = [
         np.array(sorted(s for s in simplex_set if len(s) == k + 1), dtype=np.int64)
         for k in range(dim + 1)
@@ -166,14 +167,25 @@ def _simplex_boundaries(layers: Sequence[np.ndarray]) -> list[BoundaryMatrix]:
     """B_1..B_n of simplex layers that are already checked and sorted.
 
     Layer k is an int array whose rows are the k-simplices' increasing
-    vertex tuples in lexicographic order; layer 0 is every vertex in
-    order, and every face of a simplex is in the layer below.  The face
-    omitting position i gets boundary sign (-1)^i.
+    vertex tuples in lexicographic order, with no row twice; layer 0 is
+    every vertex in order, so a vertex's row is its id.  The face
+    omitting position i gets boundary sign (-1)^i.  Each face of a
+    k-simplex, k >= 2, is found by one binary search of the layer
+    below, and the row found is compared with the face: a face missing
+    from that layer becomes row -1, which the BoundaryMatrix constructor
+    rejects with ShapeMismatch (IndexError if that layer is empty).  An
+    edge's vertex outside layer 0 is a row outside B_1, rejected alike.
     """
     mats = []
     for k in range(1, len(layers)):
         m = len(layers[k])
-        rows = _match_rows(layers[k - 1], _facets(layers[k]))
+        faces = _facets(layers[k])
+        if k == 1:
+            rows = faces[:, 0]
+        else:
+            below, wanted = _row_keys(layers[k - 1]), _row_keys(faces)
+            rows = np.searchsorted(below, wanted)
+            rows[below.take(rows, mode="clip") != wanted] = -1
         cols = np.tile(np.arange(m), k + 1)
         signs = np.repeat([(-1) ** (k - j) for j in range(k + 1)], m)
         mats.append(BoundaryMatrix(len(layers[k - 1]), m, np.column_stack((rows, cols, signs))))
@@ -188,42 +200,10 @@ def _facets(simplices: np.ndarray) -> np.ndarray:
     return simplices[:, keep].transpose(1, 0, 2).reshape(size * m, size - 1)
 
 
-def _match_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Exact row lookup by one stable lexsort of the table and query rows.
-
-    Returns the index in table of each query row, -1 where no table row
-    equals it, and the first such index where several do.  Rows compare
-    column by column, so no key is formed from a row and nothing can
-    overflow.  Equal rows sort together, table rows first in their
-    original order, so each query's match leads its run.
-    """
-    t = len(table)
-    both = np.concatenate([table, queries])
-    order = np.lexsort(_radix_keys(both.T[::-1]))  # stable: table rows stay first, in order
-    starts = np.ones(len(both), dtype=bool)
-    starts[1:] = False
-    for column in both.T:  # column by column: numpy reduces across short rows slowly
-        ranked = column[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    lead = order[np.maximum.accumulate(np.where(starts, np.arange(len(both)), 0))]
-    hits = np.empty(len(queries), dtype=np.int64)
-    hits[order[order >= t] - t] = lead[order >= t]
-    hits[hits >= t] = -1
-    return hits
-
-
-def _radix_keys(columns) -> list[np.ndarray]:
-    """np.lexsort keys that order like the int columns (the last one most
-    significant) but sort by radix: each column, less its minimum when
-    that is negative, is split into the 16-bit digits its largest value
-    needs, lowest first.  Exact for any int64 values; numpy sorts 16-bit
-    keys in linear time."""
-    keys = []
-    for column in columns:
-        offset = column.astype(np.uint64) - column.min(initial=0).astype(np.uint64)
-        for shift in range(0, max(int(offset.max(initial=0)).bit_length(), 1), 16):
-            keys.append((offset >> np.uint64(shift)).astype(np.uint16))
-    return keys
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of non-negative ints, ordered as the rows are
+    lexicographically: the row's big-endian int64 bytes, compared as bytes."""
+    return np.ascontiguousarray(rows, dtype=">i8").view(f"V{8 * rows.shape[1]}").ravel()
 
 
 def rips_simplices(
@@ -609,21 +589,15 @@ def _cycle_cells(
     """Attach 2-cells to a 1-complex, each given as its vertex cycle, starting
     at its minimal vertex, and its signed edges.  A cell is labelled by its
     cycle's vertex labels, with a "+" per earlier cell of the same label."""
-    if not cells:
-        return cc
     labels: list[str] = []
     seen: set[str] = set()
-    entries: list[tuple[int, int, int]] = []
-    for col, (cycle, signed_edges) in enumerate(cells):
+    for cycle, _ in cells:
         label = "-".join(cc.cells[0][i] for i in cycle)
         while label in seen:
             label += "+"
         seen.add(label)
         labels.append(label)
-        entries.extend((j, col, s) for j, s in signed_edges)
-    b1 = cc.boundary(1)
-    b2 = BoundaryMatrix(b1.cols, len(cells), entries)
-    return from_boundary_matrices([*cc.cells, labels], [b1, b2])
+    return _with_2cells(cc, labels, [signed_edges for _, signed_edges in cells])
 
 
 def spanning_tree_lifting(cc: CellComplex, root: str | int | None = None) -> CellComplex:

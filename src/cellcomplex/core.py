@@ -13,6 +13,7 @@ return new values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
@@ -370,8 +371,8 @@ def from_tuples(
 
     lookup = _edge_lookup(pairs)
     poly_labels: list[str] = []
-    b2_entries: list[tuple[int, int, int]] = []
-    for col, polygon in enumerate(polygons):
+    columns: list[list[tuple[int, int]]] = []
+    for polygon in polygons:
         ids = [vertex_id(v) for v in polygon]
         if len(ids) < 3:
             raise PolygonTooShort(f"polygon {tuple(polygon)} has fewer than 3 vertices")
@@ -382,14 +383,9 @@ def from_tuples(
         except KeyError as missing:
             a, b = missing.args[0]
             raise MissingEdge(polygon, (vlabels[a], vlabels[b])) from None
-        b2_entries.extend((j, col, sign) for j, sign in column)
+        columns.append(column)
         poly_labels.append("-".join(vlabels[i] for i in _rotate_min_first(ids)))
-
-    graph = _graph(vlabels, pairs)
-    if not poly_labels:
-        return graph
-    b2 = BoundaryMatrix(len(pairs), len(poly_labels), tuple(b2_entries))
-    return from_boundary_matrices([*graph.cells, poly_labels], [*graph.boundaries, b2])
+    return _with_2cells(_graph(vlabels, pairs), poly_labels, columns)
 
 
 def _graph(vlabels: Sequence[str], pairs: Sequence[tuple[int, int]]) -> CellComplex:
@@ -408,6 +404,23 @@ def _graph(vlabels: Sequence[str], pairs: Sequence[tuple[int, int]]) -> CellComp
     return from_boundary_matrices(
         [vlabels, edge_labels], [BoundaryMatrix(len(vlabels), m, triplets.reshape(-1, 3))]
     )
+
+
+def _with_2cells(
+    graph: CellComplex, labels: Sequence[str], columns: Sequence[Sequence[tuple[int, int]]]
+) -> CellComplex:
+    """A 1-complex with one 2-cell per label attached, its B_2 column the
+    matching list of (edge, sign) pairs.  The pairs are read as one flat
+    int64 array, as numpy reads nested lists slowly.  Without labels it
+    is the graph unchanged."""
+    if not labels:
+        return graph
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(columns)), np.int64)
+    edges, signs = pairs.reshape(-1, 2).T
+    cols = np.repeat(np.arange(len(columns)), [len(column) for column in columns])
+    b1 = graph.boundary(1)
+    b2 = BoundaryMatrix(b1.cols, len(labels), np.column_stack((edges, cols, signs)))
+    return from_boundary_matrices([*graph.cells, labels], [b1, b2])
 
 
 def boundary_of_cell(cc: CellComplex, cell: CellRef) -> list[tuple[CellRef, int]]:

@@ -65,6 +65,8 @@ def _as_cycle(cc: CellComplex, chain: ChainVector, name: str) -> np.ndarray:
     values = chain.values
     if len(values) != cc.n_cells(chain.dim):
         raise ShapeMismatch(f"{name} has {len(values)} values for {cc.n_cells(chain.dim)} cells")
+    if not np.isfinite(values).all():
+        raise NotACycle(f"{name} has a value that is not finite")
     if chain.dim >= 1:
         scale = np.max(np.abs(values))
         boundary = apply_boundary(cc, chain).values

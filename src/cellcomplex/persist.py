@@ -153,7 +153,10 @@ class Filtration:
         if any(b.rows != n for b, n in zip(mats, sizes)):
             raise ValueError("each B_k needs one row per column of B_(k-1)")
         if cell_births.shape != (sum(sizes),):
-            raise ValueError(f"{sum(sizes)} cells need one birth each, got {cell_births.size}")
+            raise ValueError(
+                f"{sum(sizes)} cells need one birth each, "
+                f"got {cell_births.size} in shape {cell_births.shape}"
+            )
         if np.isnan(cell_births).any():
             raise ValueError(f"cell {_first(np.isnan(cell_births))} has a NaN birth")
         ends = np.diff(mats[0].indptr) if mats else np.empty(0)

@@ -51,10 +51,8 @@ def _int_entries(matrix) -> tuple[int, int, list[tuple[int, int, int]]]:
         if array.size == 0:
             return 0, 0, []
         raise ValueError("expected a 2-d integer matrix")
-    if array.dtype.kind == "f":
-        if not np.all(array == np.round(array)):
-            raise ValueError("matrix entries must be integers")
-        array = array.astype(np.int64)
+    if array.dtype.kind == "f" and not np.all(np.isfinite(array) & (array == np.round(array))):
+        raise ValueError("matrix entries must be integers")
     entries = [
         (i, j, int(v)) for i, row in enumerate(array.tolist()) for j, v in enumerate(row) if v
     ]

@@ -609,6 +609,21 @@ def rips_listed(levels) -> list[tuple[tuple[int, ...], float]]:
     return out
 
 
+def simplex_boundary_oracle(layers) -> list[dict[tuple[int, int], int]]:
+    """B_1..B_n of simplex layers (lists of vertex tuples, in cell order) as
+    {(row, col): sign} dicts: the face of simplex col without its vertex i
+    is looked up in a dict of the layer below and gets sign (-1)^i."""
+    mats = []
+    for below, layer in zip(layers, layers[1:]):
+        row = {tuple(face): r for r, face in enumerate(below)}
+        mats.append({
+            (row[tuple(s[:i]) + tuple(s[i + 1 :])], col): (-1) ** i
+            for col, s in enumerate(layer)
+            for i in range(len(s))
+        })
+    return mats
+
+
 def distances_oracle(pc: cx.PointCloud) -> np.ndarray:
     """Euclidean distances by broadcasting every coordinate at once."""
     diff = pc.points[:, None, :] - pc.points[None, :, :]

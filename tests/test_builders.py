@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import cellcomplex as cx
 from cellcomplex import builders, core, errors
 from cellcomplex.builders import rips_simplices
+from cellcomplex.persist import Filtration, FiltrationStep
 
 import helpers
 
@@ -39,6 +40,12 @@ class TestFromSimplicial:
     def test_auto_close(self):
         cc = cx.from_simplicial(range(2), [(0, 1)], auto_close=True)
         assert [len(layer) for layer in cc.cells] == [2, 1]
+
+    def test_no_vertex_is_a_shape_mismatch(self):
+        for auto_close in (False, True):
+            with pytest.raises(errors.ShapeMismatch,
+                               match="^a complex needs a nonempty set of 0-cells$"):
+                cx.from_simplicial([], [], auto_close=auto_close)
 
     def test_uncovered_vertex(self):
         with pytest.raises(errors.UncoveredVertex):
@@ -77,21 +84,79 @@ class TestPointCloudDistances:
         assert np.array_equal(cloud.distances(), helpers.distances_oracle(cloud))
 
 
-@settings(max_examples=200)
-@given(data=st.data(), width=st.integers(1, 4))
-def test_match_rows_finds_equal_rows(data, width):
-    # Values near the int64 limits: a key built from a row would overflow.
-    value = st.sampled_from([-(2**63), -(2**62), -1, 0, 1, 2, 2**62, 2**63 - 1])
-    row = st.tuples(*[value] * width)
-    table = data.draw(st.lists(row, max_size=12))
-    queries = data.draw(st.lists(st.one_of(row, st.sampled_from(table or [(0,) * width])),
-                                 max_size=12))
-    shape = lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), width)  # noqa: E731
-    hits = builders._match_rows(shape(table), shape(queries))
-    first = {}
-    for i, r in enumerate(table):
-        first.setdefault(r, i)
-    assert hits.tolist() == [first.get(q, -1) for q in queries]
+class TestSimplexBoundaries:
+    """_simplex_boundaries against a dict lookup of every face, on layers
+    drawn through each of its callers."""
+
+    @staticmethod
+    def assert_matches_the_oracle(layers, mats):
+        layers = [[tuple(s) for s in layer] for layer in layers]
+        assert [b.shape for b in mats] == [(len(a), len(b)) for a, b in zip(layers, layers[1:])]
+        got = [{(r, c): s for r, c, s in b.entries} for b in mats]
+        assert got == helpers.simplex_boundary_oracle(layers)
+
+    @staticmethod
+    def via_from_simplicial(n, simplices):
+        cc = cx.from_simplicial(range(n), [*simplices, *[(v,) for v in range(n)]],
+                                auto_close=True)
+        layers = [[tuple(map(int, label.split("-"))) for label in layer] for layer in cc.cells]
+        return layers, cc.boundaries
+
+    @staticmethod
+    def via_from_steps(levels, ids):
+        """Filtration.from_steps of the Rips levels with vertex v renamed ids[v]."""
+        keys = sorted((d, len(s) - 1, tuple(sorted(ids[v] for v in s)))
+                      for s, d in helpers.rips_listed(levels))
+        filtration = Filtration.from_steps([FiltrationStep(*key) for key in keys])
+        rank = {v: i for i, v in enumerate(sorted(ids))}
+        layers = [sorted(tuple(rank[v] for v in s) for _, dim, s in keys if dim == k)
+                  for k in range(len(levels))]
+        return layers, filtration.boundaries
+
+    def assert_every_caller_matches(self, levels, ids):
+        self.assert_matches_the_oracle(
+            [v for v, _ in levels], builders._simplex_boundaries([v for v, _ in levels]))
+        self.assert_matches_the_oracle(
+            *self.via_from_simplicial(len(ids), [s for s, _ in helpers.rips_listed(levels)]))
+        self.assert_matches_the_oracle(*self.via_from_steps(levels, ids))
+
+    @settings(max_examples=150)
+    @given(cloud=helpers.clouds(), eps=helpers.scales(), max_dim=st.integers(0, 3),
+           data=st.data())
+    def test_rips_layers_through_every_caller(self, cloud, eps, max_dim, data):
+        ids = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=len(cloud),
+                                 max_size=len(cloud), unique=True))
+        self.assert_every_caller_matches(rips_simplices(cloud, eps, max_dim), ids)
+
+    @settings(max_examples=100)
+    @given(n=st.integers(1, 300), data=st.data())
+    def test_from_simplicial_closes_any_simplex_set(self, n, data):
+        vertex = st.integers(0, n - 1)
+        simplices = data.draw(st.lists(st.sets(vertex, min_size=1, max_size=4), max_size=20))
+        self.assert_matches_the_oracle(*self.via_from_simplicial(n, simplices))
+
+    def test_more_than_256_vertices(self):
+        # Vertex ids above 255 fill more than the last byte of a face's key.
+        cloud = cx.PointCloud(np.random.default_rng(7).uniform(size=(300, 2)))
+        levels = rips_simplices(cloud, 0.1, 3)
+        assert len(levels) == 4
+        assert all(vertices.max() > 256 for vertices, _ in levels)
+        ids = [1000 * (v % 7) + v for v in range(300)]  # not in the vertices' order
+        self.assert_every_caller_matches(levels, ids)
+
+    @settings(max_examples=100)
+    @given(cloud=helpers.clouds().filter(lambda cloud: len(cloud) > 1),
+           max_dim=st.integers(1, 3), data=st.data())
+    def test_a_missing_face_raises(self, cloud, max_dim, data):
+        # Every simplex of a complete complex is a face of one above it.
+        layers = [vertices for vertices, _ in rips_simplices(cloud, math.inf, max_dim)]
+        k = data.draw(st.integers(1, len(layers) - 1))
+        below = layers[k - 1]
+        drop = len(below) - 1 if k == 1 else data.draw(st.integers(0, len(below) - 1))
+        layers[k - 1] = np.delete(below, drop, axis=0)
+        missing = "-1" if k > 1 else str(drop)  # the last vertex's row lies outside B_1
+        with pytest.raises(errors.ShapeMismatch, match=rf"^entry \({missing}, \d+\) outside"):
+            builders._simplex_boundaries(layers)
 
 
 class TestVietorisRips:
@@ -474,6 +539,14 @@ class TestSpanningTreeLifting:
         cc = cx.spanning_tree_lifting(ring)
         assert cc.n_cells(2) == 1
         assert len(cc.boundary(2).column(0)) == 4
+
+    def test_parallel_edges_get_a_plus_per_repeated_label(self):
+        b1 = cx.BoundaryMatrix(
+            2, 3, [(0, 0, -1), (1, 0, 1), (0, 1, -1), (1, 1, 1), (0, 2, 1), (1, 2, -1)])
+        graph = cx.from_boundary_matrices([["a", "b"], ["x", "y", "z"]], [b1])
+        cc = cx.spanning_tree_lifting(graph)
+        assert cc.cells[2] == ("a-b", "a-b+")
+        assert cc.boundary(2).entries == ((0, 0, -1), (1, 0, 1), (0, 1, 1), (2, 1, 1))
 
     def test_toy_graph_fills_cycle_space(self, toy_graph):
         cc = cx.spanning_tree_lifting(toy_graph)

@@ -190,6 +190,10 @@ class TestFromBoundaryMatrices:
 
 
 class TestFromTuples:
+    def test_a_polygon_given_twice_is_a_duplicate_label(self):
+        with pytest.raises(errors.DuplicateLabel, match="duplicate 2-cell label '0-1-2'"):
+            cx.from_tuples(range(3), [(0, 1), (1, 2), (2, 0)], [(0, 1, 2), (1, 2, 0)])
+
     def test_reproduces_toy_matrices(self, toy):
         assert np.array_equal(toy.boundary(1).to_dense(), helpers.TOY_B1)
         assert np.array_equal(toy.boundary(2).to_dense(), helpers.TOY_B2)

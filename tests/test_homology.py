@@ -159,6 +159,19 @@ class TestHomologous:
         with pytest.raises(errors.NotACycle):
             cx.homologous(toy_minus, not_cycle, zero)
 
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize("k, values", [
+        (1, [1, 1, 1, np.nan]), (1, [np.nan, 0, 0, 0]), (1, [np.inf, 0, 0, 0]),
+        (1, [1, 1, 1, -np.inf]), (0, [np.nan, 0, 0, 0]), (0, [0, 0, np.inf, 0]),
+    ])
+    def test_non_finite_chain_rejected(self, k, values, first):
+        # Every comparison with NaN is False, so no residual test can catch it.
+        cc = cx.from_tuples([0, 1, 2, 3], [(0, 1), (1, 2), (2, 0), (2, 3)], [(0, 1, 2)])
+        chain, zero = cx.ChainVector(k, values), cx.ChainVector(k, np.zeros(4))
+        name = "first" if first else "second"
+        with pytest.raises(errors.NotACycle, match=f"^{name} chain has a value that is not"):
+            cx.homologous(cc, *((chain, zero) if first else (zero, chain)))
+
     def test_cycle_check_is_sparse(self, toy_minus, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the cycle check built a dense boundary")

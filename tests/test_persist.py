@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,12 @@ class TestVrFiltration:
             Filtration((edge,), np.zeros(2))
         with pytest.raises(ValueError, match="one row per column of B_"):
             Filtration((edge, cx.BoundaryMatrix(2, 1, ())), np.zeros(4))
+
+    @pytest.mark.parametrize("births, shape", [([[0.0]], "(1, 1)"), (np.zeros((2, 1)), "(2, 1)")])
+    def test_births_of_the_wrong_shape_are_named_by_shape(self, births, shape):
+        message = f"need one birth each, got {len(births)} in shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Filtration((), births)
 
     def test_steps_read_the_columns(self):
         filtration = cx.vr_filtration(SQUARE, 2.0, 2)

@@ -88,6 +88,20 @@ def test_rejects_fractional_entries():
         smith_normal_form([[0.5]])
 
 
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+def test_rejects_non_finite_entries(entry):
+    with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+        smith_normal_form([[1.0, entry]])
+
+
+@pytest.mark.parametrize("entry", [1e20, 9.3e18, -9.3e18, 2.0**62 + 2**10])
+def test_float_beyond_the_limit_names_its_value(entry):
+    # Checked before any cast, so the value named is the one given.
+    with pytest.raises(errors.IntegerOverflow, match=f"^input entry {int(entry)} exceeds"):
+        smith_normal_form([[entry]])
+    assert smith_normal_form([[2.0**62]]).diagonal == (2**62,)
+
+
 def test_result_invariants_enforced():
     with pytest.raises(ValueError):
         SnfResult((2, 3), 2)
