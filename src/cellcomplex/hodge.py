@@ -136,12 +136,12 @@ def hodge_laplacian(
         raise BadDimension(f"no Laplacian L_{k} on a {cc.dim}-complex")
     if part not in ("up", "down", "full"):
         raise ValueError(f"part must be up, down or full, got {part!r}")
-    down = dense_boundary(cc, k, weights)
-    up = dense_boundary(cc, k + 1, weights)
     result = np.zeros((cc.n_cells(k), cc.n_cells(k)))
-    if part in ("up", "full"):
+    if part != "down":
+        up = dense_boundary(cc, k + 1, weights)
         result += up @ up.T
-    if part in ("down", "full"):
+    if part != "up":
+        down = dense_boundary(cc, k, weights)
         result += down.T @ down
     return result
 
@@ -149,21 +149,17 @@ def hodge_laplacian(
 def nonsymmetric_hodge(cc: CellComplex, weights: WeightSet) -> np.ndarray:
     """Flow-rate rescaled 1-Laplacian B_1^T W_0 B_1 + W_1^{-1} B_2 W_2 B_2^T W_1^{-1}.
 
-    Not symmetric in general; for eigenvalue 0 its eigenvectors are
-    W_1^{1/2} v for harmonic eigenvectors v of the symmetric weighted
-    Laplacian.
+    Symmetric: it is W_1^{-1/2} L_1 W_1^{-1/2} for the weighted L_1 with
+    weights W_0^{-1}, W_1, W_2, so its kernel is W_1^{1/2} times the
+    harmonic space.  The up part is the weighted up part of L_1, so
+    rescaled; the down part reads W_0 itself, as 1/W_0 can overflow.
     """
     if cc.dim != 2:
         raise BadDimension("the rescaled 1-Laplacian needs a 2-dimensional complex")
-    weights.check_against(cc)
+    up = hodge_laplacian(cc, 1, "up", weights)
+    scale = 1.0 / np.sqrt(weights.vector(1))
     b1 = dense_boundary(cc, 1)
-    b2 = dense_boundary(cc, 2)
-    w0 = weights.vector(0)
-    w1_inv = 1.0 / weights.vector(1)
-    w2 = weights.vector(2)
-    down = b1.T @ (w0[:, None] * b1)
-    up = w1_inv[:, None] * (b2 @ (w2[:, None] * b2.T)) * w1_inv[None, :]
-    return down + up
+    return b1.T @ (weights.vector(0)[:, None] * b1) + scale[:, None] * up * scale[None, :]
 
 
 def normalized_rw_weights(cc: CellComplex) -> WeightSet:
@@ -205,20 +201,20 @@ def dirac_operator(cc: CellComplex, weights: WeightSet | None = None) -> np.ndar
     offsets = chain_offsets(cc)
     dirac = np.zeros((offsets[-1],) * 2, dtype=np.int64 if weights is None else float)
     for k in range(1, cc.dim + 1):
-        rows, cols, values, _ = _weighted_entries(cc, k, weights)
-        dirac[offsets[k - 1] + rows, offsets[k] + cols] = values
+        block = dense_boundary(cc, k, weights)
+        dirac[offsets[k - 1] : offsets[k], offsets[k] : offsets[k + 1]] = block
     return dirac + dirac.T
 
 
 def _check_chain(cc: CellComplex, k: int, x: ChainVector) -> np.ndarray:
+    if not 0 <= k <= cc.dim:
+        raise BadDimension(f"no Laplacian L_{k} on a {cc.dim}-complex")
     if x.dim != k:
         raise BadDimension(f"chain has dimension {x.dim}, expected {k}")
     if len(x.values) != cc.n_cells(k):
         raise ShapeMismatch(
             f"chain has {len(x.values)} values, complex has {cc.n_cells(k)} {k}-cells"
         )
-    if not 0 <= k <= cc.dim:
-        raise BadDimension(f"no Laplacian L_{k} on a {cc.dim}-complex")
     return x.values
 
 
@@ -264,6 +260,7 @@ def _image_bases(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _tagged_spectrum(
     cc: CellComplex, k: int, weights: WeightSet | None, vectors: bool
 ) -> tuple[np.ndarray, tuple[str, ...], np.ndarray, np.ndarray | None]:
@@ -294,6 +291,7 @@ class HodgeDecomposition:
     harmonic: ChainVector
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def hodge_decompose(
     cc: CellComplex,
     k: int,
@@ -472,6 +470,7 @@ def _parse(descriptor: str) -> tuple[float, ...] | float:
     return coeffs
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def spectral_filter(
     cc: CellComplex,
     k: int,

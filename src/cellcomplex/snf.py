@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -51,11 +52,11 @@ def _int_entries(matrix) -> tuple[int, int, list[tuple[int, int, int]]]:
         if array.size == 0:
             return 0, 0, []
         raise ValueError("expected a 2-d integer matrix")
-    if array.dtype.kind == "f" and not np.all(np.isfinite(array) & (array == np.round(array))):
+    values = array.tolist()
+    if not all(isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
+               for row in values for v in row):
         raise ValueError("matrix entries must be integers")
-    entries = [
-        (i, j, int(v)) for i, row in enumerate(array.tolist()) for j, v in enumerate(row) if v
-    ]
+    entries = [(i, j, int(v)) for i, row in enumerate(values) for j, v in enumerate(row) if v]
     for _, _, v in entries:
         if abs(v) > INT_LIMIT:
             raise IntegerOverflow(f"input entry {v} exceeds 64-bit range")

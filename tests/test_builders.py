@@ -416,6 +416,16 @@ class TestWindowLifting:
         assert cc.n_cells(2) == 1
         assert dict(cc.boundary(2).column(0)).keys() == {0, 1, 2, 3}
 
+    def test_window_through_a_vertex_twice_rejected(self):
+        # A triangle hung inside the square at corner 0: the window between
+        # them passes vertex 0 twice.
+        emb = cx.PlanarEmbedding(
+            [[0, 0], [4, 0], [4, 4], [0, 4], [1, 2], [2, 1]],
+            ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (0, 5)),
+        )
+        with pytest.raises(errors.NotACycleColumn, match="^window boundary is not a simple"):
+            cx.window_lifting(emb)
+
     def test_crossing_edges_rejected(self):
         with pytest.raises(errors.EdgesCross):
             cx.PlanarEmbedding(

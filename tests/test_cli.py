@@ -120,6 +120,16 @@ class TestSignalCommands:
         )
         assert np.allclose(total, [1, 2, 3, 4, 5, 6], atol=1e-9)
 
+    @pytest.mark.parametrize("command, dim", [
+        (["decompose"], -1), (["filter", "--filter", "identity"], 7), (["spectrum"], 5),
+    ], ids=["decompose", "filter", "spectrum"])
+    def test_dimension_off_the_complex(self, capsys, tmp_path, toy_file, command, dim):
+        argv = [command[0], toy_file, "--dim", str(dim), *command[1:]]
+        if command[0] != "spectrum":
+            argv += ["--signal", self.write_signal(tmp_path, [1, 2, 3, 4, 5, 6])]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: no Laplacian L_{dim} on a 2-complex\n")
+
     def test_filter_identity_round_trips(self, capsys, tmp_path, toy_file):
         signal = self.write_signal(tmp_path, [1, -1, 0.5, 2, 0, 3])
         code, out, _ = run(
@@ -247,6 +257,17 @@ class TestLiftCommands:
         code, out, err = run(capsys, "lift", lifting, str(graph), *extra)
         assert (code, out) == (1, "")
         assert err == "error: lifting expects a 1-dimensional complex\n"
+
+    def test_window_boundary_that_is_not_a_simple_cycle(self, capsys, tmp_path):
+        edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (0, 5)]
+        graph = tmp_path / "graph.json"
+        graph.write_text(io.dumps(io.complex_to_json(cx.from_tuples(range(6), edges))))
+        coords = tmp_path / "coords.csv"
+        coords.write_text("0,0\n4,0\n4,4\n0,4\n1,2\n2,1\n")
+        code, out, err = run(capsys, "lift", "window", str(graph), "--coords", str(coords))
+        assert (code, out) == (1, "")
+        assert err == ("error: window boundary is not a simple cycle: two outgoing edges "
+                       "at vertex 0 (branch or bad orientation)\n")
 
     @pytest.mark.parametrize("rows", [3, 5])
     def test_window_coordinate_rows_must_match_the_vertices(self, capsys, tmp_path, rows):

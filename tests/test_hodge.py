@@ -125,6 +125,21 @@ class TestNonsymmetricHodge:
         with pytest.raises(errors.BadDimension):
             cx.nonsymmetric_hodge(toy_graph, cx.WeightSet((np.ones(5), np.ones(6))))
 
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_formula_and_is_symmetric(self, seed):
+        rng = random.Random(seed)
+        cc = helpers.random_two_complex(rng)
+        weights = helpers.random_weights(rng, cc, WIDE)
+        w0, w1, w2 = weights.vectors
+        b1, b2 = dense(cc, 1), dense(cc, 2)
+        up = np.diag(1 / w1) @ b2 @ np.diag(w2) @ b2.T @ np.diag(1 / w1)
+        want = b1.T @ np.diag(w0) @ b1 + up
+        got = cx.nonsymmetric_hodge(cc, weights)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+        assert np.max(np.abs(got - got.T)) <= 1e-14 * scale
+
 
 class TestDenseBoundaryScatter:
     """dense_boundary against the dense weighting it replaced, bit for bit."""
@@ -216,6 +231,22 @@ class TestDirac:
 
     def test_zero_dimensional_complex(self):
         assert not cx.dirac_operator(cx.from_tuples(["v"])).any()
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans())
+    def test_blocks_are_the_dense_weighted_boundaries(self, seed, two_complex):
+        # Bit for bit, the scatter of W_{k-1}^{-1/2} B_k W_k^{1/2} into block (k-1, k).
+        rng = random.Random(seed)
+        cc = zoo_complex(rng, two_complex)
+        offsets = hodge.chain_offsets(cc)
+        for weights in (None, helpers.random_weights(rng, cc, WIDE)):
+            want = np.zeros((offsets[-1],) * 2, dtype=np.int64 if weights is None else float)
+            for k in range(1, cc.dim + 1):
+                block = helpers.dense_boundary_oracle(cc, k, weights)
+                want[offsets[k - 1] : offsets[k], offsets[k] : offsets[k + 1]] = block
+                want[offsets[k] : offsets[k + 1], offsets[k - 1] : offsets[k]] = block.T
+            got = cx.dirac_operator(cc, weights)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_weighted_square(self, toy):
         weights = helpers.random_weights(random.Random(9), toy)
@@ -630,6 +661,52 @@ class TestSpectralFilter:
         x = cx.ChainVector(1, np.zeros(6))
         with pytest.raises(errors.UnknownFilter):
             cx.spectral_filter(toy, 1, x, descriptor)
+
+
+TOY_EDGE_CHAIN = cx.ChainVector(1, np.arange(1.0, 7.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda toy, x: cx.hodge_decompose(toy, -1, x),
+    lambda toy, x: cx.spectral_filter(toy, 7, x, "identity"),
+    lambda toy, x: cx.spectral_filter(toy, 3, x, "heat:t=1"),
+    lambda toy, x: cx.quadratic_form(toy, 7, x),
+], ids=["decompose", "poly", "heat", "energy"])
+def test_a_dimension_off_the_complex_is_named_before_the_chain(toy, call):
+    with pytest.raises(errors.BadDimension, match=r"^no Laplacian L_-?\d on a 2-complex$"):
+        call(toy, TOY_EDGE_CHAIN)
+
+
+def test_a_chain_of_another_dimension_is_named(toy):
+    with pytest.raises(errors.BadDimension, match="^chain has dimension 1, expected 0$"):
+        cx.hodge_decompose(toy, 0, TOY_EDGE_CHAIN)
+
+
+class TestOverflowRaisesNonFiniteResult:
+    """Overflow ends in NonFiniteResult alone; RuntimeWarnings are errors in this suite."""
+
+    TINY_VERTICES = (np.full(5, 1e-300), np.full(6, 1e300), np.ones(2))
+
+    @pytest.mark.parametrize("call", [
+        lambda toy, w: cx.spectral_filter(toy, 1, TOY_EDGE_CHAIN, "heat:t=-1000"),
+        lambda toy, w: cx.spectral_filter(toy, 1, TOY_EDGE_CHAIN, "poly:0,1e308,1e308"),
+        lambda toy, w: cx.hodge_decompose(
+            toy, 1, cx.ChainVector(1, np.array([1e308, -1e308, 1e308, 1, 2, 3]))),
+        lambda toy, w: cx.laplacian_spectrum(toy, 1, w),
+        lambda toy, w: cx.spectral_basis(toy, 1, w),
+    ], ids=["heat", "poly", "decompose", "spectrum", "basis"])
+    def test_overflow(self, toy, call):
+        with pytest.raises(errors.NonFiniteResult):
+            call(toy, cx.WeightSet(self.TINY_VERTICES))
+
+    def test_heat_damps_the_overflowed_gradient_part(self, toy):
+        # The gradient eigenvalues overflow to inf and exp(-inf) = 0; the
+        # curl eigenvalues are near 1e-300 and keep their part.
+        out = cx.spectral_filter(toy, 1, TOY_EDGE_CHAIN, "heat:t=0.5",
+                                 cx.WeightSet(self.TINY_VERTICES))
+        split = cx.hodge_decompose(toy, 1, TOY_EDGE_CHAIN)
+        want = split.curl.values + split.harmonic.values
+        assert np.max(np.abs(out.values - want)) <= 1e-12
 
 
 class TestQuadraticForm:

@@ -94,6 +94,19 @@ def test_rejects_non_finite_entries(entry):
         smith_normal_form([[1.0, entry]])
 
 
+@pytest.mark.parametrize("matrix", [
+    [["1", 2]], [[b"1", 2]], [[None, 1]], [[1, "a"]], np.array([[1 + 0j, 2]]),
+], ids=["str", "bytes", "none", "letter", "complex"])
+def test_rejects_non_numeric_entries(matrix):
+    with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+        smith_normal_form(matrix)
+
+
+def test_object_entries_past_the_limit_still_overflow():
+    with pytest.raises(errors.IntegerOverflow, match=f"^input entry {2**70} exceeds"):
+        smith_normal_form([[2**70, 1]])
+
+
 @pytest.mark.parametrize("entry", [1e20, 9.3e18, -9.3e18, 2.0**62 + 2**10])
 def test_float_beyond_the_limit_names_its_value(entry):
     # Checked before any cast, so the value named is the one given.

@@ -70,6 +70,18 @@ class TestValidateDim2:
         report = cx.validate_dim2(graph_with_column([]))
         assert [f.condition for f in report.failures] == ["B2-cycle"]
 
+    def test_edge_without_endpoints_in_a_cycle_column(self):
+        # Triangle a-b-c plus an edge e whose B_1 column is empty: the
+        # column of t, +1 on all four edges, still has B_1 B_2 = 0.
+        b1 = BoundaryMatrix(3, 4, ((0, 0, -1), (1, 0, 1), (1, 1, -1), (2, 1, 1),
+                                   (0, 2, 1), (2, 2, -1)))
+        b2 = BoundaryMatrix(4, 1, tuple((i, 0, 1) for i in range(4)))
+        cc = cx.from_boundary_matrices([list("abc"), ["ab", "bc", "ca", "e"], ["t"]], [b1, b2])
+        report = cx.validate_dim2(cc)
+        assert [(f.condition, f.cell, f.detail) for f in report.failures] == [
+            ("B2-cycle", "2-cell t", "edge column 3 is not a (tail, head) incidence")
+        ]
+
     def test_wrong_dimension_rejected(self, toy_graph):
         with pytest.raises(errors.BadDimension):
             cx.validate_dim2(toy_graph)
