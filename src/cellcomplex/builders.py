@@ -579,7 +579,7 @@ def window_lifting(emb: PlanarEmbedding) -> CellComplex:
 def _underlying_graph(cc: CellComplex) -> list[tuple[int, int]]:
     if cc.dim != 1:
         raise BadDimension("lifting expects a 1-dimensional complex")
-    ends = _edge_endpoints(cc.boundary(1))
+    ends = _edge_endpoints(cc.boundary(1).columns())
     return [_tail_head(ends, j) for j in range(len(ends))]
 
 

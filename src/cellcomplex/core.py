@@ -480,17 +480,18 @@ def is_simple(cc: CellComplex) -> bool:
     return True
 
 
-def _edge_endpoints(b1: BoundaryMatrix) -> list[tuple[int, int] | None]:
-    """(tail, head) of every edge of B_1, in one array pass; None for a column that
-    is not one -1 and one +1, which _tail_head rejects."""
-    rows, cols, signs, _ = _entry_arrays(b1)
-    ends = np.zeros((2, b1.cols), dtype=np.int64)
-    ends[(signs + 1) // 2, cols] = rows  # tails, where -1, then heads, where +1
-    good = (np.bincount(cols, minlength=b1.cols) == 2) & (np.bincount(cols, signs, b1.cols) == 0)
-    pairs: list = list(zip(*ends.tolist()))
-    for j in np.flatnonzero(~good).tolist():
-        pairs[j] = None
-    return pairs
+def _edge_endpoints(columns: Iterable[Sequence]) -> list[tuple[int, int] | None]:
+    """(tail, head) of every column of (row, value) pairs, as BoundaryMatrix.columns()
+    gives them; None for a column that is not one -1 and one +1, which _tail_head
+    rejects.  The package's one test of an edge column."""
+    ends = []
+    for column in columns:
+        pair = None
+        if len(column) == 2:
+            (a, s), (b, t) = column
+            pair = (a, b) if s == -1 and t == 1 else (b, a) if s == 1 and t == -1 else None
+        ends.append(pair)
+    return ends
 
 
 def _forest_merges(n: int, pairs: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
@@ -590,7 +591,7 @@ def canonicalize_orientations(cc: CellComplex) -> CellComplex:
         raise NotSimple("canonical orientation requires a simple complex")
     if cc.dim == 0:
         return cc
-    ends = _edge_endpoints(cc.boundary(1))
+    ends = _edge_endpoints(cc.boundary(1).columns())
     pairs = [_tail_head(ends, j) for j in range(len(ends))]
     edge_flips = [j for j, (tail, head) in enumerate(pairs) if tail > head]
     mats = [cc.boundary(1).flip_columns(edge_flips)]
@@ -618,7 +619,7 @@ def to_tuples(
     vlabels = list(cc.cells[0])
     edges: list[tuple[str, str]] = []
     polygons: list[tuple[str, ...]] = []
-    ends = _edge_endpoints(cc.boundary(1)) if cc.dim >= 1 else []
+    ends = _edge_endpoints(cc.boundary(1).columns()) if cc.dim >= 1 else []
     for j in range(len(ends)):
         tail, head = _tail_head(ends, j)
         edges.append((vlabels[tail], vlabels[head]))

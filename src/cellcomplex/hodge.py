@@ -105,7 +105,9 @@ def _weighted_entries(
     values = signs.astype(float)
     if weights is not None:
         left = 1.0 / np.sqrt(weights.vector(j - 1))
-        values = left[rows] * values * np.sqrt(weights.vector(j))[cols]
+        with np.errstate(over="ignore"):
+            values = left[rows] * values * np.sqrt(weights.vector(j))[cols]
+        _finite(values, f"the weighted B_{j}")
     return rows, cols, values, shape
 
 
@@ -125,6 +127,7 @@ def boundary_rank(cc: CellComplex, k: int) -> int:
     return smith_normal_form(cc.boundary(k)).rank if 1 <= k <= cc.dim else 0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def hodge_laplacian(
     cc: CellComplex,
     k: int,
@@ -143,9 +146,10 @@ def hodge_laplacian(
     if part != "up":
         down = dense_boundary(cc, k, weights)
         result += down.T @ down
-    return result
+    return _finite(result, f"L_{k}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def nonsymmetric_hodge(cc: CellComplex, weights: WeightSet) -> np.ndarray:
     """Flow-rate rescaled 1-Laplacian B_1^T W_0 B_1 + W_1^{-1} B_2 W_2 B_2^T W_1^{-1}.
 
@@ -159,7 +163,8 @@ def nonsymmetric_hodge(cc: CellComplex, weights: WeightSet) -> np.ndarray:
     up = hodge_laplacian(cc, 1, "up", weights)
     scale = 1.0 / np.sqrt(weights.vector(1))
     b1 = dense_boundary(cc, 1)
-    return b1.T @ (weights.vector(0)[:, None] * b1) + scale[:, None] * up * scale[None, :]
+    result = b1.T @ (weights.vector(0)[:, None] * b1) + scale[:, None] * up * scale[None, :]
+    return _finite(result, "the rescaled 1-Laplacian")
 
 
 def normalized_rw_weights(cc: CellComplex) -> WeightSet:
@@ -332,7 +337,7 @@ def _basis_entries(
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, 0
     b = cc.boundary(j)
-    _, pivots = _smith(b.rows, b.cols, b.entries)
+    _, pivots = _smith(b.rows, b.columns())
     b_rows, b_cols, signs, shape = _entry_arrays(b)
     basis, cell = (b_rows, b_cols) if rows else (b_cols, b_rows)
     position = np.full(shape[0 if rows else 1], -1, dtype=np.int64)
@@ -503,6 +508,7 @@ def spectral_filter(
     return ChainVector(k, _finite(filtered, "filtered chain"))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def quadratic_form(
     cc: CellComplex,
     k: int,
@@ -512,4 +518,5 @@ def quadratic_form(
     """x^T L_k x, the variation energy |B_{k+1}^T x|^2 + |B_k x|^2, from sparse products."""
     values = _check_chain(cc, k, x)
     down, up = _weighted_entries(cc, k, weights), _weighted_entries(cc, k + 1, weights)
-    return float(np.sum(_product(up, values, True) ** 2) + np.sum(_product(down, values) ** 2))
+    energy = np.sum(_product(up, values, True) ** 2) + np.sum(_product(down, values) ** 2)
+    return float(_finite(energy, "quadratic form"))

@@ -2,9 +2,9 @@
 
 The k-th homology is ker B_k modulo im B_{k+1}.  Its Betti number is a
 count of exact Smith-form ranks, and the integer torsion is the Smith
-invariant factors above 1.  Harmonic representatives are the harmonic
-vectors of hodge.spectral_basis, built without the rest of its basis.
-Cycle checks apply B_k as a sparse product.
+invariant factors above 1.  Harmonic representatives are the
+harmonic-tagged vectors of hodge.spectral_basis.  Cycle checks apply B_k
+as a sparse product.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import CellComplex, ChainVector, apply_boundary
 from .errors import BadDimension, NotACycle, ShapeMismatch
-from .hodge import _completed, _image_bases, dense_boundary
+from .hodge import dense_boundary, spectral_basis
 from .snf import smith_normal_form
 
 RESIDUAL_TOL = 1e-8
@@ -57,8 +57,8 @@ def betti_numbers(cc: CellComplex, coefficients: str = "real") -> HomologySummar
 
 def harmonic_basis(cc: CellComplex, k: int) -> list[ChainVector]:
     """Orthonormal kernel basis of L_k; its size is the k-th Betti number."""
-    images = np.hstack([basis for basis, _ in _image_bases(cc, k, None)])
-    return [ChainVector(k, v) for v in _completed(images)[:, images.shape[1] :].T]
+    basis = spectral_basis(cc, k)
+    return [ChainVector(k, v) for v, tag in zip(basis.vectors.T, basis.tags) if tag == "harmonic"]
 
 
 def _as_cycle(cc: CellComplex, chain: ChainVector, name: str) -> np.ndarray:

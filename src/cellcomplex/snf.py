@@ -1,15 +1,17 @@
 """Smith normal form over the integers by one sparse elimination.
 
-Every rank in the package comes from here.  A graph incidence matrix
-(every column one -1 and one +1, as B_1) is totally unimodular: its
-factors are 1 and its rank is the size of a spanning forest, from
-``core._forest_merges``, with no elimination.  Other matrices take unit
-pivots first (Kaczynski-Mrozek-Slusarek 1998; Dumas-Saunders-Villard
-2001): boundary matrices are +-1-sparse, so nearly every pivot is a
-unit.  Entries are tracked against a 64-bit bound; exceeding it raises
-instead of silently losing precision.  The kernel also reports a pivot
-(row, column) per factor, so that the Hodge decomposition can read a row
-basis and a column basis of a boundary off the same elimination.
+Every rank in the package comes from here, read off a matrix's columns
+as ``BoundaryMatrix.columns()`` lists them.  A graph incidence matrix
+(every column one -1 and one +1 by ``core._edge_endpoints``, as B_1) is
+totally unimodular: its factors are 1 and its rank is the size of a
+spanning forest, from ``core._forest_merges``, with no elimination.
+Other matrices take unit pivots first (Kaczynski-Mrozek-Slusarek 1998;
+Dumas-Saunders-Villard 2001): boundary matrices are +-1-sparse, so
+nearly every pivot is a unit.  Entries are tracked against a 64-bit
+bound; exceeding it raises instead of silently losing precision.  The
+kernel also reports a pivot (row, column) per factor, so that the Hodge
+decomposition can read a row basis and a column basis of a boundary off
+the same elimination.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INT_LIMIT, BoundaryMatrix, _forest_merges
+from .core import INT_LIMIT, BoundaryMatrix, _edge_endpoints, _forest_merges
 from .errors import IntegerOverflow
 
 
@@ -44,23 +45,24 @@ class SnfResult:
             raise ValueError("zeros must trail the diagonal")
 
 
-def _int_entries(matrix) -> tuple[int, int, list[tuple[int, int, int]]]:
+def _int_columns(matrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """The row count and the (row, value) lists of the columns, as BoundaryMatrix.columns()."""
     if isinstance(matrix, BoundaryMatrix):
-        return matrix.rows, matrix.cols, matrix.entries
+        return matrix.rows, matrix.columns()
     array = np.asarray(matrix)
     if array.ndim != 2:
         if array.size == 0:
-            return 0, 0, []
+            return 0, []
         raise ValueError("expected a 2-d integer matrix")
     values = array.tolist()
     if not all(isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
                for row in values for v in row):
         raise ValueError("matrix entries must be integers")
-    entries = [(i, j, int(v)) for i, row in enumerate(values) for j, v in enumerate(row) if v]
-    for _, _, v in entries:
-        if abs(v) > INT_LIMIT:
-            raise IntegerOverflow(f"input entry {v} exceeds 64-bit range")
-    return *array.shape, entries
+    big = [v for row in values for v in row if abs(v) > INT_LIMIT]
+    if big:
+        raise IntegerOverflow(f"input entry {int(big[0])} exceeds 64-bit range")
+    return len(values), [[(i, int(row[j])) for i, row in enumerate(values) if row[j]]
+                         for j in range(array.shape[1])]
 
 
 def _pivot(heap, rows, cols) -> tuple[int, int] | None:
@@ -147,28 +149,15 @@ def _eliminate(r: int, c: int, rows, cols, heap) -> int:
 
 def smith_normal_form(matrix) -> SnfResult:
     """Diagonal invariant factors of a BoundaryMatrix or 2-d integer array."""
-    n_rows, n_cols, entries = _int_entries(matrix)
-    factors, _ = _smith(n_rows, n_cols, entries)
-    return SnfResult(tuple(factors) + (0,) * (min(n_rows, n_cols) - len(factors)), len(factors))
+    n, cols = _int_columns(matrix)
+    factors, _ = _smith(n, cols)
+    return SnfResult(tuple(factors) + (0,) * (min(n, len(cols)) - len(factors)), len(factors))
 
 
-def _incidence_pairs(n_cols: int, entries) -> Iterator[tuple[int, int]] | None:
-    """(tail, head) rows of each column if every column is one -1 and one +1, else None."""
-    tail, head = [-1] * n_cols, [-1] * n_cols
-    for i, j, v in entries:
-        ends = tail if v == -1 else head if v == 1 else None
-        if ends is None or ends[j] >= 0:
-            return None
-        ends[j] = i
-    return None if -1 in tail or -1 in head else zip(tail, head)
-
-
-def _smith(
-    n_rows: int, n_cols: int, entries
-) -> tuple[list[int], list[tuple[int, int]]]:
-    """The nonzero invariant factors of (row, col, value) triplets, at most one per
-    position, and pivots (row, col) whose rows are a row basis and whose columns
-    are a column basis over the rationals.
+def _smith(n_rows: int, columns) -> tuple[list[int], list[tuple[int, int]]]:
+    """The nonzero invariant factors of the matrix whose columns are the (row, value)
+    lists ``columns``, each row once per column, and pivots (row, col) whose rows
+    are a row basis and whose columns are a column basis over the rationals.
 
     A graph incidence matrix takes its spanning forest, whose pivots are the
     (younger root, merging edge) pairs.  Otherwise every unit pivot of the
@@ -176,15 +165,15 @@ def _smith(
     pivot mixes rows and columns, so the pivots of what is left at the first one
     come from _rational_pivots.
     """
-    pairs = _incidence_pairs(n_cols, entries)
-    if pairs is not None:
-        pivots = _forest_merges(n_rows, pairs)
+    ends = _edge_endpoints(columns)
+    if None not in ends:
+        pivots = _forest_merges(n_rows, ends)
         return [1] * len(pivots), pivots
-    cols: list[dict[int, int]] = [{} for _ in range(n_cols)]
+    cols = [dict(column) for column in columns]
     rows: list[set[int]] = [set() for _ in range(n_rows)]
-    for i, j, v in entries:
-        cols[j][i] = v
-        rows[i].add(j)
+    for j, col in enumerate(cols):
+        for i in col:
+            rows[i].add(j)
     heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapq.heapify(heap)
     factors, pivots = [], []

@@ -11,11 +11,11 @@ rank identity plus all invariant factors being 1.
 
 validate_nd reads every cell's closure.  The top level is the cell's
 own column, of rank 1 with factor 1 unless it is empty.  Every lower
-level goes to the Smith kernel ``snf._smith`` as triplets; level 1 over
-valid edges is a graph incidence matrix, which the kernel ranks by its
-spanning forest without elimination.  So a 1-cell (top level only) runs
-no elimination, nor does a 2-cell over valid edges (level 1 and the
-top).
+level goes to the Smith kernel ``snf._smith`` as columns renumbered
+along the closure; level 1 over valid edges is a graph incidence
+matrix, which the kernel ranks by its spanning forest without
+elimination.  So a 1-cell (top level only) runs no elimination, nor
+does a 2-cell over valid edges (level 1 and the top).
 
 Validators report failures instead of raising; each failure carries a
 condition id from {B1-columns, cell-acyclic, cell-connected, B2-cycle}.
@@ -74,12 +74,12 @@ class ValidationReport:
 
 
 def _b1_column_failures(cc: CellComplex) -> list[Failure]:
-    """A failure for each edge without (tail, head); only those columns are read."""
-    b1 = cc.boundary(1)
+    """A failure for each column of B_1 that _edge_endpoints finds no (tail, head) in."""
+    columns = cc.boundary(1).columns()
     failures = []
-    for j, pair in enumerate(_edge_endpoints(b1)):
+    for j, pair in enumerate(_edge_endpoints(columns)):
         if pair is None:
-            signs = sorted(s for _, s in b1.column(j))
+            signs = sorted(s for _, s in columns[j])
             failures.append(
                 Failure(
                     "B1-columns",
@@ -102,7 +102,7 @@ def validate_dim2(cc: CellComplex) -> ValidationReport:
     if cc.dim != 2:
         raise BadDimension("dimension-2 validation needs a 2-dimensional complex")
     failures = []
-    ends = _edge_endpoints(cc.boundary(1))
+    ends = _edge_endpoints(cc.boundary(1).columns())
     for j, column in enumerate(cc.boundary(2).columns()):
         cell = f"2-cell {cc.cells[2][j]}"
         try:
@@ -124,8 +124,8 @@ def _level(columns: list, layers: list, k: int, l: int) -> tuple[int, ...]:
     if l == k:  # the cell's own column: one nonzero +-1 column has factor 1
         return (1,) if layers[k - 1] else ()
     position = {i: p for p, i in enumerate(layers[l - 1])}
-    entries = [(position[i], c, s) for c, j in enumerate(layers[l]) for i, s in columns[l][j]]
-    return tuple(_smith(len(layers[l - 1]), len(layers[l]), entries)[0])
+    restricted = [[(position[i], s) for i, s in columns[l][j]] for j in layers[l]]
+    return tuple(_smith(len(layers[l - 1]), restricted)[0])
 
 
 def _cell_failures(cc: CellComplex, columns: list, k: int, index: int) -> list[Failure]:

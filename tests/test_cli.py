@@ -640,6 +640,23 @@ class TestNonFiniteResults:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not caught  # a numpy warning would print to stderr outside pytest
 
+    @pytest.mark.parametrize("command", [
+        ["spectrum"],
+        ["filter", "--filter", "heat:t=1", "--signal", "SIGNAL"],
+    ], ids=["spectrum", "heat"])
+    def test_weighted_boundary_overflow_reaches_no_solver(self, capfd, tmp_path, toy_file,
+                                                           command):
+        # W_0 = 1e-320 beside W_1 = 1e308 puts inf into the weighted B_1; LAPACK
+        # would print to file descriptor 1 and the SVD would not converge.
+        weights, signal = tmp_path / "weights.json", tmp_path / "signal.json"
+        weights.write_text(json.dumps({"weights": [[1e-320] * 5, [1e308] * 6, [1.0] * 2]}))
+        signal.write_text(json.dumps({"dim": 1, "values": [1, 2, 3, 4, 5, 6]}))
+        argv = [command[0], toy_file, "--dim", "1", "--weights", str(weights)]
+        argv += [str(signal) if a == "SIGNAL" else a for a in command[1:]]
+        code, out, err = run(capfd, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: the weighted B_1 overflowed the float range\n"
+
     def test_finite_results_under_the_same_weights_pass(self, capsys, tmp_path):
         # The curl part overflows, but the decomposition and a heat filter
         # that damps it stay finite: the grid has no hole, so the filter

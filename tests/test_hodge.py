@@ -694,7 +694,14 @@ class TestOverflowRaisesNonFiniteResult:
             toy, 1, cx.ChainVector(1, np.array([1e308, -1e308, 1e308, 1, 2, 3]))),
         lambda toy, w: cx.laplacian_spectrum(toy, 1, w),
         lambda toy, w: cx.spectral_basis(toy, 1, w),
-    ], ids=["heat", "poly", "decompose", "spectrum", "basis"])
+        lambda toy, w: cx.quadratic_form(toy, 1, cx.ChainVector(1, [1e308] * 6)),
+        lambda toy, w: cx.hodge_laplacian(toy, 1, "full", w),
+        lambda toy, w: cx.dirac_operator(
+            toy, cx.WeightSet((np.full(5, 1e-320), np.full(6, 1e308), np.ones(2)))),
+        lambda toy, w: cx.nonsymmetric_hodge(
+            toy, cx.WeightSet((np.full(5, 1e308), np.ones(6), np.ones(2)))),
+    ], ids=["heat", "poly", "decompose", "spectrum", "basis", "quadratic", "laplacian",
+            "dirac", "rescaled"])
     def test_overflow(self, toy, call):
         with pytest.raises(errors.NonFiniteResult):
             call(toy, cx.WeightSet(self.TINY_VERTICES))

@@ -118,14 +118,25 @@ class TestHarmonicBasis:
             got = np.array([v.values for v in got]).T.reshape(want.shape)
             assert np.array_equal(got, want)
 
-    def test_does_not_build_the_full_spectrum(self, toy_minus, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("harmonic_basis built the full spectral basis")
+    @staticmethod
+    def assert_image_complement(cc):
+        # Bit for bit the orthonormal complement of the gradient and curl image
+        # bases, which harmonic_basis built itself before it read spectral_basis.
+        for k in range(cc.dim + 1):
+            images = np.hstack([basis for basis, _ in hodge._image_bases(cc, k, None)])
+            want = np.ascontiguousarray(hodge._completed(images)[:, images.shape[1] :].T)
+            got = np.array([v.values for v in cx.harmonic_basis(cc, k)]).reshape(want.shape)
+            assert got.tobytes() == want.tobytes()
 
-        for owner in (hodge, homology):
-            monkeypatch.setattr(owner, "spectral_basis", refuse, raising=False)
-        monkeypatch.setattr(hodge, "_tagged_spectrum", refuse)
-        assert len(cx.harmonic_basis(toy_minus, 1)) == 1
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans())
+    def test_zoo_is_the_complement_of_the_image_bases(self, seed, two_complex):
+        rng = random.Random(seed)
+        cc = helpers.random_two_complex(rng) if two_complex else helpers.random_builder_complex(rng)
+        self.assert_image_complement(cc)
+
+    def test_rp2_is_the_complement_of_the_image_bases(self):
+        self.assert_image_complement(helpers.rp2())
 
 
 class TestHomologous:

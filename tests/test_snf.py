@@ -21,6 +21,11 @@ def test_unimodular_column():
     assert result.diagonal == (1,) and result.rank == 1
 
 
+def test_non_unit_column_is_not_an_edge():
+    # Two entries summing to 0 are an edge only if they are -1 and +1.
+    assert smith_normal_form([[2], [-2]]) == SnfResult((2,), 1)
+
+
 def test_single_entry():
     assert smith_normal_form([[2]]) == SnfResult((2,), 1)
 
@@ -251,8 +256,8 @@ def assert_pivot_bases(matrix) -> list[int]:
     distinct rows and columns, and B on the pivot rows and on the pivot columns
     each reaches that rank.  Returns the factors."""
     matrix = np.asarray(matrix, dtype=np.int64).reshape(np.shape(matrix))
-    entries = [(int(i), int(j), int(matrix[i, j])) for i, j in zip(*np.nonzero(matrix))]
-    factors, pivots = snf._smith(*matrix.shape, entries)
+    columns = [[(int(i), int(v)) for i, v in enumerate(col) if v] for col in matrix.T]
+    factors, pivots = snf._smith(matrix.shape[0], columns)
     rank = helpers.rank_over_q(matrix)
     rows, cols = [r for r, _ in pivots], [c for _, c in pivots]
     assert len(set(rows)) == len(set(cols)) == len(pivots) == len(factors) == rank
