@@ -218,6 +218,8 @@ class ChainVector:
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
+        if values.ndim != 1:
+            raise ShapeMismatch(f"chain values must be one-dimensional, got shape {values.shape}")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

@@ -10,16 +10,20 @@ Every operator reads the entry arrays of core's one boundary reader
 and computes only what it returns.  Polynomial filters (identity,
 lowpass, poly:, by Horner's rule), the quadratic form and the
 random-walk weights are sparse products and counts over the entries
-(np.bincount), so they run at any size.  Spectra and heat filters read
-one split: im B_k^T and im B_{k+1}, each from a thin SVD of the taller
-side of the dense weighted boundary (scattered from the entries), sized
-by exact Smith-form ranks, never by float cutoffs, with the harmonic
-space as their complement; a spectrum takes the singular values alone.
-The decomposition takes no SVD: it projects onto the spans of the
-pivot rows of B_k and the pivot columns of B_{k+1} that the Smith
-kernel reports, by one dense solve of the rank's size and one
-refinement each, with W_k the only weight that enters.  These dense
-operators reject complexes above MAX_DENSE_CELLS cells in a dimension.
+(np.bincount), so they run at any size.  Heat filters at t >= 0 are
+Lanczos steps on the same sparse products, as many as an a-priori error
+bound asks for, short of n_k steps and of a Krylov basis larger than
+MAX_DENSE_CELLS^2 floats.  Spectra, and the heat filters that the bound
+cannot serve, read one split: im B_k^T and im B_{k+1}, each from a thin
+SVD of the taller side of the dense weighted boundary (scattered from
+the entries), sized by exact Smith-form ranks, never by float cutoffs,
+with the harmonic space as their complement; a spectrum takes the
+singular values alone.  The decomposition takes no SVD: it projects
+onto the spans of the pivot rows of B_k and the pivot columns of
+B_{k+1} that the Smith kernel reports, by one dense solve of the rank's
+size and one refinement each, with W_k the only weight that enters.
+The split and the decomposition reject complexes above MAX_DENSE_CELLS
+cells in a dimension.
 Overflow, a gradient or curl eigenvalue that underflows to 0, and
 weights too widely spread for the decomposition's solves raise
 NonFiniteResult.  Spectral output is deterministic: eigenvalues ascend,
@@ -475,6 +479,71 @@ def _parse(descriptor: str) -> tuple[float, ...] | float:
     return coeffs
 
 
+def _laplacian(down, up, v: np.ndarray) -> np.ndarray:
+    """L_k v = B_k^T B_k v + B_{k+1} B_{k+1}^T v, for the weighted B_k and B_{k+1}
+    as (rows, cols, values, shape), by sparse products."""
+    return _product(down, _product(down, v), True) + _product(up, _product(up, v, True))
+
+
+def _lanczos_steps(rho_t: float, n: int) -> int:
+    """The Lanczos step count m for exp(-tL) v with the spectrum of L in [0, 4 rho].
+
+    Hochbruck & Lubich, SIAM J. Numer. Anal. 34 (1997), Thm. 2: for |v| = 1
+    the error of m steps is at most 10 exp(-m^2 / (5 rho t)) for
+    sqrt(4 rho t) <= m <= 2 rho t, and 10 / (rho t) exp(-rho t) (e rho t / m)^m
+    for m >= 2 rho t.  The least m >= sqrt(4 rho t) whose bound is at most
+    the unit roundoff, or n when no m below n is (and when rho t overflowed).
+    """
+    if not rho_t:
+        return min(1, n)  # t L = 0: one step is exact
+    start = math.sqrt(4 * rho_t)
+    if not start < n:  # also where rho t overflowed
+        return n
+    for m in range(max(1, math.ceil(start)), n):
+        if m <= 2 * rho_t:
+            log_bound = math.log(10) - m * m / (5 * rho_t)
+        else:
+            log_rho_t = math.log(rho_t)
+            log_bound = math.log(10) - log_rho_t - rho_t + m * (1 + log_rho_t - math.log(m))
+        if log_bound <= -53 * math.log(2):
+            return m
+    return n
+
+
+def _lanczos_heat(
+    down, up, x: np.ndarray, t: float, steps: int, bound: float
+) -> np.ndarray:
+    """exp(-t L_k) x as |x| Q_m exp(-t T_m) e_1, from m = steps Lanczos steps on
+    the sparse L_k, each reorthogonalised in full twice (classical Gram-Schmidt).
+
+    A breakdown, a residual of norm at most 2^-53 of the spectrum bound
+    4 rho, ends the steps early: the Krylov space is then invariant and
+    exp(-t T) is exact on it.  A chain whose norm overflows raises
+    NonFiniteResult.
+    """
+    norm = _finite(np.linalg.norm(x), "filtered chain")
+    if not norm:
+        return np.zeros_like(x)
+    basis = np.zeros((steps, len(x)))
+    basis[0] = x / norm
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    for j in range(steps):
+        # float even where np.bincount saw no entries and returned int64
+        w = np.asarray(_laplacian(down, up, basis[j]), dtype=float)
+        for _ in range(2):
+            coefficients = basis[: j + 1] @ w
+            w -= coefficients @ basis[: j + 1]
+            alpha[j] += coefficients[j]
+        beta[j] = np.linalg.norm(w)
+        if j + 1 == steps or beta[j] <= bound * 2.0**-53:
+            break
+        basis[j + 1] = w / beta[j]
+    m = j + 1
+    tridiagonal = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
+    theta, vectors = np.linalg.eigh(tridiagonal)
+    return norm * ((vectors @ (np.exp(-t * theta) * vectors[0])) @ basis[:m])
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def spectral_filter(
     cc: CellComplex,
@@ -487,21 +556,33 @@ def spectral_filter(
 
     A polynomial f (identity, lowpass, poly:) is p(L_k) x exactly, by
     Horner's rule on sparse products of the weighted boundaries, with no
-    size limit.  A heat filter scales the image bases of the exact-rank
-    split, which are dense.
+    size limit.  A heat filter exp(-t L_k) x with t >= 0 is m Lanczos steps
+    on the same sparse L_k (_lanczos_heat), with m fixed before the first
+    step by an a-priori error bound at unit roundoff (_lanczos_steps) for
+    the spectrum in [0, 4 rho], where 4 rho is the Gershgorin bound
+    max_i (|B_k|^T |B_k| 1 + |B_{k+1}| |B_{k+1}|^T 1)_i.  The exact-rank
+    split of the dense image bases serves the heat filters that the bound
+    cannot, and rejects complexes above MAX_DENSE_CELLS cells in a
+    dimension: m >= n_k; a Krylov basis larger than the dense path's
+    largest array, (m + 1) n_k > MAX_DENSE_CELLS^2; a bound that overflows;
+    and t < 0, where exp(-t L_k) grows and no a-priori step count exists.
     """
     values = _check_chain(cc, k, x)
     parsed = _parse(descriptor)
+    down, up = _weighted_entries(cc, k, weights), _weighted_entries(cc, k + 1, weights)
     if isinstance(parsed, tuple):
-        down, up = _weighted_entries(cc, k, weights), _weighted_entries(cc, k + 1, weights)
-
-        def laplacian(v: np.ndarray) -> np.ndarray:
-            return _product(down, _product(down, v), True) + _product(up, _product(up, v, True))
-
         filtered = parsed[-1] * values
         for c in reversed(parsed[:-1]):
-            filtered = laplacian(filtered) + c * values
+            filtered = _laplacian(down, up, filtered) + c * values
         return ChainVector(k, _finite(filtered, "filtered chain"))
+    n = len(values)
+    if parsed >= 0:
+        absolute = [(rows, cols, np.abs(v), shape) for rows, cols, v, shape in (down, up)]
+        bound = float(np.max(_laplacian(*absolute, np.ones(n)), initial=0.0))
+        steps = _lanczos_steps(bound / 4 * parsed, n) if math.isfinite(bound) else n
+        if steps < n and (steps + 1) * n <= MAX_DENSE_CELLS**2:
+            filtered = _lanczos_heat(down, up, values, parsed, steps, bound)
+            return ChainVector(k, _finite(filtered, "filtered chain"))
     filtered = values.copy()  # exp(-t 0) = 1 on the harmonic part
     for basis, eigenvalues in _image_bases(cc, k, weights):
         filtered += basis @ ((np.exp(-parsed * eigenvalues) - 1.0) * (basis.T @ values))

@@ -3,8 +3,10 @@
 The rank oracle does exact row reduction over the rationals, fully
 independent of the Smith normal form code.  The Hodge oracles project
 by least squares onto the boundary images and filter through one eigh
-of the full Laplacian, independent of the SVD split in ``hodge``; the
-exact decomposition oracle projects by Gram-Schmidt over the rationals,
+of the full Laplacian, independent of the SVD split and the Lanczos
+steps in ``hodge``; the heat oracle sums Taylor series of sparse L_k
+matvecs in short steps, so it runs past the dense limit; the exact
+decomposition oracle projects by Gram-Schmidt over the rationals,
 at weights whose square roots are exact.  The persistence oracle is the
 textbook Z/2 column reduction of the filtration boundary matrix, read
 column by column from its B_k, and the Rips oracle tries every vertex
@@ -521,6 +523,52 @@ def filter_oracle(
         for c in reversed(parsed):
             f = f * evals + c
     return vecs @ (f * (vecs.T @ x))
+
+
+def heat_taylor_oracle(
+    cc: cx.CellComplex,
+    k: int,
+    x: np.ndarray,
+    t: float,
+    weights: cx.WeightSet | None = None,
+) -> np.ndarray:
+    """exp(-t L_k) x by scaling and squaring on sparse matvecs, with no dense matrix.
+
+    exp(-t L) = exp(-t L / s)^s, applied to x as s steps, with s = ceil(t g)
+    for g the Gershgorin bound on L_k from |B| products; each step sums the
+    Taylor series of its short exponential until a term falls below 1e-18
+    of the sum.  The weighted boundaries are read from the entry triplets.
+    """
+    sides = []
+    for j in (k, k + 1):
+        if 1 <= j <= cc.dim:
+            rows, cols, signs = np.array(cc.boundary(j).entries, dtype=np.int64).reshape(-1, 3).T
+            values = signs.astype(float)
+            if weights is not None:
+                values *= np.sqrt(weights.vector(j)[cols] / weights.vector(j - 1)[rows])
+            sides.append((rows, cols, values, cc.n_cells(j - 1), cc.n_cells(j), j == k))
+
+    def laplacian(v: np.ndarray, absolute: bool = False) -> np.ndarray:
+        out = np.zeros(len(v))
+        for rows, cols, values, m, n, down in sides:
+            values = np.abs(values) if absolute else values
+            if down:  # B_k^T B_k v
+                inner = np.bincount(rows, weights=values * v[cols], minlength=m)
+                out += np.bincount(cols, weights=values * inner[rows], minlength=n)
+            else:  # B_{k+1} B_{k+1}^T v
+                inner = np.bincount(cols, weights=values * v[rows], minlength=n)
+                out += np.bincount(rows, weights=values * inner[cols], minlength=m)
+        return out
+
+    steps = max(1, math.ceil(t * np.max(laplacian(np.ones(len(x)), True), initial=0.0)))
+    for _ in range(steps):
+        term, total, i = x, x.astype(float), 1
+        while np.max(np.abs(term), initial=0.0) > 1e-18 * np.max(np.abs(total), initial=0.0):
+            term = -t / steps / i * laplacian(term)
+            total = total + term
+            i += 1
+        x = total
+    return x
 
 
 def persistence_oracle(

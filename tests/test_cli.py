@@ -574,8 +574,10 @@ class TestInputContract:
         ('{"dim": 1, "values": [1%s]}' % ("0" * 400), None),
         ('{"dim": 1, "values": [1]}', '{"weights": [[1, true], [1]]}'),
         ('{"dim": 1, "values": [1]}', '{"weights": [[1, 1], [1%s]]}' % ("0" * 400)),
+        ('{"dim": 1, "values": [1, 2]}', None),
+        ('{"dim": 1, "values": [1]}', '{"weights": [[1, 1]]}'),
     ], ids=["chain-dim", "chain-value", "chain-nan", "chain-inf", "chain-huge-int",
-            "weight-value", "weight-huge-int"])
+            "weight-value", "weight-huge-int", "chain-length", "weight-count"])
     def test_bad_signal_or_weights_rejected(self, capsys, tmp_path, signal, weights):
         complex_path = tmp_path / "edge.json"
         complex_path.write_text(json.dumps(_edge_doc()))

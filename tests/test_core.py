@@ -273,6 +273,20 @@ class TestChainOn:
         assert str(info.value) == f"no 1-cell labelled {label!r}"
 
 
+class TestChainVector:
+    @pytest.mark.parametrize("values", [np.ones((12, 2)), np.ones((6, 1)), 3.0, [[1.0]]],
+                             ids=["columns", "one-column", "scalar", "nested"])
+    def test_values_must_be_one_dimensional(self, values):
+        with pytest.raises(errors.ShapeMismatch, match="^chain values must be one-dimensional"):
+            cx.ChainVector(1, values)
+
+    def test_values_are_a_frozen_copy(self):
+        source = np.arange(3.0)
+        chain = cx.ChainVector(0, source)
+        source[0] = 7.0
+        assert chain.values.tolist() == [0.0, 1.0, 2.0] and not chain.values.flags.writeable
+
+
 class TestEntryArrays:
     """to_dense and apply_boundary against the entry-by-entry loops, bit for bit."""
 

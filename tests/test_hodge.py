@@ -1,5 +1,6 @@
 """Hodge Laplacians, weights, Dirac operator, spectra, filters."""
 
+import contextlib
 import math
 import random
 from collections import Counter
@@ -575,8 +576,9 @@ class TestValuesOnlySpectrum:
 
 
 class TestPastTheDenseLimit:
-    """Polynomial filters and the quadratic form on a 60x60 grid, whose 3,721
-    vertices exceed MAX_DENSE_CELLS, against L_0 from the edge list."""
+    """Polynomial filters and the quadratic form on a 60x60 grid, whose 3,600
+    vertices exceed MAX_DENSE_CELLS, against L_0 from the edge list, and the
+    heat filter in every dimension against the Taylor reference."""
 
     @pytest.fixture(scope="class")
     def grid(self):
@@ -615,10 +617,137 @@ class TestPastTheDenseLimit:
         energy = float(np.sum(differences(x) ** 2))
         assert abs(cx.quadratic_form(grid, 0, chain, weights) - energy) <= 1e-12 * energy
 
-    def test_heat_stays_dense(self, grid):
-        x = cx.ChainVector(0, np.ones(grid.n_cells(0)))
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_heat_matches_the_taylor_reference(self, grid, k):
+        weights = helpers.random_weights(random.Random(k), grid, math.log(2))  # in [0.5, 2]
+        x = np.random.default_rng(k).normal(size=grid.n_cells(k))
+        out = cx.spectral_filter(grid, k, cx.ChainVector(k, x), "heat:t=2", weights).values
+        want = helpers.heat_taylor_oracle(grid, k, x, 2.0, weights)
+        assert np.max(np.abs(out - want)) <= 1e-10 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_stiff_heat_stays_dense(self, grid, k):
+        # At weights 10^+-4 the a-priori step count reaches n_k: the exact-rank split.
+        weights = helpers.random_weights(random.Random(k), grid, WIDE)
+        x = cx.ChainVector(k, np.ones(grid.n_cells(k)))
         with pytest.raises(errors.SizeLimitExceeded):
-            cx.spectral_filter(grid, 0, x, "heat:t=0.5")
+            cx.spectral_filter(grid, k, x, "heat:t=2", weights)
+
+
+@contextlib.contextmanager
+def counted_image_bases():
+    """The calls to hodge._image_bases, which only the exact-rank split makes."""
+    calls, original = [], hodge._image_bases
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hodge, "_image_bases", counted)
+        yield calls
+
+
+class TestHeatPaths:
+    """Heat by Lanczos, where the a-priori step count m is below n_k, and by the
+    exact-rank split everywhere else, against the eigh oracle."""
+
+    @staticmethod
+    def check(cc, weights, t, rng):
+        """The paths that heat:t takes on cc, after each output matched the oracle:
+        Lanczos to 1e-12 of max|x|; the split to that times max(1, t lambda_max),
+        as its eigenvectors and the oracle's move by the unit roundoff of t L_k."""
+        paths = set()
+        for k in range(cc.dim + 1):
+            x = np.array([rng.uniform(-2, 2) for _ in range(cc.n_cells(k))])
+            with counted_image_bases() as calls:
+                out = cx.spectral_filter(cc, k, cx.ChainVector(k, x), f"heat:t={t}", weights)
+            want = helpers.filter_oracle(cc, k, x, f"heat:t={t}", weights)
+            tol = 1e-12 * np.max(np.abs(x), initial=0.0)
+            if calls:
+                lap = cx.hodge_laplacian(cc, k, "full", weights)
+                tol *= max(1.0, t * np.max(np.linalg.eigvalsh(lap), initial=0.0))
+            assert np.max(np.abs(out.values - want), initial=0.0) <= tol
+            paths.add("split" if calls else "lanczos")
+        return paths
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans(),
+           spread=st.floats(0.2, 4.0), t=st.sampled_from([0.001, 0.05, 0.5, 2.0]))
+    def test_zoo_matches_the_oracle(self, seed, two_complex, spread, t):
+        # Weights 10^u, u uniform in [-spread, spread].
+        rng = random.Random(seed)
+        cc = zoo_complex(rng, two_complex)
+        self.check(cc, helpers.random_weights(rng, cc, spread * math.log(10)), t, rng)
+
+    def test_each_path_is_taken(self):
+        paths = set()
+        for seed in range(20):
+            rng = random.Random(seed)
+            cc = zoo_complex(rng, seed % 2)
+            for spread in (0.2, 4.0):
+                weights = helpers.random_weights(rng, cc, spread * math.log(10))
+                paths |= self.check(cc, weights, 0.001, rng)
+        assert paths == {"lanczos", "split"}
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e308])
+    @pytest.mark.parametrize("t, path", [(0.5, "lanczos"), (1000.0, "split")])
+    def test_non_finite_chain(self, value, t, path):
+        # On the 6x6 grid's 60 edges, t = 1000 asks for m >= 60 steps: the split.
+        grid = cx.cubical([6, 6])
+        x = np.full(60, value) if value == 1e308 else np.r_[value, np.ones(59)]
+        with counted_image_bases() as calls, pytest.raises(errors.NonFiniteResult):
+            cx.spectral_filter(grid, 1, cx.ChainVector(1, x), f"heat:t={t}")
+        assert ("split" if calls else "lanczos") == path
+
+    def test_negative_time_takes_the_split(self, toy):
+        # exp(-t L) grows for t < 0, where no a-priori step count exists.
+        x = np.linspace(-1, 1, 6)
+        with counted_image_bases() as calls:
+            out = cx.spectral_filter(toy, 1, cx.ChainVector(1, x), "heat:t=-0.5").values
+        want = helpers.filter_oracle(toy, 1, x, "heat:t=-0.5")
+        assert calls and np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_the_krylov_basis_is_capped_at_the_dense_limit(self, monkeypatch):
+        # (m + 1) n_k floats may reach MAX_DENSE_CELLS^2, the dense path's largest array.
+        grid, steps, count = cx.cubical([8, 8]), [], hodge._lanczos_steps
+        monkeypatch.setattr(hodge, "_lanczos_steps", lambda *a: steps.append(count(*a)) or steps[-1])
+        x = cx.ChainVector(1, np.ones(grid.n_cells(1)))
+        cx.spectral_filter(grid, 1, x, "heat:t=0.5")
+        cap = math.ceil(math.sqrt((steps[0] + 1) * grid.n_cells(1)))
+        monkeypatch.setattr(hodge, "MAX_DENSE_CELLS", cap)
+        with counted_image_bases() as calls:
+            cx.spectral_filter(grid, 1, x, "heat:t=0.5")
+        assert not calls
+        monkeypatch.setattr(hodge, "MAX_DENSE_CELLS", cap - 1)  # below n_1: the split refuses
+        with pytest.raises(errors.SizeLimitExceeded):
+            cx.spectral_filter(grid, 1, x, "heat:t=0.5")
+
+    def test_a_breakdown_ends_the_steps(self, monkeypatch):
+        # A constant vertex signal spans an invariant space: one product, exact.
+        products, laplacian = [], hodge._laplacian
+        monkeypatch.setattr(hodge, "_laplacian", lambda *a: products.append(a) or laplacian(*a))
+        grid = cx.cubical([8, 8])
+        for x in (np.full(64, 0.25), np.zeros(64)):
+            out = cx.spectral_filter(grid, 0, cx.ChainVector(0, x), "heat:t=2")
+            assert np.max(np.abs(out.values - x)) <= 1e-15
+        assert len(products) == 3  # the spectrum bound twice, one Lanczos step
+
+    @pytest.mark.parametrize("rho_t", [0.0, 1e-9, 0.3, 2.0, 8.0, 50.0, 400.0])
+    def test_step_count_is_the_least_with_the_bound_at_roundoff(self, rho_t):
+        def log_bound(m):  # Hochbruck & Lubich (1997), Thm. 2
+            if m <= 2 * rho_t:
+                return math.log(10) - m * m / (5 * rho_t)
+            return math.log(10 / rho_t) - rho_t + m * math.log(math.e * rho_t / m)
+
+        n = 10_000
+        m = hodge._lanczos_steps(rho_t, n)
+        if rho_t:
+            assert m >= math.sqrt(4 * rho_t) and log_bound(m) <= math.log(2.0**-53)
+            assert m - 1 < math.sqrt(4 * rho_t) or log_bound(m - 1) > math.log(2.0**-53)
+        else:
+            assert m == 1
+        assert hodge._lanczos_steps(rho_t, m) == m  # none below n_k = m
 
 
 class TestSpectralFilter:
@@ -655,7 +784,8 @@ class TestSpectralFilter:
             cx.spectral_filter(toy, 1, cx.ChainVector(1, np.ones(6)), "lowpass", short)
 
     @pytest.mark.parametrize(
-        "descriptor", ["bandpass", "heat", "heat:tau=1", "poly:", "poly:a,b", "identity:x"]
+        "descriptor",
+        ["bandpass", "heat", "heat:tau=1", "heat:t=abc", "poly:", "poly:a,b", "identity:x"],
     )
     def test_unknown_filters_rejected(self, toy, descriptor):
         x = cx.ChainVector(1, np.zeros(6))
@@ -675,6 +805,19 @@ TOY_EDGE_CHAIN = cx.ChainVector(1, np.arange(1.0, 7.0))
 def test_a_dimension_off_the_complex_is_named_before_the_chain(toy, call):
     with pytest.raises(errors.BadDimension, match=r"^no Laplacian L_-?\d on a 2-complex$"):
         call(toy, TOY_EDGE_CHAIN)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda toy: cx.WeightSet((np.ones((5, 1)), np.ones(6), np.ones(2))),
+     errors.ShapeMismatch, "weight vector 0 must be one-dimensional"),
+    (lambda toy: hodge.dense_boundary(toy, 4), errors.BadDimension,
+     "no boundary B_4 on a 2-complex"),
+    (lambda toy: cx.normalized_rw_weights(cx.cubical([3])), errors.BadDimension,
+     "random-walk weights need a 2-dimensional complex"),
+], ids=["weight-vector-2d", "dense-boundary-k", "rw-weights-dim"])
+def test_malformed_library_input_is_named(toy, call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(toy)
 
 
 def test_a_chain_of_another_dimension_is_named(toy):
