@@ -12,9 +12,10 @@ lowpass, poly:, by Horner's rule), the quadratic form and the
 random-walk weights are sparse products and counts over the entries
 (np.bincount), so they run at any size.  Heat filters at t >= 0 are
 Lanczos steps on the same sparse products, as many as an a-priori error
-bound asks for, short of n_k steps and of a Krylov basis larger than
-MAX_DENSE_CELLS^2 floats.  Spectra, and the heat filters that the bound
-cannot serve, read one split: im B_k^T and im B_{k+1}, each from a thin
+bound asks for, short of n_k steps, of a Krylov basis larger than
+MAX_DENSE_CELLS^2 floats, and of a reorthogonalisation costlier than the
+split's SVDs.  Spectra, and the heat filters that Lanczos does not
+serve, read one split: im B_k^T and im B_{k+1}, each from a thin
 SVD of the taller side of the dense weighted boundary (scattered from
 the entries), sized by exact Smith-form ranks, never by float cutoffs,
 with the harmonic space as their complement; a spectrum takes the
@@ -485,21 +486,22 @@ def _laplacian(down, up, v: np.ndarray) -> np.ndarray:
     return _product(down, _product(down, v), True) + _product(up, _product(up, v, True))
 
 
-def _lanczos_steps(rho_t: float, n: int) -> int:
+def _lanczos_steps(rho_t: float, limit: int) -> int:
     """The Lanczos step count m for exp(-tL) v with the spectrum of L in [0, 4 rho].
 
     Hochbruck & Lubich, SIAM J. Numer. Anal. 34 (1997), Thm. 2: for |v| = 1
     the error of m steps is at most 10 exp(-m^2 / (5 rho t)) for
     sqrt(4 rho t) <= m <= 2 rho t, and 10 / (rho t) exp(-rho t) (e rho t / m)^m
     for m >= 2 rho t.  The least m >= sqrt(4 rho t) whose bound is at most
-    the unit roundoff, or n when no m below n is (and when rho t overflowed).
+    the unit roundoff, or limit when no m below it is (and when rho t is
+    inf or NaN).
     """
     if not rho_t:
-        return min(1, n)  # t L = 0: one step is exact
+        return min(1, limit)  # t L = 0: one step is exact
     start = math.sqrt(4 * rho_t)
-    if not start < n:  # also where rho t overflowed
-        return n
-    for m in range(max(1, math.ceil(start)), n):
+    if not start < limit:  # also where rho t is inf or NaN
+        return limit
+    for m in range(max(1, math.ceil(start)), limit):
         if m <= 2 * rho_t:
             log_bound = math.log(10) - m * m / (5 * rho_t)
         else:
@@ -507,7 +509,7 @@ def _lanczos_steps(rho_t: float, n: int) -> int:
             log_bound = math.log(10) - log_rho_t - rho_t + m * (1 + log_rho_t - math.log(m))
         if log_bound <= -53 * math.log(2):
             return m
-    return n
+    return limit
 
 
 def _lanczos_heat(
@@ -518,12 +520,15 @@ def _lanczos_heat(
 
     A breakdown, a residual of norm at most 2^-53 of the spectrum bound
     4 rho, ends the steps early: the Krylov space is then invariant and
-    exp(-t T) is exact on it.  A chain whose norm overflows raises
-    NonFiniteResult.
+    exp(-t T) is exact on it.  The steps run on x / max|x|, whose norm
+    neither under- nor overflows, and the result is scaled back; a chain
+    holding NaN or inf raises NonFiniteResult.
     """
-    norm = _finite(np.linalg.norm(x), "filtered chain")
-    if not norm:
+    scale = _finite(np.max(np.abs(x), initial=0.0), "filtered chain")
+    if not scale:
         return np.zeros_like(x)
+    x = x / scale
+    norm = np.linalg.norm(x)
     basis = np.zeros((steps, len(x)))
     basis[0] = x / norm
     alpha, beta = np.zeros(steps), np.zeros(steps)
@@ -541,7 +546,7 @@ def _lanczos_heat(
     m = j + 1
     tridiagonal = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
     theta, vectors = np.linalg.eigh(tridiagonal)
-    return norm * ((vectors @ (np.exp(-t * theta) * vectors[0])) @ basis[:m])
+    return scale * (norm * ((vectors @ (np.exp(-t * theta) * vectors[0])) @ basis[:m]))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -561,11 +566,14 @@ def spectral_filter(
     step by an a-priori error bound at unit roundoff (_lanczos_steps) for
     the spectrum in [0, 4 rho], where 4 rho is the Gershgorin bound
     max_i (|B_k|^T |B_k| 1 + |B_{k+1}| |B_{k+1}|^T 1)_i.  The exact-rank
-    split of the dense image bases serves the heat filters that the bound
-    cannot, and rejects complexes above MAX_DENSE_CELLS cells in a
+    split of the dense image bases serves the heat filters that Lanczos
+    should not, and rejects complexes above MAX_DENSE_CELLS cells in a
     dimension: m >= n_k; a Krylov basis larger than the dense path's
-    largest array, (m + 1) n_k > MAX_DENSE_CELLS^2; a bound that overflows;
-    and t < 0, where exp(-t L_k) grows and no a-priori step count exists.
+    largest array, (m + 1) n_k > MAX_DENSE_CELLS^2; 2 m^2 n_k, the work of
+    the full reorthogonalisation, above the sum of r c min(r, c) over the
+    two weighted boundaries (r x c), the work of the split's thin SVDs; a
+    bound that overflows; and t < 0, where exp(-t L_k) grows and no
+    a-priori step count exists.
     """
     values = _check_chain(cc, k, x)
     parsed = _parse(descriptor)
@@ -579,8 +587,12 @@ def spectral_filter(
     if parsed >= 0:
         absolute = [(rows, cols, np.abs(v), shape) for rows, cols, v, shape in (down, up)]
         bound = float(np.max(_laplacian(*absolute, np.ones(n)), initial=0.0))
-        steps = _lanczos_steps(bound / 4 * parsed, n) if math.isfinite(bound) else n
-        if steps < n and (steps + 1) * n <= MAX_DENSE_CELLS**2:
+        # Lanczos for m < limit: (m + 1) n <= MAX_DENSE_CELLS^2, and 2 m^2 n, the
+        # reorthogonalisation's work, below the split's thin SVDs, r c min(r, c) each
+        split_work = sum(r * c * min(r, c) for *_, (r, c) in (down, up))
+        limit = min(n, MAX_DENSE_CELLS**2 // n, math.isqrt(split_work // (2 * n)))
+        steps = _lanczos_steps(bound / 4 * parsed, limit)
+        if steps < limit:
             filtered = _lanczos_heat(down, up, values, parsed, steps, bound)
             return ChainVector(k, _finite(filtered, "filtered chain"))
     filtered = values.copy()  # exp(-t 0) = 1 on the harmonic part

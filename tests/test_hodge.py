@@ -690,15 +690,26 @@ class TestHeatPaths:
                 paths |= self.check(cc, weights, 0.001, rng)
         assert paths == {"lanczos", "split"}
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e308])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("t, path", [(0.5, "lanczos"), (1000.0, "split")])
     def test_non_finite_chain(self, value, t, path):
         # On the 6x6 grid's 60 edges, t = 1000 asks for m >= 60 steps: the split.
         grid = cx.cubical([6, 6])
-        x = np.full(60, value) if value == 1e308 else np.r_[value, np.ones(59)]
+        x = np.r_[value, np.ones(59)]
         with counted_image_bases() as calls, pytest.raises(errors.NonFiniteResult):
             cx.spectral_filter(grid, 1, cx.ChainVector(1, x), f"heat:t={t}")
         assert ("split" if calls else "lanczos") == path
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e308])
+    def test_extreme_chains_scale_through(self, scale):
+        # Lanczos runs on x / max|x|, whose 2-norm neither underflows nor overflows.
+        grid = cx.cubical([6, 6])
+        x = np.random.default_rng(0).normal(size=60)
+        x /= np.max(np.abs(x))
+        want = cx.spectral_filter(grid, 1, cx.ChainVector(1, x), "heat:t=0.5").values
+        with counted_image_bases() as calls:
+            out = cx.spectral_filter(grid, 1, cx.ChainVector(1, scale * x), "heat:t=0.5").values
+        assert not calls and np.max(np.abs(out - scale * want)) <= 1e-12 * scale
 
     def test_negative_time_takes_the_split(self, toy):
         # exp(-t L) grows for t < 0, where no a-priori step count exists.
@@ -722,6 +733,22 @@ class TestHeatPaths:
         monkeypatch.setattr(hodge, "MAX_DENSE_CELLS", cap - 1)  # below n_1: the split refuses
         with pytest.raises(errors.SizeLimitExceeded):
             cx.spectral_filter(grid, 1, x, "heat:t=0.5")
+
+    @pytest.mark.parametrize("t, path", [(20.0, "lanczos"), (40.0, "split")])
+    def test_the_split_serves_where_its_svds_cost_less(self, monkeypatch, t, path):
+        # On cubical([12, 12]) at k = 1, 2 m^2 n_1 <= n_1 (n_0^2 + n_2^2) for
+        # m <= 132 of n_1 = 264: t = 20 asks for 125 steps, t = 40 for 177.
+        grid, seen, count = cx.cubical([12, 12]), [], hodge._lanczos_steps
+        monkeypatch.setattr(hodge, "_lanczos_steps", lambda *a: seen.append(a) or count(*a))
+        x = np.linspace(-1, 1, 264)
+        with counted_image_bases() as calls:
+            out = cx.spectral_filter(grid, 1, cx.ChainVector(1, x), f"heat:t={t}").values
+        (rho_t, limit), = seen
+        assert limit == 132 and count(rho_t, 264) < 264
+        assert ("split" if calls else "lanczos") == path
+        want = helpers.filter_oracle(grid, 1, x, f"heat:t={t}")
+        tol = 1e-12 * (t * 16 if calls else 1.0)  # as in check, with lambda_max <= 16
+        assert np.max(np.abs(out - want)) <= tol
 
     def test_a_breakdown_ends_the_steps(self, monkeypatch):
         # A constant vertex signal spans an invariant space: one product, exact.
