@@ -10,6 +10,7 @@ cycles.  Liftings that find no cycles return the 1-complex unchanged.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -171,11 +172,18 @@ def _simplex_boundaries(layers: Sequence[np.ndarray]) -> list[BoundaryMatrix]:
     every vertex in order, so a vertex's row is its id.  The face
     omitting position i gets boundary sign (-1)^i.  Each face of a
     k-simplex, k >= 2, is found by one binary search of the layer
-    below, and the row found is compared with the face: a face missing
-    from that layer becomes row -1, which the BoundaryMatrix constructor
-    rejects with ShapeMismatch (IndexError if that layer is empty).  An
-    edge's vertex outside layer 0 is a row outside B_1, rejected alike.
+    below on the int64 keys of _row_keys, and the key found is compared
+    with the face's: a face missing from that layer becomes row -1,
+    which the BoundaryMatrix constructor rejects with ShapeMismatch
+    (IndexError if that layer is empty).  An edge's vertex outside
+    layer 0 is a row outside B_1, rejected alike.  The faces are searched
+    facet by facet, where the keys come nearly sorted and the search runs
+    fastest, and handed to the constructor column by column, in (col, row)
+    order, so its sort finds them sorted: a column lists its facets from
+    the one omitting the last vertex to the one omitting the first, whose
+    rows increase in the lexicographic layer below.
     """
+    n = len(layers[0]) if layers else 0
     mats = []
     for k in range(1, len(layers)):
         m = len(layers[k])
@@ -183,11 +191,12 @@ def _simplex_boundaries(layers: Sequence[np.ndarray]) -> list[BoundaryMatrix]:
         if k == 1:
             rows = faces[:, 0]
         else:
-            below, wanted = _row_keys(layers[k - 1]), _row_keys(faces)
+            below, wanted = _row_keys(layers[k - 1], n), _row_keys(faces, n)
             rows = np.searchsorted(below, wanted)
             rows[below.take(rows, mode="clip") != wanted] = -1
-        cols = np.tile(np.arange(m), k + 1)
-        signs = np.repeat([(-1) ** (k - j) for j in range(k + 1)], m)
+        rows = rows.reshape(k + 1, m).T.ravel()  # from facet by facet to (col, row) order
+        cols = np.repeat(np.arange(m), k + 1)
+        signs = np.tile([(-1) ** (k - j) for j in range(k + 1)], m)
         mats.append(BoundaryMatrix(len(layers[k - 1]), m, np.column_stack((rows, cols, signs))))
     return mats
 
@@ -200,10 +209,28 @@ def _facets(simplices: np.ndarray) -> np.ndarray:
     return simplices[:, keep].transpose(1, 0, 2).reshape(size * m, size - 1)
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row of non-negative ints, ordered as the rows are
-    lexicographically: the row's big-endian int64 bytes, compared as bytes."""
-    return np.ascontiguousarray(rows, dtype=">i8").view(f"V{8 * rows.shape[1]}").ravel()
+def _row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """One key per row of t increasing vertex ids below n, ordered as the rows
+    are lexicographically.
+
+    While C(n, t) < 2^63 the key is the int64 -sum_i C(n - 1 - v_i, t - i)
+    (Bauer 2021, Ripser: the combinatorial number system, Knuth TAOCP
+    7.2.1.3).  Column j of the table is C(x, j) for x below n, the running
+    sum of column j - 1; its entries past the ones an increasing row
+    reaches may wrap, and none is read.  Past the bound, a vertex count
+    that sparse simplicial input can reach, the key is the row's big-endian
+    int64 bytes, compared as bytes.
+    """
+    t = rows.shape[1]
+    if math.comb(n, t) >= 2**63:
+        return np.ascontiguousarray(rows, dtype=">i8").view(f"V{8 * t}").ravel()
+    key = np.zeros(len(rows), dtype=np.int64)
+    comb = np.arange(n, dtype=np.int64)  # C(x, 1)
+    for j in range(1, t + 1):
+        key -= comb[n - 1 - rows[:, t - j]]
+        comb[1:] = np.cumsum(comb[:-1])  # C(x, j + 1) = sum over y < x of C(y, j)
+        comb[0] = 0
+    return key
 
 
 def rips_simplices(

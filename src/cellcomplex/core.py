@@ -5,9 +5,11 @@ lists together with signed sparse boundary matrices B_1..B_n.  Entries
 of B_k live in {-1, +1}: column j lists the (k-1)-cells bounding the
 j-th k-cell, with the sign recording whether reference orientations
 agree.  Every layer reads the one layout of BoundaryMatrix: read-only
-CSC arrays (indptr, indices, signs), sorted and checked by numpy, so a
-column costs its length.  Everything here is immutable; operations
-return new values.
+CSC arrays (indptr, indices, signs), checked by numpy and sorted by the
+one int64 key col * rows + row, so a column costs its length and input
+already in (col, row) order sorts almost free.  The exactness product
+orders its terms by the same key.  Everything here is immutable;
+operations return new values.
 """
 
 from __future__ import annotations
@@ -52,7 +54,11 @@ class BoundaryMatrix:
     triplets in any order, as a sequence or an (n, 3) array, and rejects
     the first entry in (col, row) order whose indices are not integers
     inside the shape, whose sign is not the integer +-1 or that repeats a
-    position.  Equality is by value.
+    position.  Bounds and signs are checked on the triplets as given,
+    then _entry_order sorts them, and a repeat is a neighbour at the same
+    position; any fault goes to _reject_entry for its message.  Triplets
+    already in (col, row) order, as the simplicial builders and the io
+    documents give them, cost the sort least.  Equality is by value.
     """
 
     rows: int
@@ -71,12 +77,12 @@ class BoundaryMatrix:
             raise ValueError("boundary entries must be (row, col, sign) triplets")
         if given.dtype.kind not in "bi":  # floats, strings, unsigned, ints beyond int64
             _reject_entry(rows, cols, entries)
-        given = given.astype(np.int64, copy=False)
-        order = np.lexsort((given[:, 0], given[:, 1]))
-        r, c, s = given[order].T.copy()
-        bad = (r < 0) | (r >= rows) | (c < 0) | (c >= cols) | (np.abs(s) != 1)
-        bad[1:] |= (r[1:] == r[:-1]) & (c[1:] == c[:-1])
-        if bad.any():
+        r, c, s = given.astype(np.int64, copy=False).T
+        if ((r < 0) | (r >= rows) | (c < 0) | (c >= cols) | (np.abs(s) != 1)).any():
+            _reject_entry(rows, cols, entries)
+        order = _entry_order(r, c, rows, cols)
+        r, c, s = r[order], c[order], s[order]
+        if ((r[1:] == r[:-1]) & (c[1:] == c[:-1])).any():
             _reject_entry(rows, cols, entries)
         indptr = np.searchsorted(c, np.arange(cols + 1))
         indptr.flags.writeable = r.flags.writeable = s.flags.writeable = False
@@ -157,6 +163,17 @@ def _reject_entry(rows: int, cols: int, triplets) -> None:
         last = (i, j)
 
 
+def _entry_order(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """The permutation that puts entries inside an n_rows x n_cols shape in (col, row)
+    order: np.argsort of the one int64 key col * n_rows + row, which is exact while
+    n_rows * n_cols < 2^63 (tested on Python ints; n_cols 0 counts as 1, as it holds
+    no entry), and np.lexsort of the two keys past that bound, a shape whose index
+    range no in-memory complex fills.  Input already in order sorts almost free."""
+    if int(n_rows) * max(int(n_cols), 1) < 2**63:
+        return np.argsort(cols * n_rows + rows)
+    return np.lexsort((rows, cols))
+
+
 def _entry_arrays(b: BoundaryMatrix):
     """Rows, columns and signs (int64 arrays, in stored order) and the shape of B,
     for every numeric reader; the column index is derived from indptr."""
@@ -196,7 +213,7 @@ def integer_product(a: BoundaryMatrix, b: BoundaryMatrix) -> dict[tuple[int, int
         raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
     at, owner = _gather(a.indptr, b.indices)
     rows, cols = a.indices[at], _entry_arrays(b)[1][owner]
-    order = np.lexsort((rows, cols))
+    order = _entry_order(rows, cols, a.rows, b.cols)
     rows, cols = rows[order], cols[order]
     new = np.ones(rows.size, dtype=bool)
     new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])

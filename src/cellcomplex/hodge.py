@@ -595,10 +595,15 @@ def spectral_filter(
         if steps < limit:
             filtered = _lanczos_heat(down, up, values, parsed, steps, bound)
             return ChainVector(k, _finite(filtered, "filtered chain"))
-    filtered = values.copy()  # exp(-t 0) = 1 on the harmonic part
+    # The split runs on x over the power of two at or below max|x|, so no product
+    # of the bases with the chain overflows, and in-range results keep every bit;
+    # NaN and inf chains (scale 0.5) reach the final check.
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(values), initial=0.0))[1] - 1)
+    x = values / scale
+    filtered = x.copy()  # exp(-t 0) = 1 on the harmonic part
     for basis, eigenvalues in _image_bases(cc, k, weights):
-        filtered += basis @ ((np.exp(-parsed * eigenvalues) - 1.0) * (basis.T @ values))
-    return ChainVector(k, _finite(filtered, "filtered chain"))
+        filtered += basis @ ((np.exp(-parsed * eigenvalues) - 1.0) * (basis.T @ x))
+    return ChainVector(k, _finite(scale * filtered, "filtered chain"))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -28,8 +28,10 @@ HUGE = (2**70, -(2**70), 2**63, -(2**63) - 1)
 
 @st.composite
 def triplet_lists(draw):
-    """(rows, cols, triplets): a valid sign pattern in any order, plus up to
-    three planted faults (out of shape, bad sign, repeat, beyond int64)."""
+    """(rows, cols, triplets): a valid sign pattern in any order, or in (col, row)
+    order as _simplex_boundaries hands it over, plus up to three planted faults
+    (out of shape, bad sign, repeat, beyond int64), which the ordered draws
+    keep in order."""
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     cells = [(i, j) for i in range(rows) for j in range(cols)]
     chosen = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
@@ -49,6 +51,8 @@ def triplet_lists(draw):
             i, j, s = [draw(st.sampled_from(HUGE)) if k == slot else v
                        for k, v in enumerate((i, j, s))]
         entries.insert(draw(st.integers(0, len(entries))), (i, j, s))
+    if draw(st.booleans()):
+        entries.sort(key=lambda e: (e[1], e[0]))
     return rows, cols, entries
 
 
@@ -122,6 +126,31 @@ class TestConstructor:
         assert BoundaryMatrix(2, 1, np.array([(1, 0, 1), (0, 0, -1)], dtype=object)) == m
         assert BoundaryMatrix(2, 1, np.array([[1, 0, 1]], dtype=np.uint8)).entries == ((1, 0, 1),)
         assert BoundaryMatrix(2, 1, []) == BoundaryMatrix(2, 1, np.empty((0, 3)))
+
+    @settings(max_examples=100)
+    @given(data=st.data(), shape=st.sampled_from([(2**62 - 1, 2), (2**62, 2), (2**62, 3)]))
+    def test_shapes_at_the_sort_key_bound(self, data, shape):
+        # The one key col * rows + row is exact while rows * cols < 2^63; past
+        # that the entries sort by two keys.  Both give the oracle's order and errors.
+        rows, cols = shape
+        row = st.sampled_from((0, 1, 2**40, rows - 2, rows - 1))
+        cells = data.draw(st.lists(st.tuples(row, st.integers(0, cols - 1)), unique=True))
+        entries = [(i, j, data.draw(st.sampled_from((-1, 1)))) for i, j in cells]
+        for fault in data.draw(st.lists(st.sampled_from(("shape", "repeat")), max_size=2)):
+            i, j = (rows, 0) if fault == "shape" or not entries else data.draw(
+                st.sampled_from(entries))[:2]
+            entries.insert(data.draw(st.integers(0, len(entries))), (i, j, 1))
+        want = raised(helpers.sorted_entries_oracle, rows, cols, entries)
+        assert raised(BoundaryMatrix, rows, cols, entries) == want
+        if want is None:
+            m = BoundaryMatrix(rows, cols, entries)
+            assert m.entries == helpers.sorted_entries_oracle(rows, cols, entries)
+            b = BoundaryMatrix(cols, 4, [(i, j, 1) for i in range(cols) for j in (0, 3)])
+            assert integer_product(m, b) == helpers.integer_product_oracle(m, b)
+
+    def test_a_huge_shape_without_columns(self):
+        m = BoundaryMatrix(2**70, 0, [])
+        assert m.shape == (2**70, 0) and m.entries == () and m.indptr.tolist() == [0]
 
     def test_flips_ignore_indices_outside_the_shape(self):
         m = BoundaryMatrix(2, 1, ((0, 0, -1), (1, 0, 1)))

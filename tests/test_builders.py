@@ -144,6 +144,36 @@ class TestSimplexBoundaries:
         ids = [1000 * (v % 7) + v for v in range(300)]  # not in the vertices' order
         self.assert_every_caller_matches(levels, ids)
 
+    @settings(max_examples=60)
+    @given(cloud=helpers.clouds(), eps=helpers.scales(), max_dim=st.integers(1, 3),
+           data=st.data())
+    def test_triplets_reach_the_constructor_in_column_order(self, cloud, eps, max_dim, data):
+        # Strictly increasing (col, row): the constructor's sort finds them sorted.
+        ids = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=len(cloud),
+                                 max_size=len(cloud), unique=True))
+        levels, handed, construct = rips_simplices(cloud, eps, max_dim), [], builders.BoundaryMatrix
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(builders, "BoundaryMatrix",
+                          lambda *args: handed.append(args[2]) or construct(*args))
+            self.assert_every_caller_matches(levels, ids)
+        assert len(handed) == 3 * (len(levels) - 1)
+        for rows, cols, _ in (np.asarray(triplets).T for triplets in handed):
+            step_col, step_row = np.diff(cols), np.diff(rows)
+            assert ((step_col > 0) | ((step_col == 0) & (step_row > 0))).all()
+
+    @pytest.mark.parametrize("n", [16175, 16176])
+    def test_face_keys_on_both_sides_of_their_bound(self, n):
+        # C(16175, 5) < 2^63 <= C(16176, 5): the faces of 5-simplices are found by
+        # int64 ranks on the first side and by byte keys on the second.
+        top = [(0, 1, 2, 3, 4, 5), (0, 1, 2, n - 3, n - 2, n - 1),
+               (0, 7, n // 2, n - 3, n - 2, n - 1), (n - 6, n - 5, n - 4, n - 3, n - 2, n - 1)]
+        layers = [sorted({face for s in top for face in itertools.combinations(s, k + 1)})
+                  for k in range(6)]
+        layers[0] = [(v,) for v in range(n)]
+        arrays = [np.array(layer, dtype=np.int64) for layer in layers]
+        assert builders._row_keys(arrays[4], n).dtype == (np.int64 if n == 16175 else "V40")
+        self.assert_matches_the_oracle(layers, builders._simplex_boundaries(arrays))
+
     @settings(max_examples=100)
     @given(cloud=helpers.clouds().filter(lambda cloud: len(cloud) > 1),
            max_dim=st.integers(1, 3), data=st.data())

@@ -1,6 +1,7 @@
 """Hodge Laplacians, weights, Dirac operator, spectra, filters."""
 
 import contextlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -710,6 +711,23 @@ class TestHeatPaths:
         with counted_image_bases() as calls:
             out = cx.spectral_filter(grid, 1, cx.ChainVector(1, scale * x), "heat:t=0.5").values
         assert not calls and np.max(np.abs(out - scale * want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("t", [0.5, -0.1, -0.5])
+    def test_the_split_scales_chains_near_the_float_range(self, toy, t):
+        # The split runs on x over a power of two, so 1e308 times each sign pattern
+        # gives the oracle's output, or NonFiniteResult where that passes the range.
+        top = np.finfo(float).max / 1e308
+        for signs in itertools.product((1.0, -1.0), repeat=6):
+            x = np.array(signs)
+            want = helpers.filter_oracle(toy, 1, x, f"heat:t={t}")
+            with counted_image_bases() as calls:
+                if np.max(np.abs(want)) > top:
+                    with pytest.raises(errors.NonFiniteResult):
+                        cx.spectral_filter(toy, 1, cx.ChainVector(1, 1e308 * x), f"heat:t={t}")
+                else:
+                    out = cx.spectral_filter(toy, 1, cx.ChainVector(1, 1e308 * x), f"heat:t={t}")
+                    assert np.max(np.abs(out.values / 1e308 - want)) <= 1e-12
+            assert calls
 
     def test_negative_time_takes_the_split(self, toy):
         # exp(-t L) grows for t < 0, where no a-priori step count exists.
