@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_complex(cc) -> int:
-    sys.stdout.write(io.dumps(io.complex_to_json(cc)))
+    sys.stdout.write(io.dumps(cc))
     return 0
 
 

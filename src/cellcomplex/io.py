@@ -18,8 +18,11 @@ Output is written by ``dumps``, whose contract is the bytes of
 ``json.dumps(doc, indent=2)`` plus a newline.  The standard library
 runs an indented dump through its pure-Python encoder, one generator
 step per token; ``dumps`` instead joins each list of scalars in one
-call and formats each list of equal-length integer rows (boundary
-entries) through one ``%d`` template.
+call and formats each list of equal-length integer rows through one
+``%d`` template.  Given a ``CellComplex``, ``dumps`` writes the bytes of
+its document ``complex_to_json(cc)`` straight from the CSC arrays: each
+boundary's entries are one flat ``tolist()`` of its rows, columns and
+signs fed to that template, with no per-entry tuple and no type scan.
 """
 
 from __future__ import annotations
@@ -32,7 +35,14 @@ from typing import Any
 
 import numpy as np
 
-from .core import BoundaryMatrix, CellComplex, ChainVector, _cell_layers, from_boundary_matrices
+from .core import (
+    BoundaryMatrix,
+    CellComplex,
+    ChainVector,
+    _cell_layers,
+    _entry_arrays,
+    from_boundary_matrices,
+)
 from .errors import SchemaError, ShapeMismatch
 
 
@@ -42,16 +52,16 @@ def round_sig(x: float) -> float:
 
 
 def complex_to_json(cc: CellComplex) -> dict[str, Any]:
+    return _document(cc, lambda b: b.entries)
+
+
+def _document(cc: CellComplex, entries) -> dict[str, Any]:
+    """The complex document of cc, with entries(b) as each boundary's entries."""
     return {
         "dim": cc.dim,
         "cells": [list(layer) for layer in cc.cells],
         "boundaries": [
-            {
-                "k": k,
-                "rows": b.rows,
-                "cols": b.cols,
-                "entries": b.entries,
-            }
+            {"k": k, "rows": b.rows, "cols": b.cols, "entries": entries(b)}
             for k, b in enumerate(cc.boundaries, start=1)
         ],
     }
@@ -198,10 +208,24 @@ def load_complex(path: str) -> CellComplex:
 def dumps(doc: Any) -> str:
     """``json.dumps(doc, indent=2)`` plus a newline, byte for byte.
 
+    A CellComplex is written as its document ``complex_to_json(doc)``.
     Dict keys must be strings; a value of any type json cannot encode
     raises TypeError.
     """
+    if isinstance(doc, CellComplex):
+        doc = _document(doc, _Triplets)
     return _encode(doc, "\n") + "\n"
+
+
+class _Triplets:
+    """A boundary's (row, col, sign) entries in (col, row) order, held as one
+    flat list of ints read from its CSC arrays; _encode writes it as the list
+    of triplets."""
+
+    __slots__ = ("flat",)
+
+    def __init__(self, b: BoundaryMatrix):
+        self.flat = np.column_stack(_entry_arrays(b)[:3]).ravel().tolist()
 
 
 _INF = float("inf")
@@ -248,6 +272,8 @@ def _encode(o: Any, indent: str) -> str:
         return "{" + inner + ("," + inner).join(
             [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in o.items()]
         ) + indent + "}"
+    if isinstance(o, _Triplets):
+        return "[" + inner + _int_rows(o.flat, 3, inner) + indent + "]" if o.flat else "[]"
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
@@ -263,8 +289,13 @@ def _items(seq: list | tuple, inner: str) -> str:
             lengths = set(map(len, seq))
             width = lengths.pop()
             if not lengths and width and set(map(type, chain.from_iterable(seq))) == {int}:
-                # One template for all rows; %d spells an int as int.__repr__.
-                cell = "," + inner + "  "
-                row = "[" + inner + "  " + cell.join(["%d"] * width) + inner + "]"
-                return sep.join([row] * len(seq)) % tuple(chain.from_iterable(seq))
+                return _int_rows(tuple(chain.from_iterable(seq)), width, inner)
     return sep.join([_encode(v, inner) for v in seq])
+
+
+def _int_rows(flat: list | tuple, width: int, inner: str) -> str:
+    """The rows of ``width`` ints that the flat list holds, one row per line at
+    indent ``inner``, through one template; %d spells an int as int.__repr__."""
+    cell = "," + inner + "  "
+    row = "[" + inner + "  " + cell.join(["%d"] * width) + inner + "]"
+    return ("," + inner).join([row] * (len(flat) // width)) % tuple(flat)

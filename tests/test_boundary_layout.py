@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellcomplex as cx
-from cellcomplex import core, errors, snf, validate
+from cellcomplex import builders, cli, core, errors, io, snf, validate
 from cellcomplex.core import BoundaryMatrix, _edge_endpoints, _tail_head, integer_product
 from cellcomplex.snf import smith_normal_form
 
@@ -331,18 +331,49 @@ class TestEdgeEndpoints:
                 cc.boundary(1))
 
 
-def test_kernel_callers_read_columns_not_triplets(monkeypatch):
-    # Only io writes a boundary's triplets; the Smith kernel reads columns.
+def _refuse_triplets(monkeypatch) -> None:
     def refuse(self):
         raise AssertionError("read BoundaryMatrix.entries")
 
+    monkeypatch.setattr(BoundaryMatrix, "entries", property(refuse))
+
+
+def test_kernel_callers_read_columns_not_triplets(monkeypatch):
+    # Only io.complex_to_json reads a boundary's triplets; the Smith kernel reads columns.
     cube = cx.cubical([2, 2, 2])
     chain = cx.ChainVector(1, np.arange(cube.n_cells(1), dtype=float))
-    monkeypatch.setattr(BoundaryMatrix, "entries", property(refuse))
+    _refuse_triplets(monkeypatch)
     assert smith_normal_form(cube.boundary(2)).rank == cube.n_cells(1) - cube.n_cells(0) + 1
     split = cx.hodge_decompose(cube, 1, chain)
     assert np.allclose(split.gradient.values + split.curl.values, chain.values)
     assert cx.validate_nd(cube).valid
+
+
+def test_cli_writes_complexes_without_triplets(monkeypatch, capsys, tmp_path):
+    # Every command that prints a complex writes it from the CSC arrays.
+    square = cx.from_tuples(range(4), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    coords = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    window = builders.window_lifting(
+        builders.PlanarEmbedding(coords, builders._underlying_graph(square), square.cells[0])
+    )
+    window = cx.CellComplex(window.dim, square.cells + window.cells[2:],
+                            square.boundaries + window.boundaries[1:])
+    graph, edge = tmp_path / "graph.json", tmp_path / "edge.json"
+    graph.write_text(io.dumps(io.complex_to_json(square)))
+    edge.write_text(io.dumps(io.complex_to_json(helpers.k2_paper())))
+    (tmp_path / "coords.csv").write_text("0,0\n1,0\n1,1\n0,1\n")
+    cases = [
+        (["build", "cubical", "3", "3"], cx.cubical([3, 3])),
+        (["product", str(graph), str(edge)], cx.product(square, helpers.k2_paper())),
+        (["lift", "tree", str(graph)], cx.spanning_tree_lifting(square)),
+        (["lift", "window", str(graph), "--coords", str(tmp_path / "coords.csv")], window),
+        (["lift", "chordless", str(graph)], cx.chordless_cycle_lifting(square)),
+    ]
+    expected = [io.dumps(io.complex_to_json(cc)) for _, cc in cases]
+    _refuse_triplets(monkeypatch)
+    for (argv, _), want in zip(cases, expected):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestRestrict:

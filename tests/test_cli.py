@@ -69,6 +69,21 @@ class TestValidateCommand:
         assert doc["failures"][0]["condition"] == "cell-acyclic"
 
 
+    @pytest.mark.parametrize("cc, failures", [
+        (cx.from_boundary_matrices([["a", "b"]], []), []),
+        (cx.from_tuples(range(3), [(0, 1), (1, 2)]), []),
+        (cx.from_boundary_matrices([["a", "b"], ["e"]], [BoundaryMatrix(2, 1, ((0, 0, 1),))]),
+         [{"condition": "B1-columns", "cell": "1-cell e",
+           "detail": "column has signs [1], expected one -1 and one +1"}]),
+    ], ids=["dim-0", "path", "edge-with-one-end"])
+    def test_dimensions_0_and_1(self, capsys, tmp_path, cc, failures):
+        path = tmp_path / "low.json"
+        path.write_text(io.dumps(cc))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == (1 if failures else 0)
+        assert json.loads(out) == {"valid": not failures, "failures": failures}
+
+
 class TestBettiCommand:
     def test_csv_output(self, capsys, toy_file):
         code, out, _ = run(capsys, "--output", "csv", "betti", toy_file)

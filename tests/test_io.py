@@ -1,6 +1,7 @@
 """The JSON writer against its contract, the standard library's indented dump."""
 
 import json
+import math
 import random
 
 import numpy as np
@@ -82,3 +83,40 @@ def test_complex_documents_match_the_standard_library():
         doc = io.complex_to_json(cc)
         assert io.dumps(doc) == helpers.dumps_oracle(doc)
         assert io.complex_from_json(json.loads(io.dumps(doc))).cells == cc.cells
+
+
+def _dumps_complex_matches_its_document(cc: cx.CellComplex) -> None:
+    assert io.dumps(cc) == helpers.dumps_oracle(io.complex_to_json(cc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), two=st.booleans())
+def test_complexes_are_written_as_their_documents(seed, two):
+    rng = random.Random(seed)
+    _dumps_complex_matches_its_document(
+        helpers.random_two_complex(rng) if two else helpers.random_builder_complex(rng)
+    )
+
+
+@pytest.mark.parametrize("cc", [
+    *_product_label_cases(),
+    cx.cubical([3, 3, 3]),
+    cx.from_boundary_matrices([["a", "b"]], []),
+    cx.from_boundary_matrices([["a", "b"], ["e"]], [cx.BoundaryMatrix(2, 1, ())]),
+], ids=["commas", "edge-product", "quoted", "cube-3x3x3", "dim-0", "no-entries"])
+def test_complex_writer_cases(cc):
+    _dumps_complex_matches_its_document(cc)
+
+
+@pytest.mark.parametrize("doc", [
+    [-math.inf], [1.0, -math.inf, math.inf, math.nan], {"a": -math.inf},
+])
+def test_infinities_and_nan_match_the_standard_library(doc):
+    assert io.dumps(doc) == helpers.dumps_oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": {None: 1}}, [{"a": 1, 2.0: "b"}]])
+def test_non_string_keys_raise_type_error(doc):
+    # The standard library would coerce these keys to strings; dumps refuses them.
+    with pytest.raises(TypeError, match="keys must be str"):
+        io.dumps(doc)
