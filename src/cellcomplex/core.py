@@ -502,7 +502,8 @@ def is_simple(cc: CellComplex) -> bool:
 def _edge_endpoints(columns: Iterable[Sequence]) -> list[tuple[int, int] | None]:
     """(tail, head) of every column of (row, value) pairs, as BoundaryMatrix.columns()
     gives them; None for a column that is not one -1 and one +1, which _tail_head
-    rejects.  The package's one test of an edge column."""
+    rejects.  The package's test of an edge column in column lists; validate reads
+    the same test (length 2, signs summing to 0) off the CSC arrays."""
     ends = []
     for column in columns:
         pair = None
@@ -706,4 +707,10 @@ def _closure(column, k: int, index: int) -> list[list[int]]:
 
 def closure_indices(cc: CellComplex, cell: CellRef) -> list[list[int]]:
     """Per-dimension indices of the smallest sub-complex containing a cell."""
+    if not 0 <= cell.dim <= cc.dim:
+        raise BadDimension(f"no {cell.dim}-cells on a {cc.dim}-complex")
+    if not 0 <= cell.index < cc.n_cells(cell.dim):
+        raise ShapeMismatch(
+            f"{cell.dim}-cell {cell.index} outside 0..{cc.n_cells(cell.dim) - 1}"
+        )
     return _closure(lambda l, j: cc.boundary(l).column(j), cell.dim, cell.index)

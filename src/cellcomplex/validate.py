@@ -5,17 +5,26 @@ one -1.  Dimension 2 additionally requires every B_2 column to trace one
 simple oriented cycle.  The general n-dimensional conditions work per
 cell: on the closure of each cell, the restricted chain complex must
 have vanishing integer homology above degree 0 (acyclicity) and integer
-0-homology Z (connectedness).  Both are decided exactly through Smith
-normal forms: equality of a kernel and an image lattice reduces to a
-rank identity plus all invariant factors being 1.
+0-homology Z (connectedness).
 
-validate_nd reads every cell's closure.  The top level is the cell's
-own column, of rank 1 with factor 1 unless it is empty.  Every lower
-level goes to the Smith kernel ``snf._smith`` as columns renumbered
-along the closure; level 1 over valid edges is a graph incidence
-matrix, which the kernel ranks by its spanning forest without
-elimination.  So a 1-cell (top level only) runs no elimination, nor
-does a 2-cell over valid edges (level 1 and the top).
+validate_nd decides them by collapses first.  A free face is a cell with
+one coface; removing it together with that coface keeps the integer
+homology of the closure (Kaczynski-Mrozek-Slusarek 1998; Mrozek-Batko,
+DCG 42, 2009), as the entries are +-1.  The closures of all k-cells are
+built at once as numpy arrays and collapsed in rounds; a closure left
+with one vertex and nothing above it has the homology of a point, so its
+cell passes.  The theorem needs B_{l-1} B_l = 0, which validate_nd tests
+once per complex with core.integer_product.
+
+Every other cell, and every cell of a complex that is not exact, takes
+the exact path: Smith normal forms, where equality of a kernel and an
+image lattice reduces to a rank identity plus all invariant factors
+being 1.  The top level is the cell's own column, of rank 1 with factor
+1 unless it is empty.  Every lower level goes to the Smith kernel
+``snf._smith`` as columns renumbered along the closure; level 1 over
+valid edges is a graph incidence matrix, which the kernel ranks by its
+spanning forest without elimination.  Failures and their details come
+from this path alone.
 
 Validators report failures instead of raising; each failure carries a
 condition id from {B1-columns, cell-acyclic, cell-connected, B2-cycle}.
@@ -25,12 +34,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     CellComplex,
     CellRef,
     _closure,
     _edge_endpoints,
+    _entry_arrays,
+    _gather,
     closure_indices,
+    integer_product,
     oriented_cycle,
     subcomplex,
 )
@@ -74,19 +88,20 @@ class ValidationReport:
 
 
 def _b1_column_failures(cc: CellComplex) -> list[Failure]:
-    """A failure for each column of B_1 that _edge_endpoints finds no (tail, head) in."""
-    columns = cc.boundary(1).columns()
+    """A failure for each column of B_1 that is not one -1 and one +1: of length 2
+    with signs summing to 0, read off the CSC arrays."""
+    b = cc.boundary(1)
+    sums = np.bincount(_entry_arrays(b)[1], weights=b.signs, minlength=b.cols)
     failures = []
-    for j, pair in enumerate(_edge_endpoints(columns)):
-        if pair is None:
-            signs = sorted(s for _, s in columns[j])
-            failures.append(
-                Failure(
-                    "B1-columns",
-                    f"1-cell {cc.cells[1][j]}",
-                    f"column has signs {signs}, expected one -1 and one +1",
-                )
+    for j in np.flatnonzero((np.diff(b.indptr) != 2) | (sums != 0)).tolist():
+        signs = sorted(b.signs[b.indptr[j] : b.indptr[j + 1]].tolist())
+        failures.append(
+            Failure(
+                "B1-columns",
+                f"1-cell {cc.cells[1][j]}",
+                f"column has signs {signs}, expected one -1 and one +1",
             )
+        )
     return failures
 
 
@@ -163,13 +178,80 @@ def _cell_failures(cc: CellComplex, columns: list, k: int, index: int) -> list[F
     return failures
 
 
+def _collapsed(cc: CellComplex, k: int) -> np.ndarray:
+    """Which k-cells have closures that free-face collapses take to one vertex.
+
+    Block b is the closure of k-cell b.  Its cells at level l - 1 are the rows
+    of B_l in its cells at level l, numbered across blocks by one np.unique of
+    block * rows + row; per level l the live entries are kept as (row id,
+    column id) pairs in column order.  Each round finds at every level the
+    faces with one live coface by one np.bincount, keeps one face per coface
+    and removes both.  In an exact complex the coface of a free face has no
+    cofaces, so the pairs of a round are disjoint across levels, and every
+    pair is still free once the others are gone.
+
+    A block that finds no pair is stuck for good and takes the exact path.
+    A round costs about as much as one cell on the exact path, so the rounds
+    stop once they number as many as the blocks still running (a k-cube
+    needs 2k - 1, an m-gon about m / 2); unfinished blocks take the exact
+    path too.  Needs B_{l-1} B_l = 0 for l <= k.
+    """
+    n = cc.n_cells(k)
+    block = [None] * k + [np.arange(n)]  # per level, the block of every closure cell
+    rows, cols = [None] * (k + 1), [None] * (k + 1)
+    cells = block[k]
+    for l in range(k, 0, -1):
+        b = cc.boundary(l)
+        at, cols[l] = _gather(b.indptr, cells)
+        keys, rows[l] = np.unique(block[l][cols[l]] * b.rows + b.indices[at],
+                                  return_inverse=True)
+        block[l - 1], cells = np.divmod(keys, b.rows)
+    live = [np.ones(ids.size, dtype=bool) for ids in block]
+    above = sum(np.bincount(ids, minlength=n) for ids in block[1:])
+    vertices = np.bincount(block[0], minlength=n)
+    running, accepted = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    rounds = 0
+    while rounds < np.count_nonzero(running):
+        rounds += 1
+        pairs = []
+        for l in range(1, k + 1):
+            free = np.bincount(rows[l], minlength=block[l - 1].size)[rows[l]] == 1
+            face, coface = rows[l][free], cols[l][free]
+            first = np.ones(coface.size, dtype=bool)
+            first[1:] = coface[1:] != coface[:-1]
+            pairs.append((face[first], coface[first]))
+        moved = np.zeros(n, dtype=bool)
+        for l, (face, coface) in enumerate(pairs, start=1):
+            live[l - 1][face] = live[l][coface] = False
+            owner = block[l][coface]
+            moved[owner] = True
+            removed = np.bincount(owner, minlength=n)
+            above -= removed * 2 if l > 1 else removed
+            if l == 1:
+                vertices -= removed
+        for l in range(1, k + 1):
+            keep = live[l][cols[l]] & live[l - 1][rows[l]]
+            rows[l], cols[l] = rows[l][keep], cols[l][keep]
+        done = running & (above == 0)
+        accepted |= done & (vertices == 1)
+        running &= moved & ~done
+    return accepted
+
+
 def validate_nd(cc: CellComplex) -> ValidationReport:
-    """Check the full per-cell regularity conditions in any dimension."""
+    """Check the full per-cell regularity conditions in any dimension: cells whose
+    closures collapse to a vertex pass; the others take the exact path, in
+    (dimension, index) order."""
     if cc.dim < 1:
         return ValidationReport(True, ())
     failures = _b1_column_failures(cc)
-    columns = [[]] + [cc.boundary(k).columns() for k in range(1, cc.dim + 1)]
+    exact = not any(integer_product(cc.boundary(k - 1), cc.boundary(k))
+                    for k in range(2, cc.dim + 1))
+    columns = None
     for k in range(1, cc.dim + 1):
-        for index in range(cc.n_cells(k)):
+        rest = np.flatnonzero(~_collapsed(cc, k)) if exact else range(cc.n_cells(k))
+        for index in map(int, rest):
+            if columns is None:
+                columns = [[]] + [cc.boundary(l).columns() for l in range(1, cc.dim + 1)]
             failures.extend(_cell_failures(cc, columns, k, index))
     return ValidationReport.from_failures(failures)

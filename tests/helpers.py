@@ -85,6 +85,40 @@ def rp2() -> cx.CellComplex:
     return cx.from_simplicial(range(6), RP2_TRIANGLES, auto_close=True)
 
 
+def _signs_to(columns: np.ndarray, target: np.ndarray | None) -> np.ndarray:
+    """The first +-1 vector x, in itertools.product order, with columns @ x equal to
+    target, or (target None) supported on three rows with entries +-2."""
+    signs = np.array(list(itertools.product((-1, 1), repeat=columns.shape[1])))
+    sums = signs @ columns.T
+    if target is None:
+        hits = ((sums != 0).sum(axis=1) == 3) & (np.abs(sums).max(axis=1) == 2)
+    else:
+        hits = (sums == target).all(axis=1)
+    return signs[np.flatnonzero(hits)[0]]
+
+
+def rp2_pair() -> cx.CellComplex:
+    """Two copies of RP2 glued along a projective line, plus one 3-cell: the chain of
+    each copy's triangles, signed as one disk, bounds twice the line, so their
+    difference is a cycle.  The 3-cell's closure has integer H_1 = Z/2."""
+    b2 = rp2().boundary(2).to_dense()
+    line = np.flatnonzero(b2 @ _signs_to(b2, None))
+    edges = [tuple(map(int, label.split("-"))) for label in rp2().cells[1]]
+    keep = {v for i in line for v in edges[i]}
+    moved = lambda t: tuple(sorted(v if v in keep else v + 6 for v in t))  # noqa: E731
+    triangles = RP2_TRIANGLES + [moved(t) for t in RP2_TRIANGLES]
+    vertices = sorted({v for t in triangles for v in t})
+    glued = cx.from_simplicial(vertices, triangles, auto_close=True)
+    b2 = glued.boundary(2).to_dense()
+    first = [glued.cells[2].index("-".join(map(str, t))) for t in RP2_TRIANGLES]
+    second = [glued.cells[2].index("-".join(map(str, moved(t)))) for t in RP2_TRIANGLES]
+    column = np.zeros(len(triangles), dtype=np.int64)
+    column[first] = _signs_to(b2[:, first], None)
+    column[second] = _signs_to(b2[:, second], -b2[:, first] @ column[first])
+    b3 = cx.BoundaryMatrix(len(triangles), 1, [(i, 0, int(s)) for i, s in enumerate(column)])
+    return cx.from_boundary_matrices([*glued.cells, ["ball"]], [*glued.boundaries, b3])
+
+
 def toy() -> cx.CellComplex:
     return cx.from_tuples(range(5), TOY_EDGES, [TOY_TRIANGLE, TOY_SQUARE])
 

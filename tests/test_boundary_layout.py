@@ -4,11 +4,14 @@ Each array routine of core, and validate_nd's per-cell readers, is
 checked against its oracle in helpers: the constructor's sort and checks
 (errors and messages included), the exactness product (also against
 dense numpy, with planted violations), edge endpoints, restriction and
-the per-cell regularity reports (on builder outputs and cubical grids
-with planted faults in B_1, B_2 and the top cells).
+the per-cell regularity reports (on builder outputs, cubical grids,
+products, Vietoris-Rips complexes, polygons and two glued RP2s, with
+planted faults in B_1, B_2 and the top cells), and which cells the
+free-face collapse passes without the per-cell path.
 """
 
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -236,16 +239,46 @@ FAULTS = ("exactness", "b1-single", "b1-same-sign", "b2-branch", "b2-split", "b2
           "top-cell")
 
 
+def polygons(copies: int, m: int) -> cx.CellComplex:
+    """``copies`` disjoint m-gons, each a 2-cell over its cycle of edges."""
+    rings = [list(range(c * m, c * m + m)) for c in range(copies)]
+    edges = [(ring[i], ring[(i + 1) % m]) for ring in rings for i in range(m)]
+    return cx.from_tuples(range(copies * m), edges, rings)
+
+
+def product_factor(rng: random.Random) -> cx.CellComplex:
+    kind = rng.randrange(4)
+    if kind == 0:
+        return helpers.random_factor(rng)
+    if kind == 1:
+        return polygons(1, rng.randint(3, 9))
+    if kind == 2:
+        return cx.cubical([rng.randint(2, 3) for _ in range(rng.randint(1, 2))])
+    return helpers.rp2()
+
+
 @st.composite
 def faulty_complexes(draw):
-    """A zoo complex or a 2-, 3- or 4-D cubical grid, with up to three planted faults."""
-    if draw(st.booleans()):
-        cc = zoo(draw(st.integers(0, 2**32 - 1)))
-    else:
+    """A zoo complex, a 2-, 3- or 4-D cubical grid, a product, a Vietoris-Rips
+    complex, disjoint polygons (long ones among them) or helpers.rp2_pair, with up
+    to three planted faults."""
+    kind = draw(st.sampled_from(("zoo", "cubical", "zoo", "cubical", "product", "rips",
+                                 "polygons", "rp2")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zoo":
+        cc = zoo(rng.randrange(2**32))
+    elif kind == "cubical":
         dim = draw(st.integers(2, 4))
         sizes = st.integers(2, 4 if dim == 2 else 3)
         cc = cx.cubical(draw(st.lists(sizes, min_size=dim, max_size=dim)))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    elif kind == "product":
+        cc = cx.product(product_factor(rng), product_factor(rng))
+    elif kind == "rips":
+        cc = cx.vietoris_rips(helpers.random_cloud(rng, 4, 10), rng.uniform(0.5, 2.5), 3)
+    elif kind == "polygons":
+        cc = polygons(draw(st.integers(1, 30)), draw(st.integers(3, 64)))
+    else:
+        cc = helpers.rp2_pair()
     for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
         cc = plant_fault(cc, fault, rng)
     return cc
@@ -397,6 +430,18 @@ class TestRestrict:
             BoundaryMatrix(2, 1, ((0, 0, -1), (1, 0, 1))).restrict(rows, cols)
 
 
+def _track_exact_path(monkeypatch) -> list:
+    """(k, index) of every cell that validate_nd sends to _cell_failures, in order."""
+    seen, cell_failures = [], validate._cell_failures
+
+    def tracking(cc, columns, k, index):
+        seen.append((k, index))
+        return cell_failures(cc, columns, k, index)
+
+    monkeypatch.setattr(validate, "_cell_failures", tracking)
+    return seen
+
+
 class TestValidateNd:
     @settings(max_examples=150, deadline=None)
     @given(cc=faulty_complexes())
@@ -413,7 +458,54 @@ class TestValidateNd:
         assert got and [(f.condition, f.cell, f.detail)
                         for f in cx.validate_nd(bad).failures] == got
 
+    @settings(max_examples=150, deadline=None)
+    @given(cc=faulty_complexes())
+    def test_collapsed_cells_have_no_failure(self, cc):
+        if helpers.exactness_violation_oracle(cc) is not None:
+            return
+        failing = {cell for condition, cell, _ in helpers.validate_nd_oracle(cc)
+                   if condition != "B1-columns"}
+        for k in range(1, cc.dim + 1):
+            collapsed = validate._collapsed(cc, k)
+            assert collapsed.shape == (cc.n_cells(k),)
+            assert not {f"{k}-cell {cc.cells[k][i]}" for i in np.flatnonzero(collapsed)} & failing
+
+    def test_rp2_torsion_does_not_collapse(self):
+        pair = helpers.rp2_pair()
+        assert not validate._collapsed(pair, 3).any()
+        assert validate._collapsed(pair, 2).all() and validate._collapsed(pair, 1).all()
+        failures = cx.validate_nd(pair).failures
+        assert [(f.condition, f.cell, f.detail) for f in failures] == \
+            helpers.validate_nd_oracle(pair)
+        assert [(f.condition, f.cell) for f in failures] == [("cell-acyclic", "3-cell ball")]
+        assert failures[0].detail.endswith("1, 2))")
+
+    def test_long_polygon_costs_no_more_than_the_per_cell_path(self):
+        # One 3000-gon: its 2-cell alone would need 1500 rounds, so the rounds stop
+        # after one and it takes the exact path; the 3000 edges collapse at once.
+        polygon = polygons(1, 3000)
+        got = [(f.condition, f.cell, f.detail) for f in cx.validate_nd(polygon).failures]
+        assert got == helpers.validate_nd_oracle(polygon) == []
+        assert validate._collapsed(polygon, 1).all()
+        assert not validate._collapsed(polygon, 2).any()
+
+        def per_cell():  # the path every cell took before the collapse
+            columns = [[]] + [polygon.boundary(k).columns() for k in (1, 2)]
+            return [validate._cell_failures(polygon, columns, k, i)
+                    for k in (1, 2) for i in range(polygon.n_cells(k))]
+
+        def best(fn):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best(lambda: cx.validate_nd(polygon)) <= best(per_cell)
+
     def test_builds_no_matrix_per_cell(self, monkeypatch):
+        # A valid complex collapses: no cell reaches the exact path or the elimination.
         cube = cx.cubical([3, 3, 3])
         calls = []
         original = BoundaryMatrix.__init__
@@ -422,32 +514,43 @@ class TestValidateNd:
             calls.append(args[:2])
             original(self, *args, **kwargs)
 
+        def refuse(*args):
+            raise AssertionError("reached the exact path")
+
         monkeypatch.setattr(core.BoundaryMatrix, "__init__", counting)
+        monkeypatch.setattr(validate, "_cell_failures", refuse)
+        monkeypatch.setattr(snf, "_eliminate", refuse)
         assert validate.validate_nd(cube).valid
         assert calls == []
         monkeypatch.undo()
         assert cx.closure(cube, cx.CellRef(3, 0)).n_cells(0) == 8
 
     def test_smith_runs_only_between_level_one_and_the_top(self, monkeypatch):
-        # Counts the pivots of the elimination, snf._eliminate, per cell.
+        # Only the planted cell takes the exact path; its pivots of the
+        # elimination, snf._eliminate, are counted.
         cube = cx.cubical([3, 3, 3])
-        cell, seen, pivots = [], [], Counter()
-        cell_failures, eliminate = validate._cell_failures, snf._eliminate
-
-        def tracking(cc, columns, k, index):
-            cell[:] = [(k, index)]
-            seen.append((k, index))
-            return cell_failures(cc, columns, k, index)
+        columns = cube.boundary(3).columns()
+        planted = with_columns(cube, 3, columns + [sorted(columns[0] + columns[-1])],
+                               cube.cells[3] + ("planted",))
+        seen, pivots, eliminate = _track_exact_path(monkeypatch), Counter(), snf._eliminate
 
         def counting(*args):
-            pivots[cell[0]] += 1
+            pivots[seen[-1]] += 1
             return eliminate(*args)
 
-        monkeypatch.setattr(validate, "_cell_failures", tracking)
         monkeypatch.setattr(snf, "_eliminate", counting)
-        assert validate.validate_nd(cube).valid
-        assert len(seen) == sum(cube.n_cells(k) for k in range(1, 4))  # every cell, one path
-        # No 1- or 2-cell is eliminated; a 3-cell only at level 2, once:
-        # the 6 faces of a cube have rank 5, so 5 pivots.
-        assert set(pivots) == {(3, i) for i in range(cube.n_cells(3))}
-        assert set(pivots.values()) == {5}
+        failures = validate.validate_nd(planted).failures
+        assert {f.cell for f in failures} == {"3-cell planted"}
+        assert seen == [(3, 8)]
+        # Level 1 of the closure is a graph and the top is one column: only
+        # level 2 is eliminated, the 12 squares of two cubes, of rank 10.
+        assert pivots == {(3, 8): 10}
+
+    def test_every_cell_of_a_complex_that_is_not_exact_takes_the_exact_path(
+            self, monkeypatch):
+        bad = plant_violation(cx.cubical([3, 3, 3]), random.Random(1))
+        assert helpers.exactness_violation_oracle(bad) is not None
+        seen = _track_exact_path(monkeypatch)
+        got = [(f.condition, f.cell, f.detail) for f in cx.validate_nd(bad).failures]
+        assert got and got == helpers.validate_nd_oracle(bad)
+        assert seen == [(k, i) for k in range(1, 4) for i in range(bad.n_cells(k))]

@@ -6,7 +6,7 @@ import pytest
 
 import cellcomplex as cx
 from cellcomplex import errors
-from cellcomplex.core import BoundaryMatrix
+from cellcomplex.core import BoundaryMatrix, closure_indices
 
 import helpers
 
@@ -100,6 +100,18 @@ class TestClosure:
     def test_edge_closure(self, toy):
         sub = cx.closure(toy, toy.ref(1, "0-1"))
         assert [len(layer) for layer in sub.cells] == [2, 1]
+
+    @pytest.mark.parametrize("dim, index, error, message", [
+        (-1, 0, errors.BadDimension, "no -1-cells on a 2-complex"),
+        (3, 0, errors.BadDimension, "no 3-cells on a 2-complex"),
+        (0, 5, errors.ShapeMismatch, "0-cell 5 outside 0..4"),
+        (2, -1, errors.ShapeMismatch, "2-cell -1 outside 0..1"),
+    ])
+    def test_cell_that_does_not_exist_is_rejected(self, toy, dim, index, error, message):
+        for read in (cx.closure, closure_indices):
+            with pytest.raises(error) as info:
+                read(toy, cx.CellRef(dim, index))
+            assert str(info.value) == message
 
     def test_closure_idempotent(self, toy):
         outer = cx.closure(toy, toy.ref(2, "0-1-2-3"))
