@@ -24,12 +24,11 @@ from .core import (
     CellComplex,
     _canonical_cycle,
     _column,
-    _edge_endpoints,
     _edge_lookup,
+    _edges,
     _entry_arrays,
     _forest_merges,
     _graph,
-    _tail_head,
     _with_2cells,
     from_boundary_matrices,
     oriented_cycle,
@@ -606,8 +605,7 @@ def window_lifting(emb: PlanarEmbedding) -> CellComplex:
 def _underlying_graph(cc: CellComplex) -> list[tuple[int, int]]:
     if cc.dim != 1:
         raise BadDimension("lifting expects a 1-dimensional complex")
-    ends = _edge_endpoints(cc.boundary(1).columns())
-    return [_tail_head(ends, j) for j in range(len(ends))]
+    return _edges(cc)
 
 
 def _cycle_cells(

@@ -488,7 +488,8 @@ def _signed_canonical(column: list[tuple[int, int]]) -> tuple[tuple[int, int], .
 
 
 def is_simple(cc: CellComplex) -> bool:
-    """True iff no two k-cells (k >= 1) share a boundary up to sign."""
+    """True iff no two k-cells (k >= 1) share a boundary up to sign.  It keys a
+    set by each column's (row, sign) tuple, so it reads the column lists."""
     for k in range(1, cc.dim + 1):
         seen = set()
         for column in cc.boundary(k).columns():
@@ -499,19 +500,27 @@ def is_simple(cc: CellComplex) -> bool:
     return True
 
 
-def _edge_endpoints(columns: Iterable[Sequence]) -> list[tuple[int, int] | None]:
-    """(tail, head) of every column of (row, value) pairs, as BoundaryMatrix.columns()
-    gives them; None for a column that is not one -1 and one +1, which _tail_head
-    rejects.  The package's test of an edge column in column lists; validate reads
-    the same test (length 2, signs summing to 0) off the CSC arrays."""
-    ends = []
-    for column in columns:
-        pair = None
-        if len(column) == 2:
-            (a, s), (b, t) = column
-            pair = (a, b) if s == -1 and t == 1 else (b, a) if s == 1 and t == -1 else None
-        ends.append(pair)
+def _edge_endpoints(indptr, indices, values) -> list[tuple[int, int] | None]:
+    """(tail, head) of every column of the CSC arrays; None for a column that is not
+    one -1 and one +1 (of length 2, with values summing to 0 and of size 1), which
+    _tail_head rejects.  The package's one test of an edge column."""
+    cols = np.flatnonzero(np.diff(indptr) == 2)
+    low, high = values[indptr[cols]], values[indptr[cols] + 1]
+    cols = cols[(low == -high) & (np.abs(low) == 1)]
+    first, tail_second = indptr[cols], values[indptr[cols]] == 1
+    tails = indices[first + tail_second].tolist()
+    heads = indices[first + ~tail_second].tolist()
+    ends: list[tuple[int, int] | None] = [None] * (len(indptr) - 1)
+    for j, tail, head in zip(cols.tolist(), tails, heads):
+        ends[j] = (tail, head)
     return ends
+
+
+def _edges(cc: CellComplex) -> list[tuple[int, int]]:
+    """Every edge's (tail, head); _tail_head raises for a column of B_1 that is none."""
+    b = cc.boundary(1)
+    ends = _edge_endpoints(b.indptr, b.indices, b.signs)
+    return [_tail_head(ends, j) for j in range(len(ends))]
 
 
 def _forest_merges(n: int, pairs: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
@@ -567,8 +576,6 @@ def oriented_cycle(
     for vertex, count in indeg.items():
         if count > 1 or vertex not in succ:
             return [], f"inconsistent orientation at vertex {vertex}"
-    if set(indeg) != set(succ):
-        return [], "walk does not close"
     start = min(succ)
     cycle = [start]
     current = succ[start]
@@ -611,8 +618,7 @@ def canonicalize_orientations(cc: CellComplex) -> CellComplex:
         raise NotSimple("canonical orientation requires a simple complex")
     if cc.dim == 0:
         return cc
-    ends = _edge_endpoints(cc.boundary(1).columns())
-    pairs = [_tail_head(ends, j) for j in range(len(ends))]
+    pairs = _edges(cc)
     edge_flips = [j for j, (tail, head) in enumerate(pairs) if tail > head]
     mats = [cc.boundary(1).flip_columns(edge_flips)]
     if cc.dim == 2:
@@ -637,16 +643,12 @@ def to_tuples(
     if not is_simple(cc):
         raise NotSimple("tuple notation requires a simple complex")
     vlabels = list(cc.cells[0])
-    edges: list[tuple[str, str]] = []
+    pairs = _edges(cc) if cc.dim >= 1 else []
+    edges = [(vlabels[tail], vlabels[head]) for tail, head in pairs]
     polygons: list[tuple[str, ...]] = []
-    ends = _edge_endpoints(cc.boundary(1).columns()) if cc.dim >= 1 else []
-    for j in range(len(ends)):
-        tail, head = _tail_head(ends, j)
-        edges.append((vlabels[tail], vlabels[head]))
-    if cc.dim == 2:
-        for col in range(cc.n_cells(2)):
-            cycle = _rotate_min_first(_cycle_tuple(cc, ends, col))
-            polygons.append(tuple(vlabels[i] for i in cycle))
+    for col in range(cc.n_cells(2)):
+        cycle = _rotate_min_first(_cycle_tuple(cc, pairs, col))
+        polygons.append(tuple(vlabels[i] for i in cycle))
     return vlabels, edges, polygons
 
 
@@ -695,14 +697,12 @@ def subcomplex(cc: CellComplex, keep: Sequence[Sequence[int]]) -> CellComplex:
     return CellComplex(len(layers) - 1, cells, mats)
 
 
-def _closure(column, k: int, index: int) -> list[list[int]]:
-    """closure_indices of k-cell ``index``, reading column j of B_l as column(l, j)."""
-    support: list[set[int]] = [set() for _ in range(k + 1)]
-    support[k].add(index)
-    for l in range(k, 0, -1):
-        for j in support[l]:
-            support[l - 1].update(i for i, _ in column(l, j))
-    return [sorted(layer) for layer in support]
+def _closure(mats: Sequence[BoundaryMatrix], k: int, index: int) -> list[np.ndarray]:
+    """closure_indices of k-cell ``index``, as int64 arrays, with B_l as mats[l - 1]."""
+    layers = [np.array([index], dtype=np.int64)]
+    for b in reversed(mats[:k]):
+        layers.insert(0, np.unique(b.indices[_gather(b.indptr, layers[0])[0]]))
+    return layers
 
 
 def closure_indices(cc: CellComplex, cell: CellRef) -> list[list[int]]:
@@ -713,4 +713,4 @@ def closure_indices(cc: CellComplex, cell: CellRef) -> list[list[int]]:
         raise ShapeMismatch(
             f"{cell.dim}-cell {cell.index} outside 0..{cc.n_cells(cell.dim) - 1}"
         )
-    return _closure(lambda l, j: cc.boundary(l).column(j), cell.dim, cell.index)
+    return [layer.tolist() for layer in _closure(cc.boundaries, cell.dim, cell.index)]

@@ -187,8 +187,8 @@ class Filtration:
 
         def step(p: int) -> FiltrationStep:
             k = int(dims[p])
-            vertices = _closure(lambda l, j: mats[l - 1].column(j), k, int(cells[p]))[0]
-            return FiltrationStep(float(births[p]), k, tuple(vertices))
+            vertices = _closure(mats, k, int(cells[p]))[0]
+            return FiltrationStep(float(births[p]), k, tuple(vertices.tolist()))
 
         return _Rows(len(births), step)
 

@@ -1,17 +1,17 @@
 """Smith normal form over the integers by one sparse elimination.
 
-Every rank in the package comes from here, read off a matrix's columns
-as ``BoundaryMatrix.columns()`` lists them.  A graph incidence matrix
-(every column one -1 and one +1 by ``core._edge_endpoints``, as B_1) is
-totally unimodular: its factors are 1 and its rank is the size of a
-spanning forest, from ``core._forest_merges``, with no elimination.
-Other matrices take unit pivots first (Kaczynski-Mrozek-Slusarek 1998;
-Dumas-Saunders-Villard 2001): boundary matrices are +-1-sparse, so
-nearly every pivot is a unit.  Entries are tracked against a 64-bit
-bound; exceeding it raises instead of silently losing precision.  The
-kernel also reports a pivot (row, column) per factor, so that the Hodge
-decomposition can read a row basis and a column basis of a boundary off
-the same elimination.
+Every rank in the package comes from here, read off a matrix's CSC
+arrays (indptr, indices, values) as a BoundaryMatrix stores them.  A
+graph incidence matrix (every column one -1 and one +1 by
+``core._edge_endpoints``, as B_1) is totally unimodular: its factors are
+1 and its rank is the size of a spanning forest, from
+``core._forest_merges``, with no elimination.  Other matrices take unit
+pivots first (Kaczynski-Mrozek-Slusarek 1998; Dumas-Saunders-Villard
+2001): boundary matrices are +-1-sparse, so nearly every pivot is a
+unit.  Entries are tracked against a 64-bit bound; exceeding it raises
+instead of silently losing precision.  The kernel also reports a pivot
+(row, column) per factor, so that the Hodge decomposition can read a row
+basis and a column basis of a boundary off the same elimination.
 """
 
 from __future__ import annotations
@@ -45,15 +45,15 @@ class SnfResult:
             raise ValueError("zeros must trail the diagonal")
 
 
-def _int_columns(matrix) -> tuple[int, list[list[tuple[int, int]]]]:
-    """The row count and the (row, value) lists of the columns, as BoundaryMatrix.columns()."""
+def _int_csc(matrix) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The row count and CSC arrays of a BoundaryMatrix, or of a checked 2-d integer array."""
     if isinstance(matrix, BoundaryMatrix):
-        return matrix.rows, matrix.columns()
+        return matrix.rows, matrix.indptr, matrix.indices, matrix.signs
     array = np.asarray(matrix)
     if array.ndim != 2:
-        if array.size == 0:
-            return 0, []
-        raise ValueError("expected a 2-d integer matrix")
+        if array.size:
+            raise ValueError("expected a 2-d integer matrix")
+        array = array.reshape(0, 0)
     values = array.tolist()
     if not all(isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
                for row in values for v in row):
@@ -61,8 +61,9 @@ def _int_columns(matrix) -> tuple[int, list[list[tuple[int, int]]]]:
     big = [v for row in values for v in row if abs(v) > INT_LIMIT]
     if big:
         raise IntegerOverflow(f"input entry {int(big[0])} exceeds 64-bit range")
-    return len(values), [[(i, int(row[j])) for i, row in enumerate(values) if row[j]]
-                         for j in range(array.shape[1])]
+    cols, rows = np.nonzero(array.T)
+    indptr = np.searchsorted(cols, np.arange(array.shape[1] + 1))
+    return array.shape[0], indptr, rows, array.T[cols, rows].astype(np.int64)
 
 
 def _pivot(heap, rows, cols) -> tuple[int, int] | None:
@@ -149,27 +150,31 @@ def _eliminate(r: int, c: int, rows, cols, heap) -> int:
 
 def smith_normal_form(matrix) -> SnfResult:
     """Diagonal invariant factors of a BoundaryMatrix or 2-d integer array."""
-    n, cols = _int_columns(matrix)
-    factors, _ = _smith(n, cols)
-    return SnfResult(tuple(factors) + (0,) * (min(n, len(cols)) - len(factors)), len(factors))
+    n, *csc = _int_csc(matrix)
+    factors, _ = _smith(n, *csc)
+    zeros = min(n, csc[0].size - 1) - len(factors)
+    return SnfResult(tuple(factors) + (0,) * zeros, len(factors))
 
 
-def _smith(n_rows: int, columns) -> tuple[list[int], list[tuple[int, int]]]:
-    """The nonzero invariant factors of the matrix whose columns are the (row, value)
-    lists ``columns``, each row once per column, and pivots (row, col) whose rows
+def _smith(n_rows: int, indptr, indices, values) -> tuple[list[int], list[tuple[int, int]]]:
+    """The nonzero invariant factors of the n_rows-row matrix with CSC arrays (indptr,
+    indices, values), rows increasing in each column, and pivots (row, col) whose rows
     are a row basis and whose columns are a column basis over the rationals.
 
     A graph incidence matrix takes its spanning forest, whose pivots are the
-    (younger root, merging edge) pairs.  Otherwise every unit pivot of the
+    (younger root, merging edge) pairs.  Otherwise the columns become dicts of
+    Python ints, as the INT_LIMIT checks need, and every unit pivot of the
     elimination is a pivot of Gauss elimination over the rationals.  A non-unit
     pivot mixes rows and columns, so the pivots of what is left at the first one
     come from _rational_pivots.
     """
-    ends = _edge_endpoints(columns)
+    ends = _edge_endpoints(indptr, indices, values)
     if None not in ends:
         pivots = _forest_merges(n_rows, ends)
         return [1] * len(pivots), pivots
-    cols = [dict(column) for column in columns]
+    pairs = list(zip(indices.tolist(), values.tolist()))
+    ptr = indptr.tolist()
+    cols = [dict(pairs[p:q]) for p, q in zip(ptr, ptr[1:])]
     rows: list[set[int]] = [set() for _ in range(n_rows)]
     for j, col in enumerate(cols):
         for i in col:

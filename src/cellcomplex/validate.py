@@ -21,10 +21,10 @@ the exact path: Smith normal forms, where equality of a kernel and an
 image lattice reduces to a rank identity plus all invariant factors
 being 1.  The top level is the cell's own column, of rank 1 with factor
 1 unless it is empty.  Every lower level goes to the Smith kernel
-``snf._smith`` as columns renumbered along the closure; level 1 over
-valid edges is a graph incidence matrix, which the kernel ranks by its
-spanning forest without elimination.  Failures and their details come
-from this path alone.
+``snf._smith`` as the CSC arrays of B_l restricted to the closure; level
+1 over valid edges is a graph incidence matrix, which the kernel ranks
+by its spanning forest without elimination.  Failures and their details
+come from this path alone.
 
 Validators report failures instead of raising; each failure carries a
 condition id from {B1-columns, cell-acyclic, cell-connected, B2-cycle}.
@@ -41,7 +41,6 @@ from .core import (
     CellRef,
     _closure,
     _edge_endpoints,
-    _entry_arrays,
     _gather,
     closure_indices,
     integer_product,
@@ -88,20 +87,19 @@ class ValidationReport:
 
 
 def _b1_column_failures(cc: CellComplex) -> list[Failure]:
-    """A failure for each column of B_1 that is not one -1 and one +1: of length 2
-    with signs summing to 0, read off the CSC arrays."""
+    """A failure for each column of B_1 that _edge_endpoints finds no edge in."""
     b = cc.boundary(1)
-    sums = np.bincount(_entry_arrays(b)[1], weights=b.signs, minlength=b.cols)
     failures = []
-    for j in np.flatnonzero((np.diff(b.indptr) != 2) | (sums != 0)).tolist():
-        signs = sorted(b.signs[b.indptr[j] : b.indptr[j + 1]].tolist())
-        failures.append(
-            Failure(
-                "B1-columns",
-                f"1-cell {cc.cells[1][j]}",
-                f"column has signs {signs}, expected one -1 and one +1",
+    for j, pair in enumerate(_edge_endpoints(b.indptr, b.indices, b.signs)):
+        if pair is None:
+            signs = sorted(b.signs[b.indptr[j] : b.indptr[j + 1]].tolist())
+            failures.append(
+                Failure(
+                    "B1-columns",
+                    f"1-cell {cc.cells[1][j]}",
+                    f"column has signs {signs}, expected one -1 and one +1",
+                )
             )
-        )
     return failures
 
 
@@ -113,11 +111,13 @@ def validate_dim1(cc: CellComplex) -> ValidationReport:
 
 
 def validate_dim2(cc: CellComplex) -> ValidationReport:
-    """Check that every B_2 column is one simple oriented cycle."""
+    """Check that every B_2 column is one simple oriented cycle.  The cycle walk
+    steps through each column's (edge, sign) pairs, so it reads the column lists."""
     if cc.dim != 2:
         raise BadDimension("dimension-2 validation needs a 2-dimensional complex")
     failures = []
-    ends = _edge_endpoints(cc.boundary(1).columns())
+    b1 = cc.boundary(1)
+    ends = _edge_endpoints(b1.indptr, b1.indices, b1.signs)
     for j, column in enumerate(cc.boundary(2).columns()):
         cell = f"2-cell {cc.cells[2][j]}"
         try:
@@ -134,19 +134,18 @@ def closure(cc: CellComplex, cell: CellRef) -> CellComplex:
     return subcomplex(cc, closure_indices(cc, cell))
 
 
-def _level(columns: list, layers: list, k: int, l: int) -> tuple[int, ...]:
+def _level(cc: CellComplex, layers: list, k: int, l: int) -> tuple[int, ...]:
     """Nonzero invariant factors of B_l restricted to a k-cell's closure."""
     if l == k:  # the cell's own column: one nonzero +-1 column has factor 1
-        return (1,) if layers[k - 1] else ()
-    position = {i: p for p, i in enumerate(layers[l - 1])}
-    restricted = [[(position[i], s) for i, s in columns[l][j]] for j in layers[l]]
-    return tuple(_smith(len(layers[l - 1]), restricted)[0])
+        return (1,) if len(layers[k - 1]) else ()
+    b = cc.boundary(l).restrict(layers[l - 1], layers[l])
+    return tuple(_smith(b.rows, b.indptr, b.indices, b.signs)[0])
 
 
-def _cell_failures(cc: CellComplex, columns: list, k: int, index: int) -> list[Failure]:
+def _cell_failures(cc: CellComplex, k: int, index: int) -> list[Failure]:
     cell = f"{k}-cell {cc.cells[k][index]}"
-    layers = _closure(lambda l, j: columns[l][j], k, index)
-    factors = [_level(columns, layers, k, l) for l in range(1, k + 1)]
+    layers = _closure(cc.boundaries, k, index)
+    factors = [_level(cc, layers, k, l) for l in range(1, k + 1)]
     ranks = [len(f) for f in factors]
     failures = []
     # Acyclicity: the top column is injective and, over Z, the kernel of
@@ -247,11 +246,8 @@ def validate_nd(cc: CellComplex) -> ValidationReport:
     failures = _b1_column_failures(cc)
     exact = not any(integer_product(cc.boundary(k - 1), cc.boundary(k))
                     for k in range(2, cc.dim + 1))
-    columns = None
     for k in range(1, cc.dim + 1):
         rest = np.flatnonzero(~_collapsed(cc, k)) if exact else range(cc.n_cells(k))
         for index in map(int, rest):
-            if columns is None:
-                columns = [[]] + [cc.boundary(l).columns() for l in range(1, cc.dim + 1)]
-            failures.extend(_cell_failures(cc, columns, k, index))
+            failures.extend(_cell_failures(cc, k, index))
     return ValidationReport.from_failures(failures)

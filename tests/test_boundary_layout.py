@@ -345,7 +345,7 @@ class TestEdgeEndpoints:
     @given(b1=sign_matrices())
     def test_random_columns(self, b1):
         want = endpoints_oracle(b1)
-        ends = _edge_endpoints(b1.columns())
+        ends = _edge_endpoints(b1.indptr, b1.indices, b1.signs)
         assert ends == want
         for j, pair in enumerate(want):
             if pair is None:
@@ -360,8 +360,8 @@ class TestEdgeEndpoints:
     def test_zoo(self, seed):
         cc = zoo(seed)
         if cc.dim >= 1:
-            assert _edge_endpoints(cc.boundary(1).columns()) == endpoints_oracle(
-                cc.boundary(1))
+            b1 = cc.boundary(1)
+            assert _edge_endpoints(b1.indptr, b1.indices, b1.signs) == endpoints_oracle(b1)
 
 
 def _refuse_triplets(monkeypatch) -> None:
@@ -372,14 +372,32 @@ def _refuse_triplets(monkeypatch) -> None:
 
 
 def test_kernel_callers_read_columns_not_triplets(monkeypatch):
-    # Only io.complex_to_json reads a boundary's triplets; the Smith kernel reads columns.
-    cube = cx.cubical([2, 2, 2])
+    # Only io.complex_to_json reads a boundary's triplets, and only is_simple and
+    # validate_dim2 its column lists: the Smith kernel, the edge test, the closure
+    # walk and the exact path of validate_nd read the CSC arrays.
+    cube, big = cx.cubical([2, 2, 2]), cx.cubical([3, 3, 3])
     chain = cx.ChainVector(1, np.arange(cube.n_cells(1), dtype=float))
+    columns = big.boundary(3).columns()
+    planted = with_columns(big, 3, columns + [sorted(columns[0] + columns[-1])],
+                           big.cells[3] + ("planted",))
+    square = cx.from_tuples(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    filtration = cx.Filtration(cube.boundaries, np.zeros(sum(map(len, cube.cells))))
     _refuse_triplets(monkeypatch)
+
+    def refuse(self):
+        raise AssertionError("read BoundaryMatrix.columns")
+
+    monkeypatch.setattr(BoundaryMatrix, "columns", refuse)
     assert smith_normal_form(cube.boundary(2)).rank == cube.n_cells(1) - cube.n_cells(0) + 1
+    assert cx.betti_numbers(helpers.rp2(), "integer").torsion == ((), (2,), ())
     split = cx.hodge_decompose(cube, 1, chain)
     assert np.allclose(split.gradient.values + split.curl.values, chain.values)
-    assert cx.validate_nd(cube).valid
+    assert cx.validate_dim1(cube).valid and cx.validate_nd(cube).valid
+    assert {f.cell for f in cx.validate_nd(planted).failures} == {"3-cell planted"}
+    assert core.closure_indices(cube, cx.CellRef(3, 0)) == [list(range(8)), list(range(12)),
+                                                            list(range(6)), [0]]
+    assert filtration.steps[-1].vertices == tuple(range(8))
+    assert cx.spanning_tree_lifting(square).n_cells(2) == 1
 
 
 def test_cli_writes_complexes_without_triplets(monkeypatch, capsys, tmp_path):
@@ -434,9 +452,9 @@ def _track_exact_path(monkeypatch) -> list:
     """(k, index) of every cell that validate_nd sends to _cell_failures, in order."""
     seen, cell_failures = [], validate._cell_failures
 
-    def tracking(cc, columns, k, index):
+    def tracking(cc, k, index):
         seen.append((k, index))
-        return cell_failures(cc, columns, k, index)
+        return cell_failures(cc, k, index)
 
     monkeypatch.setattr(validate, "_cell_failures", tracking)
     return seen
@@ -490,8 +508,7 @@ class TestValidateNd:
         assert not validate._collapsed(polygon, 2).any()
 
         def per_cell():  # the path every cell took before the collapse
-            columns = [[]] + [polygon.boundary(k).columns() for k in (1, 2)]
-            return [validate._cell_failures(polygon, columns, k, i)
+            return [validate._cell_failures(polygon, k, i)
                     for k in (1, 2) for i in range(polygon.n_cells(k))]
 
         def best(fn):

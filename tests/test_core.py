@@ -376,9 +376,22 @@ class TestEulerCharacteristic:
         assert cx.euler_characteristic(cx.cubical([4, 4])) == 16 - 24 + 9 == 1
 
 
+def with_2cells(columns: list) -> cx.CellComplex:
+    """Two disjoint triangles 0-1-2 and 3-4-5 with one 2-cell per B_2 column."""
+    graph = cx.from_tuples(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    b2 = BoundaryMatrix(6, len(columns), [(i, j, s) for j, col in enumerate(columns)
+                                          for i, s in col])
+    labels = [f"f{j}" for j in range(len(columns))]
+    return cx.from_boundary_matrices([*graph.cells, labels], [graph.boundary(1), b2])
+
+
 class TestIsSimple:
     def test_toy_is_simple(self, toy):
         assert cx.is_simple(toy)
+
+    def test_empty_columns(self):
+        assert cx.is_simple(with_2cells([[]]))
+        assert not cx.is_simple(with_2cells([[], []]))
 
     @pytest.mark.parametrize("column", [((0, 6, -1), (1, 6, 1)), ((0, 6, 1), (1, 6, -1))])
     def test_parallel_edge_breaks_simplicity(self, column):
@@ -416,6 +429,24 @@ class TestCanonicalOrientations:
             cx.canonicalize_orientations(multi)
         with pytest.raises(errors.DimensionTooHigh):
             cx.canonicalize_orientations(cx.cubical([2, 2, 2]))
+
+
+    def test_zero_complex_is_unchanged(self):
+        point = cx.from_tuples(["v"])
+        assert cx.canonicalize_orientations(point) is point
+
+    @pytest.mark.parametrize("column, reason", [
+        ([], "empty edge selection"),
+        ([(0, 1), (1, 1), (2, -1), (3, 1), (4, 1), (5, -1)],
+         "edge selection splits into several cycles (disconnected)"),
+    ], ids=["empty", "two-triangles"])
+    def test_a_2cell_that_is_not_a_cycle(self, column, reason):
+        cc = with_2cells([column])
+        assert cx.is_simple(cc)
+        for read in (cx.canonicalize_orientations, cx.to_tuples):
+            with pytest.raises(errors.NotACycleColumn) as info:
+                read(cc)
+            assert str(info.value) == f"2-cell 'f0': {reason}"
 
 
 class TestOrientationFlips:
@@ -468,6 +499,14 @@ class TestTupleRoundTrip:
     def test_toy_round_trips(self, toy):
         vertices, edges, polygons = cx.to_tuples(toy)
         assert cx.from_tuples(vertices, edges, polygons) == toy
+
+    def test_requires_simple_and_low_dimension(self):
+        b1 = BoundaryMatrix(2, 2, ((0, 0, -1), (1, 0, 1), (0, 1, -1), (1, 1, 1)))
+        multi = cx.from_boundary_matrices([["0", "1"], ["a", "b"]], [b1])
+        with pytest.raises(errors.NotSimple, match="^tuple notation requires a simple"):
+            cx.to_tuples(multi)
+        with pytest.raises(errors.DimensionTooHigh, match="^tuple notation covers"):
+            cx.to_tuples(cx.cubical([2, 2, 2]))
 
     def test_round_trip_fixes_nothing_on_canonical_complexes(self):
         square = cx.from_tuples(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 1, 2, 3)])

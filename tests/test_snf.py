@@ -121,10 +121,18 @@ def test_float_beyond_the_limit_names_its_value(entry):
 
 
 def test_result_invariants_enforced():
+    with pytest.raises(ValueError, match="^rank disagrees"):
+        SnfResult((1, 0), 2)
     with pytest.raises(ValueError):
         SnfResult((2, 3), 2)
     with pytest.raises(ValueError):
         SnfResult((1, 0, 1), 2)
+
+
+def test_rejects_a_one_dimensional_array():
+    with pytest.raises(ValueError, match="^expected a 2-d integer matrix$"):
+        smith_normal_form([1, 2])
+    assert smith_normal_form([]) == SnfResult((), 0)
 
 
 @st.composite
@@ -256,8 +264,7 @@ def assert_pivot_bases(matrix) -> list[int]:
     distinct rows and columns, and B on the pivot rows and on the pivot columns
     each reaches that rank.  Returns the factors."""
     matrix = np.asarray(matrix, dtype=np.int64).reshape(np.shape(matrix))
-    columns = [[(int(i), int(v)) for i, v in enumerate(col) if v] for col in matrix.T]
-    factors, pivots = snf._smith(matrix.shape[0], columns)
+    factors, pivots = snf._smith(*snf._int_csc(matrix))
     rank = helpers.rank_over_q(matrix)
     rows, cols = [r for r, _ in pivots], [c for _, c in pivots]
     assert len(set(rows)) == len(set(cols)) == len(pivots) == len(factors) == rank
@@ -306,3 +313,55 @@ def test_pivots_with_torsion_are_bases(build):
     cc = build()
     factors = [assert_pivot_bases(cc.boundary(k).to_dense()) for k in range(1, cc.dim + 1)]
     assert max(max(f) for f in factors) == 2  # a non-unit pivot was taken
+
+
+def column_lists(indptr, indices, values) -> list:
+    """The (row, value) lists of CSC arrays, values as Python ints."""
+    ptr = indptr.tolist()
+    pairs = list(zip(indices.tolist(), values.tolist()))
+    return [pairs[p:q] for p, q in zip(ptr, ptr[1:])]
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except errors.IntegerOverflow as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=st.one_of(int_matrices(values=(0, 0, 1, -1), min_size=0),
+                       multigraph_incidences().map(lambda drawn: drawn[0])))
+def test_boundary_matrix_and_its_dense_copy_give_one_smith_form(drawn):
+    # The kernel on a BoundaryMatrix's arrays and on the dense reader's arrays of
+    # to_dense(), in any dtype that holds it, returns the same factors and pivots.
+    entries = [(int(i), int(j), int(drawn[i, j])) for i, j in zip(*np.nonzero(drawn))]
+    b = BoundaryMatrix(*drawn.shape, entries)
+    want = snf._smith(b.rows, b.indptr, b.indices, b.signs)
+    for dense in (b.to_dense(), b.to_dense().astype(float), b.to_dense().astype(object)):
+        n, *arrays = snf._int_csc(dense)
+        assert n == b.rows and column_lists(*arrays) == b.columns()
+        assert snf._smith(n, *arrays) == want
+
+
+BIG = (2**62, -(2**62), 3 * 2**60, -(2**61))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=st.one_of(int_matrices(), int_matrices(values=(0, 0, 1, -1, 2) + BIG)))
+def test_dense_reader_keeps_the_column_lists_in_every_dtype(matrix):
+    # The reader gives the column lists that the list-based reader built, as Python
+    # ints, for int, float, bool and object arrays, entries up to 2^62; the kernel's
+    # factors, pivots or overflow are then the same for every dtype.
+    want = [[(i, int(row[j])) for i, row in enumerate(matrix.tolist()) if row[j]]
+            for j in range(matrix.shape[1])]
+    result = outcome(lambda: snf._smith(*snf._int_csc(matrix)))
+    for dense in (matrix.astype(float), matrix.astype(object)):
+        _, *arrays = snf._int_csc(dense)
+        assert column_lists(*arrays) == want
+        assert all(type(v) is int for column in column_lists(*arrays) for _, v in column)
+        assert outcome(lambda: snf._smith(*snf._int_csc(dense))) == result
+    nonzero = matrix != 0
+    _, *arrays = snf._int_csc(nonzero)
+    assert column_lists(*arrays) == [[(i, 1) for i, _ in column] for column in want]
+    assert snf._smith(*snf._int_csc(nonzero)) == snf._smith(*snf._int_csc(nonzero.astype(int)))

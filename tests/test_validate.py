@@ -66,6 +66,15 @@ class TestValidateDim2:
         assert report.failures[0].condition == "B2-cycle"
         assert "orientation" in report.failures[0].detail
 
+    def test_two_edges_into_one_vertex(self):
+        # 0 -> 1 <- 2: no vertex has two outgoing edges, but vertex 1 has two
+        # incoming ones; this breaks exactness, so bypass the constructor.
+        column = [(0, 1), (1, 1)]
+        report = cx.validate_dim2(graph_with_column(column, 3, [(0, 1), (2, 1)]))
+        assert [(f.condition, f.cell, f.detail) for f in report.failures] == [
+            ("B2-cycle", "2-cell f", "inconsistent orientation at vertex 1")
+        ]
+
     def test_empty_column(self):
         report = cx.validate_dim2(graph_with_column([]))
         assert [f.condition for f in report.failures] == ["B2-cycle"]
