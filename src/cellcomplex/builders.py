@@ -75,8 +75,60 @@ class PointCloud:
     def distances(self) -> np.ndarray:
         """Euclidean distance matrix, one squared coordinate difference at
         a time; summed in numpy's pairwise order, so it is bit-identical
-        to np.sqrt(np.sum(diff**2, axis=-1)) over the broadcast diff."""
-        return np.sqrt(_pairwise_sum([(c[:, None] - c[None, :]) ** 2 for c in self.points.T]))
+        to np.sqrt(np.sum(diff**2, axis=-1)) over the broadcast diff.
+
+        That holds while every nonzero square and their sum are normal
+        floats, which _squares_in_range tests from each coordinate's
+        extent and smallest gap.  Otherwise _scaled_distances scales each
+        pair's differences by a power of two, which in range gives the
+        same bits and out of range keeps the distance's own range.  It
+        costs about twice the arithmetic, so in-range clouds skip it.
+        """
+        points = self.points
+        if _squares_in_range(points):
+            return np.sqrt(_pairwise_sum([(c[:, None] - c[None, :]) ** 2 for c in points.T]))
+        return _scaled_distances(points)
+
+
+def _squares_in_range(points: np.ndarray) -> bool:
+    """Whether no square of a coordinate difference, nor their sum, can leave
+    the normal float range.  A nonzero difference is at least its
+    coordinate's smallest nonzero gap between sorted values, so gaps of at
+    least 2^-511 give squares of at least 2^-1022; and none exceeds its
+    coordinate's extent, so extents whose squares sum below 2^1020 keep
+    every sum finite."""
+    ordered = np.sort(points, axis=0)
+    with np.errstate(over="ignore"):
+        gaps = np.diff(ordered, axis=0)
+        extents = ordered[-1] - ordered[0]
+        spread = np.sum(extents * extents)
+    return bool(spread < 2.0**1020 and ((gaps == 0) | (gaps >= 2.0**-511)).all())
+
+
+def _scaled_distances(points: np.ndarray) -> np.ndarray:
+    """The distance matrix with each pair's coordinate differences divided by
+    2^e, e from np.frexp of the largest, so they lie below 1 in magnitude and
+    the largest at least 1/2; the sum of squares in distances' order is then
+    in range, and its square root is multiplied back by 2^e (inf past the
+    float range).  A power of two scales exactly, so a pair whose unscaled
+    squares are normal gets the same bits as unscaled.  A difference that
+    overflows is taken from the halved coordinates, which are exact there,
+    with its exponent raised by one."""
+    mantissas, exponents = [], []
+    for c in points.T:
+        with np.errstate(over="ignore"):
+            diff = c[:, None] - c[None, :]
+        over = np.isinf(diff)
+        diff[over] = (c[:, None] / 2 - c[None, :] / 2)[over]
+        mantissa, exponent = np.frexp(diff)
+        exponent += over
+        exponent[mantissa == 0] = -1100  # below every float's, so a zero never sets e
+        mantissas.append(mantissa)
+        exponents.append(exponent)
+    top = np.maximum.reduce(exponents)
+    squares = [np.ldexp(m, e - top) ** 2 for m, e in zip(mantissas, exponents)]
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(_pairwise_sum(squares)), top)
 
 
 def _pairwise_sum(terms: list[np.ndarray]) -> np.ndarray:
@@ -158,8 +210,8 @@ def from_simplicial(
 def _complex_of_layers(vlabels: Sequence[str], layers: Sequence[np.ndarray]) -> CellComplex:
     """Complex of simplex layers that are already checked and sorted (see
     _simplex_boundaries); a simplex is labelled by its vertices' labels."""
-    cells = [list(vlabels)]
-    cells += [["-".join([vlabels[v] for v in s]) for s in layer.tolist()] for layer in layers[1:]]
+    table = np.array(vlabels, dtype=object)
+    cells = [list(vlabels)] + [list(map("-".join, table[layer].tolist())) for layer in layers[1:]]
     return from_boundary_matrices(cells, _simplex_boundaries(layers))
 
 

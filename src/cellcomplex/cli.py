@@ -229,8 +229,8 @@ def _run_persist(args) -> int:
     cloud = _load_points(args.points)
     filtration = persist.vr_filtration(cloud, args.max_eps, args.max_dim)
     diagram = persist.persistence(filtration, keep_zero_bars=args.keep_zero_bars)
-    bars = zip(diagram.dims.tolist(), diagram.births.tolist(), diagram.deaths.tolist())
     if args.output == "json":
+        bars = zip(diagram.dims.tolist(), diagram.births.tolist(), diagram.deaths.tolist())
         doc = {
             "bars": [
                 {
@@ -243,10 +243,26 @@ def _run_persist(args) -> int:
         }
         sys.stdout.write(io.dumps(doc))
     else:
-        # The values are Python floats, so this is _fmt's format; inf prints "inf".
-        lines = [f"{dim},{birth:.12g},{death:.12g}\n" for dim, birth, death in bars]
-        sys.stdout.write("".join(lines))
+        sys.stdout.write(_bar_lines(diagram))
     return 0
+
+
+def _bar_lines(diagram: persist.PersistenceDiagram) -> str:
+    """One ``dim,birth,death`` line per bar, the values in _fmt's format (inf prints
+    "inf").  Each distinct value, told apart by its float64 bits so that 0.0 and -0.0
+    stay apart, is formatted once; the lines are one join of a table of those texts."""
+    n = len(diagram.dims)
+    values = np.concatenate([diagram.births, diagram.deaths])
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([_fmt(v) for v in distinct.view(float).tolist()], dtype=object)
+    lead = np.array([f"{k}," for k in range(diagram.dims.max(initial=0) + 1)], dtype=object)
+    table = np.empty((n, 5), dtype=object)
+    table[:, 0] = lead[diagram.dims]
+    table[:, 1] = text[inverse[:n]]
+    table[:, 2] = ","
+    table[:, 3] = text[inverse[n:]]
+    table[:, 4] = "\n"
+    return "".join(table.ravel().tolist())
 
 
 # Subcommand -> (help, function that adds its arguments, function that runs

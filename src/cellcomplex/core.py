@@ -200,7 +200,8 @@ def _product(b, x: np.ndarray, transpose: bool = False) -> np.ndarray:
 def _indices(indices: Sequence[int], n: int, what: str) -> np.ndarray:
     """The index list as an int64 array; all must be distinct and in 0..n-1."""
     array = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if array.size and (array.min() < 0 or array.max() >= n or len(set(indices)) < array.size):
+    ordered = np.sort(array)
+    if array.size and (ordered[0] < 0 or ordered[-1] >= n or (ordered[1:] == ordered[:-1]).any()):
         raise ShapeMismatch(f"{what} indices must be distinct, non-negative and below {n}")
     return array
 

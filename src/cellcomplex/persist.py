@@ -10,10 +10,11 @@ passing its ``boundaries``, for instance with lower-star births.
 The persistence pairs come from union-find plus cohomology with
 clearing: the package's one spanning-forest routine,
 ``core._forest_merges``, pairs vertices with the edges that merge their
-components by the elder rule, and each higher dimension reduces its
-coboundary matrix in reverse filtration order, skipping the cells
-already paired one dimension down (Chen & Kerber 2011; de Silva,
-Morozov & Vejdemo-Johansson 2011; Bauer 2021, Ripser).  Each pair
+components by the elder rule, and each higher dimension pairs its
+apparent pairs in bulk, then reduces the rest of its coboundary matrix
+in reverse filtration order, skipping the cells already paired one
+dimension down (Chen & Kerber 2011; de Silva, Morozov &
+Vejdemo-Johansson 2011; Bauer 2021, Ripser).  Each pair
 (i, j) becomes a bar born at the birth of cell i and dying at that of
 cell j; a cell in no pair gives an infinite bar.  Zero-length bars are
 dropped from the default output.
@@ -289,59 +290,13 @@ def persistence(filtration: Filtration, keep_zero_bars: bool = False) -> Persist
     joining two components kills the younger root.  Each higher
     dimension k reduces the coboundary columns of the k-cells in reverse
     filtration order, the earliest coface being the pivot, and skips the
-    k-cells that already killed a (k-1)-class (clearing).
-    Coboundaries are read from the CSC columns of B_{k+1}, gathered in
-    filtration order and regrouped by row as CSR coface lists, sorted by
-    position, so an unreduced column's pivot is its first entry.  Every
-    cell in no pair carries an infinite bar; bars are sorted by (dim,
-    birth, death).
+    k-cells that already killed a (k-1)-class (clearing); the pairs are
+    those of ``_pairs``.  Every cell in no pair carries an infinite bar;
+    bars are sorted by (dim, birth, death).
     """
-    births, dims, cells, mats = (
-        filtration.births, filtration.dims, filtration.cells, filtration.boundaries
-    )
-    m = len(births)
-    at = [np.flatnonzero(dims == k) for k in range(len(mats) + 1)]
-    position = []  # position[k][i]: where the k-cell i enters
-    for here in at:
-        position.append(np.empty(len(here), dtype=np.int64))
-        position[-1][cells[here]] = here
-    born: list[int] = []
-    died: list[int] = []
-    if mats:
-        ends = position[0][mats[0].indices.reshape(-1, 2)[cells[at[1]]]]
-        merges = _forest_merges(m, ends.tolist())
-        born = [root for root, _ in merges]
-        died = at[1][[j for _, j in merges]].tolist()
-    for k in range(1, len(mats)):
-        entries, owner = _gather(mats[k].indptr, cells[at[k + 1]])
-        rows = position[k][mats[k].indices[entries]]
-        order = np.argsort(rows, kind="stable")
-        column_of = at[k + 1][owner[order]].tolist()
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))]).tolist()
-        killers = set(died)
-        reduced: dict[int, list[int] | set[int]] = {}
-        for cell in at[k][::-1].tolist():
-            lo, hi = indptr[cell], indptr[cell + 1]
-            if lo == hi or cell in killers:
-                continue
-            column = column_of[lo:hi]
-            pivot = column[0]
-            other = reduced.get(pivot)
-            if other is not None:
-                column = set(column)
-                while other is not None:
-                    column.symmetric_difference_update(other)
-                    if not column:
-                        break
-                    pivot = min(column)
-                    other = reduced.get(pivot)
-                if not column:
-                    continue
-            reduced[pivot] = column
-            born.append(cell)
-            died.append(pivot)
-    born_at, died_at = np.array(born, dtype=np.int64), np.array(died, dtype=np.int64)
-    paired = np.zeros(m, dtype=bool)
+    births, dims = filtration.births, filtration.dims
+    born_at, died_at, _ = _pairs(filtration)
+    paired = np.zeros(len(births), dtype=bool)
     paired[born_at] = paired[died_at] = True
     if not keep_zero_bars:
         longer = births[died_at] > births[born_at]
@@ -352,3 +307,82 @@ def persistence(filtration: Filtration, keep_zero_bars: bool = False) -> Persist
     bar_deaths = np.concatenate([births[died_at], np.full(len(free), math.inf)])
     order = np.lexsort((bar_deaths, bar_births, bar_dims))
     return PersistenceDiagram(bar_dims[order], bar_births[order], bar_deaths[order])
+
+
+def _pairs(filtration: Filtration) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The birth and death positions of every persistence pair, and a mask of
+    the positions born in an apparent pair.
+
+    A k-cell σ, k >= 1, and its oldest coface τ are an apparent pair when
+    σ is the youngest facet of τ and σ is not cleared (Bauer 2021,
+    Ripser; Mischaikow & Nanda 2013).  The reduction, in reverse order,
+    pairs them with σ's column unchanged: a column processed before σ's
+    is a sum of coboundaries of younger cells, none of them a facet of
+    τ, so none reaches pivot τ first.  So the apparent pairs are found
+    in bulk, one ``np.maximum.at`` and one gather per dimension,
+    and only the other columns run the loop.  Coboundaries are the CSC
+    columns of B_{k+1}, gathered in filtration order and regrouped by
+    row as coface lists sorted by position, so an unreduced column's
+    pivot is its first entry.  ``reduced`` maps each pivot to its
+    column, or, for an apparent pair, to σ, whose coface list is sliced
+    only when an older column adds it.
+    """
+    births, dims, cells, mats = (
+        filtration.births, filtration.dims, filtration.cells, filtration.boundaries
+    )
+    m = len(births)
+    at = [np.flatnonzero(dims == k) for k in range(len(mats) + 1)]
+    position = []  # position[k][i]: where the k-cell i enters
+    for here in at:
+        position.append(np.empty(len(here), dtype=np.int64))
+        position[-1][cells[here]] = here
+    born, died = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    apparent = np.zeros(m, dtype=bool)
+    if mats:
+        ends = position[0][mats[0].indices.reshape(-1, 2)[cells[at[1]]]]
+        merges = np.array(_forest_merges(m, ends.tolist()), dtype=np.int64).reshape(-1, 2)
+        born.append(merges[:, 0])
+        died.append(at[1][merges[:, 1]])
+    for k in range(1, len(mats)):
+        entries, owner = _gather(mats[k].indptr, cells[at[k + 1]])
+        rows = position[k][mats[k].indices[entries]]
+        order = np.argsort(rows, kind="stable")
+        column_of = at[k + 1][owner[order]]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+        youngest = np.full(m, -1, dtype=np.int64)  # youngest[τ]: τ's youngest facet
+        np.maximum.at(youngest, at[k + 1][owner], rows)
+        cleared = np.zeros(m, dtype=bool)
+        cleared[np.concatenate(died)] = True
+        here = at[k]
+        live = here[(indptr[here + 1] > indptr[here]) & ~cleared[here]]
+        oldest = column_of[indptr[live]]
+        bulk = youngest[oldest] == live
+        reduced: dict[int, int | list[int] | set[int]] = dict(
+            zip(oldest[bulk].tolist(), live[bulk].tolist())
+        )
+        looped = live[~bulk][::-1]
+        pairs: list[tuple[int, int]] = []
+        for cell, lo, hi in zip(looped.tolist(), indptr[looped].tolist(),
+                                indptr[looped + 1].tolist()):
+            column = column_of[lo:hi].tolist()
+            pivot = column[0]
+            other = reduced.get(pivot)
+            if other is not None:
+                column = set(column)
+                while other is not None:
+                    if isinstance(other, int):  # an apparent pair's σ
+                        other = column_of[indptr[other] : indptr[other + 1]].tolist()
+                    column.symmetric_difference_update(other)
+                    if not column:
+                        break
+                    pivot = min(column)
+                    other = reduced.get(pivot)
+                if not column:
+                    continue
+            reduced[pivot] = column
+            pairs.append((cell, pivot))
+        apparent[live[bulk]] = True
+        pairs_at = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        born += [live[bulk], pairs_at[:, 0]]
+        died += [oldest[bulk], pairs_at[:, 1]]
+    return np.concatenate(born), np.concatenate(died), apparent

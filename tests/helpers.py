@@ -605,15 +605,10 @@ def heat_taylor_oracle(
     return x
 
 
-def persistence_oracle(
-    filtration: Filtration, keep_zero_bars: bool = False
-) -> PersistenceDiagram:
-    """Standard Z/2 column reduction of the filtration boundary matrix.
-
-    The cells are sorted by (birth, dim, cell index) here, and column p
-    holds the positions of the faces that B_k lists for the cell at p,
-    read one column at a time; signs are dropped, as over Z/2.
-    """
+def filtration_columns_oracle(filtration: Filtration) -> tuple[list, list[set[int]]]:
+    """The cells as (birth, dim, cell index), sorted, and the boundary matrix in
+    that order: column p holds the positions of the faces that B_k lists for
+    the cell at p, read one column at a time; signs are dropped, as over Z/2."""
     mats = filtration.boundaries
     sizes = [mats[0].rows if mats else len(filtration.cell_births), *(b.cols for b in mats)]
     flat = [(k, i) for k, n in enumerate(sizes) for i in range(n)]
@@ -623,6 +618,14 @@ def persistence_oracle(
         {position[k - 1, row] for row, _ in mats[k - 1].column(i)} if k else set()
         for _, k, i in cells
     ]
+    return cells, columns
+
+
+def persistence_pairs_oracle(filtration: Filtration) -> list[tuple[int, int]]:
+    """(birth, death) positions of the pairs of the standard Z/2 column
+    reduction, in filtration order: column j's lowest entry after reduction
+    is paired with j."""
+    _, columns = filtration_columns_oracle(filtration)
     low_owner: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
     for j, column in enumerate(columns):
@@ -635,14 +638,41 @@ def persistence_oracle(
         if column:
             low_owner[max(column)] = j
             pairs.append((max(column), j))
+    return pairs
+
+
+def apparent_pairs_oracle(filtration: Filtration) -> set[tuple[int, int]]:
+    """(sigma, tau) positions, sigma of dimension at least 1, where sigma is the
+    youngest face of tau and tau the oldest coface of sigma, read off the
+    unreduced columns."""
+    cells, columns = filtration_columns_oracle(filtration)
+    cofaces: dict[int, list[int]] = {}
+    for tau, column in enumerate(columns):
+        for sigma in column:
+            cofaces.setdefault(sigma, []).append(tau)
+    return {
+        (sigma, min(taus)) for sigma, taus in cofaces.items()
+        if cells[sigma][1] >= 1 and max(columns[min(taus)]) == sigma
+    }
+
+
+def persistence_oracle(
+    filtration: Filtration, keep_zero_bars: bool = False
+) -> PersistenceDiagram:
+    """Standard Z/2 column reduction of the filtration boundary matrix
+    (persistence_pairs_oracle): a pair (i, j) is a bar from the birth of
+    cell i to that of cell j, and a cell in no pair an infinite bar."""
+    cells, _ = filtration_columns_oracle(filtration)
+    pairs = persistence_pairs_oracle(filtration)
     bars = []
     for i, j in pairs:
         bar = PersistenceBar(cells[i][1], cells[i][0], cells[j][0])
         if keep_zero_bars or bar.death > bar.birth:
             bars.append(bar)
-    for i, column in enumerate(columns):
-        if not column and i not in low_owner:
-            bars.append(PersistenceBar(cells[i][1], cells[i][0], math.inf))
+    paired = {p for pair in pairs for p in pair}
+    for i, (birth, dim, _) in enumerate(cells):
+        if i not in paired:
+            bars.append(PersistenceBar(dim, birth, math.inf))
     bars.sort(key=lambda b: (b.dim, b.birth, b.death))
     return PersistenceDiagram(
         np.array([b.dim for b in bars], dtype=np.int64),
@@ -707,9 +737,33 @@ def simplex_boundary_oracle(layers) -> list[dict[tuple[int, int], int]]:
 
 
 def distances_oracle(pc: cx.PointCloud) -> np.ndarray:
-    """Euclidean distances by broadcasting every coordinate at once."""
-    diff = pc.points[:, None, :] - pc.points[None, :, :]
-    return np.sqrt(np.sum(diff**2, axis=-1))
+    """Euclidean distances by broadcasting every coordinate at once, for
+    each pair whose nonzero squares and their sum are normal floats.
+
+    The other pairs, whose squares leave the float range, are taken one
+    at a time: the differences are multiplied by 2^-e, for e the exponent
+    (math.frexp) of the largest, and the root by 2^e.  A pair whose
+    differences overflow is taken from its halved points, and a root past
+    the float range is inf.
+    """
+    pts = pc.points
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        squares = diff**2
+        total = np.sum(squares, axis=-1)
+        out = np.sqrt(total)
+    normal = (diff == 0) | ((squares >= np.finfo(float).tiny) & np.isfinite(squares))
+    in_range = normal.all(axis=-1) & np.isfinite(total)
+    for i, j in zip(*np.nonzero(~in_range)):
+        with np.errstate(over="ignore"):
+            diff = pts[i] - pts[j]
+            halve = not np.isfinite(diff).all()
+            if halve:
+                diff = pts[i] / 2 - pts[j] / 2
+            e = math.frexp(float(np.abs(diff).max()))[1]
+            root = np.sqrt(np.sum(np.ldexp(diff, -e) ** 2))
+            out[i, j] = np.ldexp(root, e + halve)
+    return out
 
 
 def dumps_oracle(doc) -> str:
@@ -963,10 +1017,17 @@ def power_of_four_weights(rng: random.Random, cc: cx.CellComplex, spread: int = 
 
 
 def exactness_holds(cc: cx.CellComplex) -> bool:
-    """Direct integer check of B_{k-1} @ B_k = 0, independent of core."""
+    """Direct integer check of B_{k-1} @ B_k = 0, independent of core: the
+    product over Python ints, each entry (i, j, s) of B_k expanded into the
+    entries of column i of B_{k-1}, read from the triplets."""
     for k in range(2, cc.dim + 1):
-        a = to_dense_oracle(cc.boundary(k - 1)).astype(object)
-        b = to_dense_oracle(cc.boundary(k)).astype(object)
-        if np.any(a @ b != 0):
+        below: dict[int, list[tuple[int, int]]] = {}
+        for r, i, s in cc.boundary(k - 1).entries:
+            below.setdefault(i, []).append((r, s))
+        product: dict[tuple[int, int], int] = {}
+        for i, j, s in cc.boundary(k).entries:
+            for r, s2 in below.get(i, ()):
+                product[r, j] = product.get((r, j), 0) + s * s2
+        if any(product.values()):
             return False
     return True

@@ -75,6 +75,24 @@ class TestPointCloudDistances:
         cloud = cx.PointCloud(points)
         assert np.array_equal(cloud.distances(), helpers.distances_oracle(cloud))
 
+    @settings(max_examples=100)
+    @given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 6), b=st.integers(-1000, 1000))
+    def test_powers_of_two_scale_exactly(self, data, d, n, b):
+        # Integer coordinates give in-range unit distances; scaled by 2^b, every
+        # distance stays a normal float and scales by exactly 2^b.
+        points = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                                    min_size=n, max_size=n))
+        unit = cx.PointCloud(points).distances()
+        scaled = cx.PointCloud(np.ldexp(np.array(points, dtype=float), b)).distances()
+        assert np.array_equal(scaled, np.ldexp(unit, b))
+
+    def test_coordinates_at_the_float_limit(self):
+        cloud = cx.PointCloud([[1e308, 0], [0, 1e308], [-1e308, 0], [0, -1e308], [0, 0]])
+        dist = cloud.distances()
+        assert np.array_equal(dist, helpers.distances_oracle(cloud))
+        assert dist[0, 4] == dist[3, 4] == 1e308 and dist[0, 2] == dist[1, 3] == math.inf
+        assert dist[0, 1] == pytest.approx(math.hypot(1e308, 1e308), rel=2.0**-50)
+
     # From 8 coordinates on, numpy sums in blocks of eight, and above 128 by halves.
     @pytest.mark.parametrize("d", [5, 8, 9, 16, 23, 128, 129, 300])
     def test_bit_identical_in_high_dimension(self, d):

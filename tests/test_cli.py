@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import cli, errors, io, persist
@@ -329,6 +331,37 @@ class TestPersistCommand:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+
+    @settings(max_examples=200)
+    @given(bars=st.lists(st.tuples(
+        st.integers(0, 3), st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+    ), max_size=30))
+    def test_bar_lines_match_one_format_per_bar(self, bars):
+        # Repeated values, -0.0 beside 0.0, subnormals and infinite deaths.
+        dims = [dim for dim, _, _, _ in bars]
+        births = [min(a, b) for _, a, b, _ in bars]
+        deaths = [math.inf if dies_never else max(a, b) for _, a, b, dies_never in bars]
+        want = "".join(f"{d},{b:.12g},{e:.12g}\n" for d, b, e in zip(dims, births, deaths))
+        assert cli._bar_lines(persist.PersistenceDiagram(dims, births, deaths)) == want
+
+    def test_bar_lines_keep_the_sign_of_zero(self):
+        diagram = persist.PersistenceDiagram([0, 0, 1], [0.0, -0.0, -0.0], [0.0, -0.0, 1.0])
+        assert cli._bar_lines(diagram) == "0,0,0\n0,-0,-0\n1,-0,1\n"
+
+    @pytest.mark.parametrize("b", range(-600, 601, 50))
+    def test_the_345_triangle_at_any_scale(self, capsys, tmp_path, b):
+        path = tmp_path / "triangle.csv"
+        path.write_text(f"0,0\n{math.ldexp(3, b)!r},0\n0,{math.ldexp(4, b)!r}\n")
+        code, out, err = run(capsys, "persist", str(path), "--max-eps", "1e300", "--max-dim", "2")
+        assert (code, err) == (0, "")
+        assert out == f"0,0,{math.ldexp(3, b):.12g}\n0,0,{math.ldexp(4, b):.12g}\n0,0,inf\n"
+
+    def test_far_points_die_at_their_distance(self, capsys, tmp_path):
+        path = tmp_path / "far.csv"
+        path.write_text("0,0\n1e200,0\n0,1e200\n")
+        code, out, err = run(capsys, "persist", str(path), "--max-eps", "1e300", "--max-dim", "2")
+        assert (code, out, err) == (0, "0,0,1e+200\n0,0,1e+200\n0,0,inf\n", "")
 
     def test_no_per_simplex_objects(self, capsys, monkeypatch, square_points):
         def refuse(self, *args, **kwargs):

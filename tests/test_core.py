@@ -54,6 +54,16 @@ class TestBoundaryMatrix:
     def test_restrict_rejects_repeated_rows(self):
         with pytest.raises(errors.ShapeMismatch):
             path3().boundary(1).restrict([0, 0], [0])
+        b1 = path3().boundary(1)
+        for rows, cols, what, n in (
+            ([0, 1], [1, 0, 1], "column", 2),
+            (np.array([2, 0, 2], dtype=np.int64), [0], "row", 3),
+            ([0], np.array([1, 1], dtype=np.int64), "column", 2),
+        ):
+            message = f"{what} indices must be distinct, non-negative and below {n}"
+            with pytest.raises(errors.ShapeMismatch, match=f"^{message}$"):
+                b1.restrict(rows, cols)
+        assert b1.restrict(np.array([2, 0]), np.array([1])).entries == ((0, 0, 1),)
 
 
 def path3() -> cx.CellComplex:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex.builders import rips_simplices
-from cellcomplex.persist import Filtration, FiltrationStep
+from cellcomplex.persist import (
+    Filtration, FiltrationStep, PersistenceBar, PersistenceDiagram, _pairs,
+)
 
 import helpers
 
@@ -298,6 +301,57 @@ def test_bars_match_column_reduction_oracle(cloud, eps, max_dim, keep_zero_bars)
     assert cx.persistence(filtration, keep_zero_bars) == expected
 
 
+def assert_pairs_match_the_oracle(filtration: Filtration) -> None:
+    """_pairs gives the standard reduction's pairs, and the ones it marks
+    apparent are exactly the apparent pairs read off the unreduced columns."""
+    born, died, apparent = _pairs(filtration)
+    pairs = set(zip(born.tolist(), died.tolist()))
+    assert len(pairs) == len(born)
+    assert pairs == set(helpers.persistence_pairs_oracle(filtration))
+    found = set(zip(born[apparent[born]].tolist(), died[apparent[born]].tolist()))
+    assert len(found) == np.count_nonzero(apparent)
+    assert found <= pairs
+    assert found == helpers.apparent_pairs_oracle(filtration)
+
+
+@settings(max_examples=200)
+@given(cloud=helpers.clouds(), eps=helpers.scales(), max_dim=st.integers(0, 3))
+def test_rips_apparent_pairs_are_persistence_pairs(cloud, eps, max_dim):
+    assert_pairs_match_the_oracle(cx.vr_filtration(cloud, eps, max_dim))
+
+
+def test_an_older_column_adds_an_apparent_column():
+    # Edges 02 and 03 each close a cycle, so neither is cleared, and the
+    # triangle 023 is the oldest coface of both.  Its youngest facet is 03,
+    # so (03, 023) is apparent; the older 02 then meets pivot 023 and adds
+    # the coboundary of 03, read only then, which cancels it: the cycle
+    # 0-1-2 never dies.
+    steps = [FiltrationStep(0.0, 0, (v,)) for v in range(4)] + [
+        FiltrationStep(1.0, 1, (0, 1)), FiltrationStep(1.0, 1, (1, 2)),
+        FiltrationStep(1.0, 1, (2, 3)), FiltrationStep(2.0, 1, (0, 2)),
+        FiltrationStep(3.0, 1, (0, 3)), FiltrationStep(4.0, 2, (0, 2, 3)),
+    ]
+    filtration = Filtration.from_steps(steps)
+    born, died, apparent = _pairs(filtration)
+    assert np.flatnonzero(apparent).tolist() == [8] and died[born == 8].tolist() == [9]
+    assert_pairs_match_the_oracle(filtration)
+    assert [(b.dim, b.birth, b.death) for b in cx.persistence(filtration).in_dim(1)] == [
+        (1, 2.0, math.inf), (1, 3.0, 4.0)
+    ]
+
+
+def test_cells_without_faces_or_cofaces():
+    # A 2-cell with an empty boundary (a sphere on one vertex) has no
+    # youngest facet, and the edge below it no coface.
+    b1 = cx.BoundaryMatrix(2, 1, [(0, 0, -1), (1, 0, 1)])
+    filtration = Filtration((b1, cx.BoundaryMatrix(1, 1, ())), [0.0, 0.0, 1.0, 2.0])
+    assert_pairs_match_the_oracle(filtration)
+    assert cx.persistence(filtration) == helpers.persistence_oracle(filtration)
+    assert [(b.dim, b.death) for b in cx.persistence(filtration).bars] == [
+        (0, 1.0), (0, math.inf), (2, math.inf)
+    ]
+
+
 @settings(max_examples=200)
 @given(cloud=helpers.clouds(), eps=helpers.scales(), max_dim=st.integers(0, 3), data=st.data())
 def test_bars_match_oracle_when_vertices_are_born_apart(cloud, eps, max_dim, data):
@@ -332,6 +386,7 @@ def test_lower_star_filtrations_of_any_complex_match_oracle(seed, kind, data):
     for keep_zero_bars in (False, True):
         expected = helpers.persistence_oracle(filtration, keep_zero_bars)
         assert cx.persistence(filtration, keep_zero_bars) == expected
+    assert_pairs_match_the_oracle(filtration)
     if kind == 0:  # torsion-free, so Z/2 counts the rational Betti numbers
         diagram = cx.persistence(filtration)
         alive = [diagram.alive_at(max(values), k) for k in range(cc.dim + 1)]
@@ -371,3 +426,40 @@ class TestFiltrationOfBoundaries:
         assert filtration.births.tolist() == sorted(births)
         assert filtration.steps[5] == FiltrationStep(0.0, 1, tuple(
             sorted(i for i, _ in square.boundary(1).column(3))))
+
+
+class TestRipsDistancesKeepTheirRange:
+    @pytest.mark.parametrize("b", range(-600, 601, 100))
+    def test_the_345_triangle_at_any_scale(self, b):
+        cloud = cx.PointCloud(np.ldexp([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]], b))
+        diagram = cx.persistence(cx.vr_filtration(cloud, 1e300, 2))
+        assert diagram.deaths.tolist() == [math.ldexp(3, b), math.ldexp(4, b), math.inf]
+        assert diagram.dims.tolist() == [0, 0, 0] and not diagram.births.any()
+
+    def test_far_points_die_at_their_distance_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = cx.PointCloud([[0, 0], [1e200, 0], [0, 1e200]])
+            diagram = cx.persistence(cx.vr_filtration(cloud, 1e300, 2))
+        assert diagram.deaths.tolist() == [1e200, 1e200, math.inf]
+
+
+class TestColumnObjects:
+    def test_rows_compare_and_print_as_tuples(self):
+        steps = cx.vr_filtration(cx.PointCloud([[0.0], [1.0]]), 2.0, 1).steps
+        assert steps == list(steps) and steps != 3
+        assert repr(steps) == repr(tuple(steps))
+
+    def test_equality_with_other_types(self):
+        filtration = cx.vr_filtration(SQUARE, 2.0, 2)
+        assert filtration != "filtration" and cx.persistence(filtration) != 0
+
+    def test_bars_cannot_die_before_they_are_born(self):
+        with pytest.raises(ValueError, match="bars cannot die before they are born"):
+            PersistenceBar(0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="bars cannot die before they are born"):
+            PersistenceDiagram([0], [2.0], [1.0])
+
+    def test_diagram_columns_need_one_entry_per_bar(self):
+        with pytest.raises(ValueError, match="one entry per bar"):
+            PersistenceDiagram([0], [0.0, 1.0], [1.0])
