@@ -136,6 +136,24 @@ class BoundaryMatrix:
         triplets[np.isin(triplets[:, axis], list(indices)), 2] *= -1
         return BoundaryMatrix(self.rows, self.cols, triplets)
 
+    def _without_rows(self, rows) -> "BoundaryMatrix":
+        """B with the given rows emptied and its shape kept: a mask on the CSC arrays
+        and a new indptr, with no sort and no check, as every kept entry was valid."""
+        if not len(rows):
+            return self
+        dropped = np.zeros(self.rows, dtype=bool)
+        dropped[rows] = True
+        kept = ~dropped[self.indices]
+        before = np.zeros(len(kept) + 1, dtype=np.int64)
+        np.cumsum(kept, out=before[1:])
+        arrays = before[self.indptr], self.indices[kept], self.signs[kept]
+        for array in arrays:
+            array.flags.writeable = False
+        matrix = object.__new__(BoundaryMatrix)
+        vars(matrix).update(rows=self.rows, cols=self.cols, indptr=arrays[0],
+                            indices=arrays[1], signs=arrays[2])
+        return matrix
+
     def restrict(self, rows: Sequence[int], cols: Sequence[int]) -> "BoundaryMatrix":
         """Submatrix on the given row/col index lists (order preserved)."""
         position = np.full(self.rows, -1, dtype=np.int64)

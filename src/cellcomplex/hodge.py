@@ -342,7 +342,7 @@ def _basis_entries(
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, 0
     b = cc.boundary(j)
-    _, pivots = _smith(b.rows, b.indptr, b.indices, b.signs)
+    _, pivots, _ = _smith(b.rows, b.indptr, b.indices, b.signs)
     b_rows, b_cols, signs, shape = _entry_arrays(b)
     basis, cell = (b_rows, b_cols) if rows else (b_cols, b_rows)
     position = np.full(shape[0 if rows else 1], -1, dtype=np.int64)

@@ -2,7 +2,10 @@
 
 The k-th homology is ker B_k modulo im B_{k+1}.  Its Betti number is a
 count of exact Smith-form ranks, and the integer torsion is the Smith
-invariant factors above 1.  Harmonic representatives are the
+invariant factors above 1.  The Smith forms go up the levels: each
+boundary reaches the kernel without the rows of the cells that the level
+below paired by unit pivots, which keeps its rank and factors and leaves
+the kernel far less to reduce.  Harmonic representatives are the
 harmonic-tagged vectors of hodge.spectral_basis.  Cycle checks apply B_k
 as a sparse product.
 """
@@ -43,10 +46,24 @@ def betti_numbers(cc: CellComplex, coefficients: str = "real") -> HomologySummar
     Both come from exact Smith normal forms: beta_k = |C_k| - rank B_k -
     rank B_{k+1}.  The integer path additionally reports the torsion
     invariant factors (> 1) of each homology group.
+
+    The levels go up from B_1.  Each hands the next the columns of its unit
+    pairs (SnfResult._paired: forest merges, peeled pairs, and the
+    elimination's unit pivots before its first non-unit one), and B_{l+1}
+    goes to the kernel without the rows of those l-cells, with no sort.
+    That keeps its rank and factors.  The pairs' block P of B_l has
+    determinant +-1, and B_l B_{l+1} = 0 on the pairs' rows reads
+    P B_{l+1}[paired] = -B_l[pair rows, rest] B_{l+1}[rest], so every dropped
+    row is an integer combination of the kept ones.  A non-unit pivot's
+    block need not be invertible over the integers, so the pivots after
+    one restrict nothing.
     """
     if coefficients not in ("real", "integer"):
         raise ValueError(f"coefficients must be real or integer, got {coefficients!r}")
-    snfs = [smith_normal_form(cc.boundary(k)) for k in range(1, cc.dim + 1)]
+    snfs, paired = [], []
+    for b in cc.boundaries:
+        snfs.append(smith_normal_form(b._without_rows(paired)))
+        paired = snfs[-1]._paired
     ranks = [0, *(snf.rank for snf in snfs), 0]
     betti = tuple(cc.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(cc.dim + 1))
     torsion = [()] * (cc.dim + 1)

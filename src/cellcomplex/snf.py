@@ -5,13 +5,21 @@ arrays (indptr, indices, values) as a BoundaryMatrix stores them.  A
 graph incidence matrix (every column one -1 and one +1 by
 ``core._edge_endpoints``, as B_1) is totally unimodular: its factors are
 1 and its rank is the size of a spanning forest, from
-``core._forest_merges``, with no elimination.  Other matrices take unit
-pivots first (Kaczynski-Mrozek-Slusarek 1998; Dumas-Saunders-Villard
-2001): boundary matrices are +-1-sparse, so nearly every pivot is a
-unit.  Entries are tracked against a 64-bit bound; exceeding it raises
-instead of silently losing precision.  The kernel also reports a pivot
-(row, column) per factor, so that the Hodge decomposition can read a row
-basis and a column basis of a boundary off the same elimination.
+``core._forest_merges``, with no elimination.  Other matrices are first
+peeled in numpy rounds over the CSC arrays (Kaczynski-Mrozek-Slusarek
+1998): a row with one live entry +-1 (a free face) or a column with one
+(a coreduction) is a pivot of factor 1 whose removal leaves the
+restriction of the matrix as the rest.  Only what the peel leaves, on
+boundary matrices usually nothing, goes to the elimination over dicts
+of Python ints, unit pivots first (Dumas-Saunders-Villard 2001).  Its
+entries are tracked against a 64-bit bound; exceeding it raises instead
+of silently losing precision.  The kernel also reports a pivot (row,
+column) per factor, so that the Hodge decomposition can read a row basis
+and a column basis of a boundary off the same reduction, and how many of
+the pivots are unit pairs: forest merges, peeled pairs and the
+elimination's unit pivots before its first non-unit one.  Their block
+has determinant +-1, which lets ``homology.betti_numbers`` drop their
+columns' rows from the next boundary.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +41,9 @@ class SnfResult:
 
     diagonal: tuple[int, ...]
     rank: int
+    # The columns of the kernel's unit pairs (see _smith), which betti_numbers
+    # drops from the rows of the next boundary.
+    _paired: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         nonzero = [d for d in self.diagonal if d != 0]
@@ -151,45 +162,115 @@ def _eliminate(r: int, c: int, rows, cols, heap) -> int:
 def smith_normal_form(matrix) -> SnfResult:
     """Diagonal invariant factors of a BoundaryMatrix or 2-d integer array."""
     n, *csc = _int_csc(matrix)
-    factors, _ = _smith(n, *csc)
+    factors, pivots, units = _smith(n, *csc)
     zeros = min(n, csc[0].size - 1) - len(factors)
-    return SnfResult(tuple(factors) + (0,) * zeros, len(factors))
+    paired = np.array([c for _, c in pivots[:units]], dtype=np.int64)
+    return SnfResult(tuple(factors) + (0,) * zeros, len(factors), paired)
 
 
-def _smith(n_rows: int, indptr, indices, values) -> tuple[list[int], list[tuple[int, int]]]:
+def _smith(n_rows: int, indptr, indices, values) -> tuple[list[int], list[tuple[int, int]], int]:
     """The nonzero invariant factors of the n_rows-row matrix with CSC arrays (indptr,
-    indices, values), rows increasing in each column, and pivots (row, col) whose rows
-    are a row basis and whose columns are a column basis over the rationals.
+    indices, values), rows increasing in each column; pivots (row, col) whose rows
+    are a row basis and whose columns are a column basis over the rationals; and
+    how many of the pivots, from the first, are unit pairs: their rows and columns
+    pick out a block of determinant +-1.
 
     A graph incidence matrix takes its spanning forest, whose pivots are the
-    (younger root, merging edge) pairs.  Otherwise the columns become dicts of
-    Python ints, as the INT_LIMIT checks need, and every unit pivot of the
-    elimination is a pivot of Gauss elimination over the rationals.  A non-unit
-    pivot mixes rows and columns, so the pivots of what is left at the first one
-    come from _rational_pivots.
+    (younger root, merging edge) pairs: a nonsingular block of a totally
+    unimodular matrix.  Otherwise _peel takes the unit pivots that need no
+    elimination, each the only live entry of its row or its column when it
+    was found, so the block expands along them.  Only what is left becomes
+    dicts of Python ints, as the INT_LIMIT checks need.  A unit pivot of that
+    elimination only subtracts multiples of its column from the columns still
+    live, so after those column operations the unit pivots' block is
+    triangular with +-1 on its diagonal; each is also a pivot of Gauss
+    elimination over the rationals.  A non-unit pivot mixes rows and columns,
+    so the pivots of what is left at the first one come from _rational_pivots.
     """
     ends = _edge_endpoints(indptr, indices, values)
     if None not in ends:
         pivots = _forest_merges(n_rows, ends)
-        return [1] * len(pivots), pivots
+        return [1] * len(pivots), pivots, len(pivots)
+    peeled, row_ids, col_ids, indptr, indices, values = _peel(n_rows, indptr, indices, values)
     pairs = list(zip(indices.tolist(), values.tolist()))
     ptr = indptr.tolist()
     cols = [dict(pairs[p:q]) for p, q in zip(ptr, ptr[1:])]
-    rows: list[set[int]] = [set() for _ in range(n_rows)]
+    rows: list[set[int]] = [set() for _ in range(len(row_ids))]
     for j, col in enumerate(cols):
         for i in col:
             rows[i].add(j)
-    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heap = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(heap)
-    factors, pivots = [], []
-    units = True
+    factors, pivots, units = [1] * len(peeled), [], 0
     while pivot := _pivot(heap, rows, cols):
-        if units:
+        if units == len(pivots):
             r, c = pivot
-            units = cols[c][r] in (1, -1)
-            pivots += [pivot] if units else _rational_pivots(cols)
+            if cols[c][r] in (1, -1):
+                pivots.append(pivot)
+                units += 1
+            else:
+                pivots += _rational_pivots(cols)
         factors.append(_eliminate(*pivot, rows, cols, heap))
-    return factors, pivots
+    row_ids, col_ids = row_ids.tolist(), col_ids.tolist()
+    pivots = peeled + [(row_ids[r], col_ids[c]) for r, c in pivots]
+    return factors, pivots, len(peeled) + units
+
+
+# The peel's rounds read at most this many times the matrix's entries.  A chain
+# of pairs that frees one pair per round, as the columns of a long strip of
+# squares after its spanning tree's rows are dropped, leaves the rest to the
+# elimination instead of taking one round per pair.
+_SCANS = 32
+
+
+def _peel(n_rows: int, indptr, indices, values):
+    """The unit pivots that need no elimination, and the matrix they leave.
+
+    In rounds over the live entries, each row with one live entry +-1 (a free
+    face) pairs with that entry's column, one row per column; then each column
+    with one live entry +-1 (a coreduction) pairs with that entry's row, one
+    column per row.  Such a pivot's column clears by row operations, or its row
+    by column operations, that change no other entry: its factor is 1, and the
+    rest is the restriction to the live rows and columns (Kaczynski, Mrozek and
+    Slusarek 1998).  So the pairs' rows and columns, with a row basis and a
+    column basis of the rest, are bases of the whole.  The rounds stop at the
+    first that removes nothing, or once they have read _SCANS times the
+    entries.  Returns the pairs (row, col) in the order found, the live rows and
+    columns (increasing), and the CSC arrays of what is left, renumbered on them.
+    """
+    n_cols = len(indptr) - 1
+    rows, cols = indices, np.repeat(np.arange(n_cols), np.diff(indptr))
+    units = (values == 1) | (values == -1)
+    dead_rows, dead_cols = np.zeros(n_rows, dtype=bool), np.zeros(n_cols, dtype=bool)
+    found_rows, found_cols = [], []
+    budget = _SCANS * rows.size
+    while rows.size and budget > 0:
+        live = rows.size
+        budget -= live
+        for free in (True, False):  # free faces by row, then coreductions by column
+            key, other = (rows, cols) if free else (cols, rows)
+            at = np.flatnonzero(units & (np.bincount(key)[key] == 1))
+            if at.size > 1:
+                at = at[np.unique(other[at], return_index=True)[1]]
+            if at.size:
+                r, c = rows[at], cols[at]
+                dead_rows[r] = dead_cols[c] = True
+                kept = ~(dead_rows[rows] | dead_cols[cols])
+                rows, cols, values, units = rows[kept], cols[kept], values[kept], units[kept]
+                found_rows.append(r)
+                found_cols.append(c)
+        if rows.size == live:
+            break
+    pairs = []
+    if found_rows:
+        pairs = list(zip(np.concatenate(found_rows).tolist(), np.concatenate(found_cols).tolist()))
+    if not rows.size:
+        empty = np.zeros(0, dtype=np.int64)
+        return pairs, empty, empty, np.zeros(1, dtype=np.int64), empty, empty
+    row_ids = np.unique(rows)
+    col_ids, starts = np.unique(cols, return_index=True)
+    return (pairs, row_ids, col_ids, np.append(starts, cols.size),
+            np.searchsorted(row_ids, rows), values)
 
 
 def _rational_pivots(cols: list[dict[int, int]]) -> list[tuple[int, int]]:

@@ -79,6 +79,15 @@ class TestSubcomplexIndexRange:
         with pytest.raises(errors.ShapeMismatch):
             subcomplex(path3(), [[0, 1], [5]])
 
+    def test_trailing_empty_layers_are_dropped(self):
+        sub = subcomplex(path3(), [[0, 1], [0], [], []])
+        assert sub.dim == 1 and sub.cells == (("0", "1"), ("0-1",))
+
+    @pytest.mark.parametrize("keep", [[], [[], []], [[], [0]]])
+    def test_a_selection_without_vertices_is_rejected(self, keep):
+        with pytest.raises(errors.ShapeMismatch, match="^sub-complex needs at least one 0-cell$"):
+            subcomplex(path3(), keep)
+
     def test_valid_lists_still_work(self):
         sub = subcomplex(path3(), [[2, 1], [1]])
         assert sub.cells == (("2", "1"), ("1-2",))
@@ -198,6 +207,13 @@ class TestFromBoundaryMatrices:
         with pytest.raises(errors.DuplicateLabel):
             cx.from_boundary_matrices([["v", "v"]], [])
 
+    def test_layer_and_boundary_counts(self):
+        with pytest.raises(errors.ShapeMismatch, match="^cell layer 1 is empty$"):
+            cx.from_boundary_matrices([["v"], []], [BoundaryMatrix(1, 0, [])])
+        with pytest.raises(errors.ShapeMismatch,
+                           match="^2 cell layers need 1 boundary matrices, got 0$"):
+            cx.from_boundary_matrices([["u", "v"], ["e"]], [])
+
 
 class TestFromTuples:
     def test_a_polygon_given_twice_is_a_duplicate_label(self):
@@ -238,6 +254,11 @@ class TestFromTuples:
             cx.from_tuples(range(4), [(0, 1), (1, 2), (0, 2)], [(0, 1, 2, 1)])
         with pytest.raises(errors.PolygonTooShort):
             cx.from_tuples(range(3), [(0, 1), (1, 2)], [(0, 1)])
+
+    def test_vertices_must_have_distinct_labels(self):
+        # 0 and "0" are one label.
+        with pytest.raises(errors.DuplicateLabel, match="^duplicate vertex '0'$"):
+            cx.from_tuples([0, 1, "0"])
 
 
 class TestIndexOfDimension:
@@ -295,6 +316,10 @@ class TestChainVector:
         chain = cx.ChainVector(0, source)
         source[0] = 7.0
         assert chain.values.tolist() == [0.0, 1.0, 2.0] and not chain.values.flags.writeable
+
+    def test_length_is_the_value_count(self):
+        assert len(cx.ChainVector(1, [1.0, 0.0, -1.0])) == 3
+        assert len(cx.ChainVector(0, [])) == 0
 
 
 class TestEntryArrays:
@@ -373,6 +398,14 @@ class TestApplyBoundary:
         left = cx.apply_boundary(toy, combo).values
         right = a * cx.apply_boundary(toy, x).values + b * cx.apply_boundary(toy, y).values
         assert np.array_equal(left, right)
+
+    def test_vertex_chain_has_no_boundary(self, toy):
+        with pytest.raises(errors.DimZeroHasNoBoundary, match="^0-chains have no boundary$"):
+            cx.apply_boundary(toy, cx.ChainVector(0, np.zeros(5)))
+
+    def test_chain_length_must_match_the_columns(self, toy):
+        with pytest.raises(errors.ShapeMismatch, match="^chain has 5 values, B has 6 columns$"):
+            cx.apply_boundary(toy, cx.ChainVector(1, np.zeros(5)))
 
 
 class TestEulerCharacteristic:
@@ -480,6 +513,15 @@ class TestOrientationFlips:
         with pytest.raises(error) as read:
             cx.boundary_of_cell(toy, ref)
         assert str(flipped.value) == str(read.value)
+
+    def test_a_vertex_has_no_orientation(self, toy):
+        with pytest.raises(errors.BadDimension, match="^0-cells have no orientation to flip$"):
+            cx.flip_cell(toy, cx.CellRef(0, 0))
+
+    @pytest.mark.parametrize("orientation", [0, 2, -2])
+    def test_orientation_must_be_a_sign(self, orientation):
+        with pytest.raises(ValueError, match="^orientation must be"):
+            cx.CellRef(1, 0, orientation)
 
 
 class TestWalkColumns:

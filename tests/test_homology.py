@@ -9,8 +9,25 @@ from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import errors, hodge, homology
+from cellcomplex.snf import smith_normal_form
 
 import helpers
+
+
+def unrestricted_torsion(cc) -> tuple:
+    """The torsion of each homology group from the Smith form of every whole B_k,
+    as betti_numbers read it before the levels restricted each other."""
+    snfs = [smith_normal_form(cc.boundary(k)) for k in range(1, cc.dim + 1)]
+    return tuple(tuple(d for d in s.diagonal[: s.rank] if d > 1) for s in snfs) + ((),)
+
+
+def assert_betti_matches_the_oracles(cc, torsion=None):
+    real, integer = cx.betti_numbers(cc), cx.betti_numbers(cc, "integer")
+    assert real.betti == integer.betti == helpers.betti_oracle(cc)
+    assert real.torsion == ((),) * (cc.dim + 1)
+    assert integer.torsion == unrestricted_torsion(cc)
+    if torsion is not None:
+        assert integer.torsion == torsion
 
 
 class TestBettiNumbers:
@@ -55,9 +72,7 @@ class TestBettiNumbers:
             cc = helpers.random_two_complex(rng)
         else:
             cc = helpers.random_builder_complex(rng)
-        expected = helpers.betti_oracle(cc)
-        assert cx.betti_numbers(cc).betti == expected
-        assert cx.betti_numbers(cc, "integer").betti == expected
+        assert_betti_matches_the_oracles(cc)
 
     def test_real_betti_has_no_dense_limit(self):
         assert cx.betti_numbers(cx.cubical([60, 60])).betti == (1, 0, 0)
@@ -70,6 +85,50 @@ class TestBettiNumbers:
     def test_rejects_unknown_coefficients(self, toy):
         with pytest.raises(ValueError):
             cx.betti_numbers(toy, "rational")
+
+
+class TestRestrictedLevels:
+    """betti_numbers hands each level's unit pairs to the next, which drops their rows;
+    the zoo goes through test_real_and_integer_match_rational_oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_small_rips_complexes(self, seed):
+        rng = random.Random(seed)
+        cc = cx.vietoris_rips(helpers.random_cloud(rng, 4, 8), rng.uniform(0.5, 2.5), 3)
+        assert_betti_matches_the_oracles(cc)
+
+    @pytest.mark.parametrize("build, torsion", [
+        (helpers.rp2, ((), (2,), ())),
+        (helpers.rp2_pair, ((), (2,), (), ())),
+        (lambda: cx.product(helpers.rp2(), cx.cubical([2])), ((), (2,), (), ())),
+    ], ids=["rp2", "rp2-pair", "rp2-x-interval"])
+    def test_torsion(self, build, torsion):
+        assert_betti_matches_the_oracles(build(), torsion)
+
+    def test_torsion_of_rp2_squared(self):
+        # Kunneth: H_1 = (Z/2)^2, H_2 = Z/2 and H_3 = Tor(Z/2, Z/2) = Z/2.
+        summary = cx.betti_numbers(cx.product(helpers.rp2(), helpers.rp2()), "integer")
+        assert summary.betti == (1, 0, 0, 0, 0)
+        assert summary.torsion == ((), (2, 2), (2,), (2,), ())
+
+    def test_only_unit_pairs_restrict_the_next_level(self):
+        # B_2's elimination takes two unit pivots, in columns 0 and 1, and then
+        # the factor 2, whose pivot is column 4.  Dropping rows 0 and 1 of B_3
+        # keeps its factors (1, 1); dropping row 4 as well would give (1, 2), a
+        # torsion that H_2 does not have.
+        b2 = np.array([[-1, 0, 1, 0, -1], [1, 1, -1, 1, -1], [-1, 1, -1, -1, 1]])
+        b3 = np.array([[0, 1], [-1, 1], [-1, 1], [-1, -1], [-1, 0]])
+        matrices = [cx.BoundaryMatrix(1, 3, []), *(
+            cx.BoundaryMatrix(*m.shape, [(i, j, int(m[i, j])) for i, j in zip(*np.nonzero(m))])
+            for m in (b2, b3))]
+        cc = cx.from_boundary_matrices(
+            [["v"], ["a", "b", "c"], ["p", "q", "r", "s", "t"], ["x", "y"]], matrices)
+        level = smith_normal_form(cc.boundary(2))
+        assert level.diagonal == (1, 1, 2) and sorted(level._paired.tolist()) == [0, 1]
+        assert smith_normal_form(b3[[2, 3, 4]]).diagonal == (1, 1)
+        assert smith_normal_form(b3[[2, 3]]).diagonal == (1, 2)
+        assert_betti_matches_the_oracles(cc, ((), (2,), (), ()))
 
 
 class TestHarmonicBasis:
@@ -182,6 +241,13 @@ class TestHomologous:
         name = "first" if first else "second"
         with pytest.raises(errors.NotACycle, match=f"^{name} chain has a value that is not"):
             cx.homologous(cc, *((chain, zero) if first else (zero, chain)))
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_chain_length_must_match_the_cells(self, toy_minus, first):
+        short, zero = cx.ChainVector(1, np.zeros(5)), cx.ChainVector(1, np.zeros(6))
+        name = "first" if first else "second"
+        with pytest.raises(errors.ShapeMismatch, match=f"^{name} chain has 5 values for 6 cells$"):
+            cx.homologous(toy_minus, *((short, zero) if first else (zero, short)))
 
     def test_cycle_check_is_sparse(self, toy_minus, monkeypatch):
         def refuse(*args, **kwargs):

@@ -264,7 +264,7 @@ def assert_pivot_bases(matrix) -> list[int]:
     distinct rows and columns, and B on the pivot rows and on the pivot columns
     each reaches that rank.  Returns the factors."""
     matrix = np.asarray(matrix, dtype=np.int64).reshape(np.shape(matrix))
-    factors, pivots = snf._smith(*snf._int_csc(matrix))
+    factors, pivots, _ = snf._smith(*snf._int_csc(matrix))
     rank = helpers.rank_over_q(matrix)
     rows, cols = [r for r, _ in pivots], [c for _, c in pivots]
     assert len(set(rows)) == len(set(cols)) == len(pivots) == len(factors) == rank
@@ -365,3 +365,79 @@ def test_dense_reader_keeps_the_column_lists_in_every_dtype(matrix):
     _, *arrays = snf._int_csc(nonzero)
     assert column_lists(*arrays) == [[(i, 1) for i, _ in column] for column in want]
     assert snf._smith(*snf._int_csc(nonzero)) == snf._smith(*snf._int_csc(nonzero.astype(int)))
+
+
+@st.composite
+def peelable_matrices(draw):
+    """Integer matrices up to 6 x 6: a core with entries such as 2 and 3, plus up to
+    two planted rows or columns with one nonzero entry, +-1 or (not a unit) +-2, in
+    a random row and column order."""
+    matrix = draw(int_matrices(values=(0, 0, 1, -1, 2, -2, 3, -3))
+                  .filter(lambda m: max(m.shape) <= 4))
+    for _ in range(draw(st.integers(0, 2))):
+        as_row = draw(st.booleans())
+        line = np.zeros(matrix.shape[1] if as_row else matrix.shape[0], dtype=np.int64)
+        line[draw(st.integers(0, len(line) - 1))] = draw(st.sampled_from((1, -1, 1, -1, 2, -2)))
+        matrix = np.vstack((matrix, line)) if as_row else np.column_stack((matrix, line))
+    rows = draw(st.permutations(range(matrix.shape[0])))
+    cols = draw(st.permutations(range(matrix.shape[1])))
+    return matrix[np.ix_(rows, cols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=peelable_matrices())
+def test_peeled_factors_are_quotients_of_minor_gcds(matrix):
+    # The peel's pairs and the elimination of the rest give the Smith form:
+    # d_1 * ... * d_r is the gcd of the r x r minors, and r the rational rank.
+    result = smith_normal_form(matrix)
+    assert result.rank == helpers.rank_over_q(matrix)
+    product = 1
+    for r, d in enumerate(result.diagonal[: result.rank], start=1):
+        product *= d
+        assert product == helpers.minors_gcd(matrix, r)
+    if result.rank < min(matrix.shape):
+        assert helpers.minors_gcd(matrix, result.rank + 1) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=peelable_matrices())
+def test_pivots_of_peelable_matrices_are_bases(matrix):
+    assert_pivot_bases(matrix)
+
+
+def test_the_peel_takes_unit_singletons_and_leaves_the_rest():
+    # Column 0 has one entry, a 1: a coreduction.  Rows 1 and 2 have one entry
+    # each, but a 2 and a 3 are not units, so the elimination takes them.
+    matrix = np.array([[1, 2, 3], [0, 2, 0], [0, 0, 3]])
+    peeled, row_ids, col_ids, indptr, indices, values = snf._peel(*snf._int_csc(matrix))
+    assert peeled == [(0, 0)]
+    assert row_ids.tolist() == col_ids.tolist() == [1, 2]
+    assert (indptr.tolist(), indices.tolist(), values.tolist()) == ([0, 1, 2], [0, 1], [2, 3])
+    assert smith_normal_form(matrix).diagonal == (1, 1, 6)
+    assert assert_pivot_bases(matrix) == [1, 1, 6]
+
+
+def test_free_faces_pair_one_row_per_column():
+    # Rows 0 and 1 are free faces of column 0; one of them pairs with it and
+    # the other is left empty.  Row 2 is then a free face of column 1.
+    matrix = np.array([[1, 0], [-1, 0], [1, 1]])
+    peeled, row_ids, *_ = snf._peel(*snf._int_csc(matrix))
+    assert peeled == [(0, 0), (2, 1)] and row_ids.size == 0
+    assert assert_pivot_bases(matrix) == [1, 1]
+
+
+def test_the_peel_reads_a_bounded_number_of_entries(monkeypatch):
+    # A chain that frees one pair at each end per round (row i holds columns i
+    # and i + 1).  A round counts the live entries twice, by row and by column,
+    # and none starts past _SCANS times the entries; the middle is left to the
+    # elimination, which finds the same factors.
+    n = 200
+    matrix = np.eye(n, dtype=np.int64) + np.eye(n, k=1, dtype=np.int64)
+    reads = []
+    bincount = np.bincount
+    monkeypatch.setattr(snf.np, "bincount", lambda key: reads.append(key.size) or bincount(key))
+    peeled, row_ids, *_ = snf._peel(*snf._int_csc(matrix))
+    monkeypatch.undo()
+    assert 0 < len(peeled) < n and len(row_ids) == n - len(peeled)
+    assert sum(reads) <= 2 * (snf._SCANS + 1) * (2 * n - 1)
+    assert assert_pivot_bases(matrix) == [1] * n

@@ -11,10 +11,13 @@ one tree after the other, on input files at the same paths.  The tool
 prints each side's command count and the SHA-256 over every command's
 (exit code, stdout, stderr), then how many commands differ, by subcommand,
 and the first of them.  For differing commands whose exit codes and stderr
-agree and whose stdout is JSON of the same shape, it prints the largest
-difference between their numbers, relative to the largest number of the
-command's output; the others it counts as differing in more than numbers.  It exits 0 when both sides agree and 1
-when they do not.
+agree and whose stdouts have the same shape, it prints the largest
+difference between their numbers, relative to the largest finite number of
+the command's output; the others it counts as differing in more than
+numbers.  A stdout is read as JSON, or else as lines of comma-separated
+fields (the CSV output), where every field that reads as a float is a
+number and the others must agree as text.  It exits 0 when both sides agree
+and 1 when they do not.
 Nothing under ``ccxbench/`` is changed; its input files go to a
 temporary directory.
 """
@@ -27,6 +30,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -81,13 +85,30 @@ def digest(records: list[dict]) -> str:
     return sha.hexdigest()
 
 
+def _document(stdout: str):
+    """A command's stdout as JSON, or else as its lines of comma-separated fields,
+    each field a float where it reads as one."""
+    try:
+        return json.loads(stdout)
+    except json.JSONDecodeError:
+        return [[_field(text) for text in line.split(",")] for line in stdout.splitlines()]
+
+
+def _field(text: str) -> float | str:
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _numbers(a, b, out: list[tuple[float, float]]) -> bool:
     """Append (|a - b|, max(|a|, |b|)) for each pair of numbers at the same place in
-    two JSON documents; False if they differ in anything but their numbers."""
+    two documents; False if they differ in anything but their numbers."""
     if isinstance(a, (bool, str)) or a is None:
         return a == b
     if isinstance(a, (int, float)) and isinstance(b, (int, float)) and not isinstance(b, bool):
-        out.append((abs(a - b), max(abs(a), abs(b))))
+        same = a == b or math.isnan(a) and math.isnan(b)
+        out.append((0.0 if same else abs(a - b), max(abs(a), abs(b))))
         return True
     if isinstance(a, list) and isinstance(b, list):
         return len(a) == len(b) and all(_numbers(x, y, out) for x, y in zip(a, b))
@@ -97,22 +118,20 @@ def _numbers(a, b, out: list[tuple[float, float]]) -> bool:
 
 
 def _relative_difference(pairs: list[tuple[dict, dict]]) -> tuple[float, int]:
-    """The largest difference between the JSON numbers of a record pair, relative to
-    the largest number in the pair, over the pairs; and how many pairs differ in
-    more than their numbers."""
+    """The largest difference between the numbers of a record pair's stdouts,
+    relative to the largest finite number in the pair, over the pairs; and how
+    many pairs differ in more than their numbers."""
     largest, other = 0.0, 0
     for old, new in pairs:
         found: list[tuple[float, float]] = []
-        try:
-            same = (old["rc"], old["stderr"]) == (new["rc"], new["stderr"]) and _numbers(
-                json.loads(old["stdout"]), json.loads(new["stdout"]), found)
-        except json.JSONDecodeError:
-            same = False
+        same = (old["rc"], old["stderr"]) == (new["rc"], new["stderr"]) and _numbers(
+            _document(old["stdout"]), _document(new["stdout"]), found)
         if not same:
             other += 1
         elif found:
-            scale = max(size for _, size in found)
-            largest = max(largest, max(diff for diff, _ in found) / scale if scale else 0.0)
+            scale = max((size for _, size in found if math.isfinite(size)), default=0.0)
+            diff = max(diff for diff, _ in found)
+            largest = max(largest, diff / scale if scale else diff)
     return largest, other
 
 
@@ -148,10 +167,10 @@ def main() -> int:
         by_command = collections.Counter(old["argv"][0] for old, _ in pairs)
         print("by subcommand: " + ", ".join(f"{n} {c}" for c, n in sorted(by_command.items())))
         largest, other = _relative_difference(pairs)
-        print(f"largest difference between their JSON numbers, relative to the output's "
+        print(f"largest difference between their numbers, relative to the output's "
               f"largest: {largest:.2e}")
         if other:
-            print(f"{other} of them differ in more than their JSON numbers")
+            print(f"{other} of them differ in more than their numbers")
     if len(records[0]) != len(records[1]):
         print("the sides ran different numbers of commands")
     elif not pairs:
