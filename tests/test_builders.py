@@ -61,6 +61,33 @@ class TestFromSimplicial:
         cc = cx.from_simplicial(range(3), [(2, 1, 0)], auto_close=True)
         assert cc.cells[2] == ("0-1-2",)
 
+    @pytest.mark.parametrize("vertices, simplices, error, message", [
+        (["a", "b", "a"], [], errors.DuplicateLabel, "duplicate vertex label"),
+        ([0, 1], [(0, 5)], errors.UnknownVertex, "simplex (0, 5) uses unknown vertex '5'"),
+        ([0, 1], [(0,), ()], ValueError, "empty simplex"),
+    ], ids=["duplicate-vertex", "unknown-vertex", "empty-simplex"])
+    def test_bad_vertices_and_simplices(self, vertices, simplices, error, message):
+        for auto_close in (False, True):
+            with pytest.raises(error) as info:
+                cx.from_simplicial(vertices, simplices, auto_close=auto_close)
+            assert str(info.value) == message
+
+
+class TestBadBuilderArguments:
+    @pytest.mark.parametrize("points", [[[0.0, math.nan]], [[math.inf, 0.0], [1.0, 1.0]]])
+    def test_non_finite_points(self, points):
+        with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+            cx.PointCloud(points)
+
+    def test_negative_max_dim(self):
+        pc = cx.PointCloud([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="^max_dim must be non-negative$"):
+            rips_simplices(pc, 1.0, -1)
+
+    def test_empty_path(self):
+        with pytest.raises(ValueError, match="^path needs at least one vertex$"):
+            builders.path_complex(0)
+
 
 class TestPointCloudDistances:
     @settings(max_examples=200)
@@ -489,6 +516,18 @@ class TestWindowLifting:
         with pytest.raises(errors.Disconnected):
             cx.window_lifting(emb)
 
+    def test_crossing_below_the_tolerance_caught_by_face_areas(self):
+        # Edges (0, 1) and (2, 3) cross, but at this size every cross product is
+        # under the checks' tolerance of 1e-12 and no endpoint lies in the other
+        # edge's box.  The two lobes of the figure eight are equal, so both
+        # faces have signed area exactly 0 (coordinates are exact multiples of
+        # 2^-27) and the face traversal finds no outer face.
+        points = np.array([[2, 2], [0, 3], [1, 4], [1, 1]]) * 2.0**-27
+        emb = cx.PlanarEmbedding(points, ((0, 1), (1, 2), (2, 3), (0, 3)))
+        with pytest.raises(errors.EdgesCross) as info:
+            cx.window_lifting(emb)
+        assert str(info.value) == "face traversal found 0 outer faces; drawing is not plane"
+
     def test_triangulation_matches_simplicial_up_to_orientation(self):
         emb = cx.PlanarEmbedding(
             [[0, 0], [2, 0], [1, 1.5], [3, 1.5]],
@@ -564,6 +603,19 @@ class TestPlanarEmbeddingChecks:
         assert outcome[0] is error
         if error is errors.ShapeMismatch:
             assert outcome[1] == f"3 coordinate rows for {len(labels)} vertices"
+
+    @pytest.mark.parametrize("points, edges, error, message", [
+        ([(0, 0), (1, math.nan)], ((0, 1),), ValueError, "coordinates must be finite"),
+        ([(0, 0), (1, 0), (0, 1)], ((0, 3),), errors.UnknownVertex, "edge (0, 3) outside 0..2"),
+        ([(0, 0), (1, 0), (0, 1)], ((0, 1), (1, 1)), errors.EdgesCross,
+         "edge (1, 1) is a self-loop"),
+        ([(0, 0), (1, 0), (0, 1)], ((0, 1), (1, 0)), errors.EdgesCross,
+         "edge (1, 0) drawn twice"),
+    ], ids=["non-finite", "unknown-vertex", "self-loop", "drawn-twice"])
+    def test_bad_points_and_edges(self, points, edges, error, message):
+        with pytest.raises(error) as info:
+            cx.PlanarEmbedding(points, edges)
+        assert str(info.value) == message
 
     def test_violations_in_the_last_row_block(self):
         # 289 vertices and 800 edges: every check spans several row blocks,

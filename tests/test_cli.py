@@ -544,6 +544,30 @@ class TestExitCodes:
         assert not caught  # a numpy warning would print to stderr outside pytest
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["persist", "{csv}", "--max-eps", "1", "--max-dim", "1"],
+         "point coordinates must be finite"),
+        (["build", "vr", "{csv}", "--eps", "1", "--maxdim", "1"],
+         "point coordinates must be finite"),
+        (["lift", "window", "{graph}", "--coords", "{csv}"], "coordinates must be finite"),
+    ], ids=["persist", "build-vr", "lift-window"])
+    def test_nan_in_csv_is_one_error_line(self, capsys, tmp_path, toy_graph, argv, message):
+        csv = tmp_path / "points.csv"
+        csv.write_text("0,0\n1,nan\n")
+        graph = tmp_path / "graph.json"
+        graph.write_text(io.dumps(io.complex_to_json(toy_graph)))
+        code, out, err = run(capsys, *(a.format(csv=csv, graph=graph) for a in argv))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["persist", "{points}", "--max-eps", "1", "--max-dim", "-1"],
+        ["build", "vr", "{points}", "--eps", "1", "--maxdim", "-1"],
+    ], ids=["persist", "build-vr"])
+    def test_negative_dimension_is_one_error_line(self, capsys, square_points, argv):
+        code, out, err = run(capsys, *(a.format(points=square_points) for a in argv))
+        assert (code, out, err) == (1, "", "error: max_dim must be non-negative\n")
+
+
 def _edge_doc() -> dict:
     return io.complex_to_json(helpers.k2_paper())
 

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -434,6 +435,48 @@ def _shape_class(matrix):
     return "square" if rows == cols else "tall" if rows > cols else "wide"
 
 
+def _svd_squares(cc, j, weights):
+    """The squared singular values of the weighted B_j, descending, from the dense
+    oracle's values-only SVD on its taller side, as many as its exact rank."""
+    b = helpers.dense_boundary_oracle(cc, j, weights)
+    if not b.size:
+        return np.zeros(0)
+    rank = helpers.rank_over_q(helpers.to_dense_oracle(cc.boundary(j)))
+    taller = b if b.shape[0] >= b.shape[1] else b.T
+    return np.linalg.svd(taller, compute_uv=False)[:rank] ** 2
+
+
+def _counted_svds():
+    """A patch of hodge._image, the spectrum's fallback, that counts its calls."""
+    return mock.patch.object(hodge, "_image", wraps=hodge._image)
+
+
+def _check_spectrum(cc, k, weights, spectrum=None):
+    """Each gradient and curl eigenvalue of laplacian_spectrum within 1e-12 relative
+    of the SVD's.  A boundary whose sigma_max^2 / sigma_min^2 is past twice the
+    Gram cut gives the SVD's values exactly; without a given spectrum, only the
+    boundaries at or past half the cut may call the SVD, and those past twice it do."""
+    calls = None
+    if spectrum is None:
+        with _counted_svds() as svds:
+            spectrum = cx.laplacian_spectrum(cc, k, weights)
+        calls = svds.call_count
+    eigenvalues, tags = spectrum[0], np.array(spectrum[1])
+    past, near = 0, 0
+    for j, tag in ((k, "gradient"), (k + 1, "curl")):
+        want = np.sort(_svd_squares(cc, j, weights))
+        got = eigenvalues[tags == tag]
+        assert len(got) == len(want)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        if len(want):
+            condition = want[-1] / want[0]
+            if condition > 2 * hodge._GRAM_CONDITION:
+                assert np.array_equal(got, want)
+                past += 1
+            near += not condition < hodge._GRAM_CONDITION / 2
+    assert calls is None or past <= calls <= near
+
+
 class TestTallSideSplit:
     """Decompose (pivot-basis solves) and heat (an SVD on the taller side)
     against the least-squares projection and eigh oracles, to 1e-12 of max|x|."""
@@ -468,24 +511,63 @@ class TestTallSideSplit:
         for k in range(cc.dim + 1):
             self.check(cc, k, weights, rng)
 
-    @pytest.mark.parametrize("case", ["cycle-0", "filled-cycle-1", "triangles-1", "triangles-2"])
-    def test_spectrum_of_a_square_boundary_reads_b_itself(self, case):
-        """The values-only SVD keeps its bytes: square B as B, otherwise the taller side."""
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_spectrum_from_the_gram_matrix(self, case, weighted):
+        """Every fixed shape takes the Gram eigenvalues, each within 1e-12 of the SVD's."""
         build, k = SPLIT_CASES[case]
         cc = build()
-        weights = helpers.random_weights(random.Random(case), cc, WIDE)
-        parts, square = [], False
-        for j in (k, k + 1):
-            b = helpers.dense_boundary_oracle(cc, j, weights)
-            if b.size:
-                square |= b.shape[0] == b.shape[1]
-                rank = helpers.rank_over_q(helpers.to_dense_oracle(cc.boundary(j)))
-                taller = b if b.shape[0] >= b.shape[1] else b.T
-                parts.append(np.linalg.svd(taller, compute_uv=False)[:rank] ** 2)
-        assert square
-        harmonic = np.zeros(cc.n_cells(k) - sum(map(len, parts)))
-        expected = np.sort(np.concatenate([*parts, harmonic]))
-        assert np.array_equal(cx.laplacian_spectrum(cc, k, weights)[0], expected)
+        weights = helpers.random_weights(random.Random(case), cc) if weighted else None
+        with _counted_svds() as svds:
+            spectrum = cx.laplacian_spectrum(cc, k, weights)
+        assert svds.call_count == 0
+        _check_spectrum(cc, k, weights, spectrum)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans(), weighted=st.booleans())
+    def test_spectrum_on_zoo_draws(self, seed, two_complex, weighted):
+        rng = random.Random(seed)
+        cc = zoo_complex(rng, two_complex)
+        weights = helpers.random_weights(rng, cc) if weighted else None
+        for k in range(cc.dim + 1):
+            _check_spectrum(cc, k, weights)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), two_complex=st.booleans())
+    def test_spectrum_past_the_cut_is_the_svd(self, seed, two_complex):
+        # Weights 4^u, u in [-20, 20], spread about 10^+-12.
+        rng = random.Random(seed)
+        cc = zoo_complex(rng, two_complex)
+        weights = helpers.power_of_four_weights(rng, cc, 20)
+        for k in range(cc.dim + 1):
+            _check_spectrum(cc, k, weights)
+
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_stiff_grid_spectrum_is_the_svd(self, seed):
+        # Log-uniform weights 10^-4..10^4 on a 6 x 6 grid: both boundaries of
+        # L_1 fall back, and the spectrum is the SVD's to the bit.
+        cc = cx.cubical([6, 6])
+        rng = np.random.default_rng(seed)
+        weights = cx.WeightSet(tuple(10.0 ** rng.uniform(-4, 4, cc.n_cells(k))
+                                     for k in range(3)))
+        with _counted_svds() as svds:
+            eigenvalues, tags = cx.laplacian_spectrum(cc, 1, weights)
+        assert svds.call_count == 2
+        parts = [_svd_squares(cc, j, weights) for j in (1, 2)]
+        harmonic = np.zeros(cc.n_cells(1) - sum(map(len, parts)))
+        assert np.array_equal(eigenvalues, np.sort(np.concatenate([*parts, harmonic])))
+        _check_spectrum(cc, 1, weights, (eigenvalues, tags))
+
+    def test_subnormal_spectrum_is_the_svd(self, toy):
+        # Eigenvalues of L_0 near 1e-316: the Gram matrix has lost half its digits
+        # to gradual underflow, so the SVD of the normal-range B_1 gives them.
+        weights = cx.WeightSet((np.full(5, 1e300), np.full(6, 1e-16), np.ones(2)))
+        with _counted_svds() as svds:
+            eigenvalues, tags = cx.laplacian_spectrum(toy, 0, weights)
+        assert svds.call_count == 1
+        want = np.sort(_svd_squares(toy, 1, weights))
+        assert 0 < want[0] < want[-1] < np.finfo(float).tiny
+        assert np.array_equal(eigenvalues[np.array(tags) == "curl"], want)
 
     @staticmethod
     def check(cc, k, weights, rng):

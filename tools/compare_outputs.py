@@ -13,11 +13,16 @@ prints each side's command count and the SHA-256 over every command's
 and the first of them.  For differing commands whose exit codes and stderr
 agree and whose stdouts have the same shape, it prints the largest
 difference between their numbers, relative to the largest finite number of
-the command's output; the others it counts as differing in more than
-numbers.  A stdout is read as JSON, or else as lines of comma-separated
-fields (the CSV output), where every field that reads as a float is a
-number and the others must agree as text.  It exits 0 when both sides agree
-and 1 when they do not.
+the command's output and relative to each value; the others it counts as
+differing in more than numbers.  A stdout is read as JSON, or else as lines
+of comma-separated fields (the CSV output), where every field that reads as
+a float is a number and the others must agree as text.  Of the CSV outputs
+that differ in more than numbers, it counts apart those whose numbers agree
+row by row to 1e-9 relative and whose text fields differ only by a
+permutation within runs of tied rows (rows whose numbers agree to 1e-9
+relative with the row before): the tags of eigenvalues equal in exact
+arithmetic, which rounding may order either way.  It exits 0 when both
+sides agree and 1 when they do not.
 Nothing under ``ccxbench/`` is changed; its input files go to a
 temporary directory.
 """
@@ -39,6 +44,7 @@ import tempfile
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "ccxbench"
+TIED = 1e-9  # relative agreement of numbers in rows that may swap their text fields
 
 
 def run_side(src: str, workload: str, seed: int, rounds: list[int], work: str) -> None:
@@ -85,13 +91,20 @@ def digest(records: list[dict]) -> str:
     return sha.hexdigest()
 
 
-def _document(stdout: str):
-    """A command's stdout as JSON, or else as its lines of comma-separated fields,
-    each field a float where it reads as one."""
+def _rows(stdout: str) -> list[list[float | str]] | None:
+    """A stdout that is not JSON as its lines of comma-separated fields, each a
+    float where it reads as one; None for a JSON stdout."""
     try:
-        return json.loads(stdout)
+        json.loads(stdout)
     except json.JSONDecodeError:
         return [[_field(text) for text in line.split(",")] for line in stdout.splitlines()]
+    return None
+
+
+def _document(stdout: str):
+    """A command's stdout as JSON, or else as its CSV rows (_rows)."""
+    rows = _rows(stdout)
+    return json.loads(stdout) if rows is None else rows
 
 
 def _field(text: str) -> float | str:
@@ -117,22 +130,58 @@ def _numbers(a, b, out: list[tuple[float, float]]) -> bool:
     return False
 
 
-def _relative_difference(pairs: list[tuple[dict, dict]]) -> tuple[float, int]:
-    """The largest difference between the numbers of a record pair's stdouts,
-    relative to the largest finite number in the pair, over the pairs; and how
-    many pairs differ in more than their numbers."""
-    largest, other = 0.0, 0
+def _tied(a: list[float], b: list[float]) -> bool:
+    """Whether two lists of numbers agree place by place to TIED relative."""
+    return len(a) == len(b) and all(
+        x == y or abs(x - y) <= TIED * max(abs(x), abs(y)) or math.isnan(x) and math.isnan(y)
+        for x, y in zip(a, b))
+
+
+def _tie_reordered(old: str, new: str, out: list[tuple[float, float]]) -> bool:
+    """Whether two CSV stdouts have the same rows up to numbers that agree to TIED
+    relative and a permutation of the text fields within each run of tied rows;
+    appends (|a - b|, max(|a|, |b|)) for their numbers, as _numbers does."""
+    a, b = _rows(old), _rows(new)
+    if a is None or b is None or len(a) != len(b):
+        return False
+    texts: list[collections.Counter] = [collections.Counter(), collections.Counter()]
+    run, previous = 0, None
+    for x, y in zip(a, b):
+        kinds = [isinstance(field, str) for field in x]
+        if kinds != [isinstance(field, str) for field in y]:
+            return False
+        numbers = [[f for f in row if not isinstance(f, str)] for row in (x, y)]
+        if not _tied(*numbers):
+            return False
+        run += previous is None or not _tied(previous, numbers[0])
+        previous = numbers[0]
+        for counter, row in zip(texts, (x, y)):
+            counter[run, tuple(f for f in row if isinstance(f, str))] += 1
+        _numbers(*numbers, out)
+    return texts[0] == texts[1]
+
+
+def _relative_difference(pairs: list[tuple[dict, dict]]) -> tuple[float, float, int, int]:
+    """Over record pairs, the largest difference between the numbers of a pair's
+    stdouts, relative to the largest finite number in the pair and relative to
+    the value; how many pairs differ in more than their numbers; and how many
+    of those only by the order of CSV text fields among tied rows (_tie_reordered)."""
+    largest, per_value, other, reordered = 0.0, 0.0, 0, 0
     for old, new in pairs:
         found: list[tuple[float, float]] = []
-        same = (old["rc"], old["stderr"]) == (new["rc"], new["stderr"]) and _numbers(
-            _document(old["stdout"]), _document(new["stdout"]), found)
-        if not same:
+        alike = (old["rc"], old["stderr"]) == (new["rc"], new["stderr"])
+        if not (alike and _numbers(_document(old["stdout"]), _document(new["stdout"]), found)):
             other += 1
-        elif found:
+            found = []
+            if not (alike and _tie_reordered(old["stdout"], new["stdout"], found)):
+                continue
+            reordered += 1
+        if found:
             scale = max((size for _, size in found if math.isfinite(size)), default=0.0)
             diff = max(diff for diff, _ in found)
             largest = max(largest, diff / scale if scale else diff)
-    return largest, other
+            per_value = max([per_value] + [d / size for d, size in found if 0 < size < math.inf])
+    return largest, per_value, other, reordered
 
 
 def main() -> int:
@@ -166,11 +215,12 @@ def main() -> int:
         print(f"{len(pairs)} commands differ; the first: ccx {' '.join(first)}")
         by_command = collections.Counter(old["argv"][0] for old, _ in pairs)
         print("by subcommand: " + ", ".join(f"{n} {c}" for c, n in sorted(by_command.items())))
-        largest, other = _relative_difference(pairs)
+        largest, per_value, other, reordered = _relative_difference(pairs)
         print(f"largest difference between their numbers, relative to the output's "
-              f"largest: {largest:.2e}")
+              f"largest: {largest:.2e}; relative to the value: {per_value:.2e}")
         if other:
-            print(f"{other} of them differ in more than their numbers")
+            print(f"{other} of them differ in more than their numbers, {reordered} of those "
+                  f"only in the order of text fields among rows tied to {TIED:g}")
     if len(records[0]) != len(records[1]):
         print("the sides ran different numbers of commands")
     elif not pairs:
