@@ -137,16 +137,11 @@ class BoundaryMatrix:
         return BoundaryMatrix(self.rows, self.cols, triplets)
 
     def _without_rows(self, rows) -> "BoundaryMatrix":
-        """B with the given rows emptied and its shape kept: a mask on the CSC arrays
-        and a new indptr, with no sort and no check, as every kept entry was valid."""
+        """B with the given rows emptied and its shape kept, by _drop_rows, with no
+        check, as every kept entry was valid."""
         if not len(rows):
             return self
-        dropped = np.zeros(self.rows, dtype=bool)
-        dropped[rows] = True
-        kept = ~dropped[self.indices]
-        before = np.zeros(len(kept) + 1, dtype=np.int64)
-        np.cumsum(kept, out=before[1:])
-        arrays = before[self.indptr], self.indices[kept], self.signs[kept]
+        arrays = _drop_rows(self.rows, self.indptr, self.indices, self.signs, rows)
         for array in arrays:
             array.flags.writeable = False
         matrix = object.__new__(BoundaryMatrix)
@@ -206,6 +201,17 @@ def _gather(indptr: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.arange(owner.size) + (starts - np.cumsum(lengths) + lengths)[owner], owner
 
 
+def _drop_rows(n_rows: int, indptr, indices, values, rows):
+    """The CSC arrays of an n_rows-row matrix without the entries of the given rows:
+    a row mask and a new indptr, with no sort."""
+    dropped = np.zeros(n_rows, dtype=bool)
+    dropped[rows] = True
+    kept = ~dropped[indices]
+    before = np.zeros(len(kept) + 1, dtype=np.int64)
+    np.cumsum(kept, out=before[1:])
+    return before[indptr], indices[kept], values[kept]
+
+
 def _product(b, x: np.ndarray, transpose: bool = False) -> np.ndarray:
     """B x, or B^T x, for B as (rows, cols, values, shape): one np.bincount,
     which adds in entry order as a loop over the entries would."""
@@ -216,12 +222,14 @@ def _product(b, x: np.ndarray, transpose: bool = False) -> np.ndarray:
 
 
 def _indices(indices: Sequence[int], n: int, what: str) -> np.ndarray:
-    """The index list as an int64 array; all must be distinct and in 0..n-1."""
-    array = np.asarray(indices, dtype=np.int64).reshape(-1)
+    """The index list as an int64 array; all must be integers, distinct and in 0..n-1."""
+    array = np.asarray(indices).reshape(-1)
+    if array.size and array.dtype.kind not in "iu":
+        raise ShapeMismatch(f"{what} indices must be integers, not {array.dtype}")
     ordered = np.sort(array)
     if array.size and (ordered[0] < 0 or ordered[-1] >= n or (ordered[1:] == ordered[:-1]).any()):
         raise ShapeMismatch(f"{what} indices must be distinct, non-negative and below {n}")
-    return array
+    return array.astype(np.int64, copy=False)
 
 
 def integer_product(a: BoundaryMatrix, b: BoundaryMatrix) -> dict[tuple[int, int], int]:
@@ -272,6 +280,8 @@ class CellRef:
     orientation: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.index, Integral):
+            raise ShapeMismatch(f"cell index must be an integer, not {self.index!r}")
         if self.orientation not in (-1, 1):
             raise ValueError("orientation must be +-1")
 

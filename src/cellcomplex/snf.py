@@ -1,25 +1,28 @@
 """Smith normal form over the integers by one sparse elimination.
 
 Every rank in the package comes from here, read off a matrix's CSC
-arrays (indptr, indices, values) as a BoundaryMatrix stores them.  A
-graph incidence matrix (every column one -1 and one +1 by
-``core._edge_endpoints``, as B_1) is totally unimodular: its factors are
-1 and its rank is the size of a spanning forest, from
-``core._forest_merges``, with no elimination.  Other matrices are first
-peeled in numpy rounds over the CSC arrays (Kaczynski-Mrozek-Slusarek
-1998): a row with one live entry +-1 (a free face) or a column with one
-(a coreduction) is a pivot of factor 1 whose removal leaves the
-restriction of the matrix as the rest.  Only what the peel leaves, on
-boundary matrices usually nothing, goes to the elimination over dicts
-of Python ints, unit pivots first (Dumas-Saunders-Villard 2001).  Its
-entries are tracked against a 64-bit bound; exceeding it raises instead
-of silently losing precision.  The kernel also reports a pivot (row,
-column) per factor, so that the Hodge decomposition can read a row basis
-and a column basis of a boundary off the same reduction, and how many of
-the pivots are unit pairs: forest merges, peeled pairs and the
-elimination's unit pivots before its first non-unit one.  Their block
-has determinant +-1, which lets ``homology.betti_numbers`` drop their
-columns' rows from the next boundary.
+arrays (indptr, indices, values) as a BoundaryMatrix stores them.  The
+kernel starts with one unit stage, ``_units``, which takes the pivots of
+factor 1 that need no elimination.  A graph incidence matrix (every
+column one -1 and one +1 by ``core._edge_endpoints``, as B_1) is totally
+unimodular: its factors are 1 and its rank is the size of a spanning
+forest, from ``core._forest_merges``, with no elimination.  Other
+matrices are first peeled in numpy rounds over the CSC arrays
+(Kaczynski-Mrozek-Slusarek 1998): a row with one live entry +-1 (a free
+face) or a column with one (a coreduction) is a pivot of factor 1 whose
+removal leaves the restriction of the matrix as the rest.  Only what the
+peel leaves, on boundary matrices usually nothing, goes to the
+elimination over dicts of Python ints, unit pivots first
+(Dumas-Saunders-Villard 2001).  Its entries are tracked against a 64-bit
+bound; exceeding it raises instead of silently losing precision.  The
+kernel also reports a pivot (row, column) per factor, so that the Hodge
+decomposition can read a row basis and a column basis of a boundary off
+the same reduction, and how many of the pivots are unit pairs: forest
+merges, peeled pairs and the elimination's unit pivots before its first
+non-unit one.  Their block has determinant +-1, which lets
+``homology.betti_numbers`` drop their columns' rows from the next
+boundary, and ``validate.validate_nd`` settle most cells by the unit
+stage alone.
 """
 
 from __future__ import annotations
@@ -175,23 +178,15 @@ def _smith(n_rows: int, indptr, indices, values) -> tuple[list[int], list[tuple[
     how many of the pivots, from the first, are unit pairs: their rows and columns
     pick out a block of determinant +-1.
 
-    A graph incidence matrix takes its spanning forest, whose pivots are the
-    (younger root, merging edge) pairs: a nonsingular block of a totally
-    unimodular matrix.  Otherwise _peel takes the unit pivots that need no
-    elimination, each the only live entry of its row or its column when it
-    was found, so the block expands along them.  Only what is left becomes
-    dicts of Python ints, as the INT_LIMIT checks need.  A unit pivot of that
-    elimination only subtracts multiples of its column from the columns still
-    live, so after those column operations the unit pivots' block is
-    triangular with +-1 on its diagonal; each is also a pivot of Gauss
-    elimination over the rationals.  A non-unit pivot mixes rows and columns,
-    so the pivots of what is left at the first one come from _rational_pivots.
+    The unit stage _units takes the pivots that need no elimination; only what
+    they leave becomes dicts of Python ints, as the INT_LIMIT checks need.  A
+    unit pivot of that elimination only subtracts multiples of its column from
+    the columns still live, so after those column operations the unit pivots'
+    block is triangular with +-1 on its diagonal; each is also a pivot of Gauss
+    elimination over the rationals.  A non-unit pivot mixes rows and columns, so
+    the pivots of what is left at the first one come from _rational_pivots.
     """
-    ends = _edge_endpoints(indptr, indices, values)
-    if None not in ends:
-        pivots = _forest_merges(n_rows, ends)
-        return [1] * len(pivots), pivots, len(pivots)
-    peeled, row_ids, col_ids, indptr, indices, values = _peel(n_rows, indptr, indices, values)
+    peeled, row_ids, col_ids, indptr, indices, values = _units(n_rows, indptr, indices, values)
     pairs = list(zip(indices.tolist(), values.tolist()))
     ptr = indptr.tolist()
     cols = [dict(pairs[p:q]) for p, q in zip(ptr, ptr[1:])]
@@ -214,6 +209,20 @@ def _smith(n_rows: int, indptr, indices, values) -> tuple[list[int], list[tuple[
     row_ids, col_ids = row_ids.tolist(), col_ids.tolist()
     pivots = peeled + [(row_ids[r], col_ids[c]) for r, c in pivots]
     return factors, pivots, len(peeled) + units
+
+
+def _units(n_rows: int, indptr, indices, values):
+    """The unit pivots that need no elimination and what they leave, as _peel
+    returns them.  A graph incidence matrix takes its spanning forest, whose
+    (younger root, merging edge) pairs are a nonsingular block of a totally
+    unimodular matrix and of its full rank, so nothing is left.  Any other
+    matrix goes to _peel, whose pivots were each the only live entry of their
+    row or column when found, so the block expands along them."""
+    ends = _edge_endpoints(indptr, indices, values)
+    if None in ends:
+        return _peel(n_rows, indptr, indices, values)
+    empty = np.zeros(0, dtype=np.int64)
+    return _forest_merges(n_rows, ends), empty, empty, np.zeros(1, dtype=np.int64), empty, empty
 
 
 # The peel's rounds read at most this many times the matrix's entries.  A chain

@@ -7,14 +7,20 @@ cell: on the closure of each cell, the restricted chain complex must
 have vanishing integer homology above degree 0 (acyclicity) and integer
 0-homology Z (connectedness).
 
-validate_nd decides them by collapses first.  A free face is a cell with
-one coface; removing it together with that coface keeps the integer
-homology of the closure (Kaczynski-Mrozek-Slusarek 1998; Mrozek-Batko,
-DCG 42, 2009), as the entries are +-1.  The closures of all k-cells are
-built at once as numpy arrays and collapsed in rounds; a closure left
-with one vertex and nothing above it has the homology of a point, so its
-cell passes.  The theorem needs B_{l-1} B_l = 0, which validate_nd tests
-once per complex with core.integer_product.
+validate_nd settles most cells by the Smith kernel's unit pivots alone,
+when B_{l-1} B_l = 0 holds for every l (tested once per complex with
+core.integer_product).  The closures of all k-cells are stacked block-
+diagonally, and at every level l the kernel's unit stage, snf._units,
+gives each block r_l unit pairs of B_l.  A k-cell whose closure has n_l
+l-cells is settled when r_1 = n_0 - 1, r_l = n_{l-1} - r_{l-1} for
+2 <= l <= k, and r_k = 1.  Then the closure has the integer homology of
+a point:
+- unit pairs pick out a minor of +-1, so rank B_l >= r_l;
+- exactness gives rank B_l <= n_l - rank B_{l+1}, and rank B_k <= 1 as
+  B_k is one column; going down from r_k = 1, every rank equals r_l,
+  which is the exact path's rank identity;
+- a matrix of rank r with an r x r minor of +-1 has every invariant
+  factor 1, as their product is the gcd of the r x r minors.
 
 Every other cell, and every cell of a complex that is not exact, takes
 the exact path: Smith normal forms, where equality of a kernel and an
@@ -40,6 +46,7 @@ from .core import (
     CellComplex,
     CellRef,
     _closure,
+    _drop_rows,
     _edge_endpoints,
     _gather,
     closure_indices,
@@ -48,7 +55,7 @@ from .core import (
     subcomplex,
 )
 from .errors import BadDimension, NotACycleColumn
-from .snf import _smith
+from .snf import _smith, _units
 
 __all__ = [
     "Failure",
@@ -177,77 +184,48 @@ def _cell_failures(cc: CellComplex, k: int, index: int) -> list[Failure]:
     return failures
 
 
-def _collapsed(cc: CellComplex, k: int) -> np.ndarray:
-    """Which k-cells have closures that free-face collapses take to one vertex.
+def _settled(cc: CellComplex, k: int) -> np.ndarray:
+    """Which k-cells the unit pivots of their closures show to be regular.
 
-    Block b is the closure of k-cell b.  Its cells at level l - 1 are the rows
-    of B_l in its cells at level l, numbered across blocks by one np.unique of
-    block * rows + row; per level l the live entries are kept as (row id,
-    column id) pairs in column order.  Each round finds at every level the
-    faces with one live coface by one np.bincount, keeps one face per coface
-    and removes both.  In an exact complex the coface of a free face has no
-    cofaces, so the pairs of a round are disjoint across levels, and every
-    pair is still free once the others are gone.
-
-    A block that finds no pair is stuck for good and takes the exact path.
-    A round costs about as much as one cell on the exact path, so the rounds
-    stop once they number as many as the blocks still running (a k-cube
-    needs 2k - 1, an m-gon about m / 2); unfinished blocks take the exact
-    path too.  Needs B_{l-1} B_l = 0 for l <= k.
+    Block b is the closure of k-cell b.  Per level l, the blocks' B_l are
+    stacked block-diagonally as CSC arrays: the columns are the blocks'
+    l-cells in (block, cell) order, and the rows their (l-1)-cells, numbered
+    across blocks by one np.unique of block * rows + row.  Going up from l = 1,
+    each stacked B_l loses the rows that level l - 1 paired, as in
+    homology.betti_numbers, and goes to the Smith kernel's unit stage
+    snf._units; np.bincount of its pairs' blocks gives each block's r_l.  A
+    block with n_l l-cells is settled when r_1 = n_0 - 1, r_l = n_{l-1} -
+    r_{l-1} for 2 <= l <= k, and r_k = 1.  Needs B_{l-1} B_l = 0 for l <= k.
     """
     n = cc.n_cells(k)
-    block = [None] * k + [np.arange(n)]  # per level, the block of every closure cell
-    rows, cols = [None] * (k + 1), [None] * (k + 1)
-    cells = block[k]
+    block, stack, cells = [np.arange(n)], [], np.arange(n)
     for l in range(k, 0, -1):
         b = cc.boundary(l)
-        at, cols[l] = _gather(b.indptr, cells)
-        keys, rows[l] = np.unique(block[l][cols[l]] * b.rows + b.indices[at],
-                                  return_inverse=True)
-        block[l - 1], cells = np.divmod(keys, b.rows)
-    live = [np.ones(ids.size, dtype=bool) for ids in block]
-    above = sum(np.bincount(ids, minlength=n) for ids in block[1:])
-    vertices = np.bincount(block[0], minlength=n)
-    running, accepted = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
-    rounds = 0
-    while rounds < np.count_nonzero(running):
-        rounds += 1
-        pairs = []
-        for l in range(1, k + 1):
-            free = np.bincount(rows[l], minlength=block[l - 1].size)[rows[l]] == 1
-            face, coface = rows[l][free], cols[l][free]
-            first = np.ones(coface.size, dtype=bool)
-            first[1:] = coface[1:] != coface[:-1]
-            pairs.append((face[first], coface[first]))
-        moved = np.zeros(n, dtype=bool)
-        for l, (face, coface) in enumerate(pairs, start=1):
-            live[l - 1][face] = live[l][coface] = False
-            owner = block[l][coface]
-            moved[owner] = True
-            removed = np.bincount(owner, minlength=n)
-            above -= removed * 2 if l > 1 else removed
-            if l == 1:
-                vertices -= removed
-        for l in range(1, k + 1):
-            keep = live[l][cols[l]] & live[l - 1][rows[l]]
-            rows[l], cols[l] = rows[l][keep], cols[l][keep]
-        done = running & (above == 0)
-        accepted |= done & (vertices == 1)
-        running &= moved & ~done
-    return accepted
+        at, col = _gather(b.indptr, cells)
+        keys, rows = np.unique(block[0][col] * b.rows + b.indices[at], return_inverse=True)
+        stack.insert(0, (np.searchsorted(col, np.arange(cells.size + 1)), rows, b.signs[at]))
+        blocks, cells = np.divmod(keys, b.rows)
+        block.insert(0, blocks)
+    settled, rank, paired = np.ones(n, dtype=bool), 1, []
+    for l in range(1, k + 1):
+        size = block[l - 1].size
+        pairs = _units(size, *_drop_rows(size, *stack[l - 1], paired))[0]
+        paired = np.array([c for _, c in pairs], dtype=np.int64)
+        below, rank = rank, np.bincount(block[l][paired], minlength=n)
+        settled &= rank == np.bincount(block[l - 1], minlength=n) - below
+    return settled & (rank == 1)
 
 
 def validate_nd(cc: CellComplex) -> ValidationReport:
-    """Check the full per-cell regularity conditions in any dimension: cells whose
-    closures collapse to a vertex pass; the others take the exact path, in
-    (dimension, index) order."""
+    """Check the full per-cell regularity conditions in any dimension: settled cells
+    pass; the others take the exact path, in (dimension, index) order."""
     if cc.dim < 1:
         return ValidationReport(True, ())
     failures = _b1_column_failures(cc)
     exact = not any(integer_product(cc.boundary(k - 1), cc.boundary(k))
                     for k in range(2, cc.dim + 1))
     for k in range(1, cc.dim + 1):
-        rest = np.flatnonzero(~_collapsed(cc, k)) if exact else range(cc.n_cells(k))
+        rest = np.flatnonzero(~_settled(cc, k)) if exact else range(cc.n_cells(k))
         for index in map(int, rest):
             failures.extend(_cell_failures(cc, k, index))
     return ValidationReport.from_failures(failures)

@@ -7,7 +7,7 @@ dense numpy, with planted violations), edge endpoints, restriction and
 the per-cell regularity reports (on builder outputs, cubical grids,
 products, Vietoris-Rips complexes, polygons and two glued RP2s, with
 planted faults in B_1, B_2 and the top cells), and which cells the
-free-face collapse passes without the per-cell path.
+unit-pivot certificate settles without the per-cell path.
 """
 
 import random
@@ -478,20 +478,21 @@ class TestValidateNd:
 
     @settings(max_examples=150, deadline=None)
     @given(cc=faulty_complexes())
-    def test_collapsed_cells_have_no_failure(self, cc):
+    def test_settled_cells_have_no_failure(self, cc):
         if helpers.exactness_violation_oracle(cc) is not None:
             return
         failing = {cell for condition, cell, _ in helpers.validate_nd_oracle(cc)
                    if condition != "B1-columns"}
         for k in range(1, cc.dim + 1):
-            collapsed = validate._collapsed(cc, k)
-            assert collapsed.shape == (cc.n_cells(k),)
-            assert not {f"{k}-cell {cc.cells[k][i]}" for i in np.flatnonzero(collapsed)} & failing
+            settled = validate._settled(cc, k)
+            assert settled.shape == (cc.n_cells(k),)
+            assert not {f"{k}-cell {cc.cells[k][i]}" for i in np.flatnonzero(settled)} & failing
 
-    def test_rp2_torsion_does_not_collapse(self):
+    def test_rp2_torsion_does_not_settle(self):
+        # The 3-cell's closure has H_1 = Z/2, so no unit pivots reach the rank of its B_2.
         pair = helpers.rp2_pair()
-        assert not validate._collapsed(pair, 3).any()
-        assert validate._collapsed(pair, 2).all() and validate._collapsed(pair, 1).all()
+        assert not validate._settled(pair, 3).any()
+        assert validate._settled(pair, 2).all() and validate._settled(pair, 1).all()
         failures = cx.validate_nd(pair).failures
         assert [(f.condition, f.cell, f.detail) for f in failures] == \
             helpers.validate_nd_oracle(pair)
@@ -499,15 +500,14 @@ class TestValidateNd:
         assert failures[0].detail.endswith("1, 2))")
 
     def test_long_polygon_costs_no_more_than_the_per_cell_path(self):
-        # One 3000-gon: its 2-cell alone would need 1500 rounds, so the rounds stop
-        # after one and it takes the exact path; the 3000 edges collapse at once.
+        # One 3000-gon: its spanning tree pairs 2999 edges, and the one edge row
+        # left pairs with the 2-cell's column, so every cell settles.
         polygon = polygons(1, 3000)
         got = [(f.condition, f.cell, f.detail) for f in cx.validate_nd(polygon).failures]
         assert got == helpers.validate_nd_oracle(polygon) == []
-        assert validate._collapsed(polygon, 1).all()
-        assert not validate._collapsed(polygon, 2).any()
+        assert validate._settled(polygon, 1).all() and validate._settled(polygon, 2).all()
 
-        def per_cell():  # the path every cell took before the collapse
+        def per_cell():  # the exact path for every cell
             return [validate._cell_failures(polygon, k, i)
                     for k in (1, 2) for i in range(polygon.n_cells(k))]
 
@@ -521,9 +521,17 @@ class TestValidateNd:
 
         assert best(lambda: cx.validate_nd(polygon)) <= best(per_cell)
 
+    def test_disjoint_polygons_take_no_exact_path(self, monkeypatch):
+        # Free-face rounds would take a 64-gon's 2-cell down one pair of edges
+        # per round; its unit pivots settle it at once, as for the 3000-gon.
+        seen = _track_exact_path(monkeypatch)
+        assert cx.validate_nd(polygons(30, 64)).valid
+        assert seen == []
+
     def test_builds_no_matrix_per_cell(self, monkeypatch):
-        # A valid complex collapses: no cell reaches the exact path or the elimination.
-        cube = cx.cubical([3, 3, 3])
+        # A valid complex settles: no cell reaches the exact path or the
+        # elimination.  The sizes are the valid grids of the benchmark's lattice
+        # validate commands, and [3, 3, 3].
         calls = []
         original = BoundaryMatrix.__init__
 
@@ -534,13 +542,16 @@ class TestValidateNd:
         def refuse(*args):
             raise AssertionError("reached the exact path")
 
+        grids = [cx.cubical(sizes) for sizes in (
+            [6, 6], [8, 8], [10, 10], [12, 12], [3, 3, 3], [3, 3, 4], [4, 4, 3], [3, 4, 4],
+            [2, 3, 3, 3])]
         monkeypatch.setattr(core.BoundaryMatrix, "__init__", counting)
         monkeypatch.setattr(validate, "_cell_failures", refuse)
         monkeypatch.setattr(snf, "_eliminate", refuse)
-        assert validate.validate_nd(cube).valid
+        assert all(validate.validate_nd(grid).valid for grid in grids)
         assert calls == []
         monkeypatch.undo()
-        assert cx.closure(cube, cx.CellRef(3, 0)).n_cells(0) == 8
+        assert cx.closure(grids[4], cx.CellRef(3, 0)).n_cells(0) == 8
 
     def test_smith_runs_only_between_level_one_and_the_top(self, monkeypatch):
         # Only the planted cell takes the exact path; its pivots of the

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import errors, io
-from cellcomplex.core import BoundaryMatrix, _column, _edge_lookup, integer_product, subcomplex
+from cellcomplex.core import (
+    BoundaryMatrix, _column, _edge_lookup, closure_indices, integer_product, subcomplex,
+)
 
 import helpers
 
@@ -522,6 +524,34 @@ class TestOrientationFlips:
     def test_orientation_must_be_a_sign(self, orientation):
         with pytest.raises(ValueError, match="^orientation must be"):
             cx.CellRef(1, 0, orientation)
+
+
+class TestNonIntegralIndices:
+    """A float index is refused, never truncated to the cell before it."""
+
+    @pytest.mark.parametrize("read", [
+        cx.closure, closure_indices, cx.flip_cell, cx.boundary_of_cell,
+    ])
+    @pytest.mark.parametrize("index", [0.5, 1.9, 1.0, np.float64(1)])
+    def test_cell_refs(self, toy, read, index):
+        with pytest.raises(errors.ShapeMismatch, match="^cell index must be an integer, not "):
+            read(toy, cx.CellRef(1, index))
+
+    def test_integer_cell_refs_still_work(self, toy):
+        assert closure_indices(toy, cx.CellRef(1, np.int64(1))) == [[0, 3], [1]]
+
+    @pytest.mark.parametrize("rows, cols, what", [
+        ([0.4, 1.6], [0], "row"), ([0, 1], [0.0], "column"), (np.array([1.5]), [], "row"),
+    ])
+    def test_restrict(self, rows, cols, what):
+        with pytest.raises(errors.ShapeMismatch, match=f"^{what} indices must be integers, not "):
+            path3().boundary(1).restrict(rows, cols)
+        assert path3().boundary(1).restrict([], []).shape == (0, 0)
+
+    def test_subcomplex(self):
+        with pytest.raises(errors.ShapeMismatch, match="^1-cell indices must be integers, not "):
+            subcomplex(path3(), [[0, 1, 2], [0.5]])
+        assert subcomplex(path3(), [[0, 1], []]).cells == (("0", "1"),)
 
 
 class TestWalkColumns:

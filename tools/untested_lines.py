@@ -11,7 +11,8 @@ clauses inside functions and methods that never ran, as ranges.  Module
 and class bodies are left out: they run at import.  Code that runs only
 in a child process (the tests that start ``python -m`` for the traced
 CLI) is not seen, so a line reached only there is listed.  Tracing makes
-the suite two to three times slower.  The exit code is pytest's.
+the suite two to three times slower.  The exit code is pytest's when pytest
+fails, else 1 if any statement is listed and 0 if none is.
 """
 
 from __future__ import annotations
@@ -84,12 +85,13 @@ def main(argv: list[str]) -> int:
         print(f"cellcomplex was imported from {cellcomplex.__file__}, not {PACKAGE}")
         return 2
     print(f"\nStatements inside functions of {PACKAGE.relative_to(ROOT)} that never ran:")
+    listed = 0
     for name, path in modules.items():
         expected = statement_lines(path)
         missing = sorted(line for line in expected if (name, line) not in ran)
-        listed = ranges(missing) if missing else "-"
-        print(f"{path.name:15} {len(missing):3} of {len(expected):3}  {listed}")
-    return int(code)
+        listed += len(missing)
+        print(f"{path.name:15} {len(missing):3} of {len(expected):3}  {ranges(missing) or '-'}")
+    return int(code) or int(listed > 0)
 
 
 if __name__ == "__main__":
