@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
@@ -361,12 +361,9 @@ def vietoris_rips(
 
 def _product_blocks(a: CellComplex, b: CellComplex, total: int) -> list[tuple[int, int]]:
     """(first-factor dim, block offset) pairs for one product dimension."""
-    blocks = []
-    offset = 0
-    for k in range(max(0, total - b.dim), min(total, a.dim) + 1):
-        blocks.append((k, offset))
-        offset += a.n_cells(k) * b.n_cells(total - k)
-    return blocks
+    ks = range(max(0, total - b.dim), min(total, a.dim) + 1)
+    sizes = [a.n_cells(k) * b.n_cells(total - k) for k in ks]
+    return list(zip(ks, itertools.accumulate(sizes, initial=0)))
 
 
 def _factor_label(label: str) -> str:
@@ -379,10 +376,7 @@ def _factor_label(label: str) -> str:
     """
     depth = 0
     for ch in label:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
+        depth += (ch == "(") - (ch == ")")
         if depth < 0 or ch == "\\" or (ch == "," and depth == 0):
             break
     else:
@@ -394,30 +388,31 @@ def _factor_label(label: str) -> str:
 def product(a: CellComplex, b: CellComplex) -> CellComplex:
     """Product complex: cells are pairs, dimensions add.
 
-    Cells of dimension d are ordered by (first-factor dimension, index in
-    a, index in b) and labelled ``(la,lb)``.  The boundary of a pair
-    applies each factor's boundary in turn; the second-factor blocks
-    carry the alternating sign (-1)^(k+1), k the first-factor dimension,
-    which keeps consecutive boundary maps composing to zero.
+    Cells of dimension d are ordered by (first-factor dimension k, index in
+    a, index in b) and labelled ``(la,lb)``, or ``(la,lb)[k]`` where the pair
+    recurs in a block k2: la in a's layers k and k2, lb in b's d-k and d-k2.
+    The boundary of s x t, s a k-cell, is ds x t + (-1)^(k+1) s x dt.  As
+    every function that takes a CellComplex, product trusts its factors, and
+    its output needs none of from_boundary_matrices' checks.  Its labels are
+    distinct per layer, as factor labels are: _factor_label is injective, a
+    recurring pair names its block, and a suffixed label ends in ``]``, a
+    plain one in ``)``.  It is exact, as its factors are:
+    dd(s x t) = dds x t + ((-1)^k + (-1)^(k+1)) ds x dt + s x ddt = 0.
     """
     dim = a.dim + b.dim
-    names_a = [[_factor_label(label) for label in layer] for layer in a.cells]
-    names_b = [[_factor_label(label) for label in layer] for layer in b.cells]
+    names_a, names_b = ([[_factor_label(l) for l in layer] for layer in c.cells] for c in (a, b))
     cells = []
     for total in range(dim + 1):
-        labelled = [
-            (k, f"({la},{lb})")
-            for k, _ in _product_blocks(a, b, total)
-            for la in names_a[k]
-            for lb in names_b[total - k]
-        ]
-        # Factor labels are unique only per dimension, so one label pair
-        # can recur across blocks; such labels name the first-factor
-        # dimension.
-        counts = Counter(label for _, label in labelled)
-        cells.append(
-            [label if counts[label] == 1 else f"{label}[{k}]" for k, label in labelled]
-        )
+        ks = [k for k, _ in _product_blocks(a, b, total)]
+        recur = {  # the pairs that occur in two blocks
+            f"({la},{lb})" for k, k2 in itertools.combinations(ks, 2)
+            for la in set(names_a[k]).intersection(names_a[k2])
+            for lb in set(names_b[total - k]).intersection(names_b[total - k2])
+        }
+        blocks = [[f"({la},{lb})" for la in names_a[k] for lb in names_b[total - k]] for k in ks]
+        if recur:
+            blocks = [[f"{l}[{k}]" if l in recur else l for l in ls] for k, ls in zip(ks, blocks)]
+        cells.append(tuple(itertools.chain.from_iterable(blocks)))
     mats = []
     for total in range(1, dim + 1):
         row_offset = dict(_product_blocks(a, b, total - 1))
@@ -437,14 +432,19 @@ def product(a: CellComplex, b: CellComplex) -> CellComplex:
                 parts.append(np.stack(np.broadcast_arrays(rows, cols, (-1) ** (k + 1) * s), -1))
         triplets = np.concatenate([part.reshape(-1, 3) for part in parts])
         mats.append(BoundaryMatrix(len(cells[total - 1]), len(cells[total]), triplets))
-    return from_boundary_matrices(cells, mats)
+    return CellComplex(dim, tuple(cells), tuple(mats))
 
 
 def path_complex(n: int) -> CellComplex:
-    """Path graph P_n as a complex: n vertices, n-1 edges (i, i+1)."""
+    """Path graph P_n: n vertices, n-1 edges (i, i+1), as _graph builds it, unchecked."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return _graph([str(i) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    if n == 1:
+        return CellComplex(0, (("0",),), ())
+    e = np.arange(2 * n - 2)  # entry e: row (e+1)//2 of column e//2, -1 then +1
+    b1 = BoundaryMatrix(n, n - 1, np.column_stack(((e + 1) // 2, e // 2, e % 2 * 2 - 1)))
+    labels = tuple(str(i) for i in range(n))
+    return CellComplex(1, (labels, tuple(f"{i}-{j}" for i, j in zip(labels, labels[1:]))), (b1,))
 
 
 def cubical(sizes: Sequence[int]) -> CellComplex:

@@ -318,6 +318,12 @@ class CellComplex:
         return CellRef(k, self.index_of(k, label), orientation)
 
 
+def _first_repeated(labels: Sequence[str]) -> str:
+    """Of the labels that occur more than once, the one that occurs first; one pass."""
+    first: dict[str, int] = {}
+    return labels[min(p for i, l in enumerate(labels) if (p := first.setdefault(l, i)) != i)]
+
+
 def _cell_layers(cells: Sequence[Sequence[str]]) -> tuple[tuple[str, ...], ...]:
     """The label layers as string tuples; each must be nonempty and unique."""
     if not cells or not cells[0]:
@@ -327,8 +333,7 @@ def _cell_layers(cells: Sequence[Sequence[str]]) -> tuple[tuple[str, ...], ...]:
         if not layer:
             raise ShapeMismatch(f"cell layer {k} is empty")
         if len(set(layer)) != len(layer):
-            dup = next(l for l in layer if layer.count(l) > 1)
-            raise DuplicateLabel(f"duplicate {k}-cell label {dup!r}")
+            raise DuplicateLabel(f"duplicate {k}-cell label {_first_repeated(layer)!r}")
     return cell_lists
 
 
@@ -401,8 +406,7 @@ def from_tuples(
     """
     vlabels = [str(v) for v in vertices]
     if len(set(vlabels)) != len(vlabels):
-        dup = next(l for l in vlabels if vlabels.count(l) > 1)
-        raise DuplicateLabel(f"duplicate vertex {dup!r}")
+        raise DuplicateLabel(f"duplicate vertex {_first_repeated(vlabels)!r}")
     vindex = {label: i for i, label in enumerate(vlabels)}
 
     def vertex_id(v) -> int:
@@ -443,15 +447,11 @@ def _graph(vlabels: Sequence[str], pairs: Sequence[tuple[int, int]]) -> CellComp
     if not len(pairs):
         return from_boundary_matrices([vlabels], [])
     ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    m = len(ends)
-    triplets = np.empty((m, 2, 3), dtype=np.int64)  # (tail, j, -1) and (head, j, +1)
-    triplets[:, :, 0] = ends
-    triplets[:, :, 1] = np.arange(m)[:, None]
-    triplets[:, :, 2] = (-1, 1)
+    e = np.arange(ends.size)  # entry e: the tail (-1), then the head (+1), of edge e // 2
+    triplets = np.column_stack((ends.ravel(), e // 2, e % 2 * 2 - 1))
+    b1 = BoundaryMatrix(len(vlabels), len(ends), triplets)
     edge_labels = [f"{vlabels[t]}-{vlabels[h]}" for t, h in ends.tolist()]
-    return from_boundary_matrices(
-        [vlabels, edge_labels], [BoundaryMatrix(len(vlabels), m, triplets.reshape(-1, 3))]
-    )
+    return from_boundary_matrices([vlabels, edge_labels], [b1])
 
 
 def _with_2cells(

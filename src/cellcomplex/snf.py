@@ -217,9 +217,9 @@ def _units(n_rows: int, indptr, indices, values):
     (younger root, merging edge) pairs are a nonsingular block of a totally
     unimodular matrix and of its full rank, so nothing is left.  Any other
     matrix goes to _peel, whose pivots were each the only live entry of their
-    row or column when found, so the block expands along them."""
-    ends = _edge_endpoints(indptr, indices, values)
-    if None in ends:
+    row or column when found, so the block expands along them; a column of
+    length other than 2 sends it there before any edge test."""
+    if (np.diff(indptr) != 2).any() or None in (ends := _edge_endpoints(indptr, indices, values)):
         return _peel(n_rows, indptr, indices, values)
     empty = np.zeros(0, dtype=np.int64)
     return _forest_merges(n_rows, ends), empty, empty, np.zeros(1, dtype=np.int64), empty, empty

@@ -23,8 +23,10 @@ their Smith forms.  The fundamental-cycle oracle walks each non-tree
 edge's full root paths and traces the column it finds, as the spanning
 tree lifting did before it walked parent edges up from both ends.  The
 chordless-cycle oracle tries every vertex subset for a connected,
-2-regular induced subgraph.  The complex zoo produces small randomized
-builder outputs for the property suites.
+2-regular induced subgraph.  The product-label oracle counts every
+label of a dimension with a Counter, as product did before it read the
+recurring labels off its factors' layers.  The complex zoo produces
+small randomized builder outputs for the property suites.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +43,7 @@ from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import hodge
+from cellcomplex.builders import _factor_label
 from cellcomplex.core import closure_indices, oriented_cycle
 from cellcomplex.errors import (
     DuplicateEntry,
@@ -693,6 +697,25 @@ def lower_star_filtration(cc: cx.CellComplex, values) -> Filtration:
     return Filtration(cc.boundaries, births)
 
 
+def product_labels_oracle(a: cx.CellComplex, b: cx.CellComplex) -> tuple[tuple[str, ...], ...]:
+    """The label layers of product(a, b) by a Counter over each dimension's
+    ``(la,lb)`` labels, blocks in first-factor dimension order: a label that
+    occurs in more than one block gets that block's dimension as ``[k]``."""
+    names_a = [[_factor_label(label) for label in layer] for layer in a.cells]
+    names_b = [[_factor_label(label) for label in layer] for layer in b.cells]
+    layers = []
+    for total in range(a.dim + b.dim + 1):
+        labelled = [
+            (k, f"({la},{lb})")
+            for k in range(max(0, total - b.dim), min(total, a.dim) + 1)
+            for la in names_a[k]
+            for lb in names_b[total - k]
+        ]
+        counts = Counter(label for _, label in labelled)
+        layers.append(tuple(l if counts[l] == 1 else f"{l}[{k}]" for k, l in labelled))
+    return tuple(layers)
+
+
 def rips_oracle(
     pc: cx.PointCloud, eps: float, max_dim: int
 ) -> list[tuple[tuple[int, ...], float]]:
@@ -890,6 +913,27 @@ def random_connected_graph(
     n_extra = min(len(candidates), rng.randint(extra_min, 3))
     edges += candidates[:n_extra]
     return cx.from_tuples(range(n), edges)
+
+
+# Labels from the alphabet (),\\a, mostly from a short list, so that one
+# label often recurs in several dimensions of a factor.
+LABEL_POOL = ("", "a", "(a)", "a,a", "(", ")", ",", "\\", "(,)", "a\\,", "((a),a)", "aa")
+
+
+@st.composite
+def labelled_factors(draw) -> cx.CellComplex:
+    """A small complex (a point, paths, a filled triangle, a square, the toy) with
+    each layer relabelled by distinct labels over the alphabet ``(),\\a``."""
+    template = draw(st.sampled_from([
+        cx.from_tuples(["p"]), cx.cubical([2]), cx.cubical([3]), cx.cubical([2, 2]),
+        cx.from_tuples(range(3), [(0, 1), (1, 2), (0, 2)], [(0, 1, 2)]), toy(),
+    ]))
+    label = st.one_of(st.sampled_from(LABEL_POOL), st.text(alphabet="(),\\a", max_size=4))
+    layers = [
+        draw(st.lists(label, min_size=len(layer), max_size=len(layer), unique=True))
+        for layer in template.cells
+    ]
+    return cx.from_boundary_matrices(layers, template.boundaries)
 
 
 def random_cloud(rng: random.Random, n_min: int = 2, n_max: int = 8) -> cx.PointCloud:

@@ -1,6 +1,7 @@
 """Builders: simplicial, Rips, products, cubical grids, graph liftings."""
 
 import itertools
+import json
 import math
 import os
 import random
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellcomplex as cx
-from cellcomplex import builders, core, errors
+from cellcomplex import builders, core, errors, io
 from cellcomplex.builders import rips_simplices
 from cellcomplex.persist import Filtration, FiltrationStep
 
@@ -402,19 +403,61 @@ class TestProduct:
         prod = cx.product(edge, edge)
         assert prod.cells[1] == ("(v,v)[0]", "(w,v)", "(v,v)[1]", "(v,w)")
 
+    @staticmethod
+    def assert_checks_pass(cc: cx.CellComplex) -> None:
+        # product builds its output without from_boundary_matrices, so
+        # its checks run here, independently of core.
+        assert all(len(set(layer)) == len(layer) for layer in cc.cells)
+        assert all(isinstance(label, str) for layer in cc.cells for label in layer)
+        assert helpers.exactness_holds(cc)
+        assert cx.from_boundary_matrices(cc.cells, cc.boundaries) == cc
+
     @settings(max_examples=150)
-    @given(data=st.data())
-    def test_labels_unique_for_any_factor_labels(self, data):
-        text = st.text(alphabet="(),\\a", max_size=4)
+    @given(a=helpers.labelled_factors(), b=helpers.labelled_factors())
+    def test_labels_unique_for_any_factor_labels(self, a, b):
+        prod = cx.product(a, b)
+        assert prod.cells == helpers.product_labels_oracle(a, b)
+        self.assert_checks_pass(prod)
 
-        def edge():
-            tail, head = data.draw(st.lists(text, min_size=2, max_size=2, unique=True))
-            b1 = cx.BoundaryMatrix(2, 1, ((0, 0, -1), (1, 0, 1)))
-            return cx.from_boundary_matrices([[tail, head], [data.draw(text)]], [b1])
+    @settings(max_examples=40)
+    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    def test_cubical_matches_the_counter_oracle(self, sizes):
+        grid = cx.cubical(sizes)
+        if len(sizes) > 1:
+            expected = helpers.product_labels_oracle(
+                cx.cubical(sizes[:-1]), builders.path_complex(sizes[-1])
+            )
+            assert grid.cells == expected
+        self.assert_checks_pass(grid)
 
-        prod = cx.product(edge(), edge())
-        for layer in prod.cells:
-            assert len(set(layer)) == len(layer)
+
+class TestProductTrustsItsFactors:
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("product re-checked what its factors guarantee")
+
+    def test_no_label_check_and_no_exactness_product(self, monkeypatch):
+        grid, square, path = cx.cubical([3, 4, 2]), cx.cubical([3, 4]), builders.path_complex(2)
+        monkeypatch.setattr(core, "integer_product", self.refuse)
+        monkeypatch.setattr(core, "_cell_layers", self.refuse)
+        assert cx.cubical([3, 4, 2]) == grid
+        assert cx.product(square, path) == grid
+        assert cx.product(grid, path).n_cells(4) == grid.n_cells(3)
+
+    def test_external_input_is_still_checked(self, tmp_path):
+        with pytest.raises(errors.DuplicateLabel, match="^duplicate vertex 'a'$"):
+            cx.from_tuples(["a", "b", "a"])
+        with pytest.raises(errors.DuplicateLabel, match="^duplicate 2-cell label '0-1-2'$"):
+            cx.from_tuples(range(3), [(0, 1), (1, 2), (0, 2)], [(0, 1, 2), (0, 1, 2)])
+        doc = io.complex_to_json(helpers.toy())
+        duplicate = {**doc, "cells": [doc["cells"][0], ["0-1"] * 6, doc["cells"][2]]}
+        b1, b2 = doc["boundaries"]
+        inexact = {**doc, "boundaries": [b1, {**b2, "entries": [[0, 0, 1], [1, 1, 1]]}]}
+        for bad, error in ((duplicate, errors.DuplicateLabel), (inexact, errors.ExactnessViolated)):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad))
+            with pytest.raises(error):
+                io.load_complex(str(path))
 
 
 class TestCubical:

@@ -263,6 +263,29 @@ class TestFromTuples:
             cx.from_tuples([0, 1, "0"])
 
 
+class TestDuplicateLabels:
+    @settings(max_examples=200)
+    @given(labels=st.lists(st.sampled_from("abcd"), min_size=2, max_size=8))
+    def test_names_the_first_label_that_recurs(self, labels):
+        # The label named is the first in layer order that occurs again, not
+        # the first occurrence that repeats an earlier one.
+        if len(set(labels)) == len(labels):
+            labels.append(labels[0])
+        expected = next(l for l in labels if labels.count(l) > 1)
+        with pytest.raises(errors.DuplicateLabel, match=f"^duplicate 0-cell label '{expected}'$"):
+            cx.from_boundary_matrices([labels], [])
+        with pytest.raises(errors.DuplicateLabel, match=f"^duplicate vertex '{expected}'$"):
+            cx.from_tuples(labels)
+
+    def test_a_repeat_after_100000_labels(self):
+        # A count per label made this quadratic: minutes at this size.
+        labels = [f"v{i}" for i in range(100_000)] + ["v99999"]
+        with pytest.raises(errors.DuplicateLabel, match="^duplicate 1-cell label 'v99999'$"):
+            cx.from_boundary_matrices([["u"], labels], [BoundaryMatrix(1, len(labels), [])])
+        with pytest.raises(errors.DuplicateLabel, match="^duplicate vertex 'v99999'$"):
+            cx.from_tuples(labels)
+
+
 class TestIndexOfDimension:
     @pytest.fixture
     def edge(self):

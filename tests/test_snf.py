@@ -259,6 +259,22 @@ def test_incidence_rule_matches_the_oracles(drawn):
         assert product == helpers.minors_gcd(matrix, r)
 
 
+@pytest.mark.parametrize("sizes", [[3, 3], [3, 3, 3]])
+def test_units_reads_no_edge_endpoints_of_a_matrix_that_is_not_a_graph(monkeypatch, sizes):
+    # Columns of length 4 and 6: no edge test is needed to send them to _peel.
+    b = cx.cubical(sizes).boundary(len(sizes))
+    expected = snf._units(b.rows, b.indptr, b.indices, b.signs)
+
+    def refuse(*args):
+        raise AssertionError("edge test on a matrix that is not a graph")
+
+    monkeypatch.setattr(snf, "_edge_endpoints", refuse)
+    got = snf._units(b.rows, b.indptr, b.indices, b.signs)
+    assert got[0] == expected[0] and len(got[0]) > 0
+    for mine, theirs in zip(got[1:], expected[1:]):
+        assert np.array_equal(mine, theirs)
+
+
 def assert_pivot_bases(matrix) -> list[int]:
     """The kernel's pivots: one per factor, as many as the rational rank, on
     distinct rows and columns, and B on the pivot rows and on the pivot columns
