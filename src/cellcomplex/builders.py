@@ -525,7 +525,7 @@ class PlanarEmbedding:
         object.__setattr__(self, "labels", tuple(labels))
         edges = tuple((int(u), int(v)) for u, v in self.edges)
         object.__setattr__(self, "edges", edges)
-        scale = max(1.0, float(np.max(np.abs(pts))))
+        scale = float(np.max(np.abs(pts)))
         eps = 1e-12 * scale * scale
         seen_pairs = set()
         for u, v in edges:

@@ -529,27 +529,28 @@ def is_simple(cc: CellComplex) -> bool:
     return True
 
 
-def _edge_endpoints(indptr, indices, values) -> list[tuple[int, int] | None]:
-    """(tail, head) of every column of the CSC arrays; None for a column that is not
-    one -1 and one +1 (of length 2, with values summing to 0 and of size 1), which
-    _tail_head rejects.  The package's one test of an edge column."""
+def _edge_endpoints(indptr, indices, values) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and heads of the columns of the CSC arrays, as two int64 arrays with -1
+    at every column that is not one -1 and one +1 (of length 2, with values summing
+    to 0 and of size 1).  The package's one test of an edge column."""
+    tails, heads = np.full((2, len(indptr) - 1), -1, dtype=np.int64)
     cols = np.flatnonzero(np.diff(indptr) == 2)
     low, high = values[indptr[cols]], values[indptr[cols] + 1]
     cols = cols[(low == -high) & (np.abs(low) == 1)]
     first, tail_second = indptr[cols], values[indptr[cols]] == 1
-    tails = indices[first + tail_second].tolist()
-    heads = indices[first + ~tail_second].tolist()
-    ends: list[tuple[int, int] | None] = [None] * (len(indptr) - 1)
-    for j, tail, head in zip(cols.tolist(), tails, heads):
-        ends[j] = (tail, head)
-    return ends
+    tails[cols] = indices[first + tail_second]
+    heads[cols] = indices[first + ~tail_second]
+    return tails, heads
 
 
 def _edges(cc: CellComplex) -> list[tuple[int, int]]:
-    """Every edge's (tail, head); _tail_head raises for a column of B_1 that is none."""
+    """Every edge's (tail, head); NotACycleColumn names B_1's first column that is none."""
     b = cc.boundary(1)
-    ends = _edge_endpoints(b.indptr, b.indices, b.signs)
-    return [_tail_head(ends, j) for j in range(len(ends))]
+    tails, heads = _edge_endpoints(b.indptr, b.indices, b.signs)
+    bad = np.flatnonzero(tails < 0)
+    if bad.size:
+        raise NotACycleColumn(f"edge column {bad[0]} is not a (tail, head) incidence")
+    return list(zip(tails.tolist(), heads.tolist()))
 
 
 def _forest_merges(n: int, pairs: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
@@ -572,30 +573,26 @@ def _forest_merges(n: int, pairs: Iterable[Sequence[int]]) -> list[tuple[int, in
     return merges
 
 
-def _tail_head(ends: Sequence[tuple[int, int] | None], j: int) -> tuple[int, int]:
-    """Edge j's (tail, head) from _edge_endpoints; NotACycleColumn if it has none."""
-    if ends[j] is None:
-        raise NotACycleColumn(f"edge column {j} is not a (tail, head) incidence")
-    return ends[j]
-
-
 def oriented_cycle(
-    ends: Sequence[tuple[int, int] | None], entries: Sequence[tuple[int, int]]
+    ends: Sequence[tuple[int, int]], entries: Sequence[tuple[int, int]]
 ) -> tuple[list[int], str | None]:
     """Trace a signed edge selection as one oriented simple cycle.
 
-    ``ends`` holds each edge's (tail, head) from ``_edge_endpoints`` and
-    ``entries`` the (edge index, sign) pairs; sign -1 traverses the edge
-    against its reference orientation.  Returns (vertex cycle, None) on
-    success, or ([], reason) when the selection is empty, branches, is
-    inconsistently oriented, or splits into several components.
+    ``ends`` holds each edge's (tail, head), with a negative tail where
+    ``_edge_endpoints`` found no edge, and ``entries`` the (edge index,
+    sign) pairs; sign -1 traverses the edge against its reference
+    orientation.  Returns (vertex cycle, None) on success, or ([], reason)
+    when the selection is empty, meets a column that is not an edge,
+    branches, is inconsistently oriented, or splits into several components.
     """
     if not entries:
         return [], "empty edge selection"
     succ: dict[int, int] = {}
     indeg: dict[int, int] = {}
     for j, s in entries:
-        tail, head = _tail_head(ends, j)
+        tail, head = ends[j]
+        if tail < 0:
+            return [], f"edge column {j} is not a (tail, head) incidence"
         if s == -1:
             tail, head = head, tail
         if tail in succ:

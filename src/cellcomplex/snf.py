@@ -218,11 +218,15 @@ def _units(n_rows: int, indptr, indices, values):
     unimodular matrix and of its full rank, so nothing is left.  Any other
     matrix goes to _peel, whose pivots were each the only live entry of their
     row or column when found, so the block expands along them; a column of
-    length other than 2 sends it there before any edge test."""
-    if (np.diff(indptr) != 2).any() or None in (ends := _edge_endpoints(indptr, indices, values)):
+    length other than 2 sends it there before the edge test, a tail of -1 after."""
+    if (np.diff(indptr) != 2).any():
         return _peel(n_rows, indptr, indices, values)
+    tails, heads = _edge_endpoints(indptr, indices, values)
+    if (tails < 0).any():
+        return _peel(n_rows, indptr, indices, values)
+    merges = _forest_merges(n_rows, zip(tails.tolist(), heads.tolist()))
     empty = np.zeros(0, dtype=np.int64)
-    return _forest_merges(n_rows, ends), empty, empty, np.zeros(1, dtype=np.int64), empty, empty
+    return merges, empty, empty, np.zeros(1, dtype=np.int64), empty, empty
 
 
 # The peel's rounds read at most this many times the matrix's entries.  A chain

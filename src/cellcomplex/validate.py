@@ -1,8 +1,9 @@
 """Regularity validation for cell complexes.
 
-Dimension 1 requires every edge column of B_1 to have exactly one +1 and
-one -1.  Dimension 2 additionally requires every B_2 column to trace one
-simple oriented cycle.  The general n-dimensional conditions work per
+Dimension 1 requires every column of B_1 to have one +1 and one -1: a tail
+of -1 from core._edge_endpoints fails it.  Dimension 2 also requires every
+B_2 column to trace one simple oriented cycle, by core.oriented_cycle over
+those (tail, head) pairs.  The general n-dimensional conditions work per
 cell: on the closure of each cell, the restricted chain complex must
 have vanishing integer homology above degree 0 (acyclicity) and integer
 0-homology Z (connectedness).
@@ -54,7 +55,7 @@ from .core import (
     oriented_cycle,
     subcomplex,
 )
-from .errors import BadDimension, NotACycleColumn
+from .errors import BadDimension
 from .snf import _smith, _units
 
 __all__ = [
@@ -96,17 +97,17 @@ class ValidationReport:
 def _b1_column_failures(cc: CellComplex) -> list[Failure]:
     """A failure for each column of B_1 that _edge_endpoints finds no edge in."""
     b = cc.boundary(1)
+    tails, _ = _edge_endpoints(b.indptr, b.indices, b.signs)
     failures = []
-    for j, pair in enumerate(_edge_endpoints(b.indptr, b.indices, b.signs)):
-        if pair is None:
-            signs = sorted(b.signs[b.indptr[j] : b.indptr[j + 1]].tolist())
-            failures.append(
-                Failure(
-                    "B1-columns",
-                    f"1-cell {cc.cells[1][j]}",
-                    f"column has signs {signs}, expected one -1 and one +1",
-                )
+    for j in np.flatnonzero(tails < 0).tolist():
+        signs = sorted(b.signs[b.indptr[j] : b.indptr[j + 1]].tolist())
+        failures.append(
+            Failure(
+                "B1-columns",
+                f"1-cell {cc.cells[1][j]}",
+                f"column has signs {signs}, expected one -1 and one +1",
             )
+        )
     return failures
 
 
@@ -124,15 +125,12 @@ def validate_dim2(cc: CellComplex) -> ValidationReport:
         raise BadDimension("dimension-2 validation needs a 2-dimensional complex")
     failures = []
     b1 = cc.boundary(1)
-    ends = _edge_endpoints(b1.indptr, b1.indices, b1.signs)
+    tails, heads = _edge_endpoints(b1.indptr, b1.indices, b1.signs)
+    ends = list(zip(tails.tolist(), heads.tolist()))
     for j, column in enumerate(cc.boundary(2).columns()):
-        cell = f"2-cell {cc.cells[2][j]}"
-        try:
-            _, reason = oriented_cycle(ends, column)
-        except NotACycleColumn as exc:
-            reason = str(exc)
+        _, reason = oriented_cycle(ends, column)
         if reason is not None:
-            failures.append(Failure("B2-cycle", cell, reason))
+            failures.append(Failure("B2-cycle", f"2-cell {cc.cells[2][j]}", reason))
     return ValidationReport.from_failures(failures)
 
 

@@ -843,7 +843,7 @@ def planar_embedding_oracle(points, edges, labels=()) -> None:
     if len(set(labels)) != n:
         raise DuplicateLabel("need one unique label per vertex")
     edges = tuple((int(u), int(v)) for u, v in edges)
-    scale = max(1.0, float(np.max(np.abs(pts))))
+    scale = float(np.max(np.abs(pts)))
     eps = 1e-12 * scale * scale
     seen_pairs = set()
     for u, v in edges:

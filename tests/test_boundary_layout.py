@@ -3,7 +3,8 @@
 Each array routine of core, and validate_nd's per-cell readers, is
 checked against its oracle in helpers: the constructor's sort and checks
 (errors and messages included), the exactness product (also against
-dense numpy, with planted violations), edge endpoints, restriction and
+dense numpy, with planted violations), edge endpoints (and the Smith
+kernel's unit stage against the path its edge test picks), restriction and
 the per-cell regularity reports (on builder outputs, cubical grids,
 products, Vietoris-Rips complexes, polygons and two glued RP2s, with
 planted faults in B_1, B_2 and the top cells), and which cells the
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import cellcomplex as cx
 from cellcomplex import builders, cli, core, errors, io, snf, validate
-from cellcomplex.core import BoundaryMatrix, _edge_endpoints, _tail_head, integer_product
+from cellcomplex.core import BoundaryMatrix, _edge_endpoints, integer_product
 from cellcomplex.snf import smith_normal_form
 
 import helpers
@@ -330,38 +331,91 @@ class TestExactnessProduct:
             integer_product(BoundaryMatrix(2, 3, ()), BoundaryMatrix(2, 1, ()))
 
 
-def endpoints_oracle(b1: BoundaryMatrix) -> list:
-    ends = []
+def endpoints_oracle(b1: BoundaryMatrix) -> tuple[list[int], list[int]]:
+    """Tails and heads by helpers.edge_endpoints_oracle, -1 where it raises."""
+    tails, heads = [], []
     for j in range(b1.cols):
         try:
-            ends.append(helpers.edge_endpoints_oracle(b1, j))
+            tail, head = helpers.edge_endpoints_oracle(b1, j)
         except errors.NotACycleColumn:
-            ends.append(None)
-    return ends
+            tail = head = -1
+        tails.append(tail)
+        heads.append(head)
+    return tails, heads
+
+
+def assert_endpoints(b1: BoundaryMatrix) -> None:
+    tails, heads = _edge_endpoints(b1.indptr, b1.indices, b1.signs)
+    assert tails.dtype == heads.dtype == np.int64
+    assert (tails.tolist(), heads.tolist()) == endpoints_oracle(b1)
+
+
+def assert_units_take_their_slow_path(b: BoundaryMatrix) -> None:
+    """snf._units equals _forest_merges over the oracle's (tail, head) pairs when
+    every column is an edge, and _peel's output otherwise."""
+    csc = (b.rows, b.indptr, b.indices, b.signs)
+    try:
+        pairs = [helpers.edge_endpoints_oracle(b, j) for j in range(b.cols)]
+    except errors.NotACycleColumn:
+        want = snf._peel(*csc)
+    else:
+        empty = np.zeros(0, dtype=np.int64)
+        want = core._forest_merges(b.rows, pairs), empty, empty, np.zeros(1, np.int64), empty, empty
+    got = snf._units(*csc)
+    assert got[0] == want[0]
+    for mine, theirs in zip(got[1:], want[1:], strict=True):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+
+def with_one_sign_flipped(b: BoundaryMatrix, rng: random.Random) -> BoundaryMatrix:
+    """B with one entry negated: a column of length 2 that is not an edge."""
+    pick = rng.randrange(len(b.entries))
+    return BoundaryMatrix(b.rows, b.cols, [(i, j, -s if n == pick else s)
+                                           for n, (i, j, s) in enumerate(b.entries)])
 
 
 class TestEdgeEndpoints:
     @settings(max_examples=200)
     @given(b1=sign_matrices())
     def test_random_columns(self, b1):
-        want = endpoints_oracle(b1)
-        ends = _edge_endpoints(b1.indptr, b1.indices, b1.signs)
-        assert ends == want
-        for j, pair in enumerate(want):
-            if pair is None:
-                with pytest.raises(errors.NotACycleColumn) as info:
-                    _tail_head(ends, j)
-                assert str(info.value) == f"edge column {j} is not a (tail, head) incidence"
-            else:
-                assert _tail_head(ends, j) == pair
+        assert_endpoints(b1)
+        tails, _ = endpoints_oracle(b1)
+        cells = [[f"v{i}" for i in range(b1.rows)], [f"e{j}" for j in range(b1.cols)]]
+        cc = cx.CellComplex(1, cells, (b1,))
+        if -1 in tails:
+            with pytest.raises(errors.NotACycleColumn) as info:
+                core._edges(cc)
+            j = tails.index(-1)
+            assert str(info.value) == f"edge column {j} is not a (tail, head) incidence"
+        else:
+            assert core._edges(cc) == [helpers.edge_endpoints_oracle(b1, j)
+                                       for j in range(b1.cols)]
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_zoo(self, seed):
         cc = zoo(seed)
-        if cc.dim >= 1:
-            b1 = cc.boundary(1)
-            assert _edge_endpoints(b1.indptr, b1.indices, b1.signs) == endpoints_oracle(b1)
+        if cc.dim >= 1 and cc.boundary(1).entries:
+            assert_endpoints(cc.boundary(1))
+            assert_endpoints(with_one_sign_flipped(cc.boundary(1), random.Random(seed)))
+
+
+class TestUnitsAgainstTheirSlowPath:
+    # The unit stage's graph test picks between two paths; either way it must
+    # return what the path it picked returns on its own.
+    @settings(max_examples=200)
+    @given(b=sign_matrices())
+    def test_random_matrices(self, b):
+        assert_units_take_their_slow_path(b)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_zoo_edges(self, seed):
+        cc = zoo(seed)
+        if cc.dim >= 1 and cc.boundary(1).entries:
+            assert_units_take_their_slow_path(cc.boundary(1))
+            assert_units_take_their_slow_path(
+                with_one_sign_flipped(cc.boundary(1), random.Random(seed)))
 
 
 def _refuse_triplets(monkeypatch) -> None:

@@ -559,14 +559,32 @@ class TestWindowLifting:
         with pytest.raises(errors.Disconnected):
             cx.window_lifting(emb)
 
+    @pytest.mark.parametrize("unit", [2.0**-27, 1e-8])
+    def test_figure_eight_below_unit_size_rejected_at_construction(self, unit):
+        # Edges (0, 1) and (2, 3) cross.  The checks' tolerance scales with the
+        # drawing's largest coordinate, so the crossing is seen at any size.
+        points = np.array([[2, 2], [0, 3], [1, 4], [1, 1]]) * unit
+        with pytest.raises(errors.EdgesCross) as info:
+            cx.PlanarEmbedding(points, ((0, 1), (1, 2), (2, 3), (0, 3)))
+        assert str(info.value) == "edges (0, 1) and (2, 3) intersect"
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-9, 1e-100])
+    def test_square_with_a_diagonal_below_unit_size(self, scale):
+        square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+        edges = ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2))
+        unit = cx.window_lifting(cx.PlanarEmbedding(square, edges))
+        small = cx.window_lifting(cx.PlanarEmbedding(square * scale, edges))
+        assert small.cells == unit.cells and small.cells[2] == ("0-1-2", "0-2-3")
+        assert all(small.boundary(k) == unit.boundary(k) for k in (1, 2))
+
     def test_crossing_below_the_tolerance_caught_by_face_areas(self):
-        # Edges (0, 1) and (2, 3) cross, but at this size every cross product is
-        # under the checks' tolerance of 1e-12 and no endpoint lies in the other
-        # edge's box.  The two lobes of the figure eight are equal, so both
-        # faces have signed area exactly 0 (coordinates are exact multiples of
-        # 2^-27) and the face traversal finds no outer face.
-        points = np.array([[2, 2], [0, 3], [1, 4], [1, 1]]) * 2.0**-27
-        emb = cx.PlanarEmbedding(points, ((0, 1), (1, 2), (2, 3), (0, 3)))
+        # The figure eight above, with a pendant vertex at (1, 0) that sets the
+        # tolerance to 1e-12: every cross product of the figure eight is under
+        # it and no endpoint lies in the other edge's box.  The two lobes are
+        # equal, so both faces have signed area exactly 0 (coordinates are
+        # exact multiples of 2^-27) and the face traversal finds no outer face.
+        points = np.array([[2, 2], [0, 3], [1, 4], [1, 1], [2**27, 0]]) * 2.0**-27
+        emb = cx.PlanarEmbedding(points, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4)))
         with pytest.raises(errors.EdgesCross) as info:
             cx.window_lifting(emb)
         assert str(info.value) == "face traversal found 0 outer faces; drawing is not plane"

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import contextlib
+import copy
 import json
 import math
 import os
@@ -869,3 +870,114 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
     pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
     requirements = pyproject["project"]["dependencies"]
     assert [re.match(r"[\w.-]+", r).group() for r in requirements] == ["numpy"]
+
+
+# The error contract under fuzzed input.  Each draw takes a command, its input
+# documents and coordinate table, and replaces 0-3 leaves of them.  Two of the
+# base complexes have a B_1 column that is not one -1 and one +1: an empty
+# column inside a 2-cell's boundary, and a column of two +1s in a graph.
+_FUZZ_COMPLEXES = {
+    "toy": io.complex_to_json(helpers.toy()),
+    "empty-edge": {
+        "dim": 2, "cells": [["0", "1", "2"], ["a", "b", "c", "z"], ["t"]],
+        "boundaries": [
+            {"k": 1, "rows": 3, "cols": 4,
+             "entries": [[0, 0, -1], [1, 0, 1], [1, 1, -1], [2, 1, 1], [0, 2, -1], [2, 2, 1]]},
+            {"k": 2, "rows": 4, "cols": 1,
+             "entries": [[0, 0, 1], [1, 0, 1], [2, 0, -1], [3, 0, 1]]},
+        ],
+    },
+}
+# Graphs with coordinates of a plane drawing, one row per vertex.
+_FUZZ_GRAPHS = {
+    "toy": (io.complex_to_json(helpers.toy_graph()), "0,0\n2,0\n2,2\n0,2\n-1,1\n"),
+    "two-heads": ({"dim": 1, "cells": [["0", "1", "2"], ["a", "b"]],
+                   "boundaries": [{"k": 1, "rows": 3, "cols": 2,
+                                   "entries": [[0, 0, -1], [1, 0, 1], [1, 1, 1], [2, 1, 1]]}]},
+                  "0,0\n1,0\n1,1\n"),
+}
+# C, G, S, W and P stand for the complex, graph, chain, weights and coordinate files.
+_FUZZ_COMMANDS = [
+    ("validate", "C"), ("validate", "--nd", "C"), ("betti", "C"), ("betti", "--integer", "C"),
+    ("spectrum", "--dim", "1", "C"), ("spectrum", "--dim", "0", "C", "--weights", "W"),
+    ("decompose", "--dim", "1", "C", "--signal", "S", "--weights", "W"),
+    ("lift", "tree", "G"), ("lift", "chordless", "G"), ("lift", "window", "G", "--coords", "P"),
+]
+# Leaves a document may take: huge and negative ints, floats (json writes the
+# non-finite ones as NaN and Infinity, and reads them back), bools, null,
+# strings, lists and objects.
+_FUZZ_LEAVES = (2**70, -(2**70), 2**63, -1, -3, 0, 7, 0.5, -2.5, 1e308, math.inf, math.nan,
+                True, False, None, "", "a", [], [0, 0, 1], [[0, 0, 1]], {}, {"k": 1})
+# Leaves of the right kind for most places, drawn more often, so that many
+# draws get past the schema checks: mostly small ints, as most leaves are
+# boundary entries.
+_FUZZ_NEAR = (-1, 0, 1, 2, 3, 4) * 3 + (1.0, 1e-300, 1e300, "0", "1", "b")
+_FUZZ_CELLS = ("", "x", "nan", "inf", "1e400", "-0", "0,0", "1 2", "true", "1", "3")
+
+
+def _leaves(doc, path=()) -> list[tuple]:
+    """Paths to the leaves of a JSON document; an empty list or object is one."""
+    if not isinstance(doc, (dict, list)) or not doc:
+        return [path]
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+
+
+@st.composite
+def fuzzed_commands(draw):
+    """(argv with one-letter file stand-ins, {stand-in: file text})."""
+    argv = draw(st.sampled_from(_FUZZ_COMMANDS))
+    documents = {"C": _FUZZ_COMPLEXES[draw(st.sampled_from(sorted(_FUZZ_COMPLEXES)))]}
+    graph, coords = _FUZZ_GRAPHS[draw(st.sampled_from(sorted(_FUZZ_GRAPHS)))]
+    documents.update(G=graph, S={"dim": 1, "values": [1.0, -2.0, 0.5, 3.0, 0.0, 1.5]},
+                     W={"weights": [[1.0] * 5, [2.0] * 6, [0.5, 4.0]]})
+    documents = {key: json.loads(json.dumps(documents[key])) for key in argv if key in documents}
+    table = [row.split(",") for row in coords.splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(documents) + ["P"] * ("P" in argv)))
+        if key == "P":
+            row = draw(st.sampled_from(table))
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_FUZZ_CELLS))
+            continue
+        path = draw(st.sampled_from(_leaves(documents[key])))
+        value = copy.deepcopy(draw(st.sampled_from(_FUZZ_NEAR * 2 + _FUZZ_LEAVES)))
+        if not path:
+            documents[key] = value
+            continue
+        target = documents[key]
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+    texts = {key: json.dumps(doc) for key, doc in documents.items()}
+    texts["P"] = "".join(",".join(row) + "\n" for row in table)
+    return argv, texts
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=400)
+@given(command=fuzzed_commands())
+def test_fuzzed_inputs_keep_the_error_contract(fuzz_dir, command):
+    # Exit 0, 1 or 2 and no traceback (main lets no other exception out); a
+    # failure is one error line, or validate's report; no NaN or Infinity on
+    # exit 0.
+    argv, texts = command
+    files = {}
+    for key, text in texts.items():
+        files[key] = fuzz_dir / key
+        files[key].write_text(text)
+    argv = [str(files[a]) if a in files else a for a in argv]
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 0:
+        assert err == "" and not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), out
+    elif err:
+        assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), err
+    else:
+        assert argv[0] == "validate" and code == 1 and json.loads(out)["valid"] is False

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Compare the ``ccx`` output of two source trees over benchmark workload rounds.
 
-    python3 tools/compare_outputs.py OLD_SRC NEW_SRC --workload lattice --seed 11 --rounds 0 1
+    python3 tools/compare_outputs.py OLD_SRC NEW_SRC --workload lattice spectral rips \
+        --seed 11 --rounds 0 1
 
 OLD_SRC and NEW_SRC are directories that hold a ``cellcomplex`` package
-(a ``src/`` tree).  Every command of the chosen rounds, as
+(a ``src/`` tree).  Each workload given gets one block of output, headed
+by its name.  Every command of the chosen rounds, as
 ``ccxbench/workloads.py`` of this checkout writes it, runs through
 ``cellcomplex.cli.main(argv)``: once in a fresh interpreter per tree,
 one tree after the other, on input files at the same paths.  The tool
@@ -22,7 +24,7 @@ row by row to 1e-9 relative and whose text fields differ only by a
 permutation within runs of tied rows (rows whose numbers agree to 1e-9
 relative with the row before): the tags of eigenvalues equal in exact
 arithmetic, which rounding may order either way.  It exits 0 when both
-sides agree and 1 when they do not.
+sides agree on every workload and 1 when they do not on any.
 Nothing under ``ccxbench/`` is changed; its input files go to a
 temporary directory.
 """
@@ -71,12 +73,12 @@ def run_side(src: str, workload: str, seed: int, rounds: list[int], work: str) -
         shutil.rmtree(directory)
 
 
-def side(src: str, args, work: str) -> list[dict]:
+def side(src: str, workload: str, args, work: str) -> list[dict]:
     """The records of one tree, from a child interpreter with one BLAS thread."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
     cmd = [sys.executable, __file__, "--side", str(Path(src).resolve()), "--workload",
-           args.workload, "--seed", str(args.seed), "--work", work,
+           workload, "--seed", str(args.seed), "--work", work,
            "--rounds", *map(str, args.rounds)]
     child = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if child.returncode != 0:
@@ -188,22 +190,29 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", nargs="?", help="first source tree")
     parser.add_argument("new", nargs="?", help="second source tree")
-    parser.add_argument("--workload", required=True, choices=("lattice", "spectral", "rips"))
+    parser.add_argument("--workload", required=True, nargs="+",
+                        choices=("lattice", "spectral", "rips"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--rounds", type=int, nargs="+", default=[0])
     parser.add_argument("--side", help=argparse.SUPPRESS)  # one tree, in the child
     parser.add_argument("--work", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.side:
-        run_side(args.side, args.workload, args.seed, args.rounds, args.work)
+        run_side(args.side, args.workload[0], args.seed, args.rounds, args.work)
         return 0
     if not (args.old and args.new):
         parser.error("give two source trees")
+    # Every block is printed, also after one that differs.
+    return max([compare(workload, args) for workload in args.workload])
 
+
+def compare(workload: str, args) -> int:
+    """Print one workload's block; 0 when both trees agree on it, else 1."""
+    print(f"{workload}:")
     work = tempfile.mkdtemp(prefix="compare-outputs-")
     try:
         # Both sides write their inputs to the same paths, which error lines may name.
-        records = [side(src, args, work) for src in (args.old, args.new)]
+        records = [side(src, workload, args, work) for src in (args.old, args.new)]
     finally:
         shutil.rmtree(work, ignore_errors=True)
     for src, found in zip((args.old, args.new), records):
