@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -22,14 +22,13 @@ import numpy as np
 from .core import (
     BoundaryMatrix,
     CellComplex,
-    _canonical_cycle,
     _column,
+    _columns_matrix,
     _edge_lookup,
     _edges,
-    _entry_arrays,
     _forest_merges,
     _graph,
-    _with_2cells,
+    _unchecked_matrix,
     from_boundary_matrices,
     oriented_cycle,
 )
@@ -398,6 +397,12 @@ def product(a: CellComplex, b: CellComplex) -> CellComplex:
     recurring pair names its block, and a suffixed label ends in ``]``, a
     plain one in ``)``.  It is exact, as its factors are:
     dd(s x t) = dds x t + ((-1)^k + (-1)^(k+1)) ds x dt + s x ddt = 0.
+
+    Each boundary is written as CSC arrays, block by block, with no sort and
+    no constructor (_unchecked_matrix): column (i, j) of block k holds
+    da_i x b_j, rows in block k - 1, then a_i x db_j, rows in block k.  Both
+    runs increase, as the factors' columns do, and the first ends below the
+    second, as block k - 1 comes before block k.
     """
     dim = a.dim + b.dim
     names_a, names_b = ([[_factor_label(l) for l in layer] for layer in c.cells] for c in (a, b))
@@ -413,26 +418,46 @@ def product(a: CellComplex, b: CellComplex) -> CellComplex:
         if recur:
             blocks = [[f"{l}[{k}]" if l in recur else l for l in ls] for k, ls in zip(ks, blocks)]
         cells.append(tuple(itertools.chain.from_iterable(blocks)))
+    # Per factor and dimension: each cell's boundary length, and each boundary
+    # entry's column and place in it (none for vertices).
+    runs_a, runs_b = ([_column_runs(c, k) for k in range(c.dim + 1)] for c in (a, b))
     mats = []
     for total in range(1, dim + 1):
         row_offset = dict(_product_blocks(a, b, total - 1))
-        parts = []  # triplets per factor boundary and block
-        for k, col_base in _product_blocks(a, b, total):
+        blocks = _product_blocks(a, b, total)
+        lengths = [(runs_a[k][0][:, None] + runs_b[total - k][0]).ravel() for k, _ in blocks]
+        indptr = np.zeros(len(cells[total]) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(lengths), out=indptr[1:])
+        indices, signs = np.empty((2, indptr[-1]), dtype=np.int64)
+        for k, col_base in blocks:
             kb = total - k
-            na, nb = a.n_cells(k), b.n_cells(kb)
+            (la, owner_a, place_a), (lb, owner_b, place_b) = runs_a[k], runs_b[kb]
+            na, nb = len(la), len(lb)
+            first = indptr[col_base : col_base + na * nb].reshape(na, nb)
             if k >= 1:  # the boundary of a's cell i, paired with b's cell j
-                r, i, s, _ = _entry_arrays(a.boundary(k))
-                r, i, j = r[:, None], i[:, None], np.arange(nb)
-                rows, cols = row_offset[k - 1] + r * nb + j, col_base + i * nb + j
-                parts.append(np.stack(np.broadcast_arrays(rows, cols, s[:, None]), -1))
+                at = first[owner_a] + place_a[:, None]
+                bd = a.boundary(k)
+                indices[at] = row_offset[k - 1] + bd.indices[:, None] * nb + np.arange(nb)
+                signs[at] = bd.signs[:, None]
             if kb >= 1:  # a's cell i, paired with the boundary of b's cell j
-                r, j, s, _ = _entry_arrays(b.boundary(kb))
+                at = first[:, owner_b] + la[:, None] + place_b
+                bd = b.boundary(kb)
                 i = np.arange(na)[:, None]
-                rows, cols = row_offset[k] + i * b.n_cells(kb - 1) + r, col_base + i * nb + j
-                parts.append(np.stack(np.broadcast_arrays(rows, cols, (-1) ** (k + 1) * s), -1))
-        triplets = np.concatenate([part.reshape(-1, 3) for part in parts])
-        mats.append(BoundaryMatrix(len(cells[total - 1]), len(cells[total]), triplets))
+                indices[at] = row_offset[k] + i * b.n_cells(kb - 1) + bd.indices
+                signs[at] = (-1) ** (k + 1) * bd.signs
+        shape = len(cells[total - 1]), len(cells[total])
+        mats.append(_unchecked_matrix(*shape, indptr, indices, signs))
     return CellComplex(dim, tuple(cells), tuple(mats))
+
+
+def _column_runs(c: CellComplex, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the k-cells of c: each one's boundary length, and each entry of B_k's
+    column and place in its column; zero lengths and no entries for vertices."""
+    if k == 0:
+        return np.zeros(c.n_cells(0), dtype=np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
+    indptr = c.boundary(k).indptr
+    owner = np.repeat(np.arange(c.n_cells(k)), np.diff(indptr))
+    return np.diff(indptr), owner, np.arange(owner.size) - indptr[owner]
 
 
 def path_complex(n: int) -> CellComplex:
@@ -442,7 +467,7 @@ def path_complex(n: int) -> CellComplex:
     if n == 1:
         return CellComplex(0, (("0",),), ())
     e = np.arange(2 * n - 2)  # entry e: row (e+1)//2 of column e//2, -1 then +1
-    b1 = BoundaryMatrix(n, n - 1, np.column_stack(((e + 1) // 2, e // 2, e % 2 * 2 - 1)))
+    b1 = _unchecked_matrix(n, n - 1, np.arange(0, 2 * n - 1, 2), (e + 1) // 2, e % 2 * 2 - 1)
     labels = tuple(str(i) for i in range(n))
     return CellComplex(1, (labels, tuple(f"{i}-{j}" for i, j in zip(labels, labels[1:]))), (b1,))
 
@@ -651,7 +676,8 @@ def window_lifting(emb: PlanarEmbedding) -> CellComplex:
             raise NotACycleColumn(f"window boundary is not a simple cycle: {reason}")
         windows.append((cycle, column))
     windows.sort(key=lambda window: window[0])
-    return _cycle_cells(base, windows)
+    columns = _columns_matrix(len(emb.edges), [column for _, column in windows])
+    return _cycle_cells(base, [cycle for cycle, _ in windows], columns)
 
 
 def _underlying_graph(cc: CellComplex) -> list[tuple[int, int]]:
@@ -661,75 +687,123 @@ def _underlying_graph(cc: CellComplex) -> list[tuple[int, int]]:
 
 
 def _cycle_cells(
-    cc: CellComplex, cells: list[tuple[Sequence[int], list[tuple[int, int]]]]
+    cc: CellComplex, cycles: Sequence[Sequence[int]], b2: BoundaryMatrix
 ) -> CellComplex:
-    """Attach 2-cells to a 1-complex, each given as its vertex cycle, starting
-    at its minimal vertex, and its signed edges.  A cell is labelled by its
-    cycle's vertex labels, with a "+" per earlier cell of the same label."""
-    labels: list[str] = []
-    seen: set[str] = set()
-    for cycle, _ in cells:
-        label = "-".join(cc.cells[0][i] for i in cycle)
+    """Attach 2-cells to a 1-complex: cell c has the vertex cycle cycles[c],
+    starting at its minimal vertex, and column c of b2, that cycle's signed
+    edges.  A cell is labelled by its cycle's vertex labels, with a "+" per
+    earlier cell of the same label.  Nothing goes through
+    from_boundary_matrices: each column is the signed edge set of a closed
+    walk, so B_1 B_2 = 0 holds by construction, and the "+" rule makes the
+    labels unique."""
+    if not cycles:
+        return cc
+    vlabels, labels, seen = cc.cells[0], [], set()
+    for cycle in cycles:
+        label = "-".join([vlabels[i] for i in cycle])
         while label in seen:
             label += "+"
         seen.add(label)
         labels.append(label)
-    return _with_2cells(cc, labels, [signed_edges for _, signed_edges in cells])
+    return CellComplex(2, (*cc.cells, tuple(labels)), (cc.boundary(1), b2))
+
+
+def _climb(jumps: list[np.ndarray], vertices: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The ancestor steps levels above each vertex, where jumps[k] maps every
+    vertex to its ancestor 2^k levels up: one jump per set bit of steps."""
+    for k, jump in enumerate(jumps):
+        vertices = np.where(steps >> k & 1, jump[vertices], vertices)
+    return vertices
 
 
 def spanning_tree_lifting(cc: CellComplex, root: str | int | None = None) -> CellComplex:
     """Fill the fundamental cycles of a BFS spanning tree with 2-cells.
 
-    Each non-tree edge closes exactly one cycle through the tree: parent
-    edges are walked up from both of its ends, always from the deeper
-    one, until the two walks meet.  The cycle runs along the non-tree
-    edge and is then given the orientation of ``_canonical_cycle``; the
-    number of 2-cells is |edges| - |vertices| + 1.
+    An integer root, other than a bool, is a vertex index; any other root
+    is read as a vertex label.  The BFS takes each vertex's edges in edge
+    order.  Each non-tree edge closes exactly one cycle through the tree:
+    along the edge, from its head up to the lowest common ancestor of its
+    ends, and down to its tail.  All cycles are found at once in numpy by
+    ancestor jumps by powers of two over the BFS parents, a table of
+    O(V log depth) entries: the common ancestors by binary lifting, then
+    every cycle's vertices as ancestors of its ends in one flat array.  Each
+    cycle is given the orientation of ``_canonical_cycle`` from its minimal
+    vertex and that vertex's two neighbours; the number of 2-cells is
+    |edges| - |vertices| + 1.
     """
     pairs = _underlying_graph(cc)
-    n = cc.n_cells(0)
+    n, m = cc.n_cells(0), len(pairs)
     if root is None:
         root_index = 0
-    elif isinstance(root, int):
+    elif isinstance(root, Integral) and not isinstance(root, bool):
         if not 0 <= root < n:
             raise UnknownVertex(f"no 0-cell at index {root} of {n}")
-        root_index = root
+        root_index = int(root)
     else:
         root_index = cc.index_of(0, str(root))
-    adjacency: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-    for j, (t, h) in enumerate(pairs):
-        adjacency[t].append((j, h))
-        adjacency[h].append((j, t))
-    depth = {root_index: 0}
-    # vertex -> (tree edge to its parent, that edge's sign walked upwards, parent)
-    parent: dict[int, tuple[int, int, int]] = {}
-    queue = deque([root_index])
-    while queue:
-        u = queue.popleft()
-        for j, v in adjacency[u]:
-            if v not in depth:
-                depth[v] = depth[u] + 1
-                parent[v] = (j, 1 if pairs[j][0] == v else -1, u)
+    # Entry e of ends is the tail (e even) or head (e odd) of edge e // 2; the
+    # entries sorted by vertex, stably, list each vertex's edges in edge order.
+    ends = np.fromiter(itertools.chain.from_iterable(pairs), np.int64, 2 * m)
+    order = np.argsort(ends, kind="stable")
+    first = np.searchsorted(ends[order], np.arange(n + 1)).tolist()
+    neighbours, order = ends[order ^ 1].tolist(), order.tolist()
+    parent, depth, via = [-1] * n, [0] * n, [0] * n  # via: the parent's entry of the tree edge
+    parent[root_index] = root_index
+    queue = [root_index]
+    for u in queue:
+        for p in range(first[u], first[u + 1]):
+            v = neighbours[p]
+            if parent[v] < 0:
+                parent[v], depth[v], via[v] = u, depth[u] + 1, order[p]
                 queue.append(v)
-    if len(depth) != n:
+    if len(queue) != n:
         raise Disconnected("spanning tree lifting needs a connected graph")
 
-    tree_edges = {j for j, _, _ in parent.values()}
-    cells = []
-    for j, (tail, head) in enumerate(pairs):
-        if j in tree_edges:
-            continue
-        # The cycle tail -> head -> ... -> meeting vertex -> ... -> tail.
-        up, down = [head], [tail]
-        signed = [(j, 1)]
-        while up[-1] != down[-1]:
-            deeper = up if depth[up[-1]] >= depth[down[-1]] else down
-            edge, sign, above = parent[deeper[-1]]
-            signed.append((edge, sign if deeper is up else -sign))
-            deeper.append(above)
-        cycle, flipped = _canonical_cycle(up + down[-2::-1])
-        cells.append((cycle, [(e, -s) for e, s in signed] if flipped else signed))
-    return _cycle_cells(cc, cells)
+    via = np.array(via)
+    tree = np.zeros(m, dtype=bool)
+    tree[via[queue[1:]] // 2] = True
+    closing = np.flatnonzero(~tree)
+    if not closing.size:
+        return cc
+    up_edge, up_sign = via // 2, via % 2 * 2 - 1  # +1 where a vertex is its tree edge's tail
+    depth = np.array(depth)
+    jumps = [np.array(parent)]
+    while len(jumps) < int(depth.max()).bit_length():
+        jumps.append(jumps[-1][jumps[-1]])
+    tails, heads = ends[0::2][closing], ends[1::2][closing]
+    gap = depth[heads] - depth[tails]
+    x = _climb(jumps, np.where(gap > 0, heads, tails), np.abs(gap))
+    y = np.where(gap > 0, tails, heads)
+    for jump in reversed(jumps):
+        apart = jump[x] != jump[y]
+        x, y = np.where(apart, jump[x], x), np.where(apart, jump[y], y)
+    meet = np.where(x == y, x, jumps[0][x])
+
+    # Cycle c at positions starts[c]..starts[c + 1] - 1: its head, the head's
+    # ancestors up to the meeting vertex, then the tail's back down to the tail.
+    rise = depth[heads] - depth[meet]
+    length = rise + depth[tails] - depth[meet] + 1
+    starts = np.zeros(len(closing) + 1, dtype=np.int64)
+    np.cumsum(length, out=starts[1:])
+    owner = np.repeat(np.arange(len(closing)), length)
+    place = np.arange(starts[-1]) - starts[owner]
+    rising = place <= rise[owner]
+    vertices = _climb(jumps, np.where(rising, heads[owner], tails[owner]),
+                      np.where(rising, place, length[owner] - 1 - place))
+    # A vertex below the meeting vertex adds its tree edge, walked up on the
+    # head's side and down on the tail's; the meeting vertex's place holds
+    # the closing edge, walked from tail to head.
+    edges, signs = up_edge[vertices], np.where(rising, up_sign[vertices], -up_sign[vertices])
+    edges[starts[:-1] + rise], signs[starts[:-1] + rise] = closing, 1
+    low = np.flatnonzero(vertices == np.minimum.reduceat(vertices, starts[:-1])[owner])
+    after = np.where(low + 1 == starts[1:], starts[:-1], low + 1)
+    before = np.where(low == starts[:-1], starts[1:] - 1, low - 1)
+    turn = np.where((length >= 3) & (vertices[after] > vertices[before]), -1, 1)
+    rotated = (low - starts[:-1])[owner] + turn[owner] * place
+    canonical = vertices[starts[owner] + rotated % length[owner]]
+    b2 = BoundaryMatrix(m, len(closing), np.column_stack((edges, owner, signs * turn[owner])))
+    flat, bounds = canonical.tolist(), starts.tolist()
+    return _cycle_cells(cc, [flat[p:q] for p, q in zip(bounds, bounds[1:])], b2)
 
 
 def chordless_cycle_lifting(
@@ -804,5 +878,5 @@ def chordless_cycle_lifting(
                 steps = [w for w in steps if not live.isdisjoint(adjacency[w])]
             stack.extend((path + (w,), blocked) for w in steps)
     cycles.sort()
-    cells = [(cycle, _column(lookup, zip(cycle, cycle[1:] + cycle[:1]))) for cycle in cycles]
-    return _cycle_cells(cc, cells)
+    columns = [_column(lookup, zip(cycle, cycle[1:] + cycle[:1])) for cycle in cycles]
+    return _cycle_cells(cc, cycles, _columns_matrix(len(pairs), columns))

@@ -58,7 +58,10 @@ class BoundaryMatrix:
     then _entry_order sorts them, and a repeat is a neighbour at the same
     position; any fault goes to _reject_entry for its message.  Triplets
     already in (col, row) order, as the simplicial builders and the io
-    documents give them, cost the sort least.  Equality is by value.
+    documents give them, cost the sort least.  Code that writes CSC arrays
+    valid by construction (product, path_complex, a matrix with rows
+    emptied) skips the constructor through _unchecked_matrix.  Equality is
+    by value.
     """
 
     rows: int
@@ -142,12 +145,7 @@ class BoundaryMatrix:
         if not len(rows):
             return self
         arrays = _drop_rows(self.rows, self.indptr, self.indices, self.signs, rows)
-        for array in arrays:
-            array.flags.writeable = False
-        matrix = object.__new__(BoundaryMatrix)
-        vars(matrix).update(rows=self.rows, cols=self.cols, indptr=arrays[0],
-                            indices=arrays[1], signs=arrays[2])
-        return matrix
+        return _unchecked_matrix(self.rows, self.cols, *arrays)
 
     def restrict(self, rows: Sequence[int], cols: Sequence[int]) -> "BoundaryMatrix":
         """Submatrix on the given row/col index lists (order preserved)."""
@@ -158,6 +156,18 @@ class BoundaryMatrix:
         kept = new_row >= 0
         triplets = np.column_stack((new_row[kept], new_col[kept], self.signs[at][kept]))
         return BoundaryMatrix(len(rows), len(cols), triplets)
+
+
+def _unchecked_matrix(rows: int, cols: int, indptr, indices, signs) -> BoundaryMatrix:
+    """The BoundaryMatrix of CSC int64 arrays that are valid by construction: rows
+    increasing within each column, inside the shape, signs +-1.  The arrays are
+    frozen, not checked or copied."""
+    for array in (indptr, indices, signs):
+        array.flags.writeable = False
+    matrix = object.__new__(BoundaryMatrix)
+    vars(matrix).update(rows=int(rows), cols=int(cols), indptr=indptr, indices=indices,
+                        signs=signs)
+    return matrix
 
 
 def _reject_entry(rows: int, cols: int, triplets) -> None:
@@ -454,21 +464,26 @@ def _graph(vlabels: Sequence[str], pairs: Sequence[tuple[int, int]]) -> CellComp
     return from_boundary_matrices([vlabels, edge_labels], [b1])
 
 
+def _columns_matrix(rows: int, columns: Sequence[Sequence[tuple[int, int]]]) -> BoundaryMatrix:
+    """The matrix whose column c is the list of (row, sign) pairs columns[c].  The
+    pairs are read as one flat int64 array, as numpy reads nested lists slowly."""
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(columns)), np.int64)
+    entries, signs = pairs.reshape(-1, 2).T
+    cols = np.repeat(np.arange(len(columns)), [len(column) for column in columns])
+    return BoundaryMatrix(rows, len(columns), np.column_stack((entries, cols, signs)))
+
+
 def _with_2cells(
     graph: CellComplex, labels: Sequence[str], columns: Sequence[Sequence[tuple[int, int]]]
 ) -> CellComplex:
     """A 1-complex with one 2-cell per label attached, its B_2 column the
-    matching list of (edge, sign) pairs.  The pairs are read as one flat
-    int64 array, as numpy reads nested lists slowly.  Without labels it
-    is the graph unchanged."""
+    matching list of (edge, sign) pairs, checked by from_boundary_matrices,
+    as from_tuples reads them from outside.  Without labels it is the graph
+    unchanged."""
     if not labels:
         return graph
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(columns)), np.int64)
-    edges, signs = pairs.reshape(-1, 2).T
-    cols = np.repeat(np.arange(len(columns)), [len(column) for column in columns])
     b1 = graph.boundary(1)
-    b2 = BoundaryMatrix(b1.cols, len(labels), np.column_stack((edges, cols, signs)))
-    return from_boundary_matrices([*graph.cells, labels], [b1, b2])
+    return from_boundary_matrices([*graph.cells, labels], [b1, _columns_matrix(b1.cols, columns)])
 
 
 def boundary_of_cell(cc: CellComplex, cell: CellRef) -> list[tuple[CellRef, int]]:

@@ -460,6 +460,40 @@ class TestProductTrustsItsFactors:
                 io.load_complex(str(path))
 
 
+class TestProductWritesItsArrays:
+    """product and path_complex write CSC arrays without the BoundaryMatrix
+    constructor, so each boundary is checked here against the matrix the
+    constructor builds from the same entries."""
+
+    @staticmethod
+    def assert_as_constructed(cc: cx.CellComplex) -> None:
+        for b in cc.boundaries:
+            triplets = np.column_stack(core._entry_arrays(b)[:3])
+            assert b == cx.BoundaryMatrix(b.rows, b.cols, triplets)
+            for array in (b.indptr, b.indices, b.signs):
+                assert array.dtype == np.int64 and not array.flags.writeable
+
+    @settings(max_examples=100)
+    @given(a=helpers.labelled_factors(), b=helpers.labelled_factors())
+    def test_products_of_labelled_factors(self, a, b):
+        self.assert_as_constructed(cx.product(a, b))
+
+    @settings(max_examples=40)
+    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    def test_cubical_up_to_five_dimensions(self, sizes):
+        self.assert_as_constructed(cx.cubical(sizes))
+
+    def test_no_constructor_call(self, monkeypatch):
+        a, b = cx.cubical([3, 2]), helpers.toy()
+        expected = cx.product(a, b), cx.product(b, a), cx.cubical([3, 1, 4, 2])
+
+        def refuse(*args):
+            raise AssertionError("product sorted and re-checked its own arrays")
+
+        monkeypatch.setattr(core.BoundaryMatrix, "__post_init__", refuse)
+        assert (cx.product(a, b), cx.product(b, a), cx.cubical([3, 1, 4, 2])) == expected
+
+
 class TestCubical:
     def test_grid_counts(self):
         grid = cx.cubical([4, 4])
@@ -745,6 +779,34 @@ class TestSpanningTreeLifting:
             cx.spanning_tree_lifting(ring, root)
         assert str(info.value) == f"no 0-cell at index {root} of 4"
 
+    @staticmethod
+    def toy_labelled(labels):
+        return cx.from_tuples(labels, [(labels[t], labels[h]) for t, h in helpers.TOY_EDGES])
+
+    def test_numpy_integer_root_is_an_index(self):
+        graph = self.toy_labelled(["v0", "v1", "v2", "v3", "v4"])
+        by_index = cx.spanning_tree_lifting(graph, 2)
+        assert by_index != cx.spanning_tree_lifting(graph, 1)
+        for root in (np.int64(2), np.uint8(2), np.int32(2)):
+            assert cx.spanning_tree_lifting(graph, root) == by_index
+        with pytest.raises(errors.UnknownVertex, match="^no 0-cell at index 7 of 5$"):
+            cx.spanning_tree_lifting(graph, np.int64(7))
+
+    def test_bool_root_is_a_label(self):
+        graph = self.toy_labelled(["a", "b", "True", "c", "False"])
+        assert cx.spanning_tree_lifting(graph, True) == cx.spanning_tree_lifting(graph, 2)
+        assert cx.spanning_tree_lifting(graph, False) == cx.spanning_tree_lifting(graph, 4)
+        assert cx.spanning_tree_lifting(graph, 2) != cx.spanning_tree_lifting(graph, 1)
+        with pytest.raises(errors.UnknownVertex, match="^no 0-cell labelled 'True'$"):
+            cx.spanning_tree_lifting(self.toy_labelled(["v0", "v1", "v2", "v3", "v4"]), True)
+
+    def test_other_roots_are_labels(self):
+        graph = self.toy_labelled(["4", "3", "0", "2.0", "1"])
+        assert cx.spanning_tree_lifting(graph, "0") == cx.spanning_tree_lifting(graph, 2)
+        assert cx.spanning_tree_lifting(graph, 2.0) == cx.spanning_tree_lifting(graph, 3)
+        with pytest.raises(errors.UnknownVertex, match="^no 0-cell labelled '1.5'$"):
+            cx.spanning_tree_lifting(graph, 1.5)
+
     def test_disconnected_rejected(self):
         graph = cx.from_tuples(range(4), [(0, 1), (2, 3)])
         with pytest.raises(errors.Disconnected):
@@ -920,6 +982,85 @@ class TestCyclesAttachedWithoutRetracing:
         assert cx.spanning_tree_lifting(toy_graph).n_cells(2) == 2
         assert cx.chordless_cycle_lifting(toy_graph).n_cells(2) == 2
         assert calls == []
+
+
+class TestLiftingsTrustTheirCycles:
+    """The liftings attach closed walks with labels made unique, so they skip
+    from_boundary_matrices; their outputs are checked here independently."""
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("a lifting re-checked the cycles it built")
+
+    @staticmethod
+    def assert_independently_valid(graph, lifted):
+        assert lifted.cells[:2] == graph.cells[:2]
+        assert lifted.boundary(1) == graph.boundary(1)
+        assert all(len(set(layer)) == len(layer) for layer in lifted.cells)
+        assert helpers.exactness_holds(lifted)
+
+    def test_no_label_check_and_no_exactness_product(self, monkeypatch):
+        points, edges, _ = _grid_with_diagonals(5)
+        emb = cx.PlanarEmbedding(points, tuple(edges))
+        graph = cx.from_tuples(range(len(points)), edges)
+        roots = (0, 12, 24)
+        expected = ([cx.spanning_tree_lifting(graph, root) for root in roots],
+                    cx.chordless_cycle_lifting(graph), cx.window_lifting(emb))
+        monkeypatch.setattr(core, "integer_product", self.refuse)
+        assert cx.window_lifting(emb) == expected[2]  # its base graph goes through _graph
+        for name in ("_cell_layers", "from_boundary_matrices"):
+            monkeypatch.setattr(core, name, self.refuse)
+        monkeypatch.setattr(builders, "from_boundary_matrices", self.refuse)
+        assert [cx.spanning_tree_lifting(graph, root) for root in roots] == expected[0]
+        assert cx.chordless_cycle_lifting(graph) == expected[1]
+        assert expected[0][0].n_cells(2) == len(edges) - len(points) + 1
+
+    @settings(max_examples=100)
+    @given(graph=multigraphs(), data=st.data())
+    def test_tree_lifting_of_multigraphs(self, graph, data):
+        root = data.draw(st.integers(0, graph.n_cells(0) - 1))
+        self.assert_independently_valid(graph, cx.spanning_tree_lifting(graph, root))
+
+    @settings(max_examples=100)
+    @given(graph=simple_graphs())
+    def test_chordless_lifting_of_simple_graphs(self, graph):
+        self.assert_independently_valid(graph, cx.chordless_cycle_lifting(graph))
+
+    @settings(max_examples=30)
+    @given(grid=plane_grids())
+    def test_window_lifting_of_plane_grids(self, grid):
+        emb, _ = grid
+        graph = cx.from_tuples(emb.labels, [(emb.labels[u], emb.labels[v]) for u, v in emb.edges])
+        self.assert_independently_valid(graph, cx.window_lifting(emb))
+
+
+class TestDeepTrees:
+    """BFS trees far deeper than the hypothesis draws, so that every level
+    of the ancestor jumps is taken, against the root-path oracle."""
+
+    def test_long_cycle(self):
+        n = 3000
+        ring = cx.from_tuples(range(n), [(i, (i + 1) % n) for i in range(n)])
+        for root in (0, 1234):
+            lifted = cx.spanning_tree_lifting(ring, root)
+            assert lifted == helpers.fundamental_cycles_oracle(ring, root)
+            assert len(lifted.boundary(2).column(0)) == n
+
+    def test_long_path_with_one_chord(self):
+        n = 3000
+        path = cx.from_tuples(range(n), [(i, i + 1) for i in range(n - 1)] + [(2900, 100)])
+        for root in (0, 1500, 2999):
+            lifted = cx.spanning_tree_lifting(path, root)
+            assert lifted == helpers.fundamental_cycles_oracle(path, root)
+            assert len(lifted.boundary(2).column(0)) == 2801
+
+    @pytest.mark.parametrize("root", [0, 30 * 60 + 30])
+    def test_grid_at_a_corner_and_the_centre(self, root):
+        grid = cx.cubical([60, 60])
+        graph = cx.from_boundary_matrices(grid.cells[:2], grid.boundaries[:1])
+        lifted = cx.spanning_tree_lifting(graph, root)
+        assert lifted == helpers.fundamental_cycles_oracle(graph, root)
+        assert lifted.n_cells(2) == 59 * 59
 
 
 class TestBuilderOutputsAreRegular:
