@@ -2,9 +2,12 @@
 
 Simplicial complexes and Vietoris-Rips point clouds, products of
 complexes (and cubical grids as iterated products of path graphs), and
-three ways of attaching 2-cells to a graph: inner windows of a planar
-embedding, fundamental cycles of a BFS spanning tree, and chordless
-cycles.  Liftings that find no cycles return the 1-complex unchanged.
+three ways of attaching 2-cells to a graph: inner windows of a plane
+drawing, fundamental cycles of a BFS spanning tree, and chordless
+cycles.  Each lifting takes the 1-complex itself (and the drawing's
+coordinates, a BFS root or a cycle cap) and attaches its 2-cells to it,
+keeping its vertex and edge layers and B_1; a lifting that finds no
+cycle returns the 1-complex unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .core import (
     _edge_lookup,
     _edges,
     _forest_merges,
-    _graph,
     _unchecked_matrix,
     from_boundary_matrices,
     oriented_cycle,
@@ -548,12 +550,11 @@ class PlanarEmbedding:
         if len(set(labels)) != n:
             raise DuplicateLabel("need one unique label per vertex")
         object.__setattr__(self, "labels", tuple(labels))
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
-        object.__setattr__(self, "edges", edges)
-        scale = float(np.max(np.abs(pts)))
-        eps = 1e-12 * scale * scale
-        seen_pairs = set()
-        for u, v in edges:
+        edges, seen_pairs = [], set()
+        for u, v in self.edges:
+            if not (isinstance(u, Integral) and isinstance(v, Integral)):
+                raise ShapeMismatch(f"edge ({u}, {v}) has a vertex index that is not an integer")
+            u, v = int(u), int(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise UnknownVertex(f"edge ({u}, {v}) outside 0..{n - 1}")
             if u == v:
@@ -562,6 +563,11 @@ class PlanarEmbedding:
             if pair in seen_pairs:
                 raise EdgesCross(f"edge ({u}, {v}) drawn twice")
             seen_pairs.add(pair)
+            edges.append((u, v))
+        edges = tuple(edges)
+        object.__setattr__(self, "edges", edges)
+        scale = float(np.max(np.abs(pts)))
+        eps = 1e-12 * scale * scale
         x, y = pts[:, 0], pts[:, 1]
 
         def same_point(i, j):  # np.allclose(pts[i], pts[j], atol=eps), rtol 1e-5
@@ -613,71 +619,63 @@ class PlanarEmbedding:
             raise EdgesCross(f"vertex {w} lies on edge ({u1}, {v1})")
 
 
-def window_lifting(emb: PlanarEmbedding) -> CellComplex:
-    """Attach every inner window of a plane drawing as a 2-cell.
+def window_lifting(cc: CellComplex, points) -> CellComplex:
+    """Attach every inner window of a straight-line plane drawing of cc as a 2-cell.
 
-    Faces are traced through the rotation system induced by the
-    coordinates; the unique face of negative signed area (the outer one)
-    is dropped and each remaining window becomes a counterclockwise
-    2-cell whose column is the ``_column`` of its walk, so doubled bridge
-    traversals cancel, traced once by ``oriented_cycle`` into its vertex
-    cycle.  Edges are labelled ``tail-head``, as ``from_tuples`` does.
+    ``points`` has one (x, y) row per vertex of cc; ``PlanarEmbedding``
+    checks the drawing.  Edge j gives dart j (tail to head) and dart j + m
+    (head to tail).  One np.lexsort by (tail, angle) orders each vertex's
+    ring of darts, and the successor of (u, v) on its face is the dart just
+    before (v, u) in v's ring.  One pass over the successors numbers the
+    faces by their smallest (tail, head) dart, and np.bincount of the darts'
+    cross products gives their signed areas.  The one face of negative area
+    (the outer one) is dropped; every other becomes a counterclockwise
+    2-cell of cc whose column is its darts' signed edges less its bridges
+    (edges whose other dart lies in the same face), traced once by
+    ``oriented_cycle`` into its vertex cycle.  Cells go in cycle order.
     """
-    pts = emb.points
-    n = len(pts)
-    lookup = _edge_lookup(emb.edges)  # every edge walked both ways, in edge order
-    adjacency: dict[int, list[int]] = {i: [] for i in range(n)}
-    for u, v in lookup:
-        adjacency[u].append(v)
-    if len(_forest_merges(n, emb.edges)) != n - 1:
+    pairs = _underlying_graph(cc)
+    x, y = PlanarEmbedding(points, pairs, cc.cells[0]).points.T
+    n, m = cc.n_cells(0), len(pairs)
+    if len(_forest_merges(n, pairs)) != n - 1:
         raise Disconnected("underlying graph is not connected")
-    order = {
-        u: sorted(
-            adjacency[u],
-            key=lambda w: np.arctan2(pts[w][1] - pts[u][1], pts[w][0] - pts[u][0]),
-        )
-        for u in range(n)
-    }
-
-    # Each face is an orbit of the darts: a dart (u, v) is followed by (v, w),
-    # w the neighbour of v just clockwise of u.
-    remaining = set(lookup)
-    faces: list[list[tuple[int, int]]] = []
-    for dart in sorted(remaining):
-        walk = []
-        while dart in remaining:
-            remaining.discard(dart)
-            walk.append(dart)
-            u, v = dart
-            ring = order[v]
-            dart = (v, ring[(ring.index(u) - 1) % len(ring)])
-        if walk:
-            faces.append(walk)
-
-    base = _graph(emb.labels, emb.edges)
-    if len(faces) <= 1:
-        return base
-    areas = [0.5 * sum(pts[u][0] * pts[v][1] - pts[v][0] * pts[u][1] for u, v in walk)
-             for walk in faces]
-    negatives = [i for i, area in enumerate(areas) if area < 0]
-    if len(negatives) != 1:
-        raise EdgesCross(
-            f"face traversal found {len(negatives)} outer faces; drawing is not plane"
-        )
-    outer = negatives[0]
-
+    t, h = np.array(pairs, dtype=np.int64).reshape(m, 2).T
+    tails, heads = np.concatenate((t, h)), np.concatenate((h, t))
+    ring = np.lexsort((np.arctan2(y[heads] - y[tails], x[heads] - x[tails]), tails))
+    back = np.roll(np.argsort(ring), m)  # where each dart's reverse stands in the rings
+    first = np.searchsorted(tails[ring], np.arange(n + 1))
+    start, size = first[heads], first[heads + 1] - first[heads]
+    succ = ring[start + (back - start - 1) % size].tolist()
+    face, faces = [-1] * (2 * m), 0
+    for d in np.lexsort((heads, tails)).tolist():
+        if face[d] < 0:
+            while face[d] < 0:
+                face[d] = faces
+                d = succ[d]
+            faces += 1
+    if faces <= 1:
+        return cc
+    face = np.array(face)
+    area = np.bincount(face, weights=x[tails] * y[heads] - x[heads] * y[tails])
+    outer = np.flatnonzero(area < 0)
+    if len(outer) != 1:
+        raise EdgesCross(f"face traversal found {len(outer)} outer faces; drawing is not plane")
+    darts = np.flatnonzero(face != np.roll(face, m))  # bridges have both darts in one face
+    darts = darts[np.lexsort((darts % m, face[darts]))]
+    bounds = np.searchsorted(face[darts], np.arange(faces + 1)).tolist()
+    entries = list(zip((darts % m).tolist(), np.where(darts < m, 1, -1).tolist()))
     windows: list[tuple[list[int], list[tuple[int, int]]]] = []
-    for fi, walk in enumerate(faces):
-        if fi == outer:
+    for f in range(faces):
+        if f == outer[0]:
             continue
-        column = _column(lookup, walk)
-        cycle, reason = oriented_cycle(emb.edges, column)
+        column = entries[bounds[f] : bounds[f + 1]]
+        cycle, reason = oriented_cycle(pairs, column)
         if reason is not None:
             raise NotACycleColumn(f"window boundary is not a simple cycle: {reason}")
         windows.append((cycle, column))
     windows.sort(key=lambda window: window[0])
-    columns = _columns_matrix(len(emb.edges), [column for _, column in windows])
-    return _cycle_cells(base, [cycle for cycle, _ in windows], columns)
+    columns = _columns_matrix(m, [column for _, column in windows])
+    return _cycle_cells(cc, [cycle for cycle, _ in windows], columns)
 
 
 def _underlying_graph(cc: CellComplex) -> list[tuple[int, int]]:

@@ -12,7 +12,9 @@ textbook Z/2 column reduction of the filtration boundary matrix, read
 column by column from its B_k, and the Rips oracle tries every vertex
 subset.  The writer oracle is the standard library's indented JSON
 dump, and the plane-drawing oracle tests every vertex pair, edge pair
-and vertex-edge pair in Python loops.  The boundary oracles read the
+and vertex-edge pair in Python loops; the window-lifting oracle walks
+each face dart by dart through dicts, as the lifting did before it
+ordered and numbered darts in arrays.  The boundary oracles read the
 entries one at a time and weight dense matrices by broadcasting, as
 core and hodge did before they scattered and multiplied from entry
 arrays.  The boundary-layout oracles are the tuple code that the CSC
@@ -37,6 +39,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 from hypothesis import strategies as st
@@ -46,6 +49,7 @@ from cellcomplex import hodge
 from cellcomplex.builders import _factor_label
 from cellcomplex.core import closure_indices, oriented_cycle
 from cellcomplex.errors import (
+    Disconnected,
     DuplicateEntry,
     DuplicateLabel,
     EdgesCross,
@@ -842,11 +846,13 @@ def planar_embedding_oracle(points, edges, labels=()) -> None:
         raise ShapeMismatch(f"{n} coordinate rows for {len(labels)} vertices")
     if len(set(labels)) != n:
         raise DuplicateLabel("need one unique label per vertex")
-    edges = tuple((int(u), int(v)) for u, v in edges)
     scale = float(np.max(np.abs(pts)))
     eps = 1e-12 * scale * scale
-    seen_pairs = set()
+    seen_pairs, read = set(), []
     for u, v in edges:
+        if not (isinstance(u, Integral) and isinstance(v, Integral)):
+            raise ShapeMismatch(f"edge ({u}, {v}) has a vertex index that is not an integer")
+        u, v = int(u), int(v)
         if not (0 <= u < n and 0 <= v < n):
             raise UnknownVertex(f"edge ({u}, {v}) outside 0..{n - 1}")
         if u == v:
@@ -855,6 +861,8 @@ def planar_embedding_oracle(points, edges, labels=()) -> None:
         if pair in seen_pairs:
             raise EdgesCross(f"edge ({u}, {v}) drawn twice")
         seen_pairs.add(pair)
+        read.append((u, v))
+    edges = read
     for i in range(n):
         for j in range(i + 1, n):
             if np.allclose(pts[i], pts[j], atol=eps):
@@ -874,6 +882,79 @@ def planar_embedding_oracle(points, edges, labels=()) -> None:
                 and min(pts[u][1], pts[v][1]) - eps <= pts[w][1] <= max(pts[u][1], pts[v][1]) + eps
             ):
                 raise EdgesCross(f"vertex {w} lies on edge ({u}, {v})")
+
+
+def window_lifting_oracle(graph: cx.CellComplex, points) -> cx.CellComplex:
+    """The window lifting by the dict walk that the dart arrays replaced.
+
+    Each vertex's neighbours are sorted by one scalar ``np.arctan2`` per
+    dart; each face is walked dart by dart from the smallest (u, v) not yet
+    walked, the dart after (u, v) being (v, w) with w just before u in v's
+    ring; its area is a Python sum over the walk, and a window's column sums
+    the walk's signed edges per edge in a dict.  The drawing is checked by
+    ``planar_embedding_oracle`` and the result by ``from_boundary_matrices``.
+    """
+    b1 = graph.boundary(1)
+    edges = [edge_endpoints_oracle(b1, j) for j in range(b1.cols)]
+    planar_embedding_oracle(points, edges, graph.cells[0])
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    lookup: dict[tuple[int, int], tuple[int, int]] = {}
+    adjacency: dict[int, list[int]] = {i: [] for i in range(n)}
+    for j, (u, v) in enumerate(edges):
+        lookup[u, v], lookup[v, u] = (j, 1), (j, -1)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    reached, stack = {0}, [0]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    if len(reached) != n:
+        raise Disconnected("underlying graph is not connected")
+    order = {
+        u: sorted(ring, key=lambda w: np.arctan2(pts[w][1] - pts[u][1], pts[w][0] - pts[u][0]))
+        for u, ring in adjacency.items()
+    }
+    remaining, faces = set(lookup), []
+    for dart in sorted(lookup):
+        walk = []
+        while dart in remaining:
+            remaining.discard(dart)
+            walk.append(dart)
+            u, v = dart
+            ring = order[v]
+            dart = (v, ring[(ring.index(u) - 1) % len(ring)])
+        if walk:
+            faces.append(walk)
+    if len(faces) <= 1:
+        return graph
+    areas = [sum(pts[u][0] * pts[v][1] - pts[v][0] * pts[u][1] for u, v in walk)
+             for walk in faces]
+    negatives = [i for i, area in enumerate(areas) if area < 0]
+    if len(negatives) != 1:
+        raise EdgesCross(
+            f"face traversal found {len(negatives)} outer faces; drawing is not plane"
+        )
+    windows = []
+    for i, walk in enumerate(faces):
+        if i == negatives[0]:
+            continue
+        net: dict[int, int] = {}
+        for step in walk:
+            j, sign = lookup[step]
+            net[j] = net.get(j, 0) + sign
+        column = [(j, sign) for j, sign in sorted(net.items()) if sign]
+        cycle, reason = oriented_cycle(edges, column)
+        if reason is not None:
+            raise NotACycleColumn(f"window boundary is not a simple cycle: {reason}")
+        windows.append((cycle, column))
+    windows.sort(key=lambda window: window[0])
+    labels = ["-".join(graph.cells[0][i] for i in cycle) for cycle, _ in windows]
+    entries = [(j, c, sign) for c, (_, column) in enumerate(windows) for j, sign in column]
+    b2 = cx.BoundaryMatrix(len(edges), len(windows), entries)
+    return cx.from_boundary_matrices([*graph.cells, labels], [b1, b2])
 
 
 # ---------------------------------------------------------------------------

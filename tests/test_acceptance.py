@@ -146,9 +146,7 @@ def test_criterion_07_weighted_reductions():
 
 
 def acceptance_complexes():
-    emb = cx.PlanarEmbedding(
-        [[0, 0], [1, 0], [1, 1], [0, 1]], ((0, 1), (1, 2), (2, 3), (0, 3))
-    )
+    square = cx.from_tuples(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
     k4 = cx.from_tuples(range(4), list(itertools.combinations(range(4), 2)))
     return [
         cx.from_tuples(["v"]),
@@ -157,7 +155,7 @@ def acceptance_complexes():
         cx.cubical([4, 4]),
         cx.cubical([2, 2, 2]),
         cx.product(helpers.k2_paper(), helpers.k2_paper()),
-        cx.window_lifting(emb),
+        cx.window_lifting(square, [[0, 0], [1, 0], [1, 1], [0, 1]]),
         cx.spanning_tree_lifting(helpers.toy_graph()),
         cx.chordless_cycle_lifting(k4),
         cx.vietoris_rips(cx.PointCloud([[0, 0], [1, 0], [0.5, 0.8]]), 1.2, 2),

@@ -295,6 +295,20 @@ def sign_matrices(draw, rows=None):
     return BoundaryMatrix(rows, cols, [(i, j, dense[i, j]) for i, j in zip(*np.nonzero(dense))])
 
 
+@settings(max_examples=200)
+@given(m=sign_matrices(), data=st.data())
+def test_flips_match_the_constructor_of_the_negated_entries(m, data):
+    # The flips negate signs in place of a rebuild: same indptr and indices,
+    # indices outside the shape ignored and a repeated one flipped once.
+    for axis, flip in ((0, m.flip_rows), (1, m.flip_columns)):
+        indices = data.draw(st.lists(st.integers(-2, m.shape[axis] + 1)))
+        negated = [(r, c, -s if (r, c)[axis] in indices else s) for r, c, s in m.entries]
+        flipped = flip(indices)
+        assert flipped == BoundaryMatrix(m.rows, m.cols, negated)
+        assert flipped.indptr is m.indptr and flipped.indices is m.indices
+        assert not flipped.signs.flags.writeable
+
+
 class TestExactnessProduct:
     @settings(max_examples=200)
     @given(a=sign_matrices(), data=st.data())
@@ -458,11 +472,7 @@ def test_cli_writes_complexes_without_triplets(monkeypatch, capsys, tmp_path):
     # Every command that prints a complex writes it from the CSC arrays.
     square = cx.from_tuples(range(4), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     coords = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-    window = builders.window_lifting(
-        builders.PlanarEmbedding(coords, builders._underlying_graph(square), square.cells[0])
-    )
-    window = cx.CellComplex(window.dim, square.cells + window.cells[2:],
-                            square.boundaries + window.boundaries[1:])
+    window = builders.window_lifting(square, coords)
     graph, edge = tmp_path / "graph.json", tmp_path / "edge.json"
     graph.write_text(io.dumps(io.complex_to_json(square)))
     edge.write_text(io.dumps(io.complex_to_json(helpers.k2_paper())))

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cellcomplex as cx
@@ -515,26 +515,24 @@ class TestCubical:
             cx.cubical([0, 2])
 
 
-def square_embedding():
-    return cx.PlanarEmbedding(
-        [[0, 0], [1, 0], [1, 1], [0, 1]], ((0, 1), (1, 2), (2, 3), (0, 3))
-    )
+def _window(points, edges):
+    """The window lifting of the graph on vertices 0..n-1 with the given edges."""
+    return cx.window_lifting(cx.from_tuples(range(len(points)), edges), points)
 
 
 class TestWindowLifting:
     def test_unit_square_single_window(self):
-        cc = cx.window_lifting(square_embedding())
+        cc = _window([[0, 0], [1, 0], [1, 1], [0, 1]], ((0, 1), (1, 2), (2, 3), (0, 3)))
         assert [len(layer) for layer in cc.cells] == [4, 4, 1]
         assert cc.cells[2] == ("0-1-2-3",)
         # Counterclockwise: three edges along their orientation, (0,3) against.
         assert cc.boundary(2).column(0) == [(0, 1), (1, 1), (2, 1), (3, -1)]
 
     def test_two_triangles_share_edge_with_opposite_signs(self):
-        emb = cx.PlanarEmbedding(
+        cc = _window(
             [[0, 0], [2, 0], [1, 1.5], [3, 1.5]],
             ((0, 1), (1, 2), (0, 2), (1, 3), (2, 3)),
         )
-        cc = cx.window_lifting(emb)
         assert cc.n_cells(2) == 2
         shared = cc.index_of(1, "1-2")
         signs = [dict(cc.boundary(2).column(j)).get(shared, 0) for j in range(2)]
@@ -542,41 +540,37 @@ class TestWindowLifting:
         assert cx.validate_nd(cc).valid
 
     def test_tree_embedding_has_no_windows(self):
-        emb = cx.PlanarEmbedding([[0, 0], [1, 0], [2, 1], [2, -1]], ((0, 1), (1, 2), (1, 3)))
-        cc = cx.window_lifting(emb)
+        cc = _window([[0, 0], [1, 0], [2, 1], [2, -1]], ((0, 1), (1, 2), (1, 3)))
         assert cc.dim == 1
 
     def test_small_outer_face_detected_by_area(self):
         # Triangle 0-1-2 with vertex 3 inside joined to 0 and 1: the
         # outer face has 3 edges while an inner face has 4.
-        emb = cx.PlanarEmbedding(
+        cc = _window(
             [[0, 0], [4, 0], [2, 3], [2, 0.5]],
             ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3)),
         )
-        cc = cx.window_lifting(emb)
         cells = {frozenset(label.split("-")) for label in cc.cells[2]}
         assert cells == {frozenset("013"), frozenset("0123")}
 
     def test_bridge_cancels_out_of_window(self):
         # Square with a pendant vertex inside: the window traverses the
         # bridge twice, once per direction, and keeps only the square.
-        emb = cx.PlanarEmbedding(
+        cc = _window(
             [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
             ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4)),
         )
-        cc = cx.window_lifting(emb)
         assert cc.n_cells(2) == 1
         assert dict(cc.boundary(2).column(0)).keys() == {0, 1, 2, 3}
 
     def test_window_through_a_vertex_twice_rejected(self):
         # A triangle hung inside the square at corner 0: the window between
         # them passes vertex 0 twice.
-        emb = cx.PlanarEmbedding(
-            [[0, 0], [4, 0], [4, 4], [0, 4], [1, 2], [2, 1]],
-            ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (0, 5)),
-        )
         with pytest.raises(errors.NotACycleColumn, match="^window boundary is not a simple"):
-            cx.window_lifting(emb)
+            _window(
+                [[0, 0], [4, 0], [4, 4], [0, 4], [1, 2], [2, 1]],
+                ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (0, 5)),
+            )
 
     def test_crossing_edges_rejected(self):
         with pytest.raises(errors.EdgesCross):
@@ -589,9 +583,8 @@ class TestWindowLifting:
             cx.PlanarEmbedding([[0, 0], [2, 0], [1, 0]], ((0, 1),))
 
     def test_disconnected_rejected(self):
-        emb = cx.PlanarEmbedding([[0, 0], [1, 0], [5, 5], [6, 5]], ((0, 1), (2, 3)))
         with pytest.raises(errors.Disconnected):
-            cx.window_lifting(emb)
+            _window([[0, 0], [1, 0], [5, 5], [6, 5]], ((0, 1), (2, 3)))
 
     @pytest.mark.parametrize("unit", [2.0**-27, 1e-8])
     def test_figure_eight_below_unit_size_rejected_at_construction(self, unit):
@@ -606,8 +599,8 @@ class TestWindowLifting:
     def test_square_with_a_diagonal_below_unit_size(self, scale):
         square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
         edges = ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2))
-        unit = cx.window_lifting(cx.PlanarEmbedding(square, edges))
-        small = cx.window_lifting(cx.PlanarEmbedding(square * scale, edges))
+        unit = _window(square, edges)
+        small = _window(square * scale, edges)
         assert small.cells == unit.cells and small.cells[2] == ("0-1-2", "0-2-3")
         assert all(small.boundary(k) == unit.boundary(k) for k in (1, 2))
 
@@ -618,17 +611,15 @@ class TestWindowLifting:
         # equal, so both faces have signed area exactly 0 (coordinates are
         # exact multiples of 2^-27) and the face traversal finds no outer face.
         points = np.array([[2, 2], [0, 3], [1, 4], [1, 1], [2**27, 0]]) * 2.0**-27
-        emb = cx.PlanarEmbedding(points, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4)))
         with pytest.raises(errors.EdgesCross) as info:
-            cx.window_lifting(emb)
+            _window(points, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4)))
         assert str(info.value) == "face traversal found 0 outer faces; drawing is not plane"
 
     def test_triangulation_matches_simplicial_up_to_orientation(self):
-        emb = cx.PlanarEmbedding(
+        lifted = _window(
             [[0, 0], [2, 0], [1, 1.5], [3, 1.5]],
             ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)),
         )
-        lifted = cx.window_lifting(emb)
         simplicial = cx.from_simplicial(
             range(4), [(0, 1, 2), (1, 2, 3)], auto_close=True
         )
@@ -678,6 +669,8 @@ def _grid_with_diagonals(m: int):
 class TestPlanarEmbeddingChecks:
     @settings(max_examples=300)
     @given(drawing=drawings())
+    @example(drawing=([[0, 0], [1, 0], [0, 1]], [(0, 1.7), (1, 2), (2.9, 0)]))
+    @example(drawing=([[0, 0], [1, 0], [0, 1]], [(0, 3), (1, "2")]))
     def test_matches_the_loop_oracle(self, drawing):
         points, edges = drawing
         assert _outcome(cx.PlanarEmbedding, points, tuple(edges)) == _outcome(
@@ -706,11 +699,18 @@ class TestPlanarEmbeddingChecks:
          "edge (1, 1) is a self-loop"),
         ([(0, 0), (1, 0), (0, 1)], ((0, 1), (1, 0)), errors.EdgesCross,
          "edge (1, 0) drawn twice"),
-    ], ids=["non-finite", "unknown-vertex", "self-loop", "drawn-twice"])
+        ([(0, 0), (1, 0), (0, 1)], ((0, 1.7), (1, 2), (2.9, 0)), errors.ShapeMismatch,
+         "edge (0, 1.7) has a vertex index that is not an integer"),
+    ], ids=["non-finite", "unknown-vertex", "self-loop", "drawn-twice", "non-integer"])
     def test_bad_points_and_edges(self, points, edges, error, message):
         with pytest.raises(error) as info:
             cx.PlanarEmbedding(points, edges)
         assert str(info.value) == message
+
+    def test_numpy_integer_indices_are_read_as_ints(self):
+        emb = cx.PlanarEmbedding([(0, 0), (1, 0), (0, 1)], ((np.int64(0), np.int32(1)), (1, 2)))
+        assert emb.edges == ((0, 1), (1, 2))
+        assert {type(i) for edge in emb.edges for i in edge} == {int}
 
     def test_violations_in_the_last_row_block(self):
         # 289 vertices and 800 edges: every check spans several row blocks,
@@ -923,7 +923,7 @@ def plane_grids(draw):
     keep = draw(st.lists(st.booleans(), min_size=n_diag, max_size=n_diag))
     edges = edges[: len(edges) - n_diag] + [e for e, k in zip(edges[-n_diag:], keep) if k]
     edges = [e[::-1] if draw(st.booleans()) else e for e in edges]
-    return cx.PlanarEmbedding(points, tuple(edges)), n_diag + sum(keep)
+    return cx.from_tuples(range(len(points)), edges), points, n_diag + sum(keep)
 
 
 def _check_lifted(graph, lifted):
@@ -932,6 +932,75 @@ def _check_lifted(graph, lifted):
     if lifted.dim == 2:
         assert cx.validate_dim2(lifted).valid
     assert cx.validate_nd(lifted).valid
+
+
+def _result(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, errors.CellComplexError) as exc:
+        return type(exc), str(exc)
+
+
+# Named drawings for the face-walk oracle: (points, edges, the expected outcome's
+# type, and its message for an error).  The tiny figures are multiples of 2^-27
+# beside a vertex at (1, 0), so the constructor's tolerance of 1e-12 misses
+# their crossings and only the face areas reveal them.
+WINDOW_CASES = {
+    "pendant-tree-in-a-window": (
+        [[0, 0], [4, 0], [4, 4], [0, 4], [1, 1], [2, 1], [1, 2], [2, 2.5]],
+        ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (4, 6), (7, 6)),
+        cx.CellComplex, None),
+    "cycle-in-a-face-by-a-bridge": (
+        [[0, 0], [4, 0], [4, 4], [0, 4], [1, 1], [2, 1], [1, 2]],
+        ((0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6), (0, 4)),
+        errors.NotACycleColumn, "window boundary is not a simple cycle: "
+        "edge selection splits into several cycles (disconnected)"),
+    # Both squares hold a window that is no simple cycle; the one reported is
+    # on the left, whose face holds the smallest dart (0, 1), though the right
+    # one holds edge 0.
+    "first-bad-window-by-smallest-dart": (
+        [[0, 0], [4, 0], [4, 4], [0, 4], [1, 1], [2, 1], [1, 2],
+         [6, 0], [10, 0], [10, 4], [6, 4], [7, 2], [8, 1]],
+        ((7, 8), (8, 9), (9, 10), (7, 10), (7, 11), (11, 12), (7, 12), (0, 1), (1, 2),
+         (2, 3), (0, 3), (4, 5), (5, 6), (4, 6), (0, 4), (1, 7)),
+        errors.NotACycleColumn, "window boundary is not a simple cycle: "
+        "edge selection splits into several cycles (disconnected)"),
+    "tiny-figure-eight": (
+        np.array([[2, 2], [0, 3], [1, 4], [1, 1], [2**27, 0]]) * 2.0**-27,
+        ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4)),
+        errors.EdgesCross, "face traversal found 0 outer faces; drawing is not plane"),
+    "tiny-crossing-with-two-outer-faces": (
+        np.array([[1, 3], [4, 1], [5, 3], [3, 4], [2, 2], [2**27, 0]]) * 2.0**-27,
+        ((0, 4), (1, 3), (1, 4), (2, 3), (3, 4), (0, 2), (1, 5)),
+        errors.EdgesCross, "face traversal found 2 outer faces; drawing is not plane"),
+    "tree": ([[0, 0], [1, 0], [2, 1], [2, -1]], ((0, 1), (1, 2), (1, 3)), cx.CellComplex, None),
+    "disconnected": ([[0, 0], [1, 0], [5, 5], [6, 5]], ((0, 1), (2, 3)),
+                     errors.Disconnected, "underlying graph is not connected"),
+}
+
+
+class TestWindowLiftingMatchesTheFaceWalk:
+    """The dart arrays against the dict walk they replaced (helpers)."""
+
+    @settings(max_examples=40)
+    @given(grid=plane_grids())
+    def test_plane_grids(self, grid):
+        graph, points, _ = grid
+        assert cx.window_lifting(graph, points) == helpers.window_lifting_oracle(graph, points)
+
+    @pytest.mark.parametrize("case", WINDOW_CASES)
+    def test_named_drawings(self, case):
+        points, edges, kind, message = WINDOW_CASES[case]
+        graph = cx.from_tuples(range(len(points)), edges)
+        outcome = _result(cx.window_lifting, graph, points)
+        assert outcome == _result(helpers.window_lifting_oracle, graph, points)
+        if kind is not cx.CellComplex:
+            assert outcome == (kind, message)
+        elif case == "tree":
+            assert outcome is graph
+        else:
+            assert outcome.n_cells(2) == 1 and outcome.boundary(1) is graph.boundary(1)
 
 
 class TestCyclesAttachedWithoutRetracing:
@@ -960,9 +1029,8 @@ class TestCyclesAttachedWithoutRetracing:
     @settings(max_examples=40)
     @given(grid=plane_grids())
     def test_window_cells_of_plane_grids(self, grid):
-        emb, faces = grid
-        lifted = cx.window_lifting(emb)
-        graph = cx.from_tuples(emb.labels, [(emb.labels[u], emb.labels[v]) for u, v in emb.edges])
+        graph, points, faces = grid
+        lifted = cx.window_lifting(graph, points)
         assert lifted.n_cells(2) == faces
         _check_lifted(graph, lifted)
 
@@ -976,7 +1044,7 @@ class TestCyclesAttachedWithoutRetracing:
         monkeypatch.setattr(builders, "oriented_cycle", counted)
         monkeypatch.setattr(core, "oriented_cycle", counted)
         points, edges, _ = _grid_with_diagonals(4)
-        lifted = cx.window_lifting(cx.PlanarEmbedding(points, tuple(edges)))
+        lifted = cx.window_lifting(cx.from_tuples(range(len(points)), edges), points)
         assert len(calls) == lifted.n_cells(2) == 18
         calls.clear()
         assert cx.spanning_tree_lifting(toy_graph).n_cells(2) == 2
@@ -995,24 +1063,22 @@ class TestLiftingsTrustTheirCycles:
     @staticmethod
     def assert_independently_valid(graph, lifted):
         assert lifted.cells[:2] == graph.cells[:2]
-        assert lifted.boundary(1) == graph.boundary(1)
+        assert lifted.boundary(1) is graph.boundary(1)
         assert all(len(set(layer)) == len(layer) for layer in lifted.cells)
         assert helpers.exactness_holds(lifted)
 
     def test_no_label_check_and_no_exactness_product(self, monkeypatch):
         points, edges, _ = _grid_with_diagonals(5)
-        emb = cx.PlanarEmbedding(points, tuple(edges))
         graph = cx.from_tuples(range(len(points)), edges)
         roots = (0, 12, 24)
         expected = ([cx.spanning_tree_lifting(graph, root) for root in roots],
-                    cx.chordless_cycle_lifting(graph), cx.window_lifting(emb))
-        monkeypatch.setattr(core, "integer_product", self.refuse)
-        assert cx.window_lifting(emb) == expected[2]  # its base graph goes through _graph
-        for name in ("_cell_layers", "from_boundary_matrices"):
+                    cx.chordless_cycle_lifting(graph), cx.window_lifting(graph, points))
+        for name in ("_cell_layers", "from_boundary_matrices", "integer_product"):
             monkeypatch.setattr(core, name, self.refuse)
         monkeypatch.setattr(builders, "from_boundary_matrices", self.refuse)
         assert [cx.spanning_tree_lifting(graph, root) for root in roots] == expected[0]
         assert cx.chordless_cycle_lifting(graph) == expected[1]
+        assert cx.window_lifting(graph, points) == expected[2]
         assert expected[0][0].n_cells(2) == len(edges) - len(points) + 1
 
     @settings(max_examples=100)
@@ -1029,9 +1095,8 @@ class TestLiftingsTrustTheirCycles:
     @settings(max_examples=30)
     @given(grid=plane_grids())
     def test_window_lifting_of_plane_grids(self, grid):
-        emb, _ = grid
-        graph = cx.from_tuples(emb.labels, [(emb.labels[u], emb.labels[v]) for u, v in emb.edges])
-        self.assert_independently_valid(graph, cx.window_lifting(emb))
+        graph, points, _ = grid
+        self.assert_independently_valid(graph, cx.window_lifting(graph, points))
 
 
 class TestDeepTrees:
